@@ -1,5 +1,7 @@
 """Exact computation with preordered groups, positive cones, and split extensions."""
 
+from types import ModuleType as _ModuleType
+
 from .verdict import SaturationBudget, State, Verdict, Window
 from .groups import (
     CayleyGroup,
@@ -47,7 +49,6 @@ from .cones import (
     TrivialCone,
     UnitsReport,
     check_cone_axioms,
-    cone_contains,
     cones_equal,
     cone_subset,
     generated_cone,
@@ -107,4 +108,8 @@ from .classifiers import (
 from .document import DocumentError, ProblemDocument, parse_document, run
 from .catalog import builtin_catalog, catalog_dict
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+]

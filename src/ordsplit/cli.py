@@ -12,6 +12,7 @@ import time
 
 from .catalog import builtin_catalog
 from .document import (
+    QUERY_OPS,
     DocumentError,
     parse_document,
     render_report_json,
@@ -20,35 +21,21 @@ from .document import (
 )
 from .verdict import SaturationBudget, Window
 
-CHECK_OPS = {
-    "compatible_exists",
-    "is_compatible",
-    "cone_contains",
-    "point_cone_contains",
-    "leq",
-    "validate_family",
-}
-LATTICE_OPS = {"lattice"}
-CLASSIFY_OPS = {
-    "is_rali",
-    "is_strong",
-    "stably_strong",
-    "classify_into",
-    "sclass_membership",
-    "ssfl",
-}
-PULLBACK_OPS = {"pullback_strong"}
-CLASSIFIER_OPS = {"admissible", "classifier_rali", "no_classifier_witness"}
+
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return int(text)
 
 
 def _add_common(p: argparse.ArgumentParser, with_doc: bool = True):
     if with_doc:
         p.add_argument("document", help="path to a problem document (JSON)")
-    p.add_argument("--budget-conj", type=int, default=2, metavar="N",
+    p.add_argument("--budget-conj", type=_positive_int, default=2, metavar="N",
                    help="conjugator word length bound (default 2)")
-    p.add_argument("--budget-sum", type=int, default=6, metavar="N",
+    p.add_argument("--budget-sum", type=_positive_int, default=6, metavar="N",
                    help="additive word length bound (default 6)")
-    p.add_argument("--window", type=int, default=8, metavar="M",
+    p.add_argument("--window", type=_positive_int, default=8, metavar="M",
                    help="integer window bound (default 8)")
     p.add_argument("--report", choices=("json", "text"), default="text")
     p.add_argument("--out", metavar="PATH", help="write the report here instead of stdout")
@@ -84,15 +71,11 @@ def main(argv=None) -> int:
         description="Decide order-compatibility questions on split extensions of preordered groups.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in (
-        ("check", "run the compatibility queries of a document"),
-        ("lattice", "run the compatible-cone enumeration queries"),
-        ("classify", "run point-classification queries"),
-        ("pullback", "run pullback-strongness queries"),
-        ("classifier", "run classifier/admissibility queries"),
-    ):
-        p = sub.add_parser(name, help=helptext)
-        _add_common(p)
+    commands: dict[str, list[str]] = {}
+    for name, op in QUERY_OPS.items():
+        commands.setdefault(op.command, []).append(name)
+    for command, names in commands.items():
+        _add_common(sub.add_parser(command, help=f"run the {', '.join(names)} queries"))
     p = sub.add_parser(
         "catalog",
         aliases=["paper"],
@@ -104,38 +87,21 @@ def main(argv=None) -> int:
     p.add_argument("document")
     args = parser.parse_args(argv)
 
-    if args.command == "validate":
-        try:
-            doc = _load(args.document)
-        except DocumentError as exc:
-            print(f"invalid: {exc}", file=sys.stderr)
-            return 2
-        print(f"ok: {len(doc.queries)} queries")
-        return 0
-
-    ops = {
-        "check": CHECK_OPS,
-        "lattice": LATTICE_OPS,
-        "classify": CLASSIFY_OPS,
-        "pullback": PULLBACK_OPS,
-        "classifier": CLASSIFIER_OPS,
-        "catalog": None,
-        "paper": None,
-    }[args.command]
-
-    doubled = False
     if args.command in ("catalog", "paper"):
-        doc = builtin_catalog()
-        budget = _budget(args)
-        doubled = args.doubled
+        doc, ops, doubled = builtin_catalog(), None, args.doubled
     else:
         try:
             doc = _load(args.document)
         except DocumentError as exc:
             print(f"invalid: {exc}", file=sys.stderr)
             return 2
-        budget = _budget(args)
+        if args.command == "validate":
+            print(f"ok: {len(doc.queries)} queries")
+            return 0
+        ops = set(commands[args.command])
+        doubled = False
 
+    budget = _budget(args)
     started = time.monotonic()
     report = run(doc, budget, ops, doubled)
     report["wall_time_ms"] = int((time.monotonic() - started) * 1000)

@@ -19,6 +19,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Any, Optional
 
+from .actions import _spread
 from .groups import (
     DirectProduct,
     Element,
@@ -29,7 +30,7 @@ from .groups import (
     ShapeError,
     format_element,
 )
-from .homs import Homomorphism, KernelHom, ProjectionHom, SectionHom
+from .homs import Homomorphism, KernelHom, ProjectionHom, SectionHom, _pair_parts
 from .linalg import feasible_strict, identity_matrix, mat_sub, solve
 from .verdict import (
     DEFAULT_BUDGET,
@@ -218,8 +219,8 @@ class ProductCone(Cone):
         gb = self.b_cone.finite_generators()
         if gx is None or gb is None:
             return None
-        xz = _x_group(self.group).zero()
-        bz = _b_group(self.group).zero()
+        X, B = _pair_parts(self.group)
+        xz, bz = X.zero(), B.zero()
         return tuple((g, bz) for g in gx) + tuple((xz, g) for g in gb)
 
     def __str__(self):
@@ -326,9 +327,6 @@ class ExplicitGenerators:
             return yes()
         return no(x)
 
-    def describe(self) -> str:
-        return f"{len(self.elements)} generators"
-
 
 @dataclass(frozen=True)
 class ConeGenerators:
@@ -341,9 +339,6 @@ class ConeGenerators:
 
     def member(self, x, budget) -> Verdict:
         return self.cone.contains(x, budget)
-
-    def describe(self) -> str:
-        return f"all of {self.cone}"
 
 
 @dataclass(frozen=True)
@@ -655,13 +650,6 @@ class GeneratedCone(Cone):
         return None
 
 
-def _spread_sample(seq: list, k: int) -> list:
-    if len(seq) <= k:
-        return list(seq)
-    step = max(1, len(seq) // k)
-    return list(seq[::step][:k])
-
-
 def _within_cap(el, cap: int) -> bool:
     if isinstance(el, tuple):
         return all(_within_cap(c, cap) for c in el)
@@ -713,22 +701,6 @@ def _flatten(G: Group, el) -> tuple[Fraction, ...] | None:
     return None
 
 
-def _x_group(G: Group) -> Group:
-    if isinstance(G, Semidirect):
-        return G.x_group
-    return G.factors[0]
-
-
-def _b_group(G: Group) -> Group:
-    if isinstance(G, Semidirect):
-        return G.b_group
-    return G.factors[1]
-
-
-def cone_contains(c: Cone, x, budget: SaturationBudget = DEFAULT_BUDGET) -> Verdict:
-    return c.contains(x, budget)
-
-
 def generated_cone(G: Group, generators) -> Cone:
     """Least cone containing the generators (Extensional on finite carriers)."""
     gens = tuple(generators)
@@ -768,9 +740,10 @@ def units_subgroup(P: PreorderedGroup, budget: SaturationBudget = DEFAULT_BUDGET
         ]
         return UnitsReport(True, frozenset(els), tuple(els), "finite intersection")
     if isinstance(cone, ProductCone) and isinstance(G, (Semidirect, DirectProduct)):
-        ux = units_subgroup(PreorderedGroup(_x_group(G), cone.x_cone), budget)
-        ub = units_subgroup(PreorderedGroup(_b_group(G), cone.b_cone), budget)
-        xz, bz = _x_group(G).zero(), _b_group(G).zero()
+        X, B = _pair_parts(G)
+        ux = units_subgroup(PreorderedGroup(X, cone.x_cone), budget)
+        ub = units_subgroup(PreorderedGroup(B, cone.b_cone), budget)
+        xz, bz = X.zero(), B.zero()
         gens = tuple((g, bz) for g in ux.generators) + tuple((xz, g) for g in ub.generators)
         els = None
         if ux.elements is not None and ub.elements is not None:
@@ -819,7 +792,7 @@ def check_cone_axioms(
     if not G.is_finite and len(members) > 250:
         # keep the pair scan tractable on wide rational windows; the slice is
         # deterministic so reports stay reproducible
-        members = _spread_sample(members, 250)
+        members = _spread(members, 250)
     for a in members:
         for b in members:
             v = cone.contains(G.add(a, b), budget)
@@ -827,7 +800,7 @@ def check_cone_axioms(
                 return no((a, b), "not closed under addition")
             if v.is_unknown:
                 saw_unknown = True
-    conjugators = els if G.is_finite else _spread_sample(els, 120)
+    conjugators = els if G.is_finite else _spread(els, 120)
     for g in conjugators:
         for a in members:
             v = cone.contains(G.conjugate(g, a), budget)
@@ -956,23 +929,19 @@ def _structural_monotone(h, src, dst, budget) -> Verdict | None:
             return no(src.group.generators()[0], "nonzero scalar into the trivial order")
     # Structure maps of pair carriers against their componentwise cones.
     if isinstance(h, ProjectionHom):
-        c = _carrier_cone_of(src)
+        c = src.cone
         if isinstance(c, ProductCone) and c.b_cone == dst.cone:
             return yes("projection of a componentwise cone")
         if isinstance(c, LexCone) and c.b_pre.cone == dst.cone:
             return yes("projection of the lexicographic cone")
     if isinstance(h, KernelHom):
-        c = _carrier_cone_of(dst)
+        c = dst.cone
         if isinstance(c, ProductCone) and c.x_cone == src.cone:
             return yes("kernel inclusion into a componentwise cone")
         if isinstance(c, LexCone) and c.x_pre.cone == src.cone:
             return yes("kernel inclusion into the lexicographic cone")
     if isinstance(h, SectionHom):
-        c = _carrier_cone_of(dst)
+        c = dst.cone
         if isinstance(c, ProductCone) and c.b_cone == src.cone:
             return yes("section into a componentwise cone")
     return None
-
-
-def _carrier_cone_of(pre: PreorderedGroup) -> Cone:
-    return pre.cone

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any
+from typing import Any, Callable
 
 from .actions import (
     Action,
@@ -47,6 +47,7 @@ from .extensions import (
     SplitExtension,
     SuperadditiveWindow,
     ExhaustiveFinite,
+    FamilyCone,
     UpSetFibers,
     compatible_exists,
     enumerate_compatible_cones,
@@ -83,7 +84,7 @@ from .points import (
     ssfl_check,
     stably_strong_over,
 )
-from .verdict import SaturationBudget, Verdict, Window
+from .verdict import SaturationBudget, State, Verdict, Window, unknown, vand
 
 FORMAT = "ordsplit-1"
 REPORT_FORMAT = "ordsplit-report-1"
@@ -148,19 +149,6 @@ def _scalar(G, s, where):
     return Fraction(s)
 
 
-def render_element(G: Group, el) -> list:
-    if isinstance(G, (FreeAbelian, RationalVector)):
-        coords = (el,) if G.rank == 1 else el
-        return [str(c) for c in coords]
-    if isinstance(G, (CyclicGroup, CayleyGroup)):
-        return [f"r{el}"]
-    if isinstance(G, DirectProduct):
-        return [render_element(p, c) for p, c in zip(G.factors, el)]
-    if isinstance(G, Semidirect):
-        return [render_element(G.x_group, el[0]), render_element(G.b_group, el[1])]
-    return [format_element(el)]
-
-
 # --- section parsers ------------------------------------------------------------
 
 
@@ -191,15 +179,15 @@ def parse_document(text: str | dict) -> ProblemDocument:
     points: dict[str, SplitExtension] = {}
     for name, spec in raw.get("points", {}).items():
         points[name] = _parse_point(name, spec, groups, cones, actions)
-    queries = []
+    doc = ProblemDocument(groups, cones, actions, homs, points, [], raw)
     ids = set()
     for i, spec in enumerate(raw.get("queries", [])):
-        q = _validate_query(i, spec, groups, cones, actions, homs, points)
+        q = _validate_query(i, spec, doc)
         if q["id"] in ids:
             raise DocumentError(f"queries[{i}].id", f"duplicate query id {q['id']!r}")
         ids.add(q["id"])
-        queries.append(q)
-    return ProblemDocument(groups, cones, actions, homs, points, queries, raw)
+        doc.queries.append(q)
+    return doc
 
 
 def _need(spec: dict, key: str, where: str):
@@ -337,7 +325,8 @@ def _parse_action(name, spec, groups, actions, homs) -> Action:
     raise DocumentError(where, f"unknown action kind {kind!r}")
 
 
-def _pre(groups, cones, gname, cname, where) -> PreorderedGroup:
+def _pre(groups, cones, spec, gkey, ckey, where) -> PreorderedGroup:
+    gname, cname = _need(spec, gkey, where), _need(spec, ckey, where)
     G = _ref(groups, gname, where, "group")
     C = _ref(cones, cname, where, "cone")
     if C.group != G:
@@ -345,119 +334,225 @@ def _pre(groups, cones, gname, cname, where) -> PreorderedGroup:
     return PreorderedGroup(G, C)
 
 
+def _shape(spec, groups, cones, actions, where) -> ExtensionShape:
+    x = _pre(groups, cones, spec, "x_group", "x_cone", where)
+    b = _pre(groups, cones, spec, "b_group", "b_cone", where)
+    return ExtensionShape(x, b, _ref(actions, _need(spec, "action", where), where, "action"))
+
+
+def _thresholds(spec, where) -> tuple:
+    return tuple(INF if t == "inf" else int(t) for t in _need(spec, "thresholds", where))
+
+
 def _parse_point(name, spec, groups, cones, actions) -> SplitExtension:
     where = f"points.{name}"
-    x = _pre(groups, cones, _need(spec, "x_group", where), _need(spec, "x_cone", where), where)
-    b = _pre(groups, cones, _need(spec, "b_group", where), _need(spec, "b_cone", where), where)
-    act = _ref(actions, _need(spec, "action", where), where, "action")
-    shape = ExtensionShape(x, b, act)
+    shape = _shape(spec, groups, cones, actions, where)
     tag = spec.get("cone", "product")
     try:
         if tag in ("product", "lex", "minimal"):
             return point(shape, tag)
         if isinstance(tag, dict) and tag.get("kind") == "family":
-            thresholds = tuple(
-                INF if t == "inf" else int(t) for t in _need(tag, "thresholds", where)
-            )
-            fam = ConeFamily(b, x, UpSetFibers(thresholds))
-            from .extensions import FamilyCone
-
-            return SplitExtension(x, b, act, FamilyCone(shape.carrier, fam))
+            fam = ConeFamily(shape.b, shape.x, UpSetFibers(_thresholds(tag, where)))
+            return SplitExtension(shape.x, shape.b, shape.action, FamilyCone(shape.carrier, fam))
     except StructureError as exc:
         raise DocumentError(where, str(exc)) from exc
     raise DocumentError(where, f"unknown point cone tag {tag!r}")
 
 
-_QUERY_OPS = {
-    "compatible_exists",
-    "is_compatible",
-    "cone_contains",
-    "point_cone_contains",
-    "leq",
-    "lattice",
-    "is_rali",
-    "is_strong",
-    "stably_strong",
-    "pullback_strong",
-    "ssfl",
-    "classify_into",
-    "admissible",
-    "classifier_rali",
-    "sclass_membership",
-    "no_classifier_witness",
-    "validate_family",
+# --- queries --------------------------------------------------------------------
+#
+# Each op lists the fields it reads.  _FIELDS resolves them against the
+# document in that order, so a field may use the ones before it, and the
+# executor receives them positionally, followed by the budget.  Executors
+# call library functions through this module's globals, never through a
+# stored function object, so that a name rebound here (by a test, or by the
+# benchmark's tracer) reaches every op.
+
+
+def _ref_field(key: str, table: str, what: str):
+    return lambda spec, doc, r, where: _ref(
+        getattr(doc, table), _need(spec, key, where), where, what
+    )
+
+
+def _pre_field(gkey: str, ckey: str):
+    return lambda spec, doc, r, where: _pre(doc.groups, doc.cones, spec, gkey, ckey, where)
+
+
+def _element_field(key: str, carrier):
+    return lambda spec, doc, r, where: parse_element(carrier(r), _need(spec, key, where), where)
+
+
+def _scope_field(spec, doc, r, where):
+    scope = _need(spec, "scope", where)
+    if scope.get("kind") == "superadditive":
+        return SuperadditiveWindow(
+            int(_need(scope, "length", where)), int(_need(scope, "max_value", where))
+        )
+    if scope.get("kind") == "exhaustive":
+        return ExhaustiveFinite()
+    raise DocumentError(where, f"unknown scope {scope!r}")
+
+
+def _order_field(spec, doc, r, where):
+    which = spec.get("order", "tilde")
+    if which not in ("tilde", "plus", "minus"):
+        raise DocumentError(where, f"unknown order {which!r}")
+    return which
+
+
+_FIELDS = {
+    "shape": lambda spec, doc, r, where: _shape(spec, doc.groups, doc.cones, doc.actions, where),
+    "thresholds": lambda spec, doc, r, where: _thresholds(spec, where),
+    "scope": _scope_field,
+    "point": _ref_field("point", "points", "point"),
+    "mode": lambda spec, doc, r, where: spec.get("mode", "interval"),
+    "cone": _ref_field("cone", "cones", "cone"),
+    # On the queried point's carrier, or on the queried cone's group.
+    "element": _element_field(
+        "element", lambda r: r["point"].carrier if "point" in r else r["cone"].group
+    ),
+    "pre": _pre_field("group", "cone"),
+    "left": _element_field("left", lambda r: r["pre"].group),
+    "right": _element_field("right", lambda r: r["pre"].group),
+    "along": _ref_field("along", "homs", "homomorphism"),
+    "base": _pre_field("base_group", "base_cone"),
+    "src": _ref_field("src", "points", "point"),
+    "dst": _ref_field("dst", "points", "point"),
+    "a": _ref_field("a", "homs", "homomorphism"),
+    "c": _ref_field("c", "homs", "homomorphism"),
+    "x": _pre_field("x_group", "x_cone"),
+    "order": _order_field,
 }
 
 
-def _validate_query(i, spec, groups, cones, actions, homs, points) -> dict:
+@dataclass(frozen=True)
+class QueryOp:
+    """command: the CLI subcommand that runs the op; fields: the query fields
+    it reads; execute(*fields, budget) returns a Verdict, or (Verdict, extra)
+    where extra holds the report entry's other top-level keys."""
+
+    command: str
+    fields: tuple[str, ...]
+    execute: Callable[..., Any]
+
+
+def _validate_family(shape, thresholds, b):
+    fam = ConeFamily(shape.b, shape.x, UpSetFibers(thresholds))
+    fv = validate_family(fam, shape.action, b)
+    return fv.conditions, {"details": {"orbit_remark": fv.orbit_remark.state.value}}
+
+
+def _lattice(shape, scope, b):
+    rep = enumerate_compatible_cones(shape, scope)
+    details = {
+        "scope": rep.scope,
+        "count": rep.count,
+        "labels": list(rep.labels),
+        "meets_closed": rep.meets_closed,
+        "joins_closed_in_window": rep.joins_closed_in_window,
+        "all_compatible": rep.compatible.is_yes,
+    }
+    return rep.compatible, {"details": details}
+
+
+def _stably_strong(pt, b):
+    rep = stably_strong_over(pt, default_base_catalog(pt.b), b)
+    entries = [[label, v.state.value] for label, v in rep.entries]
+    return rep.aggregate, {"details": {"note": rep.note, "entries": entries}}
+
+
+def _ssfl(src, dst, a, c, b):
+    mid = PairHom(src.carrier, dst.carrier, a, c)
+    return ssfl_check(PointMorphism(a, mid, c), src, dst, b)
+
+
+def _classify_into(pt, order, b):
+    cls = build_classifier(pt.x, aut_cone(monotone_aut(pt.x), order, b), b)
+    rep = classify_into(pt, cls, b)
+    parts = {
+        "base_monotone": rep.base_monotone,
+        "middle_monotone": rep.middle_monotone,
+        "uniqueness": rep.uniqueness,
+    }
+    return vand(*parts.values()), {"details": {k: v.state.value for k, v in parts.items()}}
+
+
+def _no_classifier_witness(x, b):
+    w = no_classifier_witness(x, b)
+    if w is None:
+        # The search covers the window only, so finding nothing proves nothing.
+        return unknown("no witness found in the window")
+    return Verdict(State.YES, w[0], f"moves {format_element(w[1])}")
+
+
+QUERY_OPS: dict[str, QueryOp] = {
+    "compatible_exists": QueryOp(
+        "check", ("shape",), lambda shape, b: compatible_exists(shape, b)
+    ),
+    "is_compatible": QueryOp(
+        "check",
+        ("point", "mode"),
+        lambda pt, mode, b: (is_compatible(pt.cone, pt.shape, mode, b), {"mode": mode}),
+    ),
+    "cone_contains": QueryOp("check", ("cone", "element"), lambda c, x, b: c.contains(x, b)),
+    "point_cone_contains": QueryOp(
+        "check", ("point", "element"), lambda pt, x, b: pt.cone.contains(x, b)
+    ),
+    "leq": QueryOp("check", ("pre", "left", "right"), lambda pre, x, y, b: pre.leq(x, y, b)),
+    "validate_family": QueryOp("check", ("shape", "thresholds"), _validate_family),
+    "lattice": QueryOp("lattice", ("shape", "scope"), _lattice),
+    "is_rali": QueryOp("classify", ("point",), lambda pt, b: is_rali(pt, b)),
+    "is_strong": QueryOp("classify", ("point",), lambda pt, b: is_strong(pt, b)),
+    "stably_strong": QueryOp("classify", ("point",), _stably_strong),
+    "classify_into": QueryOp("classify", ("point", "order"), _classify_into),
+    "sclass_membership": QueryOp(
+        "classify",
+        ("point", "order"),
+        lambda pt, order, b: sclass_membership(pt, aut_cone(monotone_aut(pt.x), order, b), b),
+    ),
+    "ssfl": QueryOp("classify", ("src", "dst", "a", "c"), _ssfl),
+    "pullback_strong": QueryOp(
+        "pullback",
+        ("point", "along", "base"),
+        lambda pt, along, base, b: is_strong(pullback(pt, along, base, b), b),
+    ),
+    "admissible": QueryOp(
+        "classifier",
+        ("x", "order"),
+        lambda x, order, b: admissible_check(aut_cone(monotone_aut(x), order, b), b),
+    ),
+    "classifier_rali": QueryOp(
+        "classifier",
+        ("x", "order"),
+        lambda x, order, b: is_rali(
+            build_classifier(x, aut_cone(monotone_aut(x), order, b), b), b
+        ),
+    ),
+    "no_classifier_witness": QueryOp("classifier", ("x",), _no_classifier_witness),
+}
+
+
+def _validate_query(i, spec, doc: ProblemDocument) -> dict:
     where = f"queries[{i}]"
     if not isinstance(spec, dict):
         raise DocumentError(where, "queries are objects")
     op = _need(spec, "op", where)
-    if op not in _QUERY_OPS:
+    if op not in QUERY_OPS:
         raise DocumentError(where, f"unknown op {op!r}")
     q = dict(spec)
     q.setdefault("id", f"q{i}")
     resolved: dict[str, Any] = {}
-    if op in ("compatible_exists", "lattice", "validate_family"):
-        x = _pre(groups, cones, _need(spec, "x_group", where), _need(spec, "x_cone", where), where)
-        b = _pre(groups, cones, _need(spec, "b_group", where), _need(spec, "b_cone", where), where)
-        act = _ref(actions, _need(spec, "action", where), where, "action")
-        resolved["shape"] = ExtensionShape(x, b, act)
-    if op == "validate_family":
-        resolved["thresholds"] = tuple(
-            INF if t == "inf" else int(t) for t in _need(spec, "thresholds", where)
-        )
-    if op == "is_compatible":
-        resolved["point"] = _ref(points, _need(spec, "point", where), where, "point")
-        resolved["mode"] = spec.get("mode", "interval")
-    if op in ("is_rali", "is_strong", "stably_strong", "classify_into", "sclass_membership"):
-        resolved["point"] = _ref(points, _need(spec, "point", where), where, "point")
-    if op == "point_cone_contains":
-        pt = _ref(points, _need(spec, "point", where), where, "point")
-        resolved["point"] = pt
-        resolved["element"] = parse_element(pt.carrier, _need(spec, "element", where), where)
-    if op == "cone_contains":
-        cone = _ref(cones, _need(spec, "cone", where), where, "cone")
-        resolved["cone"] = cone
-        resolved["element"] = parse_element(cone.group, _need(spec, "element", where), where)
-    if op == "leq":
-        pre = _pre(groups, cones, _need(spec, "group", where), _need(spec, "cone", where), where)
-        resolved["pre"] = pre
-        resolved["left"] = parse_element(pre.group, _need(spec, "left", where), where)
-        resolved["right"] = parse_element(pre.group, _need(spec, "right", where), where)
-    if op == "lattice":
-        scope = _need(spec, "scope", where)
-        if scope.get("kind") == "superadditive":
-            resolved["scope"] = SuperadditiveWindow(
-                int(_need(scope, "length", where)), int(_need(scope, "max_value", where))
-            )
-        elif scope.get("kind") == "exhaustive":
-            resolved["scope"] = ExhaustiveFinite()
-        else:
-            raise DocumentError(where, f"unknown scope {scope!r}")
-    if op == "pullback_strong":
-        resolved["point"] = _ref(points, _need(spec, "point", where), where, "point")
-        resolved["along"] = _ref(homs, _need(spec, "along", where), where, "homomorphism")
-        resolved["base"] = _pre(
-            groups, cones, _need(spec, "base_group", where), _need(spec, "base_cone", where), where
-        )
-    if op == "ssfl":
-        resolved["src"] = _ref(points, _need(spec, "src", where), where, "point")
-        resolved["dst"] = _ref(points, _need(spec, "dst", where), where, "point")
-        resolved["a"] = _ref(homs, _need(spec, "a", where), where, "homomorphism")
-        resolved["c"] = _ref(homs, _need(spec, "c", where), where, "homomorphism")
-    if op in ("admissible", "classifier_rali", "no_classifier_witness", "classify_into",
-              "sclass_membership"):
-        if op in ("admissible", "classifier_rali", "no_classifier_witness"):
-            resolved["x"] = _pre(
-                groups, cones, _need(spec, "x_group", where), _need(spec, "x_cone", where), where
-            )
-        if op in ("admissible", "classifier_rali", "classify_into", "sclass_membership"):
-            which = spec.get("order", "tilde")
-            if which not in ("tilde", "plus", "minus"):
-                raise DocumentError(where, f"unknown order {which!r}")
-            resolved["order"] = which
+    for name in QUERY_OPS[op].fields:
+        resolved[name] = _FIELDS[name](spec, doc, resolved, where)
+    if "budget" in spec:
+        if not isinstance(spec["budget"], dict):
+            raise DocumentError(f"{where}.budget", "budget is an object")
+        try:
+            _query_budget(spec, SaturationBudget())
+        except (TypeError, ValueError) as exc:
+            message = f"bad budget {spec['budget']!r}: {exc}"
+            raise DocumentError(f"{where}.budget", message) from exc
     q["_resolved"] = resolved
     return q
 
@@ -481,6 +576,8 @@ def _query_budget(q: dict, default: SaturationBudget, doubled: bool = False) -> 
 
 
 def verdict_json(v: Verdict) -> dict:
+    if v.is_no and v.witness is None:
+        raise StructureError(f"'no' verdict without a witness: {v.note or 'no note'}")
     out = {"state": v.state.value}
     if v.witness is not None:
         out["witness"] = format_element(v.witness)
@@ -492,103 +589,10 @@ def verdict_json(v: Verdict) -> dict:
 
 
 def execute_query(q: dict, budget: SaturationBudget, doubled: bool = False) -> dict:
-    op = q["op"]
-    r = q["_resolved"]
-    b = _query_budget(q, budget, doubled)
-    out: dict[str, Any] = {"id": q["id"], "op": op}
-    if op == "compatible_exists":
-        v = compatible_exists(r["shape"], b)
-        out["verdict"] = verdict_json(v)
-    elif op == "is_compatible":
-        pt = r["point"]
-        v = is_compatible(pt.cone, pt.shape, r["mode"], b)
-        out["verdict"] = verdict_json(v)
-        out["mode"] = r["mode"]
-    elif op == "cone_contains":
-        v = r["cone"].contains(r["element"], b)
-        out["verdict"] = verdict_json(v)
-    elif op == "point_cone_contains":
-        v = r["point"].cone.contains(r["element"], b)
-        out["verdict"] = verdict_json(v)
-    elif op == "leq":
-        v = r["pre"].leq(r["left"], r["right"], b)
-        out["verdict"] = verdict_json(v)
-    elif op == "lattice":
-        rep = enumerate_compatible_cones(r["shape"], r["scope"])
-        out["details"] = {
-            "scope": rep.scope,
-            "count": rep.count,
-            "labels": list(rep.labels),
-            "meets_closed": rep.meets_closed,
-            "joins_closed_in_window": rep.joins_closed_in_window,
-            "all_compatible": rep.all_compatible,
-        }
-        out["verdict"] = {"state": "yes" if rep.all_compatible else "no"}
-    elif op == "is_rali":
-        out["verdict"] = verdict_json(is_rali(r["point"], b))
-    elif op == "is_strong":
-        out["verdict"] = verdict_json(is_strong(r["point"], b))
-    elif op == "stably_strong":
-        rep = stably_strong_over(r["point"], default_base_catalog(r["point"].b), b)
-        out["verdict"] = verdict_json(rep.aggregate)
-        out["details"] = {
-            "note": rep.note,
-            "entries": [[label, v.state.value] for label, v in rep.entries],
-        }
-    elif op == "pullback_strong":
-        pb = pullback(r["point"], r["along"], r["base"], b)
-        v = is_strong(pb, b)
-        out["verdict"] = verdict_json(v)
-    elif op == "ssfl":
-        src, dst = r["src"], r["dst"]
-        mid = PairHom(src.carrier, dst.carrier, r["a"], r["c"])
-        v = ssfl_check(PointMorphism(r["a"], mid, r["c"]), src, dst, b)
-        out["verdict"] = verdict_json(v)
-    elif op == "classify_into":
-        pt = r["point"]
-        aut = monotone_aut(pt.x)
-        order = aut_cone(aut, r["order"], b)
-        cls = build_classifier(pt.x, order, b)
-        rep = classify_into(pt, cls, b)
-        out["details"] = {
-            "base_monotone": rep.base_monotone.state.value,
-            "middle_monotone": rep.middle_monotone.state.value,
-            "uniqueness": rep.uniqueness.state.value,
-        }
-        combined = (
-            rep.base_monotone.is_yes and rep.middle_monotone.is_yes and rep.uniqueness.is_yes
-        )
-        out["verdict"] = {"state": "yes" if combined else "no"}
-    elif op == "admissible":
-        aut = monotone_aut(r["x"])
-        v = admissible_check(aut_cone(aut, r["order"], b), b)
-        out["verdict"] = verdict_json(v)
-    elif op == "classifier_rali":
-        aut = monotone_aut(r["x"])
-        cls = build_classifier(r["x"], aut_cone(aut, r["order"], b), b)
-        out["verdict"] = verdict_json(is_rali(cls, b))
-    elif op == "sclass_membership":
-        pt = r["point"]
-        aut = monotone_aut(pt.x)
-        v = sclass_membership(pt, aut_cone(aut, r["order"], b), b)
-        out["verdict"] = verdict_json(v)
-    elif op == "no_classifier_witness":
-        w = no_classifier_witness(r["x"], b)
-        if w is None:
-            out["verdict"] = {"state": "no", "note": "no witness found"}
-        else:
-            out["verdict"] = {
-                "state": "yes",
-                "witness": format_element(w[0]),
-                "note": f"moves {format_element(w[1])}",
-            }
-    elif op == "validate_family":
-        fam = ConeFamily(r["shape"].b, r["shape"].x, UpSetFibers(r["thresholds"]))
-        fv = validate_family(fam, r["shape"].action, b)
-        out["verdict"] = verdict_json(fv.conditions)
-        out["details"] = {"orbit_remark": fv.orbit_remark.state.value}
-    else:  # pragma: no cover - guarded by _validate_query
-        raise StructureError(f"unhandled op {op}")
+    execute = QUERY_OPS[q["op"]].execute
+    result = execute(*q["_resolved"].values(), _query_budget(q, budget, doubled))
+    verdict, extra = result if isinstance(result, tuple) else (result, {})
+    out: dict[str, Any] = {"id": q["id"], "op": q["op"], "verdict": verdict_json(verdict), **extra}
     if "expect" in q:
         out["expected"] = q["expect"]
         out["matched"] = _matches(q["expect"], out)

@@ -57,6 +57,7 @@ from .verdict import (
     Window,
     no,
     unknown,
+    vall,
     vand,
     yes,
 )
@@ -130,9 +131,6 @@ class SplitExtension:
 
     def __str__(self):
         return f"({self.x} -> {self.carrier}, {self.cone}) <-> {self.b}"
-
-
-Point = SplitExtension
 
 
 def product_cone(shape: ExtensionShape) -> ProductCone:
@@ -743,7 +741,8 @@ class LatticeReport:
     count: int
     meets_closed: bool
     joins_closed_in_window: bool
-    all_compatible: bool
+    # Every enumerated cone is compatible; a No names the first that is not.
+    compatible: Verdict
     notes: str = ""
 
 
@@ -786,7 +785,7 @@ def _enumerate_finite(shape: ExtensionShape) -> LatticeReport:
         count=len(cones),
         meets_closed=meets,
         joins_closed_in_window=joins,
-        all_compatible=True,
+        compatible=yes(),
         notes="finite carriers collapse the interval: no strictly positive base elements",
     )
 
@@ -841,14 +840,12 @@ def _enumerate_superadditive(shape: ExtensionShape, scope: SuperadditiveWindow) 
     budget = SaturationBudget(2, 4, Window(max(3, scope.length), 8, 4))
     labels = []
     cones = []
-    all_ok = True
+    checks = []
     for seq in seqs:
         fam = ConeFamily(shape.b, shape.x, UpSetFibers((0,) + seq))
-        cone = FamilyCone(shape.carrier, fam)
+        cones.append(FamilyCone(shape.carrier, fam))
         labels.append(_seq_label(seq))
-        cones.append(cone)
-        if not validate_family(fam, shape.action, budget).conditions.is_yes:
-            all_ok = False
+        checks.append((labels[-1], validate_family(fam, shape.action, budget).conditions))
     pool = set(seqs)
     meets = True
     for a in seqs:
@@ -869,7 +866,7 @@ def _enumerate_superadditive(shape: ExtensionShape, scope: SuperadditiveWindow) 
         count=len(seqs),
         meets_closed=meets,
         joins_closed_in_window=joins,
-        all_compatible=all_ok,
+        compatible=vall(checks),
         notes="fibres are up-sets encoded by threshold sequences",
     )
 

@@ -12,7 +12,7 @@ import itertools
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Iterator
+from typing import Any
 
 from .verdict import Window
 
@@ -534,11 +534,6 @@ def element_order(G: Group, a: Element) -> int:
         acc = G.add(acc, a)
         k += 1
     return k
-
-
-def window_pairs(G: Group, window: Window) -> Iterator[tuple[Element, Element]]:
-    els = G.window_elements(window)
-    return itertools.product(els, repeat=2)
 
 
 def format_element(el) -> str:

@@ -106,27 +106,6 @@ class IdentityHom(Homomorphism):
 
 
 @dataclass(frozen=True)
-class ZeroHom(Homomorphism):
-    source: Group
-    target: Group
-
-    def apply(self, el):
-        self.source.check(el)
-        return self.target.zero()
-
-    def as_scalar(self):
-        if _vec_rank(self.source) == 1 and self.source == self.target:
-            return Fraction(0)
-        return None
-
-    def additive_by_construction(self):
-        return True
-
-    def __str__(self):
-        return "0"
-
-
-@dataclass(frozen=True)
 class ScalarHom(Homomorphism):
     """x -> factor * x between vector groups of equal rank."""
 
@@ -467,14 +446,6 @@ def invert(h: Homomorphism) -> Homomorphism | None:
         if ix is None or ib is None:
             return None
         return PairHom(h.target, h.source, ix, ib)
-    return None
-
-
-def hom_agrees_on(g: Homomorphism, h: Homomorphism, elements) -> Element | None:
-    """First element where the maps differ, else None."""
-    for el in elements:
-        if g.apply(el) != h.apply(el):
-            return el
     return None
 
 

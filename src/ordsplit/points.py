@@ -14,7 +14,6 @@ from fractions import Fraction
 from .actions import PrecomposedAction, ProductAction
 from .cones import (
     Cone,
-    OrthantCone,
     PreorderedGroup,
     ProductCone,
     TrivialCone,

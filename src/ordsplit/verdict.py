@@ -74,22 +74,6 @@ def vand(*verdicts: Verdict) -> Verdict:
     return pending if pending is not None else yes()
 
 
-def vor(*verdicts: Verdict) -> Verdict:
-    """Disjunction: Yes wins, then Unknown; No only if all No (keeps last witness)."""
-    pending = None
-    last_no = None
-    for v in verdicts:
-        if v.is_yes:
-            return v
-        if v.is_unknown and pending is None:
-            pending = v
-        if v.is_no:
-            last_no = v
-    if pending is not None:
-        return pending
-    return last_no if last_no is not None else no(None, "empty disjunction")
-
-
 def vnot(v: Verdict, witness: Any = None) -> Verdict:
     if v.is_yes:
         return no(witness if witness is not None else v.witness)

@@ -183,7 +183,7 @@ def test_acceptance_3_lattice_meets_and_growth():
     shape = ExtensionShape(ZN, ZN, TrivialAction(Z, Z))
     rep = enumerate_compatible_cones(shape, SuperadditiveWindow(3, 4))
     assert rep.count == pinned_3_4
-    assert rep.all_compatible
+    assert rep.compatible.is_yes
     rep_small = enumerate_compatible_cones(shape, SuperadditiveWindow(2, 2))
     assert rep_small.count == pinned_2_2
     assert rep.count > rep_small.count

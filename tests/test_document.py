@@ -1,10 +1,13 @@
+import hashlib
 import json
 import subprocess
 import sys
 
 import pytest
 
-from ordsplit.catalog import SCENARIO_COUNT, builtin_catalog
+from ordsplit import document
+from ordsplit.catalog import SCENARIO_COUNT, builtin_catalog, catalog_dict
+from ordsplit.cli import main as cli_main
 from ordsplit.document import (
     DocumentError,
     parse_document,
@@ -12,6 +15,8 @@ from ordsplit.document import (
     render_report_text,
     run,
 )
+from ordsplit.groups import StructureError
+from ordsplit.verdict import State, Verdict
 from helpers import SMALL_BUDGET
 
 
@@ -208,3 +213,190 @@ def test_cli_check_subcommand(tmp_path):
     assert r.returncode == 0
     rep = json.loads(r.stdout)
     assert rep["queries"][0]["verdict"]["state"] == "no"
+
+
+# --- the three compatibility ops no catalog scenario runs ------------------------
+
+
+def ops_doc(queries):
+    doc = minimal_doc(queries)
+    doc["groups"]["Z2"] = {"kind": "free_abelian", "rank": 2}
+    doc["cones"]["gen"] = {
+        "kind": "generated", "group": "Z2", "generators": [["1", "0"], ["1", "1"]],
+    }
+    doc["actions"]["scale2"] = {"kind": "scaling", "acting": "Z", "acted": "Q", "ratio": "2"}
+    doc["points"] = {
+        # Q x| Z, n acting by 2^n, with the lexicographic cone.
+        "scal_lex": {"x_group": "Q", "x_cone": "qnat", "b_group": "Z", "b_cone": "nat",
+                     "action": "scale2", "cone": "lex"},
+        # Z x| Z under the sign action with the componentwise cone N x Z.
+        "sgn_prod": {"x_group": "Z", "x_cone": "nat", "b_group": "Z", "b_cone": "full",
+                     "action": "sgn", "cone": "product"},
+    }
+    return parse_document(doc)
+
+
+def _verdicts(doc):
+    rep = run(doc, SMALL_BUDGET)
+    assert rep["errors"] == 0
+    return {e["id"]: e for e in rep["queries"]}
+
+
+def test_is_compatible_op():
+    got = _verdicts(ops_doc([
+        {"id": "lex", "op": "is_compatible", "point": "scal_lex"},
+        {"id": "lex_def", "op": "is_compatible", "point": "scal_lex", "mode": "definitional"},
+        {"id": "sgn", "op": "is_compatible", "point": "sgn_prod"},
+    ]))
+    assert got["lex"]["verdict"] == {"state": "yes"} and got["lex"]["mode"] == "interval"
+    assert got["lex_def"]["verdict"] == {"state": "yes"}
+    assert got["lex_def"]["mode"] == "definitional"
+    # (0, -3) + (1, -3) = (-1, -6): the sign of -3 flips the kernel part.
+    assert got["sgn"]["verdict"] == {
+        "state": "no", "witness": "((0, -3), (1, -3))", "note": "not closed under addition",
+    }
+
+
+def test_cone_contains_op():
+    got = _verdicts(ops_doc([
+        {"id": "member", "op": "cone_contains", "cone": "gen", "element": ["2", "1"]},
+        {"id": "separated", "op": "cone_contains", "cone": "gen", "element": ["-1", "0"]},
+        {"id": "negative", "op": "cone_contains", "cone": "nat", "element": ["-3"]},
+    ]))
+    assert got["member"]["verdict"]["state"] == "yes"
+    assert got["separated"]["verdict"]["state"] == "no"
+    assert got["separated"]["verdict"]["witness"] == "(-1, 0)"
+    assert "separating functional" in got["separated"]["verdict"]["note"]
+    assert got["negative"]["verdict"] == {"state": "no", "witness": "-3"}
+
+
+def test_point_cone_contains_op():
+    got = _verdicts(ops_doc([
+        {"id": "over_positive", "op": "point_cone_contains", "point": "scal_lex",
+         "element": [["-1"], ["1"]]},
+        {"id": "negative_fibre", "op": "point_cone_contains", "point": "scal_lex",
+         "element": [["-1/2"], ["0"]]},
+    ]))
+    assert got["over_positive"]["verdict"] == {"state": "yes"}
+    assert got["negative_fibre"]["verdict"] == {"state": "no", "witness": "(-1/2, 0)"}
+
+
+# --- every no that leaves the document layer carries a witness -------------------
+
+
+def _catalog_entry(op):
+    """The report and the first entry of the catalog's queries of one op."""
+    rep = run(builtin_catalog(), ops={op})
+    return rep, next(e for e in rep["queries"] if not e.get("skipped"))
+
+
+def test_classify_into_undecided_part_is_unknown_not_no(monkeypatch):
+    from ordsplit.classifiers import ClassifyReport
+    from ordsplit.verdict import no, unknown, yes
+
+    parts = [yes(), unknown("saturation budget exhausted"), yes()]
+    monkeypatch.setattr(document, "classify_into",
+                        lambda pt, cls, b: ClassifyReport(None, *parts))
+    _, entry = _catalog_entry("classify_into")
+    assert entry["verdict"] == {"state": "unknown", "note": "saturation budget exhausted"}
+    assert entry["details"]["middle_monotone"] == "unknown"
+    parts[2] = no((1, 0), "moved")
+    _, entry = _catalog_entry("classify_into")
+    assert entry["verdict"] == {"state": "no", "witness": "(1, 0)", "note": "moved"}
+
+
+def test_lattice_undecided_family_is_unknown_and_a_no_names_the_family(monkeypatch):
+    from ordsplit import extensions
+    from ordsplit.verdict import no, unknown
+
+    real = extensions.validate_family
+    verdicts = {(0, 1, 2): unknown("family conditions hit undecided memberships")}
+
+    def fake(fam, action, budget):
+        v = verdicts.get(fam.sets.thresholds)
+        if v is None:
+            return real(fam, action, budget)
+        return extensions.FamilyValidation(v, v)
+
+    monkeypatch.setattr(extensions, "validate_family", fake)
+    _, entry = _catalog_entry("lattice")
+    assert entry["verdict"]["state"] == "unknown"
+    assert entry["details"]["all_compatible"] is False
+    verdicts[(0, 0, 2)] = no(3, "condition 3")
+    _, entry = _catalog_entry("lattice")
+    assert entry["verdict"] == {"state": "no", "witness": "((0,2), 3)"}
+
+
+def test_no_classifier_witness_not_found_is_unknown(monkeypatch):
+    monkeypatch.setattr(document, "no_classifier_witness", lambda X, b: None)
+    _, entry = _catalog_entry("no_classifier_witness")
+    assert entry["verdict"] == {"state": "unknown", "note": "no witness found in the window"}
+
+
+def test_no_without_witness_becomes_an_error_entry(monkeypatch):
+    monkeypatch.setattr(document, "is_rali", lambda pt, b: Verdict(State.NO))
+    rep, entry = _catalog_entry("is_rali")
+    assert "without a witness" in entry["error"]
+    assert rep["errors"] == sum(1 for e in rep["queries"] if e["op"] == "is_rali")
+    with pytest.raises(StructureError):
+        document.verdict_json(Verdict(State.NO, None, "bare"))
+
+
+# --- budgets are checked at the document boundary --------------------------------
+
+
+@pytest.mark.parametrize("budget", [
+    {"conjugators": 0},
+    {"summands": -1},
+    {"window": [0, 4, 2]},
+    {"window": 5},
+    {"conjugators": "many"},
+    ["conjugators", 2],
+])
+def test_bad_query_budget_rejected_at_parse(budget):
+    doc = minimal_doc()
+    doc["queries"][0]["budget"] = budget
+    with pytest.raises(DocumentError) as err:
+        parse_document(doc)
+    assert err.value.location == "queries[0].budget"
+
+
+def test_cli_bad_query_budget_exits_2(tmp_path):
+    doc = minimal_doc()
+    doc["queries"][0]["budget"] = {"conjugators": 0}
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    for command in ("validate", "check"):
+        r = _cli(command, str(path))
+        assert r.returncode == 2
+        assert "queries[0].budget" in r.stderr and "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("flag", ["--budget-conj", "--budget-sum", "--window"])
+@pytest.mark.parametrize("value", ["0", "-2", "two"])
+def test_cli_rejects_non_positive_budget_flags(flag, value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["catalog", flag, value])
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be a positive integer" in capsys.readouterr().err
+
+
+# --- the op table and the report bytes --------------------------------------------
+
+
+def test_cli_subcommand_runs_exactly_its_ops(tmp_path):
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps(catalog_dict()))
+    out = tmp_path / "report.json"
+    assert cli_main(["classifier", str(path), "--report", "json", "--out", str(out)]) == 0
+    ran = {e["op"] for e in json.loads(out.read_text())["queries"] if not e.get("skipped")}
+    assert ran == {"admissible", "classifier_rali", "no_classifier_witness"}
+
+
+@pytest.mark.parametrize("doubled, digest", [
+    (False, "e148dd76fe9d253db92842f917862d425309b717ec919a175ae7884f26f6a439"),
+    (True, "b5e4cc6322faca4ddb8466f71187568cba6167ba124845f95d5b46636e6e707e"),
+])
+def test_catalog_report_bytes_pinned(doubled, digest):
+    text = render_report_json(run(builtin_catalog(), doubled=doubled))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest

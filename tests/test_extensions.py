@@ -313,7 +313,7 @@ def test_enumerate_superadditive_2_2():
     rep = enumerate_compatible_cones(trivial_shape(), SuperadditiveWindow(2, 2))
     assert rep.count == 8
     assert rep.meets_closed
-    assert rep.all_compatible
+    assert rep.compatible.is_yes
 
 
 def test_enumerate_superadditive_growth():
