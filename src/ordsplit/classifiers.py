@@ -55,8 +55,10 @@ from .verdict import (
     DEFAULT_BUDGET,
     SaturationBudget,
     Verdict,
+    for_all_members,
     no,
     unknown,
+    vall,
     vand,
     yes,
 )
@@ -507,18 +509,13 @@ def admissible_check(O: PreorderedGroup, budget: SaturationBudget = DEFAULT_BUDG
     if units == "all":
         units = A.window_elements(budget.window)
         exact = False if not A.is_finite else exact
-    pending = None
-    for a in units:
-        v = pointwise_sim_id(A.realize(a), A.base, budget)
-        if v.is_no:
-            return no((a, v.witness), "unit automorphism moves an element")
-        if v.is_unknown and pending is None:
-            pending = v
-    if pending is not None:
-        return pending
-    if not exact:
-        return unknown("units only window-known")
-    return yes()
+    v = vall(
+        ((a, pointwise_sim_id(A.realize(a), A.base, budget)) for a in units),
+        "unit automorphism moves an element",
+    )
+    if not v.is_yes:
+        return v
+    return yes() if exact else unknown("units only window-known")
 
 
 # --- classifier construction and terminality ----------------------------------
@@ -668,12 +665,9 @@ def sclass_membership(
     aut = O.group
     if not isinstance(aut, AutGroup) or aut.base != pt.x:
         raise StructureError("order must live on the automorphism group of the kernel")
-    gens = pt.b.cone.finite_generators()
+    gens, note = pt.b.cone.finite_generators(), "on positive generators"
     if gens is None:
-        gens = tuple(pt.b.positive_window(budget.window, budget))
-        exact1 = False
-    else:
-        exact1 = True
+        gens, note = pt.b.cone.positive_sample(budget.window, budget), "window-verified"
     pend = None
     for b in gens:
         a = aut.from_action(pt.action, b)
@@ -684,34 +678,27 @@ def sclass_membership(
             return no((b, a), "positive base element acts outside the order (condition 1)")
         if v.is_unknown and pend is None:
             pend = v
-    cond1 = pend if pend is not None else (
-        yes("on positive generators") if exact1 else yes("window-verified")
-    )
-    saw_unknown = False
-    for b in pt.b.positive_window(budget.window, budget):
+    cond1 = pend if pend is not None else yes(note)
+    undecided = "condition 2 hit undecided memberships"
+    cond2 = yes()
+    for b in pt.b.cone.positive_sample(budget.window, budget):
         a = aut.from_action(pt.action, b)
         if a is None:
             return no(b, "positive base element acts outside the automorphism group")
-        unit = vand(
-            O.cone.contains(a, budget), O.cone.contains(aut.neg(a), budget)
-        )
+        unit = vand(O.cone.contains(a, budget), O.cone.contains(aut.neg(a), budget))
         if unit.is_unknown:
-            saw_unknown = True
-            continue
-        if not unit.is_yes:
-            continue
-        for x in pt.x.group.window_elements(budget.window):
-            vp = pt.cone.contains((x, b), budget)
-            if vp.is_unknown:
-                saw_unknown = True
-                continue
-            if vp.is_yes:
-                w = pt.x.cone.contains(x, budget)
-                if w.is_no:
-                    return no((x, b), "unit-acting positive pair with negative fibre (condition 2)")
-                if w.is_unknown:
-                    saw_unknown = True
-    cond2 = unknown("condition 2 hit undecided memberships") if saw_unknown else yes()
+            cond2 = unknown(undecided)
+        elif unit.is_yes:
+            cond2 = for_all_members(
+                [(x, b) for x in pt.x.group.window_elements(budget.window)],
+                lambda xb: pt.cone.contains(xb, budget),
+                lambda xb: pt.x.cone.contains(xb[0], budget),
+                "unit-acting positive pair with negative fibre (condition 2)",
+                undecided,
+                cond2,
+            )
+            if cond2.is_no:
+                return cond2
     return vand(cond1, cond2)
 
 
@@ -731,18 +718,14 @@ def no_classifier_witness(
     aut = monotone_aut(X)
     plus = PlusCone(aut)
     if isinstance(aut, RatScalingAutGroup):
-        for n in range(2, budget.window.int_bound + 2):
-            el = Fraction(n)
-            if plus.contains(el, budget).is_yes:
-                v = pointwise_sim_id(aut.realize(el), X, budget)
-                if v.is_no:
-                    return (el, v.witness)
+        candidates = [Fraction(n) for n in range(2, budget.window.int_bound + 2)]
+    elif aut.is_finite:
+        candidates = aut.elements()
+    else:
         return None
-    if aut.is_finite:
-        for el in aut.elements():
-            if plus.contains(el, budget).is_yes:
-                v = pointwise_sim_id(aut.realize(el), X, budget)
-                if v.is_no:
-                    return (el, v.witness)
-        return None
+    for el in candidates:
+        if plus.contains(el, budget).is_yes:
+            v = pointwise_sim_id(aut.realize(el), X, budget)
+            if v.is_no:
+                return (el, v.witness)
     return None

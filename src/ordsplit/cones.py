@@ -7,6 +7,11 @@ exclusions on abelian carriers with separating functionals.
 
 Generated cones memoize their saturation per budget; the fill is idempotent
 and queries never mutate shared state in a way observable across queries.
+
+The "for all" checks (cone subset, monotonicity, pointwise comparison, the
+cone axioms, fibre reflection) get their "on generators", "window-verified"
+and "exhaustive" verdicts only from the two helpers in verdict.py:
+on_generators for the generator shortcut, for_all_members for the scan.
 """
 
 from __future__ import annotations
@@ -37,7 +42,9 @@ from .verdict import (
     SaturationBudget,
     Verdict,
     Window,
+    for_all_members,
     no,
+    on_generators,
     unknown,
     vand,
     vnot,
@@ -273,9 +280,6 @@ class PreorderedGroup:
         pos = self.leq(self.group.zero(), b, budget)
         back = self.leq(b, self.group.zero(), budget)
         return vand(pos, vnot(back, b))
-
-    def positive_window(self, window: Window, budget: SaturationBudget = DEFAULT_BUDGET):
-        return self.cone.positive_sample(window, budget)
 
     def __str__(self):
         return f"({self.group}, {self.cone})"
@@ -781,37 +785,29 @@ def check_cone_axioms(
     vz = cone.contains(z, budget)
     if not vz.is_yes:
         return no(z, "cone must contain the identity") if vz.is_no else vz
-    members = []
-    saw_unknown = False
-    for x in els:
-        v = cone.contains(x, budget)
-        if v.is_yes:
-            members.append(x)
-        elif v.is_unknown:
-            saw_unknown = True
+    memberships = [(x, cone.contains(x, budget)) for x in els]
+    members = [x for x, v in memberships if v.is_yes]
     if not G.is_finite and len(members) > 250:
         # keep the pair scan tractable on wide rational windows; the slice is
         # deterministic so reports stay reproducible
         members = _spread(members, 250)
-    for a in members:
-        for b in members:
-            v = cone.contains(G.add(a, b), budget)
-            if v.is_no:
-                return no((a, b), "not closed under addition")
-            if v.is_unknown:
-                saw_unknown = True
-    conjugators = els if G.is_finite else _spread(els, 120)
-    for g in conjugators:
-        for a in members:
-            v = cone.contains(G.conjugate(g, a), budget)
-            if v.is_no:
-                return no((g, a), "not closed under conjugation")
-            if v.is_unknown:
-                saw_unknown = True
-    if saw_unknown:
-        return unknown("closure checks hit undecided memberships")
+    undecided = "closure checks hit undecided memberships"
     note = "exhaustive" if G.is_finite else "window-verified"
-    return yes(note, budget_used=(("window", window.int_bound),))
+    clean = yes(note, budget_used=(("window", window.int_bound),))
+    if any(v.is_unknown for _, v in memberships):
+        clean = unknown(undecided)
+    sums = for_all_members(
+        itertools.product(members, members), None, lambda ab: cone.contains(G.add(*ab), budget),
+        "not closed under addition", undecided, clean,
+    )
+    if sums.is_no:
+        return sums
+    conjugators = els if G.is_finite else _spread(els, 120)
+    return for_all_members(
+        itertools.product(conjugators, members), None,
+        lambda ga: cone.contains(G.conjugate(*ga), budget),
+        "not closed under conjugation", undecided, sums,
+    )
 
 
 def cone_subset(
@@ -825,31 +821,19 @@ def cone_subset(
     gens = P.finite_generators()
     if gens is not None and Q.known_cone():
         # Additive and conjugation closure of Q reduce the check to generators.
-        pend = None
-        for g in gens:
-            v = Q.contains(g, budget)
-            if v.is_no:
-                return no(g, "generator escapes the larger cone")
-            if v.is_unknown and pend is None:
-                pend = v
-        if pend is None:
-            return yes("on generators")
-    els = G.elements() if G.is_finite else G.window_elements(window)
-    saw_unknown = False
-    for x in els:
-        vp = P.contains(x, budget)
-        if vp.is_yes:
-            vq = Q.contains(x, budget)
-            if vq.is_no:
-                return no(x, "element of the first cone only")
-            if vq.is_unknown:
-                saw_unknown = True
-        elif vp.is_unknown:
-            saw_unknown = True
-    if saw_unknown:
-        return unknown("subset check hit undecided memberships")
-    note = "exhaustive" if G.is_finite else "window-verified"
-    return yes(note)
+        v = on_generators(
+            gens, lambda g: Q.contains(g, budget),
+            "generator escapes the larger cone", "on generators",
+        )
+        if not v.is_unknown:
+            return v
+    return for_all_members(
+        G.elements() if G.is_finite else G.window_elements(window),
+        lambda x: P.contains(x, budget),
+        lambda x: Q.contains(x, budget),
+        "element of the first cone only", "subset check hit undecided memberships",
+        yes("exhaustive" if G.is_finite else "window-verified"),
+    )
 
 
 def cones_equal(
@@ -881,29 +865,19 @@ def is_monotone(
         # h additive maps sums to sums and conjugates to conjugates, so
         # generator images decide the whole cone image (the target must be a
         # genuine cone for that closure argument).
-        pend = None
-        for g in gens:
-            vg = dst.cone.contains(h.apply(g), budget)
-            if vg.is_no:
-                return no(g, "generator image not positive")
-            if vg.is_unknown and pend is None:
-                pend = vg
-        if pend is None:
-            return yes("on generators")
-    saw_unknown = False
-    for x in src.group.window_elements(budget.window):
-        vx = src.cone.contains(x, budget)
-        if vx.is_yes:
-            vy = dst.cone.contains(h.apply(x), budget)
-            if vy.is_no:
-                return no(x, "positive element with non-positive image")
-            if vy.is_unknown:
-                saw_unknown = True
-        elif vx.is_unknown:
-            saw_unknown = True
-    if saw_unknown:
-        return unknown("monotonicity hit undecided memberships")
-    return yes("window-verified", budget_used=(("window", budget.window.int_bound),))
+        v = on_generators(
+            gens, lambda g: dst.cone.contains(h.apply(g), budget),
+            "generator image not positive", "on generators",
+        )
+        if not v.is_unknown:
+            return v
+    return for_all_members(
+        src.group.window_elements(budget.window),
+        lambda x: src.cone.contains(x, budget),
+        lambda x: dst.cone.contains(h.apply(x), budget),
+        "positive element with non-positive image", "monotonicity hit undecided memberships",
+        yes("window-verified", budget_used=(("window", budget.window.int_bound),)),
+    )
 
 
 def _structural_monotone(h, src, dst, budget) -> Verdict | None:

@@ -74,6 +74,7 @@ from .homs import (
     LinearHom,
     PairHom,
     TableHom,
+    check_homomorphism,
 )
 from .points import (
     PointMorphism,
@@ -165,23 +166,23 @@ def parse_document(text: str | dict) -> ProblemDocument:
     if raw.get("format") != FORMAT:
         raise DocumentError("format", f"expected {FORMAT!r}, got {raw.get('format')!r}")
     groups: dict[str, Group] = {}
-    for name, spec in raw.get("groups", {}).items():
+    for name, spec in _section(raw, "groups", dict).items():
         groups[name] = _parse_group(name, spec, groups, raw)
     cones: dict[str, Cone] = {}
-    for name, spec in raw.get("cones", {}).items():
+    for name, spec in _section(raw, "cones", dict).items():
         cones[name] = _parse_cone(name, spec, groups)
     actions: dict[str, Action] = {}
     homs: dict[str, Homomorphism] = {}
-    for name, spec in raw.get("homs", {}).items():
+    for name, spec in _section(raw, "homs", dict).items():
         homs[name] = _parse_hom(name, spec, groups)
-    for name, spec in raw.get("actions", {}).items():
+    for name, spec in _section(raw, "actions", dict).items():
         actions[name] = _parse_action(name, spec, groups, actions, homs)
     points: dict[str, SplitExtension] = {}
-    for name, spec in raw.get("points", {}).items():
+    for name, spec in _section(raw, "points", dict).items():
         points[name] = _parse_point(name, spec, groups, cones, actions)
     doc = ProblemDocument(groups, cones, actions, homs, points, [], raw)
     ids = set()
-    for i, spec in enumerate(raw.get("queries", [])):
+    for i, spec in enumerate(_section(raw, "queries", list)):
         q = _validate_query(i, spec, doc)
         if q["id"] in ids:
             raise DocumentError(f"queries[{i}].id", f"duplicate query id {q['id']!r}")
@@ -190,10 +191,32 @@ def parse_document(text: str | dict) -> ProblemDocument:
     return doc
 
 
+def _section(raw: dict, key: str, kind: type):
+    value = raw.get(key, kind())
+    if not isinstance(value, kind):
+        raise DocumentError(key, f"expected {'an object' if kind is dict else 'a list'}")
+    return value
+
+
 def _need(spec: dict, key: str, where: str):
+    if not isinstance(spec, dict):
+        raise DocumentError(where, f"expected an object, got {spec!r}")
     if key not in spec:
         raise DocumentError(where, f"missing field {key!r}")
     return spec[key]
+
+
+def _number(value, where: str, kind: type = int):
+    try:
+        return kind(value)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        what = "an integer" if kind is int else "a number"
+        raise DocumentError(where, f"expected {what}, got {value!r}") from exc
+
+
+def _int(spec: dict, key: str, where: str, default: int | None = None) -> int:
+    value = _need(spec, key, where) if default is None else spec.get(key, default)
+    return _number(value, f"{where}.{key}")
 
 
 def _ref(table: dict, name, where: str, what: str):
@@ -207,14 +230,14 @@ def _parse_group(name, spec, groups, raw) -> Group:
     kind = _need(spec, "kind", where)
     try:
         if kind == "free_abelian":
-            return FreeAbelian(int(_need(spec, "rank", where)))
+            return FreeAbelian(_int(spec, "rank", where))
         if kind == "rational_vector":
-            return RationalVector(int(_need(spec, "rank", where)))
+            return RationalVector(_int(spec, "rank", where))
         if kind == "finite_cyclic":
-            return CyclicGroup(int(_need(spec, "n", where)))
+            return CyclicGroup(_int(spec, "n", where))
         if kind == "finite_cayley":
-            table = tuple(tuple(int(c) for c in row) for row in _need(spec, "table", where))
-            return CayleyGroup(table, int(spec.get("identity", 0)))
+            table = tuple(tuple(_number(c, where) for c in row) for row in _need(spec, "table", where))
+            return CayleyGroup(table, _int(spec, "identity", where, 0))
         if kind == "direct_product":
             factors = tuple(
                 _ref(groups, f, where, "group") for f in _need(spec, "factors", where)
@@ -261,7 +284,8 @@ def _parse_hom(name, spec, groups) -> Homomorphism:
     try:
         if kind == "linear":
             matrix = tuple(
-                tuple(Fraction(c) for c in row) for row in _need(spec, "matrix", where)
+                tuple(_number(c, where, Fraction) for c in row)
+                for row in _need(spec, "matrix", where)
             )
             return LinearHom(src, dst, matrix)
         if kind == "generator_images":
@@ -277,7 +301,12 @@ def _parse_hom(name, spec, groups) -> Homomorphism:
                 a = parse_element(src, entry[0], where)
                 b = parse_element(dst, entry[1], where)
                 pairs[a] = b
-            return TableHom.from_dict(src, dst, pairs)
+            h = TableHom.from_dict(src, dst, pairs)
+            v = check_homomorphism(h)
+            if v.is_no:
+                pair = format_element(v.witness)
+                raise DocumentError(where, f"not a homomorphism: {v.note} at {pair}")
+            return h
         if kind == "identity":
             if src != dst:
                 raise DocumentError(where, "identity needs source = target")
@@ -302,10 +331,11 @@ def _parse_action(name, spec, groups, actions, homs) -> Action:
         if kind == "sign":
             return SignAction(acting, acted)
         if kind == "scaling":
-            return ScalingAction(acting, acted, Fraction(_need(spec, "ratio", where)))
+            ratio = _number(_need(spec, "ratio", where), f"{where}.ratio", Fraction)
+            return ScalingAction(acting, acted, ratio)
         if kind == "matrix":
             images = tuple(
-                tuple(tuple(Fraction(c) for c in row) for row in m)
+                tuple(tuple(_number(c, where, Fraction) for c in row) for row in m)
                 for m in _need(spec, "images", where)
             )
             return MatrixAction(acting, acted, images)
@@ -337,11 +367,15 @@ def _pre(groups, cones, spec, gkey, ckey, where) -> PreorderedGroup:
 def _shape(spec, groups, cones, actions, where) -> ExtensionShape:
     x = _pre(groups, cones, spec, "x_group", "x_cone", where)
     b = _pre(groups, cones, spec, "b_group", "b_cone", where)
-    return ExtensionShape(x, b, _ref(actions, _need(spec, "action", where), where, "action"))
+    action = _ref(actions, _need(spec, "action", where), where, "action")
+    try:
+        return ExtensionShape(x, b, action)
+    except StructureError as exc:
+        raise DocumentError(where, str(exc)) from exc
 
 
 def _thresholds(spec, where) -> tuple:
-    return tuple(INF if t == "inf" else int(t) for t in _need(spec, "thresholds", where))
+    return tuple(INF if t == "inf" else _number(t, where) for t in _need(spec, "thresholds", where))
 
 
 def _parse_point(name, spec, groups, cones, actions) -> SplitExtension:
@@ -385,10 +419,10 @@ def _element_field(key: str, carrier):
 
 def _scope_field(spec, doc, r, where):
     scope = _need(spec, "scope", where)
+    if not isinstance(scope, dict):
+        raise DocumentError(where, f"scope must be an object, got {scope!r}")
     if scope.get("kind") == "superadditive":
-        return SuperadditiveWindow(
-            int(_need(scope, "length", where)), int(_need(scope, "max_value", where))
-        )
+        return SuperadditiveWindow(_int(scope, "length", where), _int(scope, "max_value", where))
     if scope.get("kind") == "exhaustive":
         return ExhaustiveFinite()
     raise DocumentError(where, f"unknown scope {scope!r}")

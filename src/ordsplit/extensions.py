@@ -55,7 +55,9 @@ from .verdict import (
     SaturationBudget,
     Verdict,
     Window,
+    for_all_members,
     no,
+    on_generators,
     unknown,
     vall,
     vand,
@@ -186,24 +188,15 @@ def pointwise_sim_id(
     if isinstance(G, (FreeAbelian, DirectProduct)) and G.is_abelian():
         # d(x) = h(x)-x is additive, and units form a subgroup, so group
         # generators decide the whole carrier.
-        pend = None
-        for g in G.generators():
-            v = x_pre.sim(h.apply(g), g, budget)
-            if v.is_no:
-                return no(g, "automorphism moves a generator")
-            if v.is_unknown and pend is None:
-                pend = v
-        return pend if pend is not None else yes("on group generators")
-    saw_unknown = False
-    for x in G.window_elements(budget.window):
-        v = x_pre.sim(h.apply(x), x, budget)
-        if v.is_no:
-            return no(x, "automorphism moves an element")
-        if v.is_unknown:
-            saw_unknown = True
-    if saw_unknown:
-        return unknown("pointwise comparison hit undecided memberships")
-    return yes("window-verified", budget_used=(("window", budget.window.int_bound),))
+        return on_generators(
+            G.generators(), lambda g: x_pre.sim(h.apply(g), g, budget),
+            "automorphism moves a generator", "on group generators",
+        )
+    return for_all_members(
+        G.window_elements(budget.window), None, lambda x: x_pre.sim(h.apply(x), x, budget),
+        "automorphism moves an element", "pointwise comparison hit undecided memberships",
+        yes("window-verified", budget_used=(("window", budget.window.int_bound),)),
+    )
 
 
 def compatible_exists(
@@ -293,28 +286,17 @@ def is_minimal_equal_product(
     v = compatible_exists(shape, budget)
     if not v.is_yes:
         raise StructureError(f"no compatible order known: {v}")
-    gens = shape.b.cone.finite_generators()
-    if gens is not None:
-        pend = None
-        for b in gens:
-            if shape.action.is_identity_for(b):
-                continue
-            w = pointwise_sim_id(shape.action.as_hom(b), shape.x, budget)
-            if w.is_no:
-                return no((b, w.witness), "positive base element acts nontrivially")
-            if w.is_unknown and pend is None:
-                pend = w
-        return pend if pend is not None else yes("on positive generators")
-    pend = None
-    for b in shape.b.positive_window(budget.window, budget):
-        if shape.action.is_identity_for(b):
-            continue
-        w = pointwise_sim_id(shape.action.as_hom(b), shape.x, budget)
-        if w.is_no:
-            return no((b, w.witness), "positive base element acts nontrivially")
-        if w.is_unknown and pend is None:
-            pend = w
-    return pend if pend is not None else yes("window-verified")
+    gens, note = shape.b.cone.finite_generators(), "on positive generators"
+    if gens is None:
+        gens, note = shape.b.cone.positive_sample(budget.window, budget), "window-verified"
+    v = vall(
+        (b, pointwise_sim_id(shape.action.as_hom(b), shape.x, budget))
+        for b in gens
+        if not shape.action.is_identity_for(b)
+    )
+    if v.is_no:
+        return no(v.witness, "positive base element acts nontrivially")
+    return yes(note) if v.is_yes else v
 
 
 def is_compatible(
@@ -355,20 +337,14 @@ def is_compatible(
 
 def _kernel_reflects(P: Cone, shape: ExtensionShape, budget) -> Verdict:
     bz = shape.b.group.zero()
-    saw_unknown = False
-    for x in shape.x.group.window_elements(budget.window):
-        v = P.contains((x, bz), budget)
-        if v.is_yes:
-            w = shape.x.cone.contains(x, budget)
-            if w.is_no:
-                return no((x, bz), "fibre order not reflected")
-            if w.is_unknown:
-                saw_unknown = True
-        elif v.is_unknown:
-            saw_unknown = True
-    if saw_unknown:
-        return unknown("reflection check hit undecided memberships")
-    return yes("window-verified" if not shape.x.group.is_finite else "exhaustive")
+    v = for_all_members(
+        shape.x.group.window_elements(budget.window),
+        lambda x: P.contains((x, bz), budget),
+        lambda x: shape.x.cone.contains(x, budget),
+        "fibre order not reflected", "reflection check hit undecided memberships",
+        yes("window-verified" if not shape.x.group.is_finite else "exhaustive"),
+    )
+    return no((v.witness, bz), v.note) if v.is_no else v
 
 
 # --- normalization of raw split extension data -------------------------------
@@ -617,38 +593,43 @@ def validate_family(
 
 def _family_conditions(fam, action, bs, window, budget) -> Verdict:
     B, X = fam.base, fam.fiber
-    saw_unknown = False
-    for b in bs:
+    bz = B.group.zero()
+    undecided = "family conditions hit undecided memberships"
+
+    def support_matches(b):
         nonempty = fam.fiber_nonempty(b)
         vb = B.cone.contains(b, budget)
         if vb.is_unknown:
-            saw_unknown = True
-            continue
-        pos = vb.is_yes
+            return vb
         has_zero = fam.fiber_contains(b, X.group.zero())
-        if not (nonempty == pos == has_zero):
-            return no(b, "fibre support must match the base positives (condition 1)")
-    bz = B.group.zero()
-    for x in X.group.window_elements(window):
+        return yes() if nonempty == vb.is_yes == has_zero else no(b)
+
+    def zero_fibre_matches(x):
         vx = X.cone.contains(x, budget)
         if vx.is_unknown:
-            saw_unknown = True
-            continue
-        if vx.is_yes != fam.fiber_contains(bz, x):
-            return no(x, "fibre over 0 must be the fibre cone (condition 2)")
-    v3 = _family_addition(fam, action, bs, window, budget)
-    if v3.is_no:
-        return v3
-    if v3.is_unknown:
-        saw_unknown = True
-    v4 = _family_conjugation(fam, action, bs, window, budget)
-    if v4.is_no:
-        return v4
-    if v4.is_unknown:
-        saw_unknown = True
-    if saw_unknown:
-        return unknown("family conditions hit undecided memberships")
-    return yes("window-verified" if not B.group.is_finite else "exhaustive")
+            return vx
+        return yes() if vx.is_yes == fam.fiber_contains(bz, x) else no(x)
+
+    v = for_all_members(
+        bs, None, support_matches,
+        "fibre support must match the base positives (condition 1)", undecided,
+        yes("window-verified" if not B.group.is_finite else "exhaustive"),
+    )
+    if v.is_no:
+        return v
+    v = for_all_members(
+        X.group.window_elements(window), None, zero_fibre_matches,
+        "fibre over 0 must be the fibre cone (condition 2)", undecided, v,
+    )
+    if v.is_no:
+        return v
+    for check in (_family_addition, _family_conjugation):
+        w = check(fam, action, bs, window, budget)
+        if w.is_no:
+            return w
+        if w.is_unknown:
+            v = unknown(undecided)
+    return v
 
 
 def _family_addition(fam, action, bs, window, budget) -> Verdict:

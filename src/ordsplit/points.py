@@ -44,7 +44,9 @@ from .verdict import (
     DEFAULT_BUDGET,
     SaturationBudget,
     Verdict,
+    for_all_members,
     no,
+    on_generators,
     unknown,
     vand,
     yes,
@@ -76,28 +78,17 @@ def hom_leq(
     if gens is not None and dst.group.is_abelian() and dst.cone.known_cone():
         # The comparison x -> -g(x)+h(x) is additive into an abelian target,
         # so positivity on cone generators decides every positive element.
-        pend = None
-        for x in gens:
-            v = dst.leq(g.apply(x), h.apply(x), budget)
-            if v.is_no:
-                return no(x, "comparison fails on a cone generator")
-            if v.is_unknown and pend is None:
-                pend = v
-        return pend if pend is not None else yes("on cone generators")
-    saw_unknown = False
-    for x in src.group.window_elements(budget.window):
-        vx = src.cone.contains(x, budget)
-        if vx.is_yes:
-            v = dst.leq(g.apply(x), h.apply(x), budget)
-            if v.is_no:
-                return no(x, "comparison fails on a positive element")
-            if v.is_unknown:
-                saw_unknown = True
-        elif vx.is_unknown:
-            saw_unknown = True
-    if saw_unknown:
-        return unknown("pointwise comparison hit undecided memberships")
-    return yes("window-verified")
+        return on_generators(
+            gens, lambda x: dst.leq(g.apply(x), h.apply(x), budget),
+            "comparison fails on a cone generator", "on cone generators",
+        )
+    return for_all_members(
+        src.group.window_elements(budget.window),
+        lambda x: src.cone.contains(x, budget),
+        lambda x: dst.leq(g.apply(x), h.apply(x), budget),
+        "comparison fails on a positive element", "pointwise comparison hit undecided memberships",
+        yes("window-verified"),
+    )
 
 
 def is_rali(pt: SplitExtension, budget: SaturationBudget = DEFAULT_BUDGET) -> Verdict:
@@ -177,10 +168,6 @@ class StablyStrongReport:
     aggregate: Verdict
     note: str
 
-    @property
-    def yes_over_catalog(self) -> bool:
-        return self.aggregate.is_yes
-
 
 def stably_strong_over(
     pt: SplitExtension,
@@ -188,14 +175,10 @@ def stably_strong_over(
     budget: SaturationBudget = DEFAULT_BUDGET,
 ) -> StablyStrongReport:
     entries = []
-    verdicts = []
     for base, g in catalog:
         label = f"{g} : {base} -> {pt.b}"
-        pb = pullback(pt, g, base, budget)
-        v = is_strong(pb, budget)
-        entries.append((label, v))
-        verdicts.append(v)
-    agg = vand(*verdicts) if verdicts else yes("empty catalog")
+        entries.append((label, is_strong(pullback(pt, g, base, budget), budget)))
+    agg = vand(*(v for _, v in entries)) if entries else yes("empty catalog")
     return StablyStrongReport(
         entries=tuple(entries),
         aggregate=agg,

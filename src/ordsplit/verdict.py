@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 
 class State(Enum):
@@ -91,6 +91,49 @@ def vall(pairs: Iterable[tuple[Any, Verdict]], note: str = "") -> Verdict:
         if v.is_unknown and pending is None:
             pending = v
     return pending if pending is not None else yes(note)
+
+
+def on_generators(
+    gens: Iterable[Any], test: Callable[[Any], Verdict], no_note: str, yes_note: str
+) -> Verdict:
+    """test on every generator: the first failing generator is the No
+    witness; else the first Unknown is returned as it is."""
+    pending = None
+    for g in gens:
+        v = test(g)
+        if v.is_no:
+            return no(g, no_note)
+        if v.is_unknown and pending is None:
+            pending = v
+    return pending if pending is not None else yes(yes_note)
+
+
+def for_all_members(
+    els: Iterable[Any],
+    member: Callable[[Any], Verdict] | None,
+    test: Callable[[Any], Verdict],
+    no_note: str,
+    unknown_note: str,
+    clean: Verdict,
+) -> Verdict:
+    """test on every element that member accepts (None accepts all).
+
+    The first failure is the No witness, even after undecided elements; an
+    undecided membership or test otherwise gives Unknown, and a clean scan
+    gives clean.
+    """
+    saw_unknown = False
+    for x in els:
+        if member is not None:
+            m = member(x)
+            if not m.is_yes:
+                saw_unknown |= m.is_unknown
+                continue
+        v = test(x)
+        if v.is_no:
+            return no(x, no_note)
+        saw_unknown |= v.is_unknown
+    return unknown(unknown_note) if saw_unknown else clean
 
 
 @dataclass(frozen=True)

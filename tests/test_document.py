@@ -400,3 +400,108 @@ def test_cli_subcommand_runs_exactly_its_ops(tmp_path):
 def test_catalog_report_bytes_pinned(doubled, digest):
     text = render_report_json(run(builtin_catalog(), doubled=doubled))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
+# --- malformed documents exit 2 with a location, never a traceback ----------------
+
+
+def _validate_exit(tmp_path, capsys, doc, command="validate"):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code = cli_main([command, str(path)])
+    return code, capsys.readouterr().err
+
+
+SHAPE_SPEC = {"x_group": "Z", "x_cone": "nat", "b_group": "Z", "b_cone": "nat"}
+
+
+@pytest.mark.parametrize("section, location", [("queries", "queries[0]"), ("points", "points.p")])
+def test_cli_rejects_action_between_other_groups(tmp_path, capsys, section, location):
+    doc = minimal_doc()
+    # Q acting on Z, declared over a Z base.
+    doc["actions"]["tq"] = {"kind": "trivial", "acting": "Q", "acted": "Z"}
+    spec = dict(SHAPE_SPEC, action="tq")
+    if section == "queries":
+        doc["queries"] = [dict(spec, op="compatible_exists")]
+    else:
+        doc["points"] = {"p": spec}
+    code, err = _validate_exit(tmp_path, capsys, doc)
+    assert code == 2
+    assert f"{location}: action does not match the kernel/base groups" in err
+
+
+@pytest.mark.parametrize("command", ["validate", "lattice"])
+def test_cli_rejects_non_object_scope(tmp_path, capsys, command):
+    doc = minimal_doc([dict(SHAPE_SPEC, op="lattice", action="sgn", scope=["exhaustive"])])
+    code, err = _validate_exit(tmp_path, capsys, doc, command)
+    assert code == 2
+    assert "queries[0]: scope must be an object" in err
+
+
+def _bad_numbers():
+    def rank(doc):
+        doc["groups"]["Z"]["rank"] = "two"
+
+    def cayley_cell(doc):
+        doc["groups"]["C2"] = {"kind": "finite_cayley", "table": [["0", "x"], ["1", "0"]]}
+
+    def matrix_entry(doc):
+        doc["homs"] = {"m": {"kind": "linear", "source": "Z", "target": "Z", "matrix": [["x"]]}}
+
+    def ratio(doc):
+        doc["actions"]["sc"] = {"kind": "scaling", "acting": "Z", "acted": "Q", "ratio": "1/0"}
+
+    def threshold(doc):
+        doc["queries"] = [dict(SHAPE_SPEC, op="validate_family", action="sgn",
+                               thresholds=[0, "x"])]
+
+    cases = [
+        (rank, "groups.Z.rank: expected an integer, got 'two'"),
+        (cayley_cell, "groups.C2: expected an integer, got 'x'"),
+        (matrix_entry, "homs.m: expected a number, got 'x'"),
+        (ratio, "actions.sc.ratio: expected a number, got '1/0'"),
+        (threshold, "queries[0]: expected an integer, got 'x'"),
+    ]
+    return [pytest.param(mutate, message, id=mutate.__name__) for mutate, message in cases]
+
+
+@pytest.mark.parametrize("mutate, message", _bad_numbers())
+def test_cli_rejects_malformed_numbers(tmp_path, capsys, mutate, message):
+    doc = minimal_doc()
+    mutate(doc)
+    code, err = _validate_exit(tmp_path, capsys, doc)
+    assert code == 2
+    assert message in err
+
+
+def test_cli_rejects_section_that_is_not_an_object(tmp_path, capsys):
+    doc = minimal_doc()
+    doc["groups"] = []
+    code, err = _validate_exit(tmp_path, capsys, doc)
+    assert code == 2
+    assert "groups: expected an object" in err
+
+
+def test_cli_rejects_non_additive_table_hom(tmp_path, capsys):
+    # Precomposing the sign action with this table made compatible_exists
+    # answer yes on data that is not an action.
+    doc = minimal_doc()
+    doc["groups"]["Z2"] = {"kind": "finite_cyclic", "n": 2}
+    doc["cones"]["z2_full"] = {"kind": "full", "group": "Z2"}
+    doc["cones"]["triv"] = {"kind": "trivial", "group": "Z"}
+    doc["homs"] = {"bad": {"kind": "finite_table", "source": "Z2", "target": "Z",
+                           "map": [[["r0"], ["1"]], [["r1"], ["0"]]]}}
+    doc["actions"]["twist"] = {"kind": "precomposed", "base": "sgn", "along": "bad"}
+    doc["queries"] = [{"op": "compatible_exists", "x_group": "Z", "x_cone": "triv",
+                       "b_group": "Z2", "b_cone": "z2_full", "action": "twist"}]
+    code, err = _validate_exit(tmp_path, capsys, doc)
+    assert code == 2
+    assert "homs.bad: not a homomorphism: h(0) != 0 at 0" in err
+    # h(0) = 0 but h(r1 + r2) != h(r1) + h(r2).
+    doc["groups"]["Z3"] = {"kind": "finite_cyclic", "n": 3}
+    doc["homs"]["bad"] = {"kind": "finite_table", "source": "Z3", "target": "Z",
+                          "map": [[["r0"], ["0"]], [["r1"], ["1"]], [["r2"], ["2"]]]}
+    with pytest.raises(DocumentError) as exc:
+        parse_document(doc)
+    assert exc.value.location == "homs.bad"
+    assert exc.value.message == "not a homomorphism: additivity fails at (1, 2)"

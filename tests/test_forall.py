@@ -10,7 +10,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from ordsplit.actions import TrivialAction
+from ordsplit.actions import ScalingAction, TrivialAction
+from ordsplit.classifiers import aut_cone, monotone_aut, sclass_membership
 from ordsplit.cones import (
     Cone,
     ExtensionalCone,
@@ -27,6 +28,7 @@ from ordsplit.extensions import (
     ExtensionShape,
     UpSetFibers,
     _kernel_reflects,
+    point,
     pointwise_sim_id,
     product_cone,
     validate_family,
@@ -93,6 +95,10 @@ def test_verdict_unknown_note_per_scan():
     assert_state(v, "unknown")
     assert v.note == "pointwise comparison hit undecided memberships"
     v = check_cone_axioms(half, b)
+    assert_state(v, "unknown")
+    assert v.note == "closure checks hit undecided memberships"
+    # Every window membership is decided; the sum 1 + 3 is not.
+    v = check_cone_axioms(Undecided(NAT, frozenset({4})), b)
     assert_state(v, "unknown")
     assert v.note == "closure checks hit undecided memberships"
 
@@ -172,3 +178,14 @@ def test_family_conditions_unknown_note():
     v = validate_family(fam, TrivialAction(Z, Z), SMALL_BUDGET).conditions
     assert_state(v, "unknown")
     assert v.note == "family conditions hit undecided memberships"
+
+
+def test_sclass_membership_undecided_unit():
+    # n acts on Q by 2^n; whether 2 is a unit of the order asks about 1/2.
+    qp = pre(OrthantCone(Q))
+    pt = point(ExtensionShape(qp, pre(NAT), ScalingAction(Z, Q, Fraction(2))), "minimal")
+    plus = aut_cone(monotone_aut(qp), "plus", SMALL_BUDGET)
+    order = PreorderedGroup(plus.group, Undecided(plus.cone, frozenset({Fraction(1, 2)})))
+    v = sclass_membership(pt, order, SMALL_BUDGET)
+    assert_state(v, "unknown")
+    assert v.note == "condition 2 hit undecided memberships"
