@@ -353,21 +353,19 @@ class ProductAction(Action):
         return f"({self.first} x {self.second})"
 
 
-def validate_action(
-    action: Action, window: Window | None = None, thorough: bool = False
-) -> Verdict:
+def validate_action(action: Action) -> Verdict:
     """Check phi(0,.)=id, additivity, and the composition law.
 
     Exhaustive when both groups are finite; otherwise checks a slice of the
-    window (the whole window when thorough).  Variants whose representation
-    enforces the laws report Yes by construction after the spot check.
+    default window.  Variants whose representation enforces the laws report
+    Yes by construction after the spot check.
     """
-    window = window or Window()
+    window = Window()
     B, X = action.acting, action.acted
-    bs = B.elements() if B.is_finite else B.window_elements(window)
-    xs = X.elements() if X.is_finite else X.window_elements(window)
+    bs = B.window_elements(window)
+    xs = X.window_elements(window)
     exhaustive = B.is_finite and X.is_finite
-    if not exhaustive and not thorough:
+    if not exhaustive:
         bs = _spread(bs, 7)
         xs = _spread(xs, 7)
     for x in xs:

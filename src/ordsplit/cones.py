@@ -300,12 +300,14 @@ class LexCone(Cone):
     def contains(self, x, budget=DEFAULT_BUDGET):
         self.group.check(x)
         xp, bp = x
-        strict = self.b_pre.strictly_positive(bp, budget)
+        bz = self.b_pre.group.zero()
+        pos = self.b_pre.leq(bz, bp, budget)
+        back = self.b_pre.leq(bp, bz, budget)
+        strict = vand(pos, vnot(back, bp))
         if strict.is_yes:
             return yes()
-        unit = self.b_pre.sim(bp, self.b_pre.group.zero(), budget)
         xpos = self.x_pre.leq(self.x_pre.group.zero(), xp, budget)
-        tail = vand(unit, xpos)
+        tail = vand(back, pos, xpos)
         if tail.is_yes:
             return yes()
         if strict.is_no and tail.is_no:
@@ -351,8 +353,13 @@ class GeneratedCone(Cone):
 
     Yes answers come from source membership, solved conjugators, or budgeted
     breadth-first saturation; No answers need an exact argument (finite
-    carrier, abelian-carrier delegation, separating functional, or the
-    structure shortcuts unlocked by certified_compatible).
+    carrier, separating functional, or the structure shortcuts unlocked by
+    certified_compatible).
+
+    Whether the source is already closed is not asked here: minimal_cone
+    decides it once and returns a closed componentwise cone as it is.  A
+    GeneratedCone built by hand over a closed source stays sound, but may
+    answer Unknown where the source itself would decide.
     """
 
     group: Group
@@ -367,10 +374,6 @@ class GeneratedCone(Cone):
         if self.group.is_finite:
             sat = self._finite_saturation()
             return yes("finite saturation") if x in sat else no(x, "finite saturation")
-        if isinstance(self.source, ConeGenerators) and self.source.cone.known_cone():
-            # An already-closed source equals its own closure, so its exact
-            # verdicts transfer.
-            return self.source.cone.contains(x, budget)
         src = self.source.member(x, budget)
         if src.is_yes:
             return yes("source element")
@@ -770,17 +773,14 @@ def units_subgroup(P: PreorderedGroup, budget: SaturationBudget = DEFAULT_BUDGET
     )
 
 
-def check_cone_axioms(
-    cone: Cone, budget: SaturationBudget = DEFAULT_BUDGET, window: Window | None = None
-) -> Verdict:
+def check_cone_axioms(cone: Cone, budget: SaturationBudget = DEFAULT_BUDGET) -> Verdict:
     """Identity, closure under addition, closure under conjugation.
 
     Exhaustive on finite carriers, window-checked otherwise (a clean window
     gives Yes with the window recorded in the budget trail).
     """
     G = cone.group
-    window = window or budget.window
-    els = G.elements() if G.is_finite else G.window_elements(window)
+    els = G.window_elements(budget.window)
     z = G.zero()
     vz = cone.contains(z, budget)
     if not vz.is_yes:
@@ -793,7 +793,7 @@ def check_cone_axioms(
         members = _spread(members, 250)
     undecided = "closure checks hit undecided memberships"
     note = "exhaustive" if G.is_finite else "window-verified"
-    clean = yes(note, budget_used=(("window", window.int_bound),))
+    clean = yes(note, budget_used=(("window", budget.window.int_bound),))
     if any(v.is_unknown for _, v in memberships):
         clean = unknown(undecided)
     sums = for_all_members(
@@ -810,13 +810,10 @@ def check_cone_axioms(
     )
 
 
-def cone_subset(
-    P: Cone, Q: Cone, budget: SaturationBudget = DEFAULT_BUDGET, window: Window | None = None
-) -> Verdict:
+def cone_subset(P: Cone, Q: Cone, budget: SaturationBudget = DEFAULT_BUDGET) -> Verdict:
     """P a subset of Q, window-checked with generator shortcuts."""
     if P == Q:
         return yes("identical cones")
-    window = window or budget.window
     G = P.group
     gens = P.finite_generators()
     if gens is not None and Q.known_cone():
@@ -828,7 +825,7 @@ def cone_subset(
         if not v.is_unknown:
             return v
     return for_all_members(
-        G.elements() if G.is_finite else G.window_elements(window),
+        G.window_elements(budget.window),
         lambda x: P.contains(x, budget),
         lambda x: Q.contains(x, budget),
         "element of the first cone only", "subset check hit undecided memberships",
@@ -836,12 +833,10 @@ def cone_subset(
     )
 
 
-def cones_equal(
-    P: Cone, Q: Cone, budget: SaturationBudget = DEFAULT_BUDGET, window: Window | None = None
-) -> Verdict:
+def cones_equal(P: Cone, Q: Cone, budget: SaturationBudget = DEFAULT_BUDGET) -> Verdict:
     if P == Q:
         return yes("identical cones")
-    return vand(cone_subset(P, Q, budget, window), cone_subset(Q, P, budget, window))
+    return vand(cone_subset(P, Q, budget), cone_subset(Q, P, budget))
 
 
 def is_monotone(

@@ -219,7 +219,39 @@ def _int(spec: dict, key: str, where: str, default: int | None = None) -> int:
     return _number(value, f"{where}.{key}")
 
 
+def _at(where: str, key) -> str:
+    return f"{where}[{key}]" if isinstance(key, int) else f"{where}.{key}"
+
+
+def _list(spec, key, where: str) -> list:
+    """The list at a field of an object, or at an int index of a list."""
+    value = spec[key] if isinstance(key, int) else _need(spec, key, where)
+    if not isinstance(value, list):
+        raise DocumentError(_at(where, key), f"expected a list, got {value!r}")
+    return value
+
+
+def _pairs(spec, key, where: str) -> list:
+    """A list of 2-element lists, such as [src, dst] literal pairs."""
+    entries = _list(spec, key, where)
+    for i in range(len(entries)):
+        if len(_list(entries, i, _at(where, key))) != 2:
+            raise DocumentError(_at(_at(where, key), i), "expected a 2-element list")
+    return entries
+
+
+def _table(spec, key, where: str, kind: type = int) -> tuple:
+    """A list of lists of numbers: a Cayley table or a matrix."""
+    rows = _list(spec, key, where)
+    return tuple(
+        tuple(_number(c, where, kind) for c in _list(rows, i, _at(where, key)))
+        for i in range(len(rows))
+    )
+
+
 def _ref(table: dict, name, where: str, what: str):
+    if not isinstance(name, str):
+        raise DocumentError(where, f"{what} names are strings, got {name!r}")
     if name not in table:
         raise DocumentError(where, f"unknown {what} {name!r}")
     return table[name]
@@ -236,11 +268,10 @@ def _parse_group(name, spec, groups, raw) -> Group:
         if kind == "finite_cyclic":
             return CyclicGroup(_int(spec, "n", where))
         if kind == "finite_cayley":
-            table = tuple(tuple(_number(c, where) for c in row) for row in _need(spec, "table", where))
-            return CayleyGroup(table, _int(spec, "identity", where, 0))
+            return CayleyGroup(_table(spec, "table", where), _int(spec, "identity", where, 0))
         if kind == "direct_product":
             factors = tuple(
-                _ref(groups, f, where, "group") for f in _need(spec, "factors", where)
+                _ref(groups, f, where, "group") for f in _list(spec, "factors", where)
             )
             return DirectProduct(factors)
         if kind == "semidirect":
@@ -265,11 +296,11 @@ def _parse_cone(name, spec, groups) -> Cone:
             return FullCone(G)
         if kind == "extensional":
             els = frozenset(
-                parse_element(G, lit, where) for lit in _need(spec, "elements", where)
+                parse_element(G, lit, where) for lit in _list(spec, "elements", where)
             )
             return ExtensionalCone(G, els)
         if kind == "generated":
-            gens = [parse_element(G, lit, where) for lit in _need(spec, "generators", where)]
+            gens = [parse_element(G, lit, where) for lit in _list(spec, "generators", where)]
             return generated_cone(G, gens)
     except StructureError as exc:
         raise DocumentError(where, str(exc)) from exc
@@ -283,21 +314,15 @@ def _parse_hom(name, spec, groups) -> Homomorphism:
     dst = _ref(groups, _need(spec, "target", where), where, "group")
     try:
         if kind == "linear":
-            matrix = tuple(
-                tuple(_number(c, where, Fraction) for c in row)
-                for row in _need(spec, "matrix", where)
-            )
-            return LinearHom(src, dst, matrix)
+            return LinearHom(src, dst, _table(spec, "matrix", where, Fraction))
         if kind == "generator_images":
             images = tuple(
-                parse_element(dst, lit, where) for lit in _need(spec, "images", where)
+                parse_element(dst, lit, where) for lit in _list(spec, "images", where)
             )
             return FreeImagesHom(src, dst, images)
         if kind == "finite_table":
             pairs = {}
-            for entry in _need(spec, "map", where):
-                if not (isinstance(entry, list) and len(entry) == 2):
-                    raise DocumentError(where, "map entries are [src, dst] literal pairs")
+            for entry in _pairs(spec, "map", where):
                 a = parse_element(src, entry[0], where)
                 b = parse_element(dst, entry[1], where)
                 pairs[a] = b
@@ -334,17 +359,17 @@ def _parse_action(name, spec, groups, actions, homs) -> Action:
             ratio = _number(_need(spec, "ratio", where), f"{where}.ratio", Fraction)
             return ScalingAction(acting, acted, ratio)
         if kind == "matrix":
-            images = tuple(
-                tuple(tuple(_number(c, where, Fraction) for c in row) for row in m)
-                for m in _need(spec, "images", where)
+            images = _list(spec, "images", where)
+            matrices = tuple(
+                _table(images, i, _at(where, "images"), Fraction) for i in range(len(images))
             )
-            return MatrixAction(acting, acted, images)
+            return MatrixAction(acting, acted, matrices)
         if kind == "finite_table":
             table = {}
-            for entry in _need(spec, "images", where):
+            for i, entry in enumerate(_pairs(spec, "images", where)):
                 b = parse_element(acting, entry[0], where)
                 mapping = {}
-                for pair in entry[1]:
+                for pair in _pairs(entry, 1, _at(_at(where, "images"), i)):
                     a = parse_element(acted, pair[0], where)
                     v = parse_element(acted, pair[1], where)
                     mapping[a] = v
@@ -375,7 +400,7 @@ def _shape(spec, groups, cones, actions, where) -> ExtensionShape:
 
 
 def _thresholds(spec, where) -> tuple:
-    return tuple(INF if t == "inf" else _number(t, where) for t in _need(spec, "thresholds", where))
+    return tuple(INF if t == "inf" else _number(t, where) for t in _list(spec, "thresholds", where))
 
 
 def _parse_point(name, spec, groups, cones, actions) -> SplitExtension:
@@ -572,8 +597,10 @@ def _validate_query(i, spec, doc: ProblemDocument) -> dict:
     if not isinstance(spec, dict):
         raise DocumentError(where, "queries are objects")
     op = _need(spec, "op", where)
-    if op not in QUERY_OPS:
+    if not isinstance(op, str) or op not in QUERY_OPS:
         raise DocumentError(where, f"unknown op {op!r}")
+    if not isinstance(spec.get("id", ""), str):
+        raise DocumentError(f"{where}.id", f"query ids are strings, got {spec['id']!r}")
     q = dict(spec)
     q.setdefault("id", f"q{i}")
     resolved: dict[str, Any] = {}

@@ -245,7 +245,12 @@ def compatible_exists(
 
 
 def minimal_cone(shape: ExtensionShape, budget: SaturationBudget = DEFAULT_BUDGET) -> Cone:
-    """The least compatible cone: generated by the componentwise cone."""
+    """The least compatible cone: generated by the componentwise cone.
+
+    Closedness is decided here, once: a componentwise cone that is already
+    a cone (trivial twist, closed components) is its own closure and is
+    returned as it is; otherwise the closure is a GeneratedCone over it.
+    """
     v = compatible_exists(shape, budget)
     if not v.is_yes:
         raise StructureError(f"no compatible order known: {v}")
@@ -259,9 +264,10 @@ def minimal_cone(shape: ExtensionShape, budget: SaturationBudget = DEFAULT_BUDGE
         return PointProductCone(
             shape.carrier, minimal_cone(first, budget), minimal_cone(second, budget)
         )
-    return GeneratedCone(
-        shape.carrier, ConeGenerators(product_cone(shape)), certified_compatible=True
-    )
+    prod = product_cone(shape)
+    if prod.known_cone():
+        return prod
+    return GeneratedCone(shape.carrier, ConeGenerators(prod), certified_compatible=True)
 
 
 def _product_shape_components(shape: ExtensionShape):
@@ -355,7 +361,6 @@ def normalize(
     f: Homomorphism,
     s: Homomorphism,
     k: Homomorphism,
-    window: Window | None = None,
 ) -> tuple[Action, Homomorphism]:
     """Recover the action and the comparison isomorphism from raw data.
 
@@ -363,14 +368,13 @@ def normalize(
     a to (a - sf(a), f(a)).  Supported inputs: finite A, or an A that is
     already a pair carrier with its standard structure maps.
     """
-    window = window or Window()
+    window = Window()
     if f.source != A or s.target != A or k.target != A:
         raise StructureError("structure maps do not match the total group")
     B, X = f.target, k.source
     if s.source != B:
         raise StructureError("section must come from the cokernel target")
-    probe = B.elements() if B.is_finite else B.window_elements(window)
-    for b in probe:
+    for b in B.window_elements(window):
         if f.apply(s.apply(b)) != b:
             raise StructureError(f"f(s(b)) != b at b={format_element(b)}")
     if A.is_finite:
@@ -584,21 +588,23 @@ def validate_family(
     threshold superadditivity.
     """
     window = budget.window
-    B, X = fam.base, fam.fiber
-    bs = B.group.elements() if B.group.is_finite else B.group.window_elements(window)
-    cond = _family_conditions(fam, action, bs, window, budget)
-    remark = _family_orbit_remark(fam, action, bs, window, budget)
+    # Each base element is asked about once; every condition reads the answers.
+    B = fam.base
+    base_in = {b: B.cone.contains(b, budget) for b in B.group.window_elements(window)}
+    positives = [b for b, v in base_in.items() if v.is_yes]
+    cond = _family_conditions(fam, action, base_in, positives, window, budget)
+    remark = _family_orbit_remark(fam, action, base_in, positives, window)
     return FamilyValidation(cond, remark)
 
 
-def _family_conditions(fam, action, bs, window, budget) -> Verdict:
+def _family_conditions(fam, action, base_in, positives, window, budget) -> Verdict:
     B, X = fam.base, fam.fiber
     bz = B.group.zero()
     undecided = "family conditions hit undecided memberships"
 
     def support_matches(b):
         nonempty = fam.fiber_nonempty(b)
-        vb = B.cone.contains(b, budget)
+        vb = base_in[b]
         if vb.is_unknown:
             return vb
         has_zero = fam.fiber_contains(b, X.group.zero())
@@ -611,7 +617,7 @@ def _family_conditions(fam, action, bs, window, budget) -> Verdict:
         return yes() if vx.is_yes == fam.fiber_contains(bz, x) else no(x)
 
     v = for_all_members(
-        bs, None, support_matches,
+        base_in, None, support_matches,
         "fibre support must match the base positives (condition 1)", undecided,
         yes("window-verified" if not B.group.is_finite else "exhaustive"),
     )
@@ -624,7 +630,7 @@ def _family_conditions(fam, action, bs, window, budget) -> Verdict:
     if v.is_no:
         return v
     for check in (_family_addition, _family_conjugation):
-        w = check(fam, action, bs, window, budget)
+        w = check(fam, action, base_in, positives, window)
         if w.is_no:
             return w
         if w.is_unknown:
@@ -632,7 +638,7 @@ def _family_conditions(fam, action, bs, window, budget) -> Verdict:
     return v
 
 
-def _family_addition(fam, action, bs, window, budget) -> Verdict:
+def _family_addition(fam, action, base_in, positives, window) -> Verdict:
     B, X = fam.base, fam.fiber
     if isinstance(fam.sets, UpSetFibers) and action.provably_trivial():
         n = len(fam.sets.thresholds)
@@ -646,7 +652,6 @@ def _family_addition(fam, action, bs, window, budget) -> Verdict:
                 if xij < xi + xj:
                     return no((i, j), "threshold superadditivity fails (condition 3)")
         return yes("threshold superadditivity")
-    positives = [b for b in bs if B.cone.contains(b, budget).is_yes]
     for b1 in positives:
         for b2 in positives:
             target = B.group.add(b1, b2)
@@ -658,16 +663,17 @@ def _family_addition(fam, action, bs, window, budget) -> Verdict:
     return yes()
 
 
-def _family_conjugation(fam, action, bs, window, budget) -> Verdict:
+def _family_conjugation(fam, action, base_in, positives, window) -> Verdict:
     B, X = fam.base, fam.fiber
-    positives = [b for b in bs if B.cone.contains(b, budget).is_yes]
-    for a in bs:
+    xs = X.group.window_elements(window)
+    samples = {b: fam.fiber_sample(b, window) for b in positives}
+    for a in base_in:
         for b in positives:
             target = B.group.add(B.group.add(a, b), B.group.neg(a))
             phi_t = action.as_hom(target)
-            for x in X.group.window_elements(window):
+            for x in xs:
                 tx = phi_t.apply(x)
-                for y in fam.fiber_sample(b, window):
+                for y in samples[b]:
                     val = X.group.add(x, action.apply(a, y))
                     # need val in X_target + phi_target(x)
                     residue = X.group.sub(val, tx)
@@ -679,11 +685,10 @@ def _family_conjugation(fam, action, bs, window, budget) -> Verdict:
     return yes()
 
 
-def _family_orbit_remark(fam, action, bs, window, budget) -> Verdict:
+def _family_orbit_remark(fam, action, base_in, positives, window) -> Verdict:
     """phi_a(X_b) = X_{a+b-a} on window samples."""
-    B, X = fam.base, fam.fiber
-    positives = [b for b in bs if B.cone.contains(b, budget).is_yes]
-    for a in bs:
+    B = fam.base
+    for a in base_in:
         for b in positives:
             target = B.group.add(B.group.add(a, b), B.group.neg(a))
             for y in fam.fiber_sample(b, window):

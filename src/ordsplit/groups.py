@@ -9,12 +9,13 @@ pairs/tuples of component elements.  All arithmetic is exact and unbounded.
 from __future__ import annotations
 
 import itertools
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
 
-from .verdict import Window
+from .verdict import Window, check_window_size
 
 Element = Any
 
@@ -148,6 +149,7 @@ class _VectorGroup(Group):
         line = self._scalar_window(window)
         if self.rank == 1:
             return line
+        check_window_size(self, len(line) ** self.rank)
         return [tuple(c) for c in itertools.product(line, repeat=self.rank)]
 
     def _coerce(self, el):
@@ -423,6 +425,7 @@ class DirectProduct(Group):
 
     def window_elements(self, window: Window):
         parts = [f.window_elements(window) for f in self.factors]
+        check_window_size(self, math.prod(len(p) for p in parts))
         return [tuple(c) for c in itertools.product(*parts)]
 
     def is_abelian(self) -> bool:
@@ -490,6 +493,7 @@ class Semidirect(Group):
     def window_elements(self, window: Window):
         xs = self.x_group.window_elements(window)
         bs = self.b_group.window_elements(window)
+        check_window_size(self, len(xs) * len(bs))
         return [(x, b) for x in xs for b in bs]
 
     def is_abelian(self) -> bool:

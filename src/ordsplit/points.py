@@ -186,10 +186,8 @@ def stably_strong_over(
     )
 
 
-def default_base_catalog(
-    base: PreorderedGroup, bound: int = 4
-) -> list[tuple[PreorderedGroup, Homomorphism]]:
-    """Scalar maps n -> c n for |c| <= bound, plus a finite cyclic source."""
+def default_base_catalog(base: PreorderedGroup) -> list[tuple[PreorderedGroup, Homomorphism]]:
+    """Scalar maps n -> c n for |c| <= 4, plus a finite cyclic source."""
     if not (isinstance(base.group, FreeAbelian) and base.group.rank == 1):
         raise StructureError("default catalog is defined over base Z")
     Z = base.group
@@ -198,7 +196,7 @@ def default_base_catalog(
         PreorderedGroup(Z, base.cone),
         PreorderedGroup(Z, TrivialCone(Z)),
     ]
-    for c in range(-bound, bound + 1):
+    for c in range(-4, 5):
         h = ScalarHom(Z, Z, Fraction(c))
         for cand in candidates:
             if is_monotone(h, cand, base).is_yes:

@@ -136,6 +136,23 @@ def for_all_members(
     return unknown(unknown_note) if saw_unknown else clean
 
 
+# The most elements one scan universe may hold.  It is about ten times the
+# largest window the built-in workloads build (Q x| Z at doubled budgets,
+# 21,219 elements); a wider window raises instead of exhausting memory.
+MAX_WINDOW_ELEMENTS = 200_000
+
+
+def check_window_size(what: object, size: int) -> None:
+    """Raise StructureError when a window of `what` would hold more than
+    MAX_WINDOW_ELEMENTS elements."""
+    if size > MAX_WINDOW_ELEMENTS:
+        from .groups import StructureError  # groups imports this module
+
+        raise StructureError(
+            f"window of {what} needs {size} elements, over the cap of {MAX_WINDOW_ELEMENTS}"
+        )
+
+
 @dataclass(frozen=True)
 class Window:
     """Finite test universe for infinite carriers.
@@ -154,9 +171,12 @@ class Window:
             raise ValueError("window bounds must be positive")
 
     def ints(self) -> list[int]:
+        check_window_size("Z", 2 * self.int_bound + 1)
         return list(range(-self.int_bound, self.int_bound + 1))
 
     def rationals(self) -> list[Fraction]:
+        # num x den candidates are built before duplicates collapse.
+        check_window_size("Q", (2 * self.num_bound + 1) * self.den_bound)
         seen = set()
         for den in range(1, self.den_bound + 1):
             for num in range(-self.num_bound, self.num_bound + 1):

@@ -1,7 +1,7 @@
 import pytest
 from fractions import Fraction
 
-from ordsplit.actions import FiniteTableAction, ScalingAction, TrivialAction
+from ordsplit.actions import FiniteTableAction, MatrixAction, ScalingAction, TrivialAction
 from ordsplit.classifiers import (
     AutEvalAction,
     MinusCone,
@@ -234,3 +234,42 @@ def test_orthant_perm_aut_group():
     assert_state(PlusCone(aut).contains(swap), "no")
     assert_state(TildeCone(aut).contains(aut.zero()), "yes")
     assert_state(TildeCone(aut).contains(swap), "no")
+
+Z2V = FreeAbelian(2)
+Z2N = PreorderedGroup(Z2V, OrthantCone(Z2V))
+SHEAR = MatrixAction(FreeAbelian(1), Z2V, (((1, 1), (0, 1)),))
+SWAP = MatrixAction(FreeAbelian(1), Z2V, (((0, 1), (1, 0)),))
+
+
+def test_orthant_perm_aut_elements():
+    assert monotone_aut(Z2N).elements() == [(0, 1), (1, 0)]
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+def test_orthant_perm_aut_arithmetic_matches_realize(rank):
+    # add is composition and neg is inversion of the realized coordinate maps.
+    G = FreeAbelian(rank)
+    aut = monotone_aut(PreorderedGroup(G, OrthantCone(G)))
+    window = G.window_elements(Window(1, 1, 1))
+    for a in aut.elements():
+        inv = aut.realize(aut.neg(a))
+        for b in aut.elements():
+            ab = aut.realize(aut.add(a, b))
+            for x in window:
+                assert ab.apply(x) == aut.realize(a).apply(aut.realize(b).apply(x))
+        for x in window:
+            assert inv.apply(aut.realize(a).apply(x)) == x
+        assert aut.add(a, aut.neg(a)) == aut.zero()
+
+
+def test_orthant_perm_aut_from_action():
+    aut = monotone_aut(Z2N)
+    assert aut.from_action(SWAP, 1) == (1, 0)
+    assert aut.from_action(SWAP, 2) == (0, 1)
+    assert aut.from_action(SHEAR, 1) is None
+
+
+@pytest.mark.parametrize("order", ["tilde", "plus", "minus"])
+def test_orthant_perm_aut_orders_admissible(order):
+    aut = monotone_aut(Z2N)
+    assert_state(admissible_check(aut_cone(aut, order, SMALL_BUDGET), SMALL_BUDGET), "yes")

@@ -3,7 +3,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ordsplit.actions import SignAction, ScalingAction
+from ordsplit.actions import SignAction, ScalingAction, TrivialAction
 from ordsplit.cones import (
     ConeGenerators,
     ExtensionalCone,
@@ -262,3 +262,22 @@ def test_generated_membership_budget_monotone():
             assert v2.is_yes
         if v1.is_no:
             assert v2.is_no
+
+
+def test_lex_membership_asks_each_base_sign_once(monkeypatch):
+    # 0 <= b and b <= 0 are asked once each, whether or not b turns out
+    # strictly positive; strictly_positive followed by sim asked each twice.
+    # The fibre order is full, so every orthant query is a base query.
+    calls = []
+    orthant_contains = OrthantCone.contains
+
+    def counting(self, x, budget=SMALL_BUDGET):
+        calls.append(x)
+        return orthant_contains(self, x, budget)
+
+    monkeypatch.setattr(OrthantCone, "contains", counting)
+    lex = LexCone(Semidirect(Z, Z, TrivialAction(Z, Z)), ZF, ZN)
+    for el, state in [((1, 0), "yes"), ((-1, 0), "yes"), ((5, -1), "no"), ((-5, 1), "yes")]:
+        calls.clear()
+        assert_state(lex.contains(el, SMALL_BUDGET), state, str(el))
+        assert len(calls) == 2, (el, calls)

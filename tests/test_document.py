@@ -1,7 +1,9 @@
+import copy
 import hashlib
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -505,3 +507,178 @@ def test_cli_rejects_non_additive_table_hom(tmp_path, capsys):
         parse_document(doc)
     assert exc.value.location == "homs.bad"
     assert exc.value.message == "not a homomorphism: additivity fails at (1, 2)"
+
+
+# --- malformed shapes of names, ids and list fields ---------------------------------
+
+
+def _bad_shapes():
+    def unhashable_name(doc):
+        doc["cones"]["nat"]["group"] = ["Z"]
+
+    def query_id(doc):
+        doc["queries"][0]["id"] = ["q1"]
+
+    def query_op(doc):
+        doc["queries"][0]["op"] = {"name": "compatible_exists"}
+
+    def cayley_table(doc):
+        doc["groups"]["C2"] = {"kind": "finite_cayley", "table": 5}
+
+    def cayley_row(doc):
+        doc["groups"]["C2"] = {"kind": "finite_cayley", "table": [["0", "1"], 5]}
+
+    def factors(doc):
+        doc["groups"]["ZZ"] = {"kind": "direct_product", "factors": 5}
+
+    def elements(doc):
+        doc["cones"]["e"] = {"kind": "extensional", "group": "Z", "elements": 5}
+
+    def generators(doc):
+        doc["cones"]["g"] = {"kind": "generated", "group": "Z", "generators": 5}
+
+    def matrix(doc):
+        doc["homs"] = {"m": {"kind": "linear", "source": "Z", "target": "Z", "matrix": [5]}}
+
+    def hom_images(doc):
+        doc["homs"] = {"m": {"kind": "generator_images", "source": "Z", "target": "Z",
+                             "images": 5}}
+
+    def action_images(doc):
+        doc["actions"]["m"] = {"kind": "matrix", "acting": "Z", "acted": "Z", "images": [5]}
+
+    def table_map(doc):
+        doc["groups"]["Z2"] = {"kind": "finite_cyclic", "n": 2}
+        doc["homs"] = {"t": {"kind": "finite_table", "source": "Z2", "target": "Z2", "map": 5}}
+
+    def thresholds(doc):
+        doc["queries"] = [dict(SHAPE_SPEC, op="validate_family", action="sgn", thresholds=5)]
+
+    def table_action_entry(doc):
+        doc["groups"]["Z2"] = {"kind": "finite_cyclic", "n": 2}
+        doc["actions"]["t"] = {"kind": "finite_table", "acting": "Z2", "acted": "Z2",
+                               "images": [[["r0"]]]}
+
+    def table_action_pair(doc):
+        doc["groups"]["Z2"] = {"kind": "finite_cyclic", "n": 2}
+        doc["actions"]["t"] = {"kind": "finite_table", "acting": "Z2", "acted": "Z2",
+                               "images": [[["r0"], [[["r0"]]]]]}
+
+    cases = [
+        (unhashable_name, "cones.nat: group names are strings, got ['Z']"),
+        (query_id, "queries[0].id: query ids are strings, got ['q1']"),
+        (query_op, "queries[0]: unknown op {'name': 'compatible_exists'}"),
+        (cayley_table, "groups.C2.table: expected a list, got 5"),
+        (cayley_row, "groups.C2.table[1]: expected a list, got 5"),
+        (factors, "groups.ZZ.factors: expected a list, got 5"),
+        (elements, "cones.e.elements: expected a list, got 5"),
+        (generators, "cones.g.generators: expected a list, got 5"),
+        (matrix, "homs.m.matrix[0]: expected a list, got 5"),
+        (hom_images, "homs.m.images: expected a list, got 5"),
+        (action_images, "actions.m.images[0]: expected a list, got 5"),
+        (table_map, "homs.t.map: expected a list, got 5"),
+        (thresholds, "queries[0].thresholds: expected a list, got 5"),
+        (table_action_entry, "actions.t.images[0]: expected a 2-element list"),
+        (table_action_pair, "actions.t.images[0][1][0]: expected a 2-element list"),
+    ]
+    return [pytest.param(mutate, message, id=mutate.__name__) for mutate, message in cases]
+
+
+@pytest.mark.parametrize("mutate, message", _bad_shapes())
+def test_cli_rejects_malformed_shapes(tmp_path, capsys, mutate, message):
+    doc = minimal_doc()
+    mutate(doc)
+    code, err = _validate_exit(tmp_path, capsys, doc)
+    assert code == 2
+    assert message in err and "Traceback" not in err
+
+
+# --- the window cap -----------------------------------------------------------------
+
+
+def _rank3_minimal_doc():
+    doc = minimal_doc([])
+    doc["groups"]["Q3"] = {"kind": "rational_vector", "rank": 3}
+    doc["cones"]["q3_nat"] = {"kind": "orthant", "group": "Q3"}
+    doc["actions"]["t3"] = {"kind": "trivial", "acting": "Z", "acted": "Q3"}
+    doc["points"] = {"p": {"x_group": "Q3", "x_cone": "q3_nat", "b_group": "Z",
+                           "b_cone": "nat", "action": "t3", "cone": "minimal"}}
+    return doc
+
+
+def test_cli_rejects_window_over_the_cap_at_parse_time(tmp_path, capsys):
+    # Deciding the minimal point scans Q^3, whose default window has
+    # 167^3 = 4,657,463 elements.
+    started = time.monotonic()
+    code, err = _validate_exit(tmp_path, capsys, _rank3_minimal_doc())
+    assert time.monotonic() - started < 1
+    assert code == 2
+    assert "points.p: window of Q^3 needs 4657463 elements, over the cap of 200000" in err
+
+
+def test_cli_wide_window_on_q_is_a_query_error(tmp_path, capsys):
+    doc = minimal_doc([{"id": "rali", "op": "is_rali", "point": "p"}])
+    doc["actions"]["s"] = {"kind": "scaling", "acting": "Z", "acted": "Q", "ratio": "2"}
+    doc["points"] = {"p": {"x_group": "Q", "x_cone": "qnat", "b_group": "Z", "b_cone": "nat",
+                           "action": "s", "cone": "minimal"}}
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "report.json"
+    code = cli_main(["classify", str(path), "--window", "1000", "--report", "json",
+                     "--out", str(out)])
+    assert code == 1
+    entry = json.loads(out.read_text())["queries"][0]
+    assert entry["error"] == "window of Q needs 4001000 elements, over the cap of 200000"
+
+
+# --- matrix actions through a document ----------------------------------------------
+
+
+@pytest.mark.parametrize("matrix, verdict", [
+    ([["1", "1"], ["0", "1"]],
+     {"state": "no", "witness": "(-1, (0, 1))", "note": "phi_-1 is not monotone"}),
+    ([["0", "1"], ["1", "0"]],
+     {"state": "yes", "witness": "lex", "note": "lexicographic cone is compatible"}),
+])
+def test_matrix_action_compatible_exists(matrix, verdict):
+    doc = minimal_doc([{"op": "compatible_exists", "x_group": "Z2", "x_cone": "nat2",
+                        "b_group": "Z", "b_cone": "nat", "action": "m"}])
+    doc["groups"]["Z2"] = {"kind": "free_abelian", "rank": 2}
+    doc["cones"]["nat2"] = {"kind": "orthant", "group": "Z2"}
+    doc["actions"]["m"] = {"kind": "matrix", "acting": "Z", "acted": "Z2", "images": [matrix]}
+    rep = run(parse_document(doc))
+    assert rep["errors"] == 0
+    assert rep["queries"][0]["verdict"] == verdict
+
+
+# --- every single-value mutation of the catalog parses or fails cleanly --------------
+
+
+MUTANT_VALUES = (5, "x", [], {}, None, -1, [5])
+
+
+def _value_paths(node, prefix=()):
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _value_paths(value, prefix + (key,))
+
+
+def test_catalog_mutants_parse_or_raise_document_error():
+    base = catalog_dict()
+    paths = list(_value_paths(base))
+    assert len(paths) == 462
+    for path in paths:
+        for value in MUTANT_VALUES:
+            doc = copy.deepcopy(base)
+            node = doc
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = copy.deepcopy(value)
+            try:
+                parse_document(doc)
+            except DocumentError:
+                pass
+            except Exception as exc:  # pragma: no cover - the failure report
+                pytest.fail(f"{path} = {value!r}: {type(exc).__name__}: {exc}")

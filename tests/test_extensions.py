@@ -9,6 +9,7 @@ from ordsplit.actions import (
 )
 from ordsplit.cones import (
     FullCone,
+    GeneratedCone,
     OrthantCone,
     PreorderedGroup,
     TrivialCone,
@@ -363,3 +364,29 @@ def test_minimal_cone_below_every_enumerated_cone():
 def test_enumerate_superadditive_rejects_other_shapes():
     with pytest.raises(StructureError):
         enumerate_compatible_cones(scaling_shape(), SuperadditiveWindow(2, 2))
+
+
+def test_minimal_cone_of_a_trivial_action_is_the_product_cone():
+    # Closedness of the componentwise cone is decided once, in minimal_cone.
+    shape = trivial_shape()
+    assert minimal_cone(shape, SMALL_BUDGET) == product_cone(shape)
+    assert isinstance(minimal_cone(scaling_shape(), SMALL_BUDGET), GeneratedCone)
+
+
+def test_validate_family_asks_each_cone_once_per_window_element(monkeypatch):
+    # Window(4, 8, 4) holds 9 integers: 9 base queries (condition 1, reused
+    # by conditions 3-4 and the orbit remark) and 9 fibre queries (condition 2).
+    calls = []
+    orthant_contains = OrthantCone.contains
+
+    def counting(self, x, budget=SMALL_BUDGET):
+        calls.append(x)
+        return orthant_contains(self, x, budget)
+
+    monkeypatch.setattr(OrthantCone, "contains", counting)
+    fam = ConeFamily(ZN, ZN, UpSetFibers((0, 1, 2, 4)))
+    fv = validate_family(fam, TrivialAction(Z, Z), SaturationBudget(2, 6, Window(4, 8, 4)))
+    assert_state(fv.conditions, "yes")
+    assert_state(fv.orbit_remark, "yes")
+    assert len(calls) == 18
+    assert sorted(calls) == sorted(list(range(-4, 5)) * 2)
