@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import itertools
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 from .groups import (
@@ -144,6 +145,9 @@ class ScalingAction(Action):
     acting: Group
     acted: Group
     q: Fraction
+    # q**b per b, filled only after b passed acting.check: Fraction(2) == 2
+    # and both hash alike, so a lookup before the check would accept either.
+    _powers: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not (isinstance(self.acting, FreeAbelian) and self.acting.rank == 1):
@@ -156,7 +160,9 @@ class ScalingAction(Action):
     def apply(self, b, x):
         self.acting.check(b)
         self.acted.check(x)
-        f = self.q**b
+        f = self._powers.get(b)
+        if f is None:
+            f = self._powers[b] = self.q**b
         if self.acted.rank == 1:
             return f * x
         return tuple(f * c for c in x)
@@ -249,7 +255,7 @@ class FiniteTableAction(Action):
     def __post_init__(self):
         if not self.acting.is_finite or not self.acted.is_finite:
             raise StructureError("table action needs finite groups")
-        table = dict(self.assignments)
+        table = self._table
         if set(table) != set(self.acting.elements()):
             raise StructureError("action table must cover every acting element")
         n = self.acted.order()
@@ -278,15 +284,19 @@ class FiniteTableAction(Action):
     def from_homs(acting: Group, acted: Group, table: dict) -> "FiniteTableAction":
         return FiniteTableAction(acting, acted, tuple(sorted(table.items())))
 
+    @cached_property
+    def _table(self) -> dict:
+        return dict(self.assignments)
+
     def apply(self, b, x):
         self.acting.check(b)
-        return dict(self.assignments)[b].apply(x)
+        return self._table[b].apply(x)
 
     def as_hom(self, b):
-        return dict(self.assignments)[b]
+        return self._table[b]
 
     def is_identity_for(self, b):
-        h = dict(self.assignments)[b]
+        h = self._table[b]
         return all(v == k for k, v in h.mapping().items())
 
     def __str__(self):
@@ -299,6 +309,8 @@ class PrecomposedAction(Action):
 
     base: Action
     along: Homomorphism
+    # along(c) per c, filled and read only after c passed acting.check.
+    _images: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.along.target != self.base.acting:
@@ -312,17 +324,25 @@ class PrecomposedAction(Action):
     def acted(self):
         return self.base.acted
 
+    def _image(self, c: Element) -> Element:
+        """along(c), computed once per c."""
+        self.acting.check(c)
+        b = self._images.get(c)
+        if b is None:
+            b = self._images[c] = self.along.apply(c)
+        return b
+
     def apply(self, c, x):
-        return self.base.apply(self.along.apply(c), x)
+        return self.base.apply(self._image(c), x)
 
     def is_identity_for(self, c):
-        return self.base.is_identity_for(self.along.apply(c))
+        return self.base.is_identity_for(self._image(c))
 
     def scalar_for(self, c):
-        return self.base.scalar_for(self.along.apply(c))
+        return self.base.scalar_for(self._image(c))
 
     def matrix_for(self, c):
-        return self.base.matrix_for(self.along.apply(c))
+        return self.base.matrix_for(self._image(c))
 
     def __str__(self):
         return f"{self.base} o {self.along}"

@@ -5,8 +5,9 @@ x <= y  iff  -x+y is in the cone.  Membership answers are three-valued:
 built-in cones are exact, generated cones search within a budget and certify
 exclusions on abelian carriers with separating functionals.
 
-Generated cones memoize their saturation per budget; the fill is idempotent
-and queries never mutate shared state in a way observable across queries.
+Generated cones memoize their saturation per budget, and the conjugator
+system I - phi_b per base element and budget; the fill is idempotent and
+queries never mutate shared state in a way observable across queries.
 
 The "for all" checks (cone subset, monotonicity, pointwise comparison, the
 cone axioms, fibre reflection) get their "on generators", "window-verified"
@@ -473,26 +474,40 @@ class GeneratedCone(Cone):
             return all(g[0] == xz for g in self.source.elements)
         return False
 
+    def _conjugator_system(self, bp, budget):
+        """I - phi_bp when (0, bp) is a source element, else None; once per (bp, budget).
+
+        bp has passed group.check in contains, so an int and an equal
+        Fraction never share a key.
+        """
+        key = ("conjugator", bp, budget)
+        if key in self._cache:
+            return self._cache[key]
+        G = self.group
+        X = G.x_group
+        a = None
+        m = G.action.matrix_for(bp)
+        if m is None:
+            s = G.action.scalar_for(bp)
+            if s is not None:
+                m = tuple(
+                    tuple(Fraction(s) if i == j else Fraction(0) for j in range(X.rank))
+                    for i in range(X.rank)
+                )
+        if m is not None and self.source.member((X.zero(), bp), budget).is_yes:
+            a = mat_sub(identity_matrix(X.rank), m)
+        self._cache[key] = a
+        return a
+
     def _solve_conjugator(self, xp, bp, budget):
         """Find r with (r,0)+(0,bp)-(r,0) = (xp,bp), assuming (0,bp) generates."""
         G = self.group
         X = G.x_group
         if not isinstance(X, (FreeAbelian, RationalVector)):
             return None
-        m = G.action.matrix_for(bp)
-        if m is None:
-            s = G.action.scalar_for(bp)
-            if s is None:
-                return None
-            m = ((Fraction(s),),) if X.rank == 1 else None
-            if m is None:
-                m = tuple(
-                    tuple(Fraction(s) if i == j else Fraction(0) for j in range(X.rank))
-                    for i in range(X.rank)
-                )
-        if not self.source.member((X.zero(), bp), budget).is_yes:
+        a = self._conjugator_system(bp, budget)
+        if a is None:
             return None
-        a = mat_sub(identity_matrix(X.rank), m)
         target = (xp,) if X.rank == 1 else xp
         particular, basis = solve(a, [Fraction(c) for c in target])
         if particular is None:

@@ -10,7 +10,7 @@ and are byte-stable for a fixed document and budget.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Any, Callable
 
@@ -46,6 +46,7 @@ from .extensions import (
     ExtensionShape,
     SplitExtension,
     SuperadditiveWindow,
+    COMPATIBILITY_MODES,
     ExhaustiveFinite,
     FamilyCone,
     UpSetFibers,
@@ -85,7 +86,15 @@ from .points import (
     ssfl_check,
     stably_strong_over,
 )
-from .verdict import SaturationBudget, State, Verdict, Window, unknown, vand
+from .verdict import (
+    SaturationBudget,
+    State,
+    Verdict,
+    Window,
+    check_window_size,
+    unknown,
+    vand,
+)
 
 FORMAT = "ordsplit-1"
 REPORT_FORMAT = "ordsplit-report-1"
@@ -207,11 +216,22 @@ def _need(spec: dict, key: str, where: str):
 
 
 def _number(value, where: str, kind: type = int):
+    """kind(value), refusing booleans and a float that kind would round."""
     try:
-        return kind(value)
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        out = kind(value)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        out = None
+    if out is None or isinstance(value, bool) or (isinstance(value, float) and out != value):
         what = "an integer" if kind is int else "a number"
-        raise DocumentError(where, f"expected {what}, got {value!r}") from exc
+        raise DocumentError(where, f"expected {what}, got {value!r}")
+    return out
+
+
+def _positive(value, where: str) -> int:
+    n = _number(value, where)
+    if n < 1:
+        raise DocumentError(where, f"expected a positive integer, got {value!r}")
+    return n
 
 
 def _int(spec: dict, key: str, where: str, default: int | None = None) -> int:
@@ -453,6 +473,13 @@ def _scope_field(spec, doc, r, where):
     raise DocumentError(where, f"unknown scope {scope!r}")
 
 
+def _mode_field(spec, doc, r, where):
+    mode = spec.get("mode", "interval")
+    if mode not in COMPATIBILITY_MODES:
+        raise DocumentError(where, f"unknown mode {mode!r}")
+    return mode
+
+
 def _order_field(spec, doc, r, where):
     which = spec.get("order", "tilde")
     if which not in ("tilde", "plus", "minus"):
@@ -465,7 +492,7 @@ _FIELDS = {
     "thresholds": lambda spec, doc, r, where: _thresholds(spec, where),
     "scope": _scope_field,
     "point": _ref_field("point", "points", "point"),
-    "mode": lambda spec, doc, r, where: spec.get("mode", "interval"),
+    "mode": _mode_field,
     "cone": _ref_field("cone", "cones", "cone"),
     # On the queried point's carrier, or on the queried cone's group.
     "element": _element_field(
@@ -606,33 +633,42 @@ def _validate_query(i, spec, doc: ProblemDocument) -> dict:
     resolved: dict[str, Any] = {}
     for name in QUERY_OPS[op].fields:
         resolved[name] = _FIELDS[name](spec, doc, resolved, where)
-    if "budget" in spec:
-        if not isinstance(spec["budget"], dict):
-            raise DocumentError(f"{where}.budget", "budget is an object")
-        try:
-            _query_budget(spec, SaturationBudget())
-        except (TypeError, ValueError) as exc:
-            message = f"bad budget {spec['budget']!r}: {exc}"
-            raise DocumentError(f"{where}.budget", message) from exc
     q["_resolved"] = resolved
+    q["_budget"] = _budget_fields(spec, f"{where}.budget")
     return q
+
+
+def _budget_fields(spec: dict, where: str) -> dict:
+    """The SaturationBudget fields a query's budget sets; the run's budget
+    supplies the others."""
+    if "budget" not in spec:
+        return {}
+    raw = spec["budget"]
+    if not isinstance(raw, dict):
+        raise DocumentError(where, "budget is an object")
+    out = {}
+    for key, name in (("conjugators", "max_conjugators"), ("summands", "max_summands")):
+        if key in raw:
+            out[name] = _positive(raw[key], where)
+    if "window" in raw:
+        w = raw["window"]
+        if not (isinstance(w, list) and len(w) == 3):
+            raise DocumentError(where, f"window is a list of 3 positive integers, got {w!r}")
+        window = Window(*(_positive(c, where) for c in w))
+        try:
+            check_window_size("Z", window.z_size)
+            check_window_size("Q", window.q_size)
+        except StructureError as exc:
+            raise DocumentError(where, str(exc)) from exc
+        out["window"] = window
+    return out
 
 
 # --- execution -----------------------------------------------------------------
 
 
 def _query_budget(q: dict, default: SaturationBudget, doubled: bool = False) -> SaturationBudget:
-    spec = q.get("budget")
-    if spec:
-        w = spec.get("window")
-        window = Window(*w) if w else default.window
-        out = SaturationBudget(
-            int(spec.get("conjugators", default.max_conjugators)),
-            int(spec.get("summands", default.max_summands)),
-            window,
-        )
-    else:
-        out = default
+    out = replace(default, **q["_budget"])
     return out.doubled() if doubled else out
 
 

@@ -305,6 +305,9 @@ def is_minimal_equal_product(
     return yes(note) if v.is_yes else v
 
 
+COMPATIBILITY_MODES = ("interval", "definitional")
+
+
 def is_compatible(
     P: Cone,
     shape: ExtensionShape,
@@ -318,7 +321,7 @@ def is_compatible(
     """
     if P.group != shape.carrier:
         raise ShapeError("cone does not live on the extension's carrier")
-    if mode not in ("interval", "definitional"):
+    if mode not in COMPATIBILITY_MODES:
         raise StructureError(f"unknown mode {mode!r}")
     axioms = check_cone_axioms(P, budget)
     interval = vand(

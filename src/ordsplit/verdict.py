@@ -170,13 +170,21 @@ class Window:
         if self.int_bound < 1 or self.num_bound < 1 or self.den_bound < 1:
             raise ValueError("window bounds must be positive")
 
+    @property
+    def z_size(self) -> int:
+        return 2 * self.int_bound + 1
+
+    @property
+    def q_size(self) -> int:
+        # num x den candidates are built before duplicates collapse.
+        return (2 * self.num_bound + 1) * self.den_bound
+
     def ints(self) -> list[int]:
-        check_window_size("Z", 2 * self.int_bound + 1)
+        check_window_size("Z", self.z_size)
         return list(range(-self.int_bound, self.int_bound + 1))
 
     def rationals(self) -> list[Fraction]:
-        # num x den candidates are built before duplicates collapse.
-        check_window_size("Q", (2 * self.num_bound + 1) * self.den_bound)
+        check_window_size("Q", self.q_size)
         seen = set()
         for den in range(1, self.den_bound + 1):
             for num in range(-self.num_bound, self.num_bound + 1):

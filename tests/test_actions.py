@@ -1,0 +1,84 @@
+"""Memoised action data: a warm cache answers like a cold one and checks first.
+
+ScalingAction keeps q**b per b, PrecomposedAction keeps along(c) per c and
+FiniteTableAction builds its table once.  Fraction(2) == 2 and both hash
+alike, so each operand must pass Group.check before any lookup.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ordsplit.actions import FiniteTableAction, PrecomposedAction, ScalingAction
+from ordsplit.groups import CyclicGroup, FreeAbelian, RationalVector, ShapeError
+from ordsplit.homs import ScalarHom, TableHom
+
+Z = FreeAbelian(1)
+Q = RationalVector(1)
+
+
+def scaling():
+    return ScalingAction(Z, Q, Fraction(2))
+
+
+def scaling_along_triple():
+    """n acts on Q by 2**(3n): the scaling action pulled back along n -> 3n."""
+    return PrecomposedAction(scaling(), ScalarHom(Z, Z, Fraction(3)))
+
+
+def test_scaling_cache_hit_still_checks_the_acting_element():
+    act = scaling()
+    x = Fraction(3, 5)
+    assert act.apply(2, x) == Fraction(12, 5)
+    with pytest.raises(ShapeError):
+        act.apply(Fraction(2), x)
+    with pytest.raises(ShapeError):
+        act.apply(True, x)
+    with pytest.raises(ShapeError):
+        act.apply(2, 3)  # an int is not an element of Q
+
+
+def test_precomposed_cache_hit_still_checks_the_acting_element():
+    act = scaling_along_triple()
+    x = Fraction(1, 3)
+    assert act.apply(1, x) == Fraction(8, 3)
+    assert act.scalar_for(1) == 8
+    assert not act.is_identity_for(1)
+    with pytest.raises(ShapeError):
+        act.apply(Fraction(1), x)
+    with pytest.raises(ShapeError):
+        act.scalar_for(Fraction(1))
+    with pytest.raises(ShapeError):
+        act.is_identity_for(Fraction(1))
+    with pytest.raises(ShapeError):
+        act.matrix_for(Fraction(1))
+
+
+def test_finite_table_cache_hit_still_checks_the_acting_element():
+    Z3, Z2 = CyclicGroup(3), CyclicGroup(2)
+    inv = FiniteTableAction.from_homs(
+        Z2, Z3, {0: TableHom.from_dict(Z3, Z3, {0: 0, 1: 1, 2: 2}),
+                 1: TableHom.from_dict(Z3, Z3, {0: 0, 1: 2, 2: 1})}
+    )
+    assert [inv.apply(1, x) for x in range(3)] == [0, 2, 1]
+    assert inv.apply(0, 2) == 2
+    for b in (2, -1, True):
+        with pytest.raises(ShapeError):
+            inv.apply(b, 1)
+
+
+@settings(max_examples=60)
+@given(st.lists(
+    st.tuples(st.integers(-5, 5), st.fractions(-8, 8, max_denominator=6)),
+    min_size=1, max_size=12,
+))
+def test_warm_precomposed_scaling_agrees_with_a_fresh_one_and_the_closed_form(pairs):
+    warm = scaling_along_triple()
+    for c, x in pairs:
+        got = warm.apply(c, x)
+        assert got == scaling_along_triple().apply(c, x)
+        assert got == Fraction(2) ** (3 * c) * x
+        assert warm.scalar_for(c) == Fraction(2) ** (3 * c)
+        assert warm.base.apply(3 * c, x) == got

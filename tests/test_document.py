@@ -181,6 +181,12 @@ def _cli(*args):
     )
 
 
+def test_python_dash_m_ordsplit_runs_the_cli():
+    r = subprocess.run([sys.executable, "-m", "ordsplit", "catalog"],
+                       capture_output=True, text=True, timeout=600)
+    assert r.returncode == 0, r.stderr
+
+
 def test_cli_catalog_and_alias(tmp_path):
     out1 = tmp_path / "r1.json"
     out2 = tmp_path / "r2.json"
@@ -354,6 +360,13 @@ def test_no_without_witness_becomes_an_error_entry(monkeypatch):
     {"window": 5},
     {"conjugators": "many"},
     ["conjugators", 2],
+    {"conjugators": 2.5},
+    {"summands": True},
+    {"window": [2.5, 4, 2]},
+    {"window": [3, 6]},
+    {"window": None},
+    {"window": [300000, 1, 1]},
+    {"window": [1, 100000, 1]},
 ])
 def test_bad_query_budget_rejected_at_parse(budget):
     doc = minimal_doc()
@@ -364,14 +377,16 @@ def test_bad_query_budget_rejected_at_parse(budget):
 
 
 def test_cli_bad_query_budget_exits_2(tmp_path):
-    doc = minimal_doc()
-    doc["queries"][0]["budget"] = {"conjugators": 0}
-    path = tmp_path / "doc.json"
-    path.write_text(json.dumps(doc))
-    for command in ("validate", "check"):
-        r = _cli(command, str(path))
-        assert r.returncode == 2
-        assert "queries[0].budget" in r.stderr and "Traceback" not in r.stderr
+    # A fractional window bound used to pass validate and crash the run.
+    for budget in ({"conjugators": 0}, {"window": [2.5, 4, 2]}):
+        doc = minimal_doc()
+        doc["queries"][0]["budget"] = budget
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        for command in ("validate", "check"):
+            r = _cli(command, str(path))
+            assert r.returncode == 2
+            assert "queries[0].budget" in r.stderr and "Traceback" not in r.stderr
 
 
 @pytest.mark.parametrize("flag", ["--budget-conj", "--budget-sum", "--window"])
@@ -432,6 +447,16 @@ def test_cli_rejects_action_between_other_groups(tmp_path, capsys, section, loca
     assert f"{location}: action does not match the kernel/base groups" in err
 
 
+@pytest.mark.parametrize("mode", [5, "lex", None])
+def test_cli_rejects_unknown_mode(tmp_path, capsys, mode):
+    doc = minimal_doc([{"op": "is_compatible", "point": "p", "mode": mode}])
+    doc["actions"]["triv"] = {"kind": "trivial", "acting": "Z", "acted": "Z"}
+    doc["points"] = {"p": dict(SHAPE_SPEC, action="triv", cone="product")}
+    code, err = _validate_exit(tmp_path, capsys, doc)
+    assert code == 2
+    assert f"queries[0]: unknown mode {mode!r}" in err
+
+
 @pytest.mark.parametrize("command", ["validate", "lattice"])
 def test_cli_rejects_non_object_scope(tmp_path, capsys, command):
     doc = minimal_doc([dict(SHAPE_SPEC, op="lattice", action="sgn", scope=["exhaustive"])])
@@ -457,8 +482,12 @@ def _bad_numbers():
         doc["queries"] = [dict(SHAPE_SPEC, op="validate_family", action="sgn",
                                thresholds=[0, "x"])]
 
+    def fractional_rank(doc):
+        doc["groups"]["Z"]["rank"] = 1.5
+
     cases = [
         (rank, "groups.Z.rank: expected an integer, got 'two'"),
+        (fractional_rank, "groups.Z.rank: expected an integer, got 1.5"),
         (cayley_cell, "groups.C2: expected an integer, got 'x'"),
         (matrix_entry, "homs.m: expected a number, got 'x'"),
         (ratio, "actions.sc.ratio: expected a number, got '1/0'"),

@@ -1,9 +1,15 @@
-import pytest
+import sys
+from collections import Counter
 from fractions import Fraction
 
+import pytest
+
+from ordsplit import cones
 from ordsplit.actions import ScalingAction, SignAction, TrivialAction
 from ordsplit.cones import (
+    ConeGenerators,
     FullCone,
+    GeneratedCone,
     OrthantCone,
     PreorderedGroup,
     TrivialCone,
@@ -14,7 +20,7 @@ from ordsplit.extensions import (
     point,
     product_cone,
 )
-from ordsplit.groups import CyclicGroup, FreeAbelian, RationalVector, StructureError
+from ordsplit.groups import CyclicGroup, FreeAbelian, RationalVector, Semidirect, StructureError
 from ordsplit.homs import IdentityHom, PairHom, ScalarHom
 from ordsplit.points import (
     PointMorphism,
@@ -260,3 +266,63 @@ def test_pullback_of_rali_is_rali_along_catalog():
         prod = product_cone(pb.shape)
         for el in pb.carrier.window_elements(Window(2, 2, 1)):
             assert pb.cone.contains(el, SMALL_BUDGET).state == prod.contains(el, SMALL_BUDGET).state
+
+def test_conjugator_system_is_built_once_per_base_element(monkeypatch):
+    # Per base element and budget: along(c), and source membership of (0, b).
+    # Per fibre element: the solve and the conjugation that verifies it.
+    # Calls made by a contains method are its own membership tests, not the
+    # conjugator's, and are left out.
+    budget = SaturationBudget(2, 6, Window(3, 6, 3))
+    g = ScalarHom(Z, Z, Fraction(3))
+    pb = pullback(scaling_point(), g, ZN, budget)
+    images, members, solves, checks = Counter(), Counter(), [], []
+    routes = Counter()
+
+    def caller():
+        return sys._getframe(2).f_code.co_name
+
+    hom_apply = ScalarHom.apply
+
+    def counting_apply(self, el):
+        if self is g and caller() != "contains":
+            images[el] += 1
+        return hom_apply(self, el)
+
+    member = ConeGenerators.member
+
+    def counting_member(self, x, budget):
+        if caller() != "contains":
+            members[(id(self), x, budget)] += 1
+        return member(self, x, budget)
+
+    solve = cones.solve
+
+    def counting_solve(a, target):
+        solves.append(target)
+        return solve(a, target)
+
+    conjugate = Semidirect.conjugate
+
+    def counting_conjugate(self, a, x):
+        if caller() == "_solve_conjugator":
+            checks.append(x)
+        return conjugate(self, a, x)
+
+    contains = GeneratedCone.contains
+
+    def counting_contains(self, x, budget=SMALL_BUDGET):
+        v = contains(self, x, budget)
+        routes[(v.note or "").startswith("conjugator")] += 1
+        return v
+
+    monkeypatch.setattr(ScalarHom, "apply", counting_apply)
+    monkeypatch.setattr(ConeGenerators, "member", counting_member)
+    monkeypatch.setattr(cones, "solve", counting_solve)
+    monkeypatch.setattr(Semidirect, "conjugate", counting_conjugate)
+    monkeypatch.setattr(GeneratedCone, "contains", counting_contains)
+    assert_state(is_strong(pb, budget), "yes")
+    assert images and max(images.values()) == 1
+    assert members and max(members.values()) == 1
+    assert all(x[0] == 0 for _, x, _ in members)
+    assert routes[True] > len(members)
+    assert len(solves) == len(checks) == routes[True]
