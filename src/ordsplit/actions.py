@@ -324,7 +324,7 @@ class PrecomposedAction(Action):
     def acted(self):
         return self.base.acted
 
-    def _image(self, c: Element) -> Element:
+    def image(self, c: Element) -> Element:
         """along(c), computed once per c."""
         self.acting.check(c)
         b = self._images.get(c)
@@ -333,16 +333,16 @@ class PrecomposedAction(Action):
         return b
 
     def apply(self, c, x):
-        return self.base.apply(self._image(c), x)
+        return self.base.apply(self.image(c), x)
 
     def is_identity_for(self, c):
-        return self.base.is_identity_for(self._image(c))
+        return self.base.is_identity_for(self.image(c))
 
     def scalar_for(self, c):
-        return self.base.scalar_for(self._image(c))
+        return self.base.scalar_for(self.image(c))
 
     def matrix_for(self, c):
-        return self.base.matrix_for(self._image(c))
+        return self.base.matrix_for(self.image(c))
 
     def __str__(self):
         return f"{self.base} o {self.along}"

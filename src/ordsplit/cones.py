@@ -34,6 +34,7 @@ from .groups import (
     RationalVector,
     Semidirect,
     ShapeError,
+    StructureError,
     format_element,
 )
 from .homs import Homomorphism, KernelHom, ProjectionHom, SectionHom, _pair_parts
@@ -353,14 +354,14 @@ class GeneratedCone(Cone):
     """Additive closure of the conjugation closure of the source set.
 
     Yes answers come from source membership, solved conjugators, or budgeted
-    breadth-first saturation; No answers need an exact argument (finite
-    carrier, separating functional, or the structure shortcuts unlocked by
-    certified_compatible).
+    breadth-first saturation; No answers need an exact argument (separating
+    functional, or the structure shortcuts unlocked by certified_compatible).
 
     Whether the source is already closed is not asked here: minimal_cone
     decides it once and returns a closed componentwise cone as it is.  A
     GeneratedCone built by hand over a closed source stays sound, but may
-    answer Unknown where the source itself would decide.
+    answer Unknown where the source itself would decide.  Finite carriers
+    are closed exactly by generated_cone, so they are refused here.
     """
 
     group: Group
@@ -368,13 +369,14 @@ class GeneratedCone(Cone):
     certified_compatible: bool = False
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
+    def __post_init__(self):
+        if self.group.is_finite:
+            raise StructureError("finite carriers are closed by generated_cone")
+
     def contains(self, x, budget=DEFAULT_BUDGET):
         self.group.check(x)
         if x == self.group.zero():
             return yes()
-        if self.group.is_finite:
-            sat = self._finite_saturation()
-            return yes("finite saturation") if x in sat else no(x, "finite saturation")
         src = self.source.member(x, budget)
         if src.is_yes:
             return yes("source element")
@@ -405,32 +407,6 @@ class GeneratedCone(Cone):
             ("summands", budget.max_summands),
             ("window", (w.int_bound, w.num_bound, w.den_bound)),
         )
-
-    # exact closure on finite carriers
-
-    def _finite_saturation(self) -> frozenset:
-        if "finite" in self._cache:
-            return self._cache["finite"]
-        G = self.group
-        els = G.elements()
-        current = {G.zero()}
-        for x in els:
-            if self.source.member(x, DEFAULT_BUDGET).is_yes:
-                current.add(x)
-        while True:
-            nxt = set(current)
-            for g in els:
-                for x in current:
-                    nxt.add(G.conjugate(g, x))
-            for a in list(nxt):
-                for b in list(nxt):
-                    nxt.add(G.add(a, b))
-            if nxt == current:
-                break
-            current = nxt
-        out = frozenset(current)
-        self._cache["finite"] = out
-        return out
 
     # structure shortcuts on semidirect carriers
 
@@ -730,10 +706,26 @@ def generated_cone(G: Group, generators) -> Cone:
         G.check(g)
     if not gens:
         return TrivialCone(G)
-    cone = GeneratedCone(G, ExplicitGenerators(gens))
     if G.is_finite:
-        return ExtensionalCone(G, cone._finite_saturation())
-    return cone
+        return ExtensionalCone(G, _finite_closure(G, gens))
+    return GeneratedCone(G, ExplicitGenerators(gens))
+
+
+def _finite_closure(G: Group, seed) -> frozenset:
+    """Least subset of a finite G holding 0 and seed, closed under + and conjugation."""
+    els = G.elements()
+    current = {G.zero(), *seed}
+    while True:
+        nxt = set(current)
+        for g in els:
+            for x in current:
+                nxt.add(G.conjugate(g, x))
+        for a in list(nxt):
+            for b in list(nxt):
+                nxt.add(G.add(a, b))
+        if nxt == current:
+            return frozenset(current)
+        current = nxt
 
 
 @dataclass(frozen=True)

@@ -646,6 +646,9 @@ def _budget_fields(spec: dict, where: str) -> dict:
     raw = spec["budget"]
     if not isinstance(raw, dict):
         raise DocumentError(where, "budget is an object")
+    for key in raw:
+        if key not in ("conjugators", "summands", "window"):
+            raise DocumentError(where, f"unknown budget key {key!r}")
     out = {}
     for key, name in (("conjugators", "max_conjugators"), ("summands", "max_summands")):
         if key in raw:

@@ -12,6 +12,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Any
 
 from .actions import Action, FiniteTableAction, TrivialAction, validate_action
@@ -249,8 +250,12 @@ def minimal_cone(shape: ExtensionShape, budget: SaturationBudget = DEFAULT_BUDGE
 
     Closedness is decided here, once: a componentwise cone that is already
     a cone (trivial twist, closed components) is its own closure and is
-    returned as it is; otherwise the closure is a GeneratedCone over it.
+    returned as it is, and so is the componentwise cone on a finite carrier,
+    the only compatible cone there (see _closed_finite_shape); otherwise the
+    closure is a GeneratedCone over it.
     """
+    if shape.carrier.is_finite:
+        _closed_finite_shape(shape)
     v = compatible_exists(shape, budget)
     if not v.is_yes:
         raise StructureError(f"no compatible order known: {v}")
@@ -265,9 +270,22 @@ def minimal_cone(shape: ExtensionShape, budget: SaturationBudget = DEFAULT_BUDGE
             shape.carrier, minimal_cone(first, budget), minimal_cone(second, budget)
         )
     prod = product_cone(shape)
-    if prod.known_cone():
+    if prod.known_cone() or shape.carrier.is_finite:
         return prod
     return GeneratedCone(shape.carrier, ConeGenerators(prod), certified_compatible=True)
+
+
+def _closed_finite_shape(shape: ExtensionShape) -> None:
+    """Refuse a finite carrier whose kernel or base cone is not closed.
+
+    In a closed cone on a finite group every positive element has finite
+    order, so it is a unit: no base element is strictly positive, the lex
+    cone is the componentwise set, and the compatible interval holds that
+    one set.  On a set that is not a cone the interval means nothing.
+    """
+    for what, pre in (("kernel", shape.x), ("base", shape.b)):
+        if not pre.cone.known_cone():
+            raise StructureError(f"the {what} cone {pre.cone} of a finite carrier is not closed")
 
 
 def _product_shape_components(shape: ExtensionShape):
@@ -481,17 +499,18 @@ class ExplicitFibers:
 
     fibers: tuple[tuple[Element, frozenset], ...]
 
-    def mapping(self) -> dict:
+    @cached_property
+    def _table(self) -> dict:
         return dict(self.fibers)
 
     def nonempty(self, b) -> bool:
-        return bool(self.mapping().get(b))
+        return bool(self._table.get(b))
 
     def contains(self, b, x) -> bool:
-        return x in self.mapping().get(b, frozenset())
+        return x in self._table.get(b, frozenset())
 
     def sample(self, b, window: Window) -> list:
-        els = self.mapping().get(b, frozenset())
+        els = self._table.get(b, frozenset())
         return sorted((x for x in els if _fits_window(x, window)), key=repr)
 
     def __str__(self):
@@ -644,16 +663,9 @@ def _family_conditions(fam, action, base_in, positives, window, budget) -> Verdi
 def _family_addition(fam, action, base_in, positives, window) -> Verdict:
     B, X = fam.base, fam.fiber
     if isinstance(fam.sets, UpSetFibers) and action.provably_trivial():
-        n = len(fam.sets.thresholds)
-        for i in range(1, n):
-            for j in range(1, n - i):
-                xi, xj, xij = (
-                    fam.sets.thresholds[i],
-                    fam.sets.thresholds[j],
-                    fam.sets.thresholds[i + j],
-                )
-                if xij < xi + xj:
-                    return no((i, j), "threshold superadditivity fails (condition 3)")
+        failure = _superadditive_failure(fam.sets.thresholds)
+        if failure is not None:
+            return no(failure, "threshold superadditivity fails (condition 3)")
         return yes("threshold superadditivity")
     for b1 in positives:
         for b2 in positives:
@@ -747,67 +759,44 @@ def _enumerate_finite(shape: ExtensionShape) -> LatticeReport:
     carrier = shape.carrier
     if not carrier.is_finite:
         raise StructureError("exhaustive scope needs a finite carrier")
-    budget = DEFAULT_BUDGET
+    _closed_finite_shape(shape)
     prod = product_cone(shape)
-    lex = lex_cone(shape)
-    els = carrier.elements()
-    floor = frozenset(x for x in els if prod.contains(x, budget).is_yes)
-    ceil = frozenset(x for x in els if lex.contains(x, budget).is_yes)
-    found: list[tuple[str, Cone]] = []
-    if floor <= ceil:
-        extra = sorted(ceil - floor, key=repr)
-        if len(extra) > 20:
-            raise StructureError("interval too wide for exhaustive enumeration")
-        for bits in itertools.product((False, True), repeat=len(extra)):
-            chosen = frozenset(e for e, keep in zip(extra, bits) if keep)
-            cand = ExtensionalCone(carrier, floor | chosen)
-            if is_compatible(cand, shape, "definitional", budget).is_yes:
-                found.append((format_element(tuple(sorted(cand.elements, key=repr))), cand))
-    found.sort(key=lambda item: (len(item[1].elements), item[0]))
-    cones = tuple(c for _, c in found)
-    meets = _meets_closed_extensional(carrier, cones)
-    joins = _joins_closed_extensional(carrier, cones)
+    only = ExtensionalCone(
+        carrier, frozenset(x for x in carrier.elements() if prod.contains(x).is_yes)
+    )
+    cones = (only,) if only.known_cone() else ()
     return LatticeReport(
         scope=str(ExhaustiveFinite()),
-        labels=tuple(lbl for lbl, _ in found),
+        labels=tuple(format_element(tuple(sorted(c.elements, key=repr))) for c in cones),
         cones=cones,
         count=len(cones),
-        meets_closed=meets,
-        joins_closed_in_window=joins,
+        # A family of at most one cone is closed under meets and joins.
+        meets_closed=True,
+        joins_closed_in_window=True,
         compatible=yes(),
         notes="finite carriers collapse the interval: no strictly positive base elements",
     )
 
 
-def _meets_closed_extensional(carrier, cones) -> bool:
-    sets = [c.elements for c in cones]
-    pool = set(sets)
-    return all((a & b) in pool for a in sets for b in sets)
-
-
-def _joins_closed_extensional(carrier, cones) -> bool:
-    sets = [c.elements for c in cones]
-    pool = set(sets)
-    return all(any(s >= (a | b) for s in pool) for a in sets for b in sets)
+def _superadditive_failure(x) -> tuple[int, int] | None:
+    """The first (i, j) with x[i+j] < x[i] + x[j], or None when x is superadditive."""
+    n = len(x)
+    for i in range(1, n):
+        for j in range(1, n - i):
+            if x[i + j] < x[i] + x[j]:
+                return i, j
+    return None
 
 
 def superadditive_sequences(length: int, max_value: int) -> list[tuple]:
     """All threshold sequences x_1..x_length over {0..max_value, inf} with
     x_{i+j} >= x_i + x_j (x_0 = 0 implicit)."""
     values = list(range(max_value + 1)) + [INF]
-    out = []
-    for seq in itertools.product(values, repeat=length):
-        x = (0,) + seq
-        ok = True
-        for i in range(1, length + 1):
-            for j in range(1, length + 1 - i):
-                if x[i + j] < x[i] + x[j]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append(seq)
+    out = [
+        seq
+        for seq in itertools.product(values, repeat=length)
+        if _superadditive_failure((0,) + seq) is None
+    ]
     out.sort(key=lambda s: tuple((t is INF, t if t is not INF else 0) for t in s))
     return out
 

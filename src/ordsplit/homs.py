@@ -12,6 +12,7 @@ import itertools
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 from .groups import (
@@ -202,12 +203,17 @@ class TableHom(Homomorphism):
         if {a for a, _ in self.pairs} != set(self.source.elements()):
             raise StructureError("table must cover every source element")
 
-    def mapping(self) -> dict:
+    @cached_property
+    def _table(self) -> dict:
         return dict(self.pairs)
 
+    def mapping(self) -> dict:
+        return dict(self._table)
+
     def apply(self, el):
+        # el passes source.check before the lookup: True == 1 and both hash alike.
         self.source.check(el)
-        return self.mapping()[el]
+        return self._table[el]
 
     def __str__(self):
         return f"table({len(self.pairs)})"

@@ -116,12 +116,15 @@ def is_strong(pt: SplitExtension, budget: SaturationBudget = DEFAULT_BUDGET) -> 
 
 @dataclass(frozen=True)
 class PullbackCone(Cone):
-    """Positivity downstairs reads off the base cone and the upstairs cone."""
+    """Positivity downstairs reads off the base cone and the upstairs cone.
+
+    The carrier's action is the PrecomposedAction built by pullback, whose
+    memo of along(c) is read here.
+    """
 
     group: Group
     base_cone: Cone
     upstairs: Cone
-    along: Homomorphism
 
     def contains(self, el, budget=DEFAULT_BUDGET):
         self.group.check(el)
@@ -129,7 +132,7 @@ class PullbackCone(Cone):
         vb = self.base_cone.contains(c, budget)
         if vb.is_no:
             return no(el, "base part not positive")
-        vu = self.upstairs.contains((x, self.along.apply(c)), budget)
+        vu = self.upstairs.contains((x, self.group.action.image(c)), budget)
         return vand(vb, vu)
 
     def __str__(self):
@@ -152,7 +155,7 @@ def pullback(
         )
     action = PrecomposedAction(pt.action, g)
     carrier = Semidirect(pt.x.group, base.group, action)
-    cone = PullbackCone(carrier, base.cone, pt.cone, g)
+    cone = PullbackCone(carrier, base.cone, pt.cone)
     return SplitExtension(pt.x, base, action, cone)
 
 

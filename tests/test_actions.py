@@ -1,7 +1,7 @@
 """Memoised action data: a warm cache answers like a cold one and checks first.
 
-ScalingAction keeps q**b per b, PrecomposedAction keeps along(c) per c and
-FiniteTableAction builds its table once.  Fraction(2) == 2 and both hash
+ScalingAction keeps q**b per b, PrecomposedAction keeps along(c) per c, and
+FiniteTableAction and TableHom build their tables once.  Fraction(2) == 2 and both hash
 alike, so each operand must pass Group.check before any lookup.
 """
 
@@ -67,6 +67,18 @@ def test_finite_table_cache_hit_still_checks_the_acting_element():
     for b in (2, -1, True):
         with pytest.raises(ShapeError):
             inv.apply(b, 1)
+
+
+def test_table_hom_cache_hit_still_checks_the_source_element():
+    Z4 = CyclicGroup(4)
+    double = TableHom.from_dict(Z4, Z4, {x: 2 * x % 4 for x in range(4)})
+    assert [double.apply(x) for x in range(4)] == [0, 2, 0, 2]
+    for x in (True, 4, -1, Fraction(1)):
+        with pytest.raises(ShapeError):
+            double.apply(x)
+    fresh = double.mapping()
+    fresh[1] = 3
+    assert double.apply(1) == 2 and double.mapping()[1] == 2
 
 
 @settings(max_examples=60)

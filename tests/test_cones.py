@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from ordsplit.actions import SignAction, ScalingAction, TrivialAction
 from ordsplit.cones import (
     ConeGenerators,
+    ExplicitGenerators,
     ExtensionalCone,
     FullCone,
     GeneratedCone,
@@ -21,7 +22,14 @@ from ordsplit.cones import (
     is_monotone,
     units_subgroup,
 )
-from ordsplit.groups import CyclicGroup, FreeAbelian, RationalVector, Semidirect, ShapeError
+from ordsplit.groups import (
+    CyclicGroup,
+    FreeAbelian,
+    RationalVector,
+    Semidirect,
+    ShapeError,
+    StructureError,
+)
 from ordsplit.homs import IdentityHom, ScalarHom
 from ordsplit.verdict import SaturationBudget, Window
 
@@ -69,6 +77,19 @@ def test_generated_cone_finite_matches_oracle():
         expected = oracle_cone_closure(S3, seed)
         assert isinstance(got, ExtensionalCone)
         assert got.elements == expected
+
+
+def test_generated_cone_refuses_a_finite_carrier():
+    # generated_cone closes finite carriers exactly; GeneratedCone never sees one.
+    Z4 = CyclicGroup(4)
+    sd = Semidirect(Z4, Z4, TrivialAction(Z4, Z4))
+    for G, source in (
+        (Z4, ExplicitGenerators((1,))),
+        (sd, ConeGenerators(ProductCone(sd, TrivialCone(Z4), FullCone(Z4)))),
+    ):
+        with pytest.raises(StructureError):
+            GeneratedCone(G, source)
+    assert generated_cone(Z4, [2]) == ExtensionalCone(Z4, frozenset({0, 2}))
 
 
 def test_generated_cone_s3_transposition_is_everything():

@@ -1,9 +1,11 @@
 import copy
 import hashlib
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -174,16 +176,24 @@ def test_query_errors_surface_per_query():
     assert "monotone" in rep["queries"][0]["error"]
 
 
+def _child_env():
+    """The environment with this checkout's src first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
 def _cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "ordsplit.cli", *args],
-        capture_output=True, text=True, timeout=600,
+        capture_output=True, text=True, timeout=600, env=_child_env(),
     )
 
 
 def test_python_dash_m_ordsplit_runs_the_cli():
     r = subprocess.run([sys.executable, "-m", "ordsplit", "catalog"],
-                       capture_output=True, text=True, timeout=600)
+                       capture_output=True, text=True, timeout=600, env=_child_env())
     assert r.returncode == 0, r.stderr
 
 
@@ -367,6 +377,8 @@ def test_no_without_witness_becomes_an_error_entry(monkeypatch):
     {"window": None},
     {"window": [300000, 1, 1]},
     {"window": [1, 100000, 1]},
+    {"windows": [3, 6, 3]},
+    {"conjugator": 1},
 ])
 def test_bad_query_budget_rejected_at_parse(budget):
     doc = minimal_doc()
@@ -374,6 +386,13 @@ def test_bad_query_budget_rejected_at_parse(budget):
     with pytest.raises(DocumentError) as err:
         parse_document(doc)
     assert err.value.location == "queries[0].budget"
+
+
+def test_unknown_budget_key_is_named():
+    doc = minimal_doc()
+    doc["queries"][0]["budget"] = {"windows": [300000, 1, 1], "conjugators": 2}
+    with pytest.raises(DocumentError, match="unknown budget key 'windows'"):
+        parse_document(doc)
 
 
 def test_cli_bad_query_budget_exits_2(tmp_path):
@@ -711,3 +730,40 @@ def test_catalog_mutants_parse_or_raise_document_error():
                 pass
             except Exception as exc:  # pragma: no cover - the failure report
                 pytest.fail(f"{path} = {value!r}: {type(exc).__name__}: {exc}")
+
+
+# --- a finite carrier needs closed kernel and base cones ---------------------------
+
+
+def _unclosed_finite_base_doc(**extra):
+    """Z2 over Z4, trivially acted, with the base set {r0, r1, r2}: r1 + r2 = r3."""
+    doc = minimal_doc()
+    doc["groups"].update(Z2={"kind": "finite_cyclic", "n": 2}, Z4={"kind": "finite_cyclic", "n": 4})
+    doc["cones"].update(
+        px={"kind": "trivial", "group": "Z2"},
+        pb={"kind": "extensional", "group": "Z4", "elements": [["r0"], ["r1"], ["r2"]]},
+    )
+    doc["actions"]["t4"] = {"kind": "trivial", "acting": "Z4", "acted": "Z2"}
+    doc.update(extra)
+    return doc
+
+
+FINITE_SHAPE = {"x_group": "Z2", "x_cone": "px", "b_group": "Z4", "b_cone": "pb", "action": "t4"}
+UNCLOSED_BASE = "the base cone set(3) of a finite carrier is not closed"
+
+
+def test_lattice_over_an_unclosed_finite_base_cone_is_a_query_error(tmp_path, capsys):
+    doc = _unclosed_finite_base_doc(
+        queries=[dict(FINITE_SHAPE, op="lattice", scope={"kind": "exhaustive"})]
+    )
+    (entry,) = run(parse_document(doc))["queries"]
+    assert entry["error"] == UNCLOSED_BASE
+    code, err = _validate_exit(tmp_path, capsys, doc, "lattice")
+    assert code == 1 and "Traceback" not in err
+
+
+def test_minimal_point_over_an_unclosed_finite_base_cone_exits_2(tmp_path, capsys):
+    doc = _unclosed_finite_base_doc(points={"p": dict(FINITE_SHAPE, cone="minimal")})
+    code, err = _validate_exit(tmp_path, capsys, doc)
+    assert code == 2
+    assert f"points.p: {UNCLOSED_BASE}" in err

@@ -1,5 +1,9 @@
-import pytest
+import random
 from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ordsplit.actions import (
     FiniteTableAction,
@@ -53,7 +57,13 @@ from ordsplit.homs import (
 )
 from ordsplit.verdict import SaturationBudget, Window
 
-from helpers import SMALL_BUDGET, assert_state, symmetric_cayley
+from helpers import (
+    SMALL_BUDGET,
+    assert_state,
+    oracle_all_compatible_cones,
+    random_finite_extension,
+    symmetric_cayley,
+)
 
 Z = FreeAbelian(1)
 Q = RationalVector(1)
@@ -341,6 +351,28 @@ def test_enumerate_finite_unique_or_empty():
     rep2 = enumerate_compatible_cones(bad_shape, ExhaustiveFinite())
     assert rep2.count == 0
     assert_state(compatible_exists(bad_shape, SMALL_BUDGET), "no")
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_finite_carrier_has_the_componentwise_set_as_its_only_candidate(seed):
+    # No base element of a finite closed cone is strictly positive, so the
+    # compatible interval holds the componentwise set or nothing.
+    x_pre, b_pre, action = random_finite_extension(random.Random(seed))
+    shape = ExtensionShape(x_pre, b_pre, action)
+    oracle = oracle_all_compatible_cones(
+        shape.carrier, x_pre.cone.elements, b_pre.cone.elements
+    )
+    rep = enumerate_compatible_cones(shape, ExhaustiveFinite())
+    assert rep.count == len(oracle) <= 1
+    assert {c.elements for c in rep.cones} == oracle
+    if compatible_exists(shape, SMALL_BUDGET).is_yes:
+        mc = minimal_cone(shape, SMALL_BUDGET)
+        assert mc == product_cone(shape)
+        (only,) = oracle
+        assert frozenset(e for e in shape.carrier.elements() if mc.contains(e).is_yes) == only
+    else:
+        assert not oracle
 
 
 def test_enumerated_lattice_cones_all_pass_is_compatible():

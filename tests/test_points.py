@@ -326,3 +326,23 @@ def test_conjugator_system_is_built_once_per_base_element(monkeypatch):
     assert all(x[0] == 0 for _, x, _ in members)
     assert routes[True] > len(members)
     assert len(solves) == len(checks) == routes[True]
+
+
+def test_pullback_cone_reads_along_from_the_action_memo(monkeypatch):
+    # PullbackCone.contains reads along(c) through the carrier's
+    # PrecomposedAction, so along runs once per distinct base element,
+    # counting the calls made from contains.
+    budget = SaturationBudget(2, 6, Window(3, 6, 3))
+    g = ScalarHom(Z, Z, Fraction(3))
+    pb = pullback(scaling_point(), g, ZN, budget)
+    images = Counter()
+    hom_apply = ScalarHom.apply
+
+    def counting_apply(self, el):
+        if self is g:
+            images[el] += 1
+        return hom_apply(self, el)
+
+    monkeypatch.setattr(ScalarHom, "apply", counting_apply)
+    assert_state(is_strong(pb, budget), "yes")
+    assert images and max(images.values()) == 1
