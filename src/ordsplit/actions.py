@@ -32,8 +32,14 @@ class Action(ABC):
     acting: Group
     acted: Group
 
+    def apply(self, b: Element, x: Element) -> Element:
+        self.acting.check(b)
+        self.acted.check(x)
+        return self._apply(b, x)
+
     @abstractmethod
-    def apply(self, b: Element, x: Element) -> Element: ...
+    def _apply(self, b: Element, x: Element) -> Element:
+        """phi_b(x) for b and x that already passed check."""
 
     def as_hom(self, b: Element) -> Homomorphism:
         return ActionHom(self, b)
@@ -60,6 +66,9 @@ class ActionHom(Homomorphism):
     action: Action
     b: Element
 
+    def __post_init__(self):
+        self.action.acting.check(self.b)
+
     @property
     def source(self):
         return self.action.acted
@@ -70,6 +79,9 @@ class ActionHom(Homomorphism):
 
     def apply(self, el):
         return self.action.apply(self.b, el)
+
+    def _apply(self, el):
+        return self.action._apply(self.b, el)
 
     def as_scalar(self):
         return self.action.scalar_for(self.b)
@@ -89,9 +101,7 @@ class TrivialAction(Action):
     acting: Group
     acted: Group
 
-    def apply(self, b, x):
-        self.acting.check(b)
-        self.acted.check(x)
+    def _apply(self, b, x):
         return x
 
     def is_identity_for(self, b):
@@ -121,10 +131,8 @@ class SignAction(Action):
         if not self.acted.is_abelian():
             raise StructureError("sign action needs an abelian acted group")
 
-    def apply(self, b, x):
-        self.acting.check(b)
-        self.acted.check(x)
-        return x if b % 2 == 0 else self.acted.neg(x)
+    def _apply(self, b, x):
+        return x if b % 2 == 0 else self.acted._neg(x)
 
     def is_identity_for(self, b):
         return b % 2 == 0
@@ -156,10 +164,10 @@ class ScalingAction(Action):
             raise StructureError("scaling action needs acted group Q^k")
         if self.q <= 0:
             raise StructureError("scaling ratio must be positive")
+        # An int ratio would give float powers q**b for negative b.
+        object.__setattr__(self, "q", Fraction(self.q))
 
-    def apply(self, b, x):
-        self.acting.check(b)
-        self.acted.check(x)
+    def _apply(self, b, x):
         f = self._powers.get(b)
         if f is None:
             f = self._powers[b] = self.q**b
@@ -220,9 +228,7 @@ class MatrixAction(Action):
             out = p if out is None else mat_mul(out, p)
         return out
 
-    def apply(self, b, x):
-        self.acting.check(b)
-        self.acted.check(x)
+    def _apply(self, b, x):
         m = self.matrix_for(b)
         vec = (x,) if self.acted.rank == 1 else x
         out = mat_vec(m, vec)
@@ -288,9 +294,8 @@ class FiniteTableAction(Action):
     def _table(self) -> dict:
         return dict(self.assignments)
 
-    def apply(self, b, x):
-        self.acting.check(b)
-        return self._table[b].apply(x)
+    def _apply(self, b, x):
+        return self._table[b]._apply(x)
 
     def as_hom(self, b):
         return self._table[b]
@@ -327,13 +332,16 @@ class PrecomposedAction(Action):
     def image(self, c: Element) -> Element:
         """along(c), computed once per c."""
         self.acting.check(c)
+        return self._image(c)
+
+    def _image(self, c: Element) -> Element:
         b = self._images.get(c)
         if b is None:
             b = self._images[c] = self.along.apply(c)
         return b
 
-    def apply(self, c, x):
-        return self.base.apply(self.image(c), x)
+    def _apply(self, c, x):
+        return self.base._apply(self._image(c), x)
 
     def is_identity_for(self, c):
         return self.base.is_identity_for(self.image(c))
@@ -355,16 +363,16 @@ class ProductAction(Action):
     first: Action
     second: Action
 
-    @property
+    @cached_property
     def acting(self):
         return DirectProduct((self.first.acting, self.second.acting))
 
-    @property
+    @cached_property
     def acted(self):
         return DirectProduct((self.first.acted, self.second.acted))
 
-    def apply(self, b, x):
-        return (self.first.apply(b[0], x[0]), self.second.apply(b[1], x[1]))
+    def _apply(self, b, x):
+        return (self.first._apply(b[0], x[0]), self.second._apply(b[1], x[1]))
 
     def is_identity_for(self, b):
         return self.first.is_identity_for(b[0]) and self.second.is_identity_for(b[1])

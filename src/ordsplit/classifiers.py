@@ -101,6 +101,10 @@ class FiniteAutGroup(AutGroup):
         return {x: i for i, x in enumerate(self._order_list)}
 
     @cached_property
+    def _member_set(self) -> frozenset:
+        return frozenset(self._members)
+
+    @cached_property
     def _members(self) -> tuple:
         pos = frozenset(
             x for x in self.base.group.elements() if self.base.cone.contains(x).is_yes
@@ -122,21 +126,18 @@ class FiniteAutGroup(AutGroup):
     def zero(self):
         return tuple(self._order_list)
 
-    def add(self, a, b):
-        self.check(a)
-        self.check(b)
+    def _add(self, a, b):
         # (a . b)(x) = a(b(x)): matches the twisted addition convention.
         return tuple(a[self._index[b[i]]] for i in range(len(b)))
 
-    def neg(self, a):
-        self.check(a)
+    def _neg(self, a):
         inv = [None] * len(a)
         for i, img in enumerate(a):
             inv[self._index[img]] = self._order_list[i]
         return tuple(inv)
 
     def check(self, el) -> None:
-        if el not in set(self._members):
+        if el not in self._member_set:
             raise ShapeError(f"not a cone-preserving automorphism: {el!r}")
 
     def generators(self):
@@ -149,7 +150,7 @@ class FiniteAutGroup(AutGroup):
         return self.elements()
 
     def is_abelian(self) -> bool:
-        return all(self.add(a, b) == self.add(b, a) for a in self._members for b in self._members)
+        return all(self._add(a, b) == self._add(b, a) for a in self._members for b in self._members)
 
     def realize(self, el) -> Homomorphism:
         self.check(el)
@@ -161,7 +162,7 @@ class FiniteAutGroup(AutGroup):
 
     def from_action(self, action: Action, b):
         cand = tuple(action.apply(b, x) for x in self._order_list)
-        return cand if cand in set(self._members) else None
+        return cand if cand in self._member_set else None
 
     def __str__(self):
         return f"Aut({self.base.group})[{len(self._members)}]"
@@ -183,17 +184,14 @@ class TrivialAutGroup(AutGroup):
     def zero(self):
         return 0
 
-    def add(self, a, b):
-        self.check(a)
-        self.check(b)
+    def _add(self, a, b):
         return 0
 
-    def neg(self, a):
-        self.check(a)
+    def _neg(self, a):
         return 0
 
     def check(self, el) -> None:
-        if el != 0:
+        if type(el) is not int or el != 0:
             raise ShapeError("the trivial automorphism group has a single element")
 
     def generators(self):
@@ -237,17 +235,14 @@ class RatScalingAutGroup(AutGroup):
     def zero(self):
         return Fraction(1)
 
-    def add(self, a, b):
-        self.check(a)
-        self.check(b)
+    def _add(self, a, b):
         return a * b
 
-    def neg(self, a):
-        self.check(a)
+    def _neg(self, a):
         return 1 / a
 
     def check(self, el) -> None:
-        if not isinstance(el, Fraction) or el <= 0:
+        if type(el) is not Fraction or el <= 0:
             raise ShapeError(f"scaling must be a positive rational, got {el!r}")
 
     def generators(self):
@@ -300,21 +295,19 @@ class OrthantPermAutGroup(AutGroup):
     def zero(self):
         return tuple(range(self.rank))
 
-    def add(self, a, b):
-        self.check(a)
-        self.check(b)
+    def _add(self, a, b):
         # (a . b) moves coordinate i to a[b[i]].
         return tuple(a[b[i]] for i in range(self.rank))
 
-    def neg(self, a):
-        self.check(a)
+    def _neg(self, a):
         inv = [0] * self.rank
         for i, v in enumerate(a):
             inv[v] = i
         return tuple(inv)
 
     def check(self, el) -> None:
-        if not (isinstance(el, tuple) and sorted(el) == list(range(self.rank))):
+        perm = isinstance(el, tuple) and sorted(el) == list(range(self.rank))
+        if not (perm and all(type(v) is int for v in el)):
             raise ShapeError(f"expected a permutation of 0..{self.rank - 1}, got {el!r}")
 
     def generators(self):
@@ -535,8 +528,8 @@ class AutEvalAction(Action):
     def acted(self):
         return self.aut.base.group
 
-    def apply(self, b, x):
-        return self.aut.realize(b).apply(x)
+    def _apply(self, b, x):
+        return self.aut.realize(b)._apply(x)
 
     def is_identity_for(self, b):
         return b == self.aut.zero()
@@ -577,8 +570,7 @@ class CorestrictionHom(Homomorphism):
     target: AutGroup
     action: Action
 
-    def apply(self, el):
-        self.source.check(el)
+    def _apply(self, el):
         out = self.target.from_action(self.action, el)
         if out is None:
             raise StructureError(

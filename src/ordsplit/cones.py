@@ -267,8 +267,6 @@ class PreorderedGroup:
 
     def leq(self, x, y, budget: SaturationBudget = DEFAULT_BUDGET) -> Verdict:
         """x <= y, i.e. -x+y in the cone."""
-        self.group.check(x)
-        self.group.check(y)
         v = self.cone.contains(self.group.add(self.group.neg(x), y), budget)
         if v.is_no:
             return no((x, y), f"{format_element(x)} !<= {format_element(y)}")

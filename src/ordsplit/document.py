@@ -10,6 +10,7 @@ and are byte-stable for a fixed document and budget.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Any, Callable
@@ -467,7 +468,17 @@ def _scope_field(spec, doc, r, where):
     if not isinstance(scope, dict):
         raise DocumentError(where, f"scope must be an object, got {scope!r}")
     if scope.get("kind") == "superadditive":
-        return SuperadditiveWindow(_int(scope, "length", where), _int(scope, "max_value", where))
+        length, max_value = _int(scope, "length", where), _int(scope, "max_value", where)
+        if length < 1 or max_value < 0:
+            raise DocumentError(where, f"scope needs length >= 1 and max_value >= 0, got {scope!r}")
+        # Each place takes max_value + 2 values; past length 64 the count is
+        # over the cap whatever max_value is, so the power is not computed.
+        count = (max_value + 2) ** length if length <= 64 else math.inf
+        try:
+            check_window_size(f"superadditive({length},{max_value})", count)
+        except StructureError as exc:
+            raise DocumentError(where, str(exc)) from exc
+        return SuperadditiveWindow(length, max_value)
     if scope.get("kind") == "exhaustive":
         return ExhaustiveFinite()
     raise DocumentError(where, f"unknown scope {scope!r}")
@@ -634,6 +645,12 @@ def _validate_query(i, spec, doc: ProblemDocument) -> dict:
     for name in QUERY_OPS[op].fields:
         resolved[name] = _FIELDS[name](spec, doc, resolved, where)
     q["_resolved"] = resolved
+    expect = spec.get("expect", {})
+    if not isinstance(expect, dict):
+        raise DocumentError(f"{where}.expect", f"expected an object, got {expect!r}")
+    details = expect.get("details", {})
+    if not isinstance(details, dict):
+        raise DocumentError(f"{where}.expect.details", f"expected an object, got {details!r}")
     q["_budget"] = _budget_fields(spec, f"{where}.budget")
     return q
 

@@ -70,12 +70,11 @@ INF = math.inf
 
 def semidirect(X: Group, B: Group, action: Action) -> Semidirect:
     """Validated twisted carrier; raises with a witness on an action-law failure."""
-    if action.acted != X or action.acting != B:
-        raise StructureError("action does not act on the given groups")
+    carrier = Semidirect(X, B, action)
     v = validate_action(action)
     if v.is_no:
         raise StructureError(f"action law violated: {v.note} at {format_element(v.witness)}")
-    return Semidirect(X, B, action)
+    return carrier
 
 
 @dataclass(frozen=True)

@@ -28,10 +28,6 @@ class ShapeError(StructureError):
     """Element does not match the carrier's signature."""
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 class Group(ABC):
     """A group carrier with exact element arithmetic."""
 
@@ -42,11 +38,31 @@ class Group(ABC):
     @abstractmethod
     def zero(self) -> Element: ...
 
-    @abstractmethod
-    def add(self, a: Element, b: Element) -> Element: ...
+    def add(self, a: Element, b: Element) -> Element:
+        self.check(a)
+        self.check(b)
+        return self._add(a, b)
+
+    def neg(self, a: Element) -> Element:
+        self.check(a)
+        return self._neg(a)
+
+    def conjugate(self, g: Element, x: Element) -> Element:
+        """g + x - g."""
+        self.check(g)
+        self.check(x)
+        return self._conjugate(g, x)
+
+    # The _-prefixed operations assume operands that already passed check.
 
     @abstractmethod
-    def neg(self, a: Element) -> Element: ...
+    def _add(self, a: Element, b: Element) -> Element: ...
+
+    @abstractmethod
+    def _neg(self, a: Element) -> Element: ...
+
+    def _conjugate(self, g: Element, x: Element) -> Element:
+        return self._add(self._add(g, x), self._neg(g))
 
     @abstractmethod
     def check(self, el: Element) -> None:
@@ -62,23 +78,20 @@ class Group(ABC):
     def sub(self, a: Element, b: Element) -> Element:
         return self.add(a, self.neg(b))
 
-    def conjugate(self, g: Element, x: Element) -> Element:
-        """g + x - g."""
-        return self.sub(self.add(g, x), g)
-
     def commutes(self, a: Element, b: Element) -> bool:
         return self.add(a, b) == self.add(b, a)
 
     def scalar_mul(self, n: int, a: Element) -> Element:
         """n-fold sum of a (negative n via inversion)."""
+        self.check(a)
         if n < 0:
-            return self.scalar_mul(-n, self.neg(a))
+            n, a = -n, self._neg(a)
         acc = self.zero()
         doubling = a
         while n:
             if n & 1:
-                acc = self.add(acc, doubling)
-            doubling = self.add(doubling, doubling)
+                acc = self._add(acc, doubling)
+            doubling = self._add(doubling, doubling)
             n >>= 1
         return acc
 
@@ -110,22 +123,17 @@ class _VectorGroup(Group):
     def zero(self) -> Element:
         return self._scalar_zero() if self.rank == 1 else (self._scalar_zero(),) * self.rank
 
-    def add(self, a, b):
-        self.check(a)
-        self.check(b)
+    def _add(self, a, b):
         if self.rank == 1:
             return a + b
         return tuple(x + y for x, y in zip(a, b))
 
-    def neg(self, a):
-        self.check(a)
+    def _neg(self, a):
         if self.rank == 1:
             return -a
         return tuple(-x for x in a)
 
-    def conjugate(self, g, x):
-        self.check(g)
-        self.check(x)
+    def _conjugate(self, g, x):
         return x
 
     def generators(self) -> tuple[Element, ...]:
@@ -180,10 +188,10 @@ class FreeAbelian(_VectorGroup):
 
     def check(self, el) -> None:
         if self.rank == 1:
-            if not _is_int(el):
+            if type(el) is not int:
                 raise ShapeError(f"expected int for {self}, got {el!r}")
             return
-        if not (isinstance(el, tuple) and len(el) == self.rank and all(_is_int(c) for c in el)):
+        if not (isinstance(el, tuple) and len(el) == self.rank and all(type(c) is int for c in el)):
             raise ShapeError(f"expected int {self.rank}-tuple for {self}, got {el!r}")
 
     def _scalar_zero(self):
@@ -214,13 +222,13 @@ class RationalVector(_VectorGroup):
 
     def check(self, el) -> None:
         if self.rank == 1:
-            if not isinstance(el, Fraction):
+            if type(el) is not Fraction:
                 raise ShapeError(f"expected Fraction for {self}, got {el!r}")
             return
         if not (
             isinstance(el, tuple)
             and len(el) == self.rank
-            and all(isinstance(c, Fraction) for c in el)
+            and all(type(c) is Fraction for c in el)
         ):
             raise ShapeError(f"expected Fraction {self.rank}-tuple for {self}, got {el!r}")
 
@@ -234,7 +242,7 @@ class RationalVector(_VectorGroup):
         return window.rationals()
 
     def _coerce_scalar(self, c):
-        if _is_int(c) or isinstance(c, str):
+        if type(c) is int or isinstance(c, str):
             return Fraction(c)
         return c
 
@@ -262,22 +270,17 @@ class CyclicGroup(Group):
     def zero(self):
         return 0
 
-    def add(self, a, b):
-        self.check(a)
-        self.check(b)
+    def _add(self, a, b):
         return (a + b) % self.n
 
-    def neg(self, a):
-        self.check(a)
+    def _neg(self, a):
         return (-a) % self.n
 
-    def conjugate(self, g, x):
-        self.check(g)
-        self.check(x)
+    def _conjugate(self, g, x):
         return x
 
     def check(self, el) -> None:
-        if not (_is_int(el) and 0 <= el < self.n):
+        if not (type(el) is int and 0 <= el < self.n):
             raise ShapeError(f"expected residue mod {self.n}, got {el!r}")
 
     def generators(self):
@@ -340,18 +343,14 @@ class CayleyGroup(Group):
     def zero(self):
         return self.identity
 
-    def add(self, a, b):
-        self.check(a)
-        self.check(b)
+    def _add(self, a, b):
         return self.table[a][b]
 
-    def neg(self, a):
-        self.check(a)
-        row = self.table[a]
-        return row.index(self.identity)
+    def _neg(self, a):
+        return self.table[a].index(self.identity)
 
     def check(self, el) -> None:
-        if not (_is_int(el) and 0 <= el < len(self.table)):
+        if not (type(el) is int and 0 <= el < len(self.table)):
             raise ShapeError(f"expected index 0..{len(self.table) - 1}, got {el!r}")
 
     def generators(self):
@@ -398,14 +397,11 @@ class DirectProduct(Group):
     def zero(self):
         return tuple(f.zero() for f in self.factors)
 
-    def add(self, a, b):
-        self.check(a)
-        self.check(b)
-        return tuple(f.add(x, y) for f, x, y in zip(self.factors, a, b))
+    def _add(self, a, b):
+        return tuple(f._add(x, y) for f, x, y in zip(self.factors, a, b))
 
-    def neg(self, a):
-        self.check(a)
-        return tuple(f.neg(x) for f, x in zip(self.factors, a))
+    def _neg(self, a):
+        return tuple(f._neg(x) for f, x in zip(self.factors, a))
 
     def check(self, el) -> None:
         if not (isinstance(el, tuple) and len(el) == len(self.factors)):
@@ -446,7 +442,12 @@ class Semidirect(Group):
 
     x_group: Group
     b_group: Group
-    action: Any  # Action with .apply(b, x); validated by extensions.semidirect
+    action: Any  # Action of b_group on x_group; its laws are checked by extensions.semidirect
+
+    def __post_init__(self):
+        # add and neg hand the action unchecked parts of checked pairs.
+        if self.action.acting != self.b_group or self.action.acted != self.x_group:
+            raise StructureError("action does not act on the given groups")
 
     @property
     def is_finite(self) -> bool:
@@ -460,18 +461,15 @@ class Semidirect(Group):
     def zero(self):
         return (self.x_group.zero(), self.b_group.zero())
 
-    def add(self, a, b):
-        self.check(a)
-        self.check(b)
+    def _add(self, a, b):
         (x1, b1), (x2, b2) = a, b
-        return (self.x_group.add(x1, self.action.apply(b1, x2)), self.b_group.add(b1, b2))
+        return (self.x_group._add(x1, self.action._apply(b1, x2)), self.b_group._add(b1, b2))
 
-    def neg(self, a):
+    def _neg(self, a):
         # Closed form (-phi_{-b}(x), -b); agreement with add is a tested invariant.
-        self.check(a)
         x, b = a
-        nb = self.b_group.neg(b)
-        return (self.x_group.neg(self.action.apply(nb, x)), nb)
+        nb = self.b_group._neg(b)
+        return (self.x_group._neg(self.action._apply(nb, x)), nb)
 
     def check(self, el) -> None:
         if not (isinstance(el, tuple) and len(el) == 2):

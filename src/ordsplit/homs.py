@@ -36,8 +36,13 @@ class Homomorphism(ABC):
     source: Group
     target: Group
 
+    def apply(self, el: Element) -> Element:
+        self.source.check(el)
+        return self._apply(el)
+
     @abstractmethod
-    def apply(self, el: Element) -> Element: ...
+    def _apply(self, el: Element) -> Element:
+        """The image of an el that already passed source.check."""
 
     def __call__(self, el: Element) -> Element:
         return self.apply(el)
@@ -92,8 +97,7 @@ class IdentityHom(Homomorphism):
     def target(self):
         return self.group
 
-    def apply(self, el):
-        self.group.check(el)
+    def _apply(self, el):
         return el
 
     def as_scalar(self):
@@ -121,8 +125,7 @@ class ScalarHom(Homomorphism):
         if isinstance(self.target, FreeAbelian) and self.factor.denominator != 1:
             raise StructureError(f"factor {self.factor} does not map into {self.target}")
 
-    def apply(self, el):
-        self.source.check(el)
+    def _apply(self, el):
         rank = _vec_rank(self.source)
         vec = tuple(self.factor * c for c in _as_vec(el, rank))
         return _from_vec(vec, self.target)
@@ -164,8 +167,7 @@ class LinearHom(Homomorphism):
                     if Fraction(c).denominator != 1:
                         raise StructureError(f"entry {c} not integral for {self.target}")
 
-    def apply(self, el):
-        self.source.check(el)
+    def _apply(self, el):
         vec = _as_vec(el, _vec_rank(self.source))
         out = tuple(sum((Fraction(c) * v for c, v in zip(row, vec)), Fraction(0)) for row in self.matrix)
         return _from_vec(out, self.target)
@@ -200,6 +202,10 @@ class TableHom(Homomorphism):
     def __post_init__(self):
         if not self.source.is_finite:
             raise StructureError("table maps need a finite source")
+        # Before the cover test: True == 1 and both hash alike.
+        for a, b in self.pairs:
+            self.source.check(a)
+            self.target.check(b)
         if {a for a, _ in self.pairs} != set(self.source.elements()):
             raise StructureError("table must cover every source element")
 
@@ -210,9 +216,8 @@ class TableHom(Homomorphism):
     def mapping(self) -> dict:
         return dict(self._table)
 
-    def apply(self, el):
-        # el passes source.check before the lookup: True == 1 and both hash alike.
-        self.source.check(el)
+    def _apply(self, el):
+        # Only reached after source.check: True == 1 and both hash alike.
         return self._table[el]
 
     def __str__(self):
@@ -245,8 +250,7 @@ class FreeImagesHom(Homomorphism):
         else:
             raise StructureError(f"unsupported source {self.source}")
 
-    def apply(self, el):
-        self.source.check(el)
+    def _apply(self, el):
         if isinstance(self.source, CyclicGroup):
             return self.target.scalar_mul(el, self.images[0])
         coords = _as_vec(el, self.source.rank)
@@ -272,12 +276,12 @@ class PairHom(Homomorphism):
     hb: Homomorphism
 
     def __post_init__(self):
-        for G in (self.source, self.target):
-            if not isinstance(G, (Semidirect, DirectProduct)):
-                raise StructureError("pair maps need pair carriers")
+        # _pair_parts refuses other carriers; composites pass the image on unchecked.
+        parts = zip((self.hx, self.hb), _pair_parts(self.source), _pair_parts(self.target))
+        if any(h.source != s or h.target != t for h, s, t in parts):
+            raise StructureError("pair map parts do not match the carriers")
 
-    def apply(self, el):
-        self.source.check(el)
+    def _apply(self, el):
         x, b = el
         return (self.hx.apply(x), self.hb.apply(b))
 
@@ -303,8 +307,7 @@ class KernelHom(Homomorphism):
     def target(self):
         return self.carrier
 
-    def apply(self, el):
-        self.source.check(el)
+    def _apply(self, el):
         return (el, _pair_parts(self.carrier)[1].zero())
 
     def additive_by_construction(self):
@@ -328,8 +331,7 @@ class SectionHom(Homomorphism):
     def target(self):
         return self.carrier
 
-    def apply(self, el):
-        self.source.check(el)
+    def _apply(self, el):
         return (_pair_parts(self.carrier)[0].zero(), el)
 
     def additive_by_construction(self):
@@ -353,8 +355,7 @@ class ProjectionHom(Homomorphism):
     def target(self):
         return _pair_parts(self.carrier)[1]
 
-    def apply(self, el):
-        self.carrier.check(el)
+    def _apply(self, el):
         return el[1]
 
     def additive_by_construction(self):
@@ -381,8 +382,8 @@ class ComposedHom(Homomorphism):
     def target(self):
         return self.outer.target
 
-    def apply(self, el):
-        return self.outer.apply(self.inner.apply(el))
+    def _apply(self, el):
+        return self.outer._apply(self.inner._apply(el))
 
     def as_scalar(self):
         a, b = self.outer.as_scalar(), self.inner.as_scalar()

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import Any, Callable, Iterable
 
 
@@ -185,11 +186,13 @@ class Window:
 
     def rationals(self) -> list[Fraction]:
         check_window_size("Q", self.q_size)
-        seen = set()
-        for den in range(1, self.den_bound + 1):
-            for num in range(-self.num_bound, self.num_bound + 1):
-                seen.add(Fraction(num, den))
-        return sorted(seen)
+        return list(self._rationals)
+
+    @cached_property
+    def _rationals(self) -> tuple[Fraction, ...]:
+        dens = range(1, self.den_bound + 1)
+        nums = range(-self.num_bound, self.num_bound + 1)
+        return tuple(sorted({Fraction(num, den) for den in dens for num in nums}))
 
     def scaled(self, factor: int) -> "Window":
         return Window(self.int_bound * factor, self.num_bound * factor, self.den_bound * factor)

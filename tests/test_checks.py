@@ -1,0 +1,192 @@
+"""Element checks: the public operations check, the _-prefixed ones trust.
+
+Group.add/neg/conjugate, Action.apply and Homomorphism.apply check their
+operands once and hand them to _add/_neg/_conjugate/_apply, which composites
+call on their parts.  What a composite trusts is checked where it enters:
+a Semidirect's action must act on its groups, and a TableHom's pairs must be
+elements of its source and target.
+"""
+
+import importlib.util
+import inspect
+import pkgutil
+from collections import Counter
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+import ordsplit
+from ordsplit.actions import Action, ActionHom, ProductAction, ScalingAction, SignAction, TrivialAction
+from ordsplit.classifiers import FiniteAutGroup, OrthantPermAutGroup, TrivialAutGroup
+from ordsplit.cones import FullCone, OrthantCone, PreorderedGroup
+from ordsplit.groups import (
+    CyclicGroup,
+    DirectProduct,
+    FreeAbelian,
+    Group,
+    RationalVector,
+    Semidirect,
+    ShapeError,
+    StructureError,
+)
+from ordsplit.homs import ComposedHom, Homomorphism, IdentityHom, PairHom, ScalarHom, TableHom
+from ordsplit.verdict import Window
+
+Z = FreeAbelian(1)
+Q = RationalVector(1)
+Z2 = CyclicGroup(2)
+
+
+def scaling_carrier():
+    return Semidirect(Q, Z, ScalingAction(Z, Q, 2))
+
+
+def test_semidirect_add_checks_each_component_once(monkeypatch):
+    calls = Counter()
+    for cls in (FreeAbelian, RationalVector):
+        def counting(self, el, check=cls.check, name=cls.__name__):
+            calls[name] += 1
+            return check(self, el)
+
+        monkeypatch.setattr(cls, "check", counting)
+    sd = scaling_carrier()
+    assert sd.add((Fraction(1), 1), (Fraction(3), -1)) == (Fraction(7), 0)
+    assert calls == {"RationalVector": 2, "FreeAbelian": 2}
+
+
+class Bad:
+    """An operand no carrier accepts."""
+
+
+@pytest.mark.parametrize("G, good", [
+    (DirectProduct((Z, Q)), (1, Fraction(1))),
+    (scaling_carrier(), (Fraction(1), 1)),
+])
+@pytest.mark.parametrize("bad", [
+    lambda good: (good[0], Bad()),
+    lambda good: (Bad(), good[1]),
+    lambda good: good + (good[0],),
+    lambda good: list(good),
+])
+def test_composite_group_operations_refuse_a_malformed_operand(G, good, bad):
+    el = bad(good)
+    for op in (lambda: G.add(good, el), lambda: G.add(el, good), lambda: G.neg(el),
+               lambda: G.conjugate(good, el), lambda: G.conjugate(el, good)):
+        with pytest.raises(ShapeError):
+            op()
+
+
+def test_product_action_apply_refuses_a_malformed_operand():
+    act = ProductAction(SignAction(Z, Z), ScalingAction(Z, Q, Fraction(2)))
+    assert act.apply((1, -1), (3, Fraction(1))) == (-3, Fraction(1, 2))
+    for b, x in (((1, Fraction(1)), (3, Fraction(1))), ((1, -1), (3, 1)), ((1,), (3, Fraction(1)))):
+        with pytest.raises(ShapeError):
+            act.apply(b, x)
+
+
+def test_composed_hom_apply_refuses_a_malformed_operand():
+    h = ComposedHom(ScalarHom(Q, Q, Fraction(1, 2)), ScalarHom(Z, Q, Fraction(3)))
+    assert h.apply(2) == Fraction(3)
+    for el in (Fraction(2), True, 2.0):
+        with pytest.raises(ShapeError):
+            h.apply(el)
+
+
+def test_semidirect_refuses_an_action_on_other_groups():
+    with pytest.raises(StructureError, match="does not act on the given groups"):
+        Semidirect(Q, Z2, ScalingAction(Z, Q, Fraction(2)))
+    with pytest.raises(StructureError, match="does not act on the given groups"):
+        Semidirect(Q, Z, TrivialAction(Z, Z))
+
+
+def test_pair_hom_and_action_hom_refuse_parts_they_would_trust():
+    sd = Semidirect(Z, Z, SignAction(Z, Z))
+    with pytest.raises(StructureError, match="parts do not match"):
+        PairHom(sd, sd, ScalarHom(Q, Q, Fraction(2)), IdentityHom(Z))
+    with pytest.raises(ShapeError):
+        SignAction(Z, Z).as_hom(Fraction(1))
+
+
+def test_an_int_scaling_ratio_gives_exact_powers():
+    # q**b for an int q and a negative b is a float; the carrier's add
+    # would pass it on unchecked.
+    x, b = scaling_carrier().add((Fraction(1), -1), (Fraction(3), 0))
+    assert (x, b) == (Fraction(5, 2), -1) and type(x) is Fraction
+
+
+def test_table_hom_refuses_values_outside_its_target_and_bool_keys():
+    with pytest.raises(ShapeError):
+        TableHom.from_dict(Z2, Z, {0: 0, 1: Fraction(1, 2)})
+    with pytest.raises(ShapeError):
+        TableHom(Z2, Z2, ((False, 0), (True, 1)))
+
+
+def test_subclasses_of_int_and_fraction_are_refused():
+    class Int(int):
+        pass
+
+    class Frac(Fraction):
+        pass
+
+    for G, el in ((Z, Int(1)), (Z2, Int(1)), (FreeAbelian(2), (1, Int(1))),
+                  (Q, Frac(1)), (RationalVector(2), (Fraction(1), Frac(1)))):
+        with pytest.raises(ShapeError):
+            G.check(el)
+        with pytest.raises(ShapeError):
+            G.neg(el)
+    with pytest.raises(ShapeError):
+        Z.add(True, 1)
+    Z2V = FreeAbelian(2)
+    perms = OrthantPermAutGroup(PreorderedGroup(Z2V, OrthantCone(Z2V)))
+    trivial = TrivialAutGroup(PreorderedGroup(Z, OrthantCone(Z)))
+    for G, el in ((perms, (True, False)), (perms, (1, Int(0))), (trivial, False), (trivial, Fraction(0))):
+        with pytest.raises(ShapeError):
+            G.neg(el)
+
+
+def test_only_the_base_classes_define_the_checked_operations():
+    allowed = {
+        (Group, "add"), (Group, "neg"), (Group, "conjugate"),
+        (Action, "apply"), (Homomorphism, "apply"),
+        (ActionHom, "apply"),  # the automorphism phi_b checks through its action
+    }
+    found = set()
+    for info in pkgutil.iter_modules(ordsplit.__path__):
+        module = importlib.import_module(f"ordsplit.{info.name}")
+        for _, cls in inspect.getmembers(module, inspect.isclass):
+            if cls.__module__ != module.__name__:
+                continue
+            for name in ("add", "neg", "conjugate", "apply"):
+                if name in vars(cls):
+                    found.add((cls, name))
+    assert found == allowed
+
+
+def test_fixed_data_is_built_once():
+    w = Window(2, 3, 2)
+    first = w.rationals()
+    first.append(Fraction(99))
+    assert w.rationals() == sorted({Fraction(n, d) for d in (1, 2) for n in range(-3, 4)})
+    aut = FiniteAutGroup(PreorderedGroup(CyclicGroup(3), FullCone(CyclicGroup(3))))
+    assert aut.order() == 2 and aut.add((0, 2, 1), (0, 2, 1)) == (0, 1, 2)
+    with pytest.raises(ShapeError):
+        aut.neg((1, 2, 0))
+
+
+def test_perfbench_tracer_installs_and_uninstalls():
+    # The benchmark's tracer wraps these layers' methods by name; a refactor
+    # that moves one makes install raise LookupError.
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    t = tracer.Tracer()
+    try:
+        tracer.install(t)
+        assert Z.add(1, 2) == 3 and scaling_carrier().neg((Fraction(1), 1)) == (Fraction(-1, 2), -1)
+    finally:
+        t.uninstall()
+    calls, _ = t.fold()
+    assert calls["groups.add"] == 1 and calls["groups.neg"] == 1 and calls["groups.check"] >= 3
+    assert "traced" not in Group.add.__qualname__

@@ -20,7 +20,7 @@ from ordsplit.document import (
     run,
 )
 from ordsplit.groups import StructureError
-from ordsplit.verdict import State, Verdict
+from ordsplit.verdict import SaturationBudget, State, Verdict, Window
 from helpers import SMALL_BUDGET
 
 
@@ -767,3 +767,70 @@ def test_minimal_point_over_an_unclosed_finite_base_cone_exits_2(tmp_path, capsy
     code, err = _validate_exit(tmp_path, capsys, doc)
     assert code == 2
     assert f"points.p: {UNCLOSED_BASE}" in err
+
+
+# --- expect and the superadditive scope are checked at parse time ------------------
+
+
+LATTICE_QUERY = dict(SHAPE_SPEC, op="lattice", action="sgn",
+                     scope={"kind": "superadditive", "length": 2, "max_value": 2})
+
+
+@pytest.mark.parametrize("change, location, message", [
+    ({"expect": 5}, "queries[0].expect", "expected an object, got 5"),
+    ({"expect": {"details": [1]}}, "queries[0].expect.details", "expected an object, got [1]"),
+    ({"scope": {"kind": "superadditive", "length": 0, "max_value": 2}}, "queries[0]", "length >= 1"),
+    ({"scope": {"kind": "superadditive", "length": -1, "max_value": 2}}, "queries[0]", "length >= 1"),
+    ({"scope": {"kind": "superadditive", "length": 2, "max_value": -1}}, "queries[0]", "max_value >= 0"),
+    ({"scope": {"kind": "superadditive", "length": 14, "max_value": 2}}, "queries[0]",
+     "window of superadditive(14,2) needs 268435456 elements, over the cap of 200000"),
+    ({"scope": {"kind": "superadditive", "length": 10**9, "max_value": 2}}, "queries[0]",
+     "needs inf elements"),
+])
+def test_expect_and_superadditive_scope_rejected_at_parse(change, location, message):
+    started = time.monotonic()
+    with pytest.raises(DocumentError) as err:
+        parse_document(minimal_doc([dict(LATTICE_QUERY, **change)]))
+    assert time.monotonic() - started < 1
+    assert err.value.location == location
+    assert message in err.value.message
+
+
+def test_cli_rejects_non_object_expect_without_a_traceback(tmp_path, capsys):
+    doc = minimal_doc()
+    doc["queries"][0]["expect"] = 5
+    for command in ("validate", "check"):
+        code, err = _validate_exit(tmp_path, capsys, doc, command)
+        assert code == 2
+        assert "queries[0].expect: expected an object, got 5" in err and "Traceback" not in err
+
+
+# --- every single-value mutation of a catalog query that parses also runs ------------
+
+
+def test_catalog_query_mutants_that_parse_run_without_raising():
+    # Each query alone, so a mutant exercises only its own op.  A query that
+    # raises inside run (not a per-query error entry) would crash the CLI.
+    base = catalog_dict()
+    budget = SaturationBudget(1, 2, Window(2, 4, 2))
+    ran = 0
+    for query in base["queries"]:
+        for path in _value_paths(query):
+            for value in MUTANT_VALUES:
+                doc = copy.deepcopy(base)
+                doc["queries"] = [copy.deepcopy(query)]
+                node = doc["queries"][0]
+                for key in path[:-1]:
+                    node = node[key]
+                node[path[-1]] = copy.deepcopy(value)
+                try:
+                    parsed = parse_document(doc)
+                except DocumentError:
+                    continue
+                try:
+                    report = run(parsed, budget)
+                except Exception as exc:  # pragma: no cover - the failure report
+                    pytest.fail(f"{query['id']} {path} = {value!r}: {type(exc).__name__}: {exc}")
+                assert len(report["queries"]) == 1
+                ran += 1
+    assert ran == 320
