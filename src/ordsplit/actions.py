@@ -24,7 +24,7 @@ from .groups import (
     StructureError,
 )
 from .homs import Homomorphism, TableHom, check_homomorphism
-from .linalg import Matrix, mat, mat_mul, mat_pow, mat_vec, determinant
+from .linalg import Matrix, determinant, identity_matrix, mat, mat_mul, mat_pow, mat_vec
 from .verdict import Verdict, Window, no, yes
 
 
@@ -221,24 +221,16 @@ class MatrixAction(Action):
                 raise StructureError("generator matrices must commute")
 
     def matrix_for(self, b):
-        coords = (b,) if self.acting.rank == 1 else b
         out = None
-        for m, c in zip(self.images, coords):
+        for m, c in zip(self.images, self.acting.coords(b)):
             p = mat_pow(m, c)
             out = p if out is None else mat_mul(out, p)
         return out
 
     def _apply(self, b, x):
-        m = self.matrix_for(b)
-        vec = (x,) if self.acted.rank == 1 else x
-        out = mat_vec(m, vec)
-        if isinstance(self.acted, FreeAbelian):
-            out = tuple(int(c) for c in out)
-        return out[0] if self.acted.rank == 1 else tuple(out)
+        return self.acted.from_coords(mat_vec(self.matrix_for(b), self.acted.coords(x)))
 
     def is_identity_for(self, b):
-        from .linalg import identity_matrix
-
         return self.matrix_for(b) == identity_matrix(self.acted.rank)
 
     def scalar_for(self, b):
@@ -298,9 +290,11 @@ class FiniteTableAction(Action):
         return self._table[b]._apply(x)
 
     def as_hom(self, b):
+        self.acting.check(b)
         return self._table[b]
 
     def is_identity_for(self, b):
+        self.acting.check(b)
         h = self._table[b]
         return all(v == k for k, v in h.mapping().items())
 

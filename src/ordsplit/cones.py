@@ -38,7 +38,7 @@ from .groups import (
     format_element,
 )
 from .homs import Homomorphism, KernelHom, ProjectionHom, SectionHom, _pair_parts
-from .linalg import feasible_strict, identity_matrix, mat_sub, solve
+from .linalg import feasible_strict, identity_matrix, mat_sub, scalar_matrix, solve
 from .verdict import (
     DEFAULT_BUDGET,
     SaturationBudget,
@@ -134,8 +134,7 @@ class OrthantCone(Cone):
 
     def contains(self, x, budget=DEFAULT_BUDGET):
         self.group.check(x)
-        coords = (x,) if self.group.rank == 1 else x
-        for c in coords:
+        for c in self.group.coords(x):
             if c < 0:
                 return no(x)
         return yes()
@@ -234,6 +233,23 @@ class ProductCone(Cone):
 
     def __str__(self):
         return f"({self.x_cone} x {self.b_cone})"
+
+
+@dataclass(frozen=True)
+class PointProductCone(Cone):
+    """Membership of ((x1,x2),(b1,b2)) splits into the two component points."""
+
+    group: Group
+    first: Cone
+    second: Cone
+
+    def contains(self, el, budget=DEFAULT_BUDGET):
+        self.group.check(el)
+        (x1, x2), (b1, b2) = el
+        return vand(self.first.contains((x1, b1), budget), self.second.contains((x2, b2), budget))
+
+    def __str__(self):
+        return f"({self.first} * {self.second})"
 
 
 @dataclass(frozen=True)
@@ -464,10 +480,7 @@ class GeneratedCone(Cone):
         if m is None:
             s = G.action.scalar_for(bp)
             if s is not None:
-                m = tuple(
-                    tuple(Fraction(s) if i == j else Fraction(0) for j in range(X.rank))
-                    for i in range(X.rank)
-                )
+                m = scalar_matrix(s, X.rank)
         if m is not None and self.source.member((X.zero(), bp), budget).is_yes:
             a = mat_sub(identity_matrix(X.rank), m)
         self._cache[key] = a
@@ -482,8 +495,7 @@ class GeneratedCone(Cone):
         a = self._conjugator_system(bp, budget)
         if a is None:
             return None
-        target = (xp,) if X.rank == 1 else xp
-        particular, basis = solve(a, [Fraction(c) for c in target])
+        particular, basis = solve(a, X.coords(xp))
         if particular is None:
             return None
         candidates = [particular]
@@ -494,12 +506,10 @@ class GeneratedCone(Cone):
                     v = [c + s * bc for c, bc in zip(v, bvec)]
                 candidates.append(tuple(v))
         for cand in candidates:
-            if isinstance(X, FreeAbelian):
-                if any(c.denominator != 1 for c in cand):
-                    continue
-                r = int(cand[0]) if X.rank == 1 else tuple(int(c) for c in cand)
-            else:
-                r = cand[0] if X.rank == 1 else tuple(cand)
+            try:
+                r = X.from_coords(cand)
+            except ShapeError:
+                continue  # not integral on Z^k
             check = G.conjugate((r, G.b_group.zero()), (X.zero(), bp))
             if check == (xp, bp):
                 return r
@@ -614,35 +624,17 @@ class GeneratedCone(Cone):
         if not G.is_abelian():
             return None
         vx = _flatten(G, x)
-        if vx is None:
-            return None
         gens = self.finite_generators()
-        if gens is None:
-            gens = self.source.sample(G, budget.window, budget)
-            exact_gens = False
-        else:
-            exact_gens = True
-        vgens = []
-        for g in gens:
-            vg = _flatten(G, g)
-            if vg is None:
-                return None
-            vgens.append(vg)
-        if exact_gens:
-            functional = feasible_strict(vgens, [vx])
-            if functional is not None:
-                return no(
-                    x,
-                    f"separating functional {functional}",
-                )
-            cols = list(zip(*vgens)) if vgens else []
-            if vgens:
-                a = tuple(tuple(Fraction(c) for c in row) for row in cols)
-                particular, _ = solve(a, list(vx))
-                if particular is None:
-                    return no(x, "outside the rational span of the generators")
-            elif any(c != 0 for c in vx):
-                return no(x, "no generators")
+        if vx is None or gens is None:
+            return None
+        vgens = [_flatten(G, g) for g in gens]
+        if None in vgens:
+            return None
+        # Fourier-Motzkin is complete: by Farkas' lemma, when no functional
+        # separates x it lies in the rational cone of the generators.
+        functional = feasible_strict(vgens, [vx])
+        if functional is not None:
+            return no(x, f"separating functional {functional}")
         return None
 
 
@@ -675,11 +667,10 @@ def _conjugator_words(G: Group, max_len: int) -> list:
     return out
 
 
-def _flatten(G: Group, el) -> tuple[Fraction, ...] | None:
-    """Coordinates of el in Q^m for torsion-free abelian carriers."""
+def _flatten(G: Group, el) -> tuple | None:
+    """Exact coordinates of el in Q^m for torsion-free abelian carriers."""
     if isinstance(G, (FreeAbelian, RationalVector)):
-        coords = (el,) if G.rank == 1 else el
-        return tuple(Fraction(c) for c in coords)
+        return G.coords(el)
     if isinstance(G, DirectProduct):
         parts = []
         for f, x in zip(G.factors, el):

@@ -118,7 +118,6 @@ class ProblemDocument:
     homs: dict[str, Homomorphism]
     points: dict[str, SplitExtension]
     queries: list[dict]
-    raw: dict
 
 
 # --- element literals ----------------------------------------------------------
@@ -135,8 +134,7 @@ def _element_value(G: Group, lit, where: str):
     if isinstance(G, (FreeAbelian, RationalVector)):
         if not (isinstance(lit, list) and len(lit) == G.rank):
             raise DocumentError(where, f"expected {G.rank} coordinate strings")
-        coords = [_scalar(G, s, where) for s in lit]
-        return coords[0] if G.rank == 1 else tuple(coords)
+        return G.from_coords([_scalar(G, s, where) for s in lit])
     if isinstance(G, (CyclicGroup, CayleyGroup)):
         if not (isinstance(lit, list) and len(lit) == 1 and isinstance(lit[0], str)):
             raise DocumentError(where, 'expected ["rN"] residue literal')
@@ -167,7 +165,7 @@ def parse_document(text: str | dict) -> ProblemDocument:
     if isinstance(text, str):
         try:
             raw = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an integer over the digit limit
             raise DocumentError("document", f"invalid JSON: {exc}") from exc
     else:
         raw = text
@@ -177,7 +175,7 @@ def parse_document(text: str | dict) -> ProblemDocument:
         raise DocumentError("format", f"expected {FORMAT!r}, got {raw.get('format')!r}")
     groups: dict[str, Group] = {}
     for name, spec in _section(raw, "groups", dict).items():
-        groups[name] = _parse_group(name, spec, groups, raw)
+        groups[name] = _parse_group(name, spec, groups)
     cones: dict[str, Cone] = {}
     for name, spec in _section(raw, "cones", dict).items():
         cones[name] = _parse_cone(name, spec, groups)
@@ -190,7 +188,7 @@ def parse_document(text: str | dict) -> ProblemDocument:
     points: dict[str, SplitExtension] = {}
     for name, spec in _section(raw, "points", dict).items():
         points[name] = _parse_point(name, spec, groups, cones, actions)
-    doc = ProblemDocument(groups, cones, actions, homs, points, [], raw)
+    doc = ProblemDocument(groups, cones, actions, homs, points, [])
     ids = set()
     for i, spec in enumerate(_section(raw, "queries", list)):
         q = _validate_query(i, spec, doc)
@@ -278,7 +276,7 @@ def _ref(table: dict, name, where: str, what: str):
     return table[name]
 
 
-def _parse_group(name, spec, groups, raw) -> Group:
+def _parse_group(name, spec, groups) -> Group:
     where = f"groups.{name}"
     kind = _need(spec, "kind", where)
     try:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Any
 
-from .actions import Action, FiniteTableAction, TrivialAction, validate_action
+from .actions import Action, FiniteTableAction, ProductAction, TrivialAction, validate_action
 from .cones import (
     Cone,
     ConeGenerators,
@@ -24,6 +24,7 @@ from .cones import (
     GeneratedCone,
     LexCone,
     OrthantCone,
+    PointProductCone,
     PreorderedGroup,
     ProductCone,
     TrivialCone,
@@ -262,8 +263,6 @@ def minimal_cone(shape: ExtensionShape, budget: SaturationBudget = DEFAULT_BUDGE
     if split is not None:
         # Closure acts coordinatewise on a product of extensions, so the
         # least cone is the pairing of the component least cones.
-        from .points import PointProductCone
-
         first, second = split
         return PointProductCone(
             shape.carrier, minimal_cone(first, budget), minimal_cone(second, budget)
@@ -288,8 +287,6 @@ def _closed_finite_shape(shape: ExtensionShape) -> None:
 
 
 def _product_shape_components(shape: ExtensionShape):
-    from .actions import ProductAction
-
     act = shape.action
     if not isinstance(act, ProductAction):
         return None

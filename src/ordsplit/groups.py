@@ -2,8 +2,9 @@
 
 Elements are plain immutable Python values whose shape depends on the group:
 residue/table indices are ints, rank-1 free/rational groups use bare ints and
-Fractions, higher-rank vector groups use tuples, and composite groups use
-pairs/tuples of component elements.  All arithmetic is exact and unbounded.
+Fractions, higher-rank vector groups use tuples (coords/from_coords convert
+to and from coordinate tuples), and composite groups use pairs/tuples of
+component elements.  All arithmetic is exact and unbounded.
 """
 
 from __future__ import annotations
@@ -116,7 +117,7 @@ class Group(ABC):
 
 
 class _VectorGroup(Group):
-    """Shared arithmetic for Z^k and Q^k; rank 1 uses bare scalars."""
+    """Shared arithmetic and coordinate format for Z^k and Q^k; rank 1 uses bare scalars."""
 
     rank: int
 
@@ -167,6 +168,16 @@ class _VectorGroup(Group):
             return tuple(self._coerce_scalar(c) for c in el)
         return el
 
+    def coords(self, el) -> tuple:
+        """The coordinates of el; a 1-tuple at rank 1."""
+        return (el,) if self.rank == 1 else el
+
+    def from_coords(self, vec) -> Element:
+        """The element with coordinates vec: exact values, passed through when already exact."""
+        if self.rank == 1:
+            return self._exact_scalar(vec[0])
+        return tuple(self._exact_scalar(c) for c in vec)
+
     def _scalar_zero(self): ...
 
     def _scalar_one(self): ...
@@ -174,6 +185,8 @@ class _VectorGroup(Group):
     def _scalar_window(self, window: Window) -> list: ...
 
     def _coerce_scalar(self, c): ...
+
+    def _exact_scalar(self, c): ...
 
 
 @dataclass(frozen=True)
@@ -205,6 +218,14 @@ class FreeAbelian(_VectorGroup):
 
     def _coerce_scalar(self, c):
         return c
+
+    def _exact_scalar(self, c):
+        if type(c) is int:
+            return c
+        n = int(c)
+        if n != c:
+            raise ShapeError(f"non-integral image {c} for {self}")
+        return n
 
     def __str__(self):
         return "Z" if self.rank == 1 else f"Z^{self.rank}"
@@ -245,6 +266,9 @@ class RationalVector(_VectorGroup):
         if type(c) is int or isinstance(c, str):
             return Fraction(c)
         return c
+
+    def _exact_scalar(self, c):
+        return c if type(c) is Fraction else Fraction(c)
 
     def __str__(self):
         return "Q" if self.rank == 1 else f"Q^{self.rank}"

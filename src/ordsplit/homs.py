@@ -23,12 +23,11 @@ from .groups import (
     Group,
     RationalVector,
     Semidirect,
-    ShapeError,
     StructureError,
     element_order,
     generated_subgroup,
 )
-from .linalg import matrix_inverse
+from .linalg import mat, mat_vec, matrix_inverse, scalar_matrix
 from .verdict import Verdict, Window, no, unknown, yes
 
 
@@ -63,26 +62,6 @@ def _vec_rank(G: Group) -> int | None:
     if isinstance(G, (FreeAbelian, RationalVector)):
         return G.rank
     return None
-
-
-def _as_vec(el, rank):
-    return (el,) if rank == 1 else el
-
-
-def _from_vec(vec, G: Group):
-    if G.rank == 1:  # type: ignore[attr-defined]
-        out = vec[0]
-    else:
-        out = tuple(vec)
-    if isinstance(G, FreeAbelian):
-        coerced = tuple(int(c) for c in (out if isinstance(out, tuple) else (out,)))
-        for c, orig in zip(coerced, (out if isinstance(out, tuple) else (out,))):
-            if c != orig:
-                raise ShapeError(f"non-integral image {orig} for {G}")
-        return coerced[0] if G.rank == 1 else coerced
-    if isinstance(out, tuple):
-        return tuple(Fraction(c) for c in out)
-    return Fraction(out)
 
 
 @dataclass(frozen=True)
@@ -126,19 +105,13 @@ class ScalarHom(Homomorphism):
             raise StructureError(f"factor {self.factor} does not map into {self.target}")
 
     def _apply(self, el):
-        rank = _vec_rank(self.source)
-        vec = tuple(self.factor * c for c in _as_vec(el, rank))
-        return _from_vec(vec, self.target)
+        return self.target.from_coords(tuple(self.factor * c for c in self.source.coords(el)))
 
     def as_scalar(self):
         return Fraction(self.factor)
 
     def as_matrix(self):
-        rank = _vec_rank(self.source)
-        return tuple(
-            tuple(Fraction(self.factor) if i == j else Fraction(0) for j in range(rank))
-            for i in range(rank)
-        )
+        return scalar_matrix(self.factor, _vec_rank(self.source))
 
     def additive_by_construction(self):
         return True
@@ -168,9 +141,7 @@ class LinearHom(Homomorphism):
                         raise StructureError(f"entry {c} not integral for {self.target}")
 
     def _apply(self, el):
-        vec = _as_vec(el, _vec_rank(self.source))
-        out = tuple(sum((Fraction(c) * v for c, v in zip(row, vec)), Fraction(0)) for row in self.matrix)
-        return _from_vec(out, self.target)
+        return self.target.from_coords(mat_vec(self.matrix, self.source.coords(el)))
 
     def as_scalar(self):
         if len(self.matrix) == 1 and len(self.matrix[0]) == 1:
@@ -178,7 +149,7 @@ class LinearHom(Homomorphism):
         return None
 
     def as_matrix(self):
-        return tuple(tuple(Fraction(c) for c in row) for row in self.matrix)
+        return mat(self.matrix)
 
     def additive_by_construction(self):
         return True
@@ -253,9 +224,8 @@ class FreeImagesHom(Homomorphism):
     def _apply(self, el):
         if isinstance(self.source, CyclicGroup):
             return self.target.scalar_mul(el, self.images[0])
-        coords = _as_vec(el, self.source.rank)
         acc = self.target.zero()
-        for c, img in zip(coords, self.images):
+        for c, img in zip(self.source.coords(el), self.images):
             acc = self.target.add(acc, self.target.scalar_mul(c, img))
         return acc
 

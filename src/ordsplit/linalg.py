@@ -1,11 +1,13 @@
 """Small exact linear algebra over Fractions.
 
 Everything here works on tuples of tuples of Fraction; sizes are desk-scale
-(rank <= ~6), so plain Gaussian elimination and Fourier-Motzkin are fine.
+(rank <= ~6), so plain elimination and Fourier-Motzkin are fine.  One
+Gauss-Jordan routine, _reduce, serves solve, matrix_inverse and determinant.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -16,10 +18,14 @@ def mat(rows) -> Matrix:
     return tuple(tuple(Fraction(c) for c in row) for row in rows)
 
 
+def scalar_matrix(s, n: int) -> Matrix:
+    """s times the n x n identity."""
+    s, zero = Fraction(s), Fraction(0)
+    return tuple(tuple(s if i == j else zero for j in range(n)) for i in range(n))
+
+
 def identity_matrix(n: int) -> Matrix:
-    return tuple(
-        tuple(Fraction(1) if i == j else Fraction(0) for j in range(n)) for i in range(n)
-    )
+    return scalar_matrix(1, n)
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -53,80 +59,65 @@ def mat_sub(a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(x - y for x, y in zip(r1, r2)) for r1, r2 in zip(a, b))
 
 
-def determinant(a: Matrix) -> Fraction:
-    n = len(a)
-    rows = [list(r) for r in a]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
+def _reduce(rows: list[list[Fraction]], ncols: int) -> tuple[list[int], list[Fraction], int]:
+    """Gauss-Jordan elimination of rows, in place, on their first ncols columns.
+
+    Returns the pivot columns (their rows come first, scaled to 1), the pivot
+    values before scaling and the number of row swaps.
+    """
+    cols, values, swaps = [], [], 0
+    for col in range(ncols):
+        r = len(cols)
+        pivot = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
         if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = -det
-        det *= rows[col][col]
-        inv = 1 / rows[col][col]
-        for r in range(col + 1, n):
-            f = rows[r][col] * inv
-            if f:
-                for c in range(col, n):
-                    rows[r][c] -= f * rows[col][c]
-    return det
+            continue
+        if pivot != r:
+            rows[r], rows[pivot] = rows[pivot], rows[r]
+            swaps += 1
+        p = rows[r][col]
+        rows[r] = [c / p for c in rows[r]]
+        for i, row in enumerate(rows):
+            f = row[col]
+            if f and i != r:
+                rows[i] = [x - f * y for x, y in zip(row, rows[r])]
+        cols.append(col)
+        values.append(p)
+    return cols, values, swaps
+
+
+def determinant(a: Matrix) -> Fraction:
+    cols, values, swaps = _reduce([list(row) for row in mat(a)], len(a))
+    if len(cols) < len(a):
+        return Fraction(0)
+    return math.prod(values, start=Fraction((-1) ** swaps))
 
 
 def matrix_inverse(a: Matrix) -> Matrix | None:
     n = len(a)
     if any(len(row) != n for row in a):
         return None
-    aug = [list(row) + list(identity_matrix(n)[i]) for i, row in enumerate(mat(a))]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [c * inv for c in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    aug = [list(row + e) for row, e in zip(mat(a), identity_matrix(n))]
+    if len(_reduce(aug, n)[0]) < n:
+        return None
     return tuple(tuple(row[n:]) for row in aug)
 
 
 def solve(a: Matrix, b) -> tuple[Vector | None, list[Vector]]:
     """One solution of a x = b (or None) plus a basis of the null space."""
-    m, n = len(a), len(a[0]) if a else 0
-    aug = [[Fraction(c) for c in row] + [Fraction(b[i])] for i, row in enumerate(a)]
-    pivots: list[int] = []
-    r = 0
-    for col in range(n):
-        pivot = next((i for i in range(r, m) if aug[i][col] != 0), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv = 1 / aug[r][col]
-        aug[r] = [c * inv for c in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(col)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if aug[i][n] != 0:
-            return None, []
+    n = len(a[0]) if a else 0
+    aug = [[Fraction(c) for c in row] + [Fraction(v)] for row, v in zip(a, b)]
+    pivots = _reduce(aug, n)[0]
+    if any(row[n] != 0 for row in aug[len(pivots):]):
+        return None, []
     x = [Fraction(0)] * n
-    for i, col in enumerate(pivots):
-        x[col] = aug[i][n]
-    free = [c for c in range(n) if c not in pivots]
+    for row, col in zip(aug, pivots):
+        x[col] = row[n]
     basis = []
-    for fc in free:
+    for fc in (c for c in range(n) if c not in pivots):
         v = [Fraction(0)] * n
         v[fc] = Fraction(1)
-        for i, col in enumerate(pivots):
-            v[col] = -aug[i][fc]
+        for row, col in zip(aug, pivots):
+            v[col] = -row[fc]
         basis.append(tuple(v))
     return tuple(x), basis
 

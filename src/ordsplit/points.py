@@ -14,6 +14,8 @@ from fractions import Fraction
 from .actions import PrecomposedAction, ProductAction
 from .cones import (
     Cone,
+    FullCone,
+    PointProductCone,
     PreorderedGroup,
     ProductCone,
     TrivialCone,
@@ -40,6 +42,7 @@ from .homs import (
     compose,
     invert,
 )
+from .linalg import determinant
 from .verdict import (
     DEFAULT_BUDGET,
     SaturationBudget,
@@ -206,28 +209,9 @@ def default_base_catalog(base: PreorderedGroup) -> list[tuple[PreorderedGroup, H
                 out.append((cand, h))
                 break
     z2 = CyclicGroup(2)
-    from .cones import FullCone
-
     zero = TableHom.from_dict(z2, Z, {0: 0, 1: 0})
     out.append((PreorderedGroup(z2, FullCone(z2)), zero))
     return out
-
-
-@dataclass(frozen=True)
-class PointProductCone(Cone):
-    """Membership of ((x1,x2),(b1,b2)) splits into the two component points."""
-
-    group: Group
-    first: Cone
-    second: Cone
-
-    def contains(self, el, budget=DEFAULT_BUDGET):
-        self.group.check(el)
-        (x1, x2), (b1, b2) = el
-        return vand(self.first.contains((x1, b1), budget), self.second.contains((x2, b2), budget))
-
-    def __str__(self):
-        return f"({self.first} * {self.second})"
 
 
 def point_product(pt1: SplitExtension, pt2: SplitExtension) -> SplitExtension:
@@ -285,8 +269,6 @@ def order_iso_check(
     """Group isomorphism (via an exact inverse) monotone in both directions."""
     m = h.as_matrix()
     if m is not None and src.group == dst.group:
-        from .linalg import determinant
-
         d = determinant(m)
         if isinstance(src.group, FreeAbelian) and abs(d) != 1:
             return no(d, "matrix determinant is not a unit over Z")

@@ -69,6 +69,22 @@ def test_finite_table_cache_hit_still_checks_the_acting_element():
             inv.apply(b, 1)
 
 
+def test_finite_table_queries_per_element_check_the_acting_element():
+    # True == 1 and both hash alike, so an unchecked lookup answers for 1.
+    Z3, Z2 = CyclicGroup(3), CyclicGroup(2)
+    inv = FiniteTableAction.from_homs(
+        Z2, Z3, {0: TableHom.from_dict(Z3, Z3, {0: 0, 1: 1, 2: 2}),
+                 1: TableHom.from_dict(Z3, Z3, {0: 0, 1: 2, 2: 1})}
+    )
+    assert inv.is_identity_for(0) and not inv.is_identity_for(1)
+    assert inv.as_hom(1).apply(1) == 2
+    for b in (True, 2, -1):
+        with pytest.raises(ShapeError):
+            inv.as_hom(b)
+        with pytest.raises(ShapeError):
+            inv.is_identity_for(b)
+
+
 def test_table_hom_cache_hit_still_checks_the_source_element():
     Z4 = CyclicGroup(4)
     double = TableHom.from_dict(Z4, Z4, {x: 2 * x % 4 for x in range(4)})

@@ -7,9 +7,11 @@ a Semidirect's action must act on its groups, and a TableHom's pairs must be
 elements of its source and target.
 """
 
+import ast
 import importlib.util
 import inspect
 import pkgutil
+import re
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -36,6 +38,7 @@ from ordsplit.verdict import Window
 Z = FreeAbelian(1)
 Q = RationalVector(1)
 Z2 = CyclicGroup(2)
+SRC = Path(ordsplit.__file__).resolve().parent
 
 
 def scaling_carrier():
@@ -190,3 +193,23 @@ def test_perfbench_tracer_installs_and_uninstalls():
     calls, _ = t.fold()
     assert calls["groups.add"] == 1 and calls["groups.neg"] == 1 and calls["groups.check"] >= 3
     assert "traced" not in Group.add.__qualname__
+
+
+# The element <-> coordinate conversion of vector carriers, written inline.
+INLINE_COORDS = re.compile(r"\(\w+,\) if .*rank == 1 else|\[0\]\)? if .*rank == 1 else")
+
+
+def test_vector_coordinates_and_elimination_each_live_in_one_place():
+    inline = {p.name for p in SRC.glob("*.py") if INLINE_COORDS.search(p.read_text())}
+    assert inline <= {"groups.py"}
+    assert (SRC / "linalg.py").read_text().count("pivot = next(") == 1
+
+
+def test_no_function_level_imports_but_the_verdict_groups_cycle():
+    found = set()
+    for path in SRC.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and node not in tree.body:
+                found.add((path.stem, getattr(node, "module", None)))
+    assert found == {("verdict", "groups")}

@@ -834,3 +834,40 @@ def test_catalog_query_mutants_that_parse_run_without_raising():
                 assert len(report["queries"]) == 1
                 ran += 1
     assert ran == 320
+
+
+def test_cli_integer_literal_over_the_digit_limit_exits_2(tmp_path):
+    # Python refuses to convert integers of more than 4300 digits.
+    path = tmp_path / "doc.json"
+    text = json.dumps(minimal_doc())
+    assert '"rank": 1}' in text
+    path.write_text(text.replace('"rank": 1}', '"rank": 1' + "0" * 5000 + "}", 1))
+    r = _cli("validate", str(path))
+    assert r.returncode == 2
+    assert "invalid: document:" in r.stderr and "Traceback" not in r.stderr
+
+
+def test_generated_cones_on_rational_and_product_carriers():
+    # Q reaches _within_cap's Fraction branch; Z x Z reaches _flatten's
+    # DirectProduct branch.
+    doc = minimal_doc([
+        {"id": "q_sum", "op": "cone_contains", "cone": "halves", "element": ["5/6"]},
+        {"id": "q_neg", "op": "cone_contains", "cone": "halves", "element": ["-1"]},
+        {"id": "zz_in", "op": "cone_contains", "cone": "diag", "element": [["3"], ["1"]]},
+        {"id": "zz_out", "op": "cone_contains", "cone": "diag", "element": [["0"], ["1"]]},
+    ])
+    doc["groups"]["ZZ"] = {"kind": "direct_product", "factors": ["Z", "Z"]}
+    doc["cones"]["halves"] = {"kind": "generated", "group": "Q", "generators": [["1/2"], ["1/3"]]}
+    doc["cones"]["diag"] = {
+        "kind": "generated", "group": "ZZ", "generators": [[["1"], ["0"]], [["1"], ["1"]]],
+    }
+    got = {k: v["verdict"] for k, v in _verdicts(parse_document(doc)).items()}
+    for key in ("q_sum", "zz_in"):
+        assert got[key]["state"] == "yes" and got[key]["note"] == "saturation"
+    assert got["q_neg"] == {
+        "state": "no", "witness": "-1", "note": "separating functional (Fraction(1, 1),)",
+    }
+    assert got["zz_out"] == {
+        "state": "no", "witness": "(0, 1)",
+        "note": "separating functional (Fraction(1, 1), Fraction(-1, 2))",
+    }

@@ -194,3 +194,22 @@ def test_semidirect_not_provably_abelian_with_sign():
     assert not sign_carrier().is_abelian()
     triv = Semidirect(Z, Z, TrivialAction(Z, Z))
     assert triv.is_abelian()
+
+
+@pytest.mark.parametrize("G", [Z, FreeAbelian(3), Q, RationalVector(2)], ids=str)
+def test_coordinates_round_trip_over_a_window(G):
+    for x in G.window_elements(Window(2, 3, 2)):
+        vec = G.coords(x)
+        assert isinstance(vec, tuple) and len(vec) == G.rank
+        back = G.from_coords(vec)
+        assert back == x
+        G.check(back)
+
+
+def test_from_coords_makes_exact_elements():
+    assert Q.from_coords((2,)) == Fraction(2) and type(Q.from_coords((2,))) is Fraction
+    assert Z2V.from_coords((Fraction(4, 2), Fraction(-3))) == (2, -3)
+    Z2V.check(Z2V.from_coords((Fraction(4, 2), Fraction(-3))))
+    for G, vec in ((Z, (Fraction(1, 2),)), (Z2V, (1, Fraction(1, 3)))):
+        with pytest.raises(ShapeError, match="non-integral image"):
+            G.from_coords(vec)

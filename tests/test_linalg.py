@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -77,3 +78,64 @@ def test_feasible_strict_known_certificate():
     assert y[0] * 1 + y[1] * 0 >= 0
     assert y[0] * 1 + y[1] * 1 >= 0
     assert y[0] * 1 + y[1] * 2 < 0
+
+
+def leibniz(a):
+    n = len(a)
+    total = Fraction(0)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = Fraction(-1 if inversions % 2 else 1)
+        for i, j in enumerate(perm):
+            term *= a[i][j]
+        total += term
+    return total
+
+
+def rank_by_minors(a):
+    m, n = len(a), len(a[0])
+    for k in range(min(m, n), 0, -1):
+        for rows in itertools.combinations(range(m), k):
+            for cols in itertools.combinations(range(n), k):
+                if leibniz([[a[i][j] for j in cols] for i in rows]):
+                    return k
+    return 0
+
+
+@settings(max_examples=80)
+@given(st.lists(st.lists(small_int, min_size=3, max_size=3), min_size=3, max_size=3),
+       st.sampled_from([(0, 0), (1, 1), (0, 1)]))
+def test_determinant_agrees_with_leibniz_through_row_swaps(rows, zeroed):
+    # A zero on the diagonal start forces the elimination to swap rows.
+    for i, j in (zeroed, (0, 0)):
+        rows[i][j] = 0
+    m = mat(rows)
+    assert determinant(m) == leibniz(m)
+    swapped = mat([rows[1], rows[0], rows[2]])
+    assert determinant(swapped) == -leibniz(m)
+
+
+@settings(max_examples=60)
+@given(st.lists(st.lists(small_int, min_size=3, max_size=3), min_size=1, max_size=3),
+       st.tuples(small_int, small_int, small_int))
+def test_solve_basis_has_n_minus_rank_vectors(rows, v):
+    a = mat(rows)
+    b = mat_vec(a, v)
+    particular, basis = solve(a, b)
+    assert particular is not None and mat_vec(a, particular) == b
+    assert len(basis) == 3 - rank_by_minors(a)
+    if basis:
+        assert rank_by_minors(mat(basis)) == len(basis)
+
+
+@settings(max_examples=80)
+@given(st.lists(st.tuples(small_int, small_int, small_int), min_size=1, max_size=4),
+       st.tuples(small_int, small_int, small_int))
+def test_no_separating_functional_puts_x_in_the_span(gens, x):
+    # Farkas: x outside the rational cone of gens is separated by some y;
+    # GeneratedCone._abelian_exclusion relies on Fourier-Motzkin finding it.
+    if feasible_strict(gens, [x]) is None:
+        columns = mat(zip(*gens))
+        particular, _ = solve(columns, x)
+        assert particular is not None
+        assert mat_vec(columns, particular) == tuple(Fraction(c) for c in x)
