@@ -871,3 +871,30 @@ def test_generated_cones_on_rational_and_product_carriers():
         "state": "no", "witness": "(0, 1)",
         "note": "separating functional (Fraction(1, 1), Fraction(-1, 2))",
     }
+
+
+def _table_action(phi0, phi1, n=3):
+    """Z_2 acting on Z_n: r0 maps x to phi0[x] and r1 maps x to phi1[x]."""
+    return {
+        "kind": "finite_table", "acting": "Z2", "acted": "Zn",
+        "images": [
+            [[f"r{b}"], [[[f"r{x}"], [f"r{phi[x]}"]] for x in range(n)]]
+            for b, phi in enumerate((phi0, phi1))
+        ],
+    }
+
+
+@pytest.mark.parametrize("action", [
+    pytest.param(_table_action([0, 1, 2], [1, 0, 2]), id="not_additive"),
+    pytest.param(_table_action([0, 1, 2, 3, 4], [0, 2, 4, 1, 3], 5), id="composition"),
+    pytest.param(_table_action([0, 2, 1], [0, 1, 2]), id="zero_not_identity"),
+    pytest.param(_table_action([0, 1, 2], [0, 0, 0]), id="not_bijective"),
+])
+def test_cli_rejects_finite_table_action_law_failures(tmp_path, capsys, action):
+    doc = minimal_doc()
+    doc["groups"]["Z2"] = {"kind": "finite_cyclic", "n": 2}
+    doc["groups"]["Zn"] = {"kind": "finite_cyclic", "n": len(action["images"][0][1])}
+    doc["actions"]["bad"] = action
+    code, err = _validate_exit(tmp_path, capsys, doc)
+    assert code == 2
+    assert "invalid: actions.bad:" in err and "Traceback" not in err
