@@ -36,6 +36,7 @@ from .groups import (
     ShapeError,
     StructureError,
     format_element,
+    word_ball,
 )
 from .homs import Homomorphism, KernelHom, ProjectionHom, SectionHom, _pair_parts
 from .linalg import feasible_strict, identity_matrix, mat_sub, scalar_matrix, solve
@@ -602,7 +603,7 @@ class GeneratedCone(Cone):
             for a in self.source.sample(G, budget.window, budget)
             if a != G.zero()
         ]
-        words = _conjugator_words(G, budget.max_conjugators)
+        words = word_ball(G, G.generators(), budget.max_conjugators)
         cap = self._cap(budget)
         atoms = set()
         for a in base:
@@ -648,25 +649,6 @@ def _within_cap(el, cap: int) -> bool:
     return True
 
 
-def _conjugator_words(G: Group, max_len: int) -> list:
-    gens = list(G.generators())
-    steps = gens + [G.neg(g) for g in gens]
-    seen = {G.zero()}
-    frontier = [G.zero()]
-    out = [G.zero()]
-    for _ in range(max_len):
-        nxt = []
-        for w in frontier:
-            for s in steps:
-                c = G.add(w, s)
-                if c not in seen:
-                    seen.add(c)
-                    nxt.append(c)
-                    out.append(c)
-        frontier = nxt
-    return out
-
-
 def _flatten(G: Group, el) -> tuple | None:
     """Exact coordinates of el in Q^m for torsion-free abelian carriers."""
     if isinstance(G, (FreeAbelian, RationalVector)):
@@ -701,20 +683,13 @@ def generated_cone(G: Group, generators) -> Cone:
 
 
 def _finite_closure(G: Group, seed) -> frozenset:
-    """Least subset of a finite G holding 0 and seed, closed under + and conjugation."""
-    els = G.elements()
-    current = {G.zero(), *seed}
-    while True:
-        nxt = set(current)
-        for g in els:
-            for x in current:
-                nxt.add(G.conjugate(g, x))
-        for a in list(nxt):
-            for b in list(nxt):
-                nxt.add(G.add(a, b))
-        if nxt == current:
-            return frozenset(current)
-        current = nxt
+    """Least cone of a finite G holding the checked elements seed.
+
+    Every element of a finite group has finite order, so a closed cone holds
+    the inverses of its elements: the least cone is the subgroup generated
+    by the conjugates of seed.
+    """
+    return frozenset(word_ball(G, {G._conjugate(g, x) for g in G.elements() for x in seed}))
 
 
 @dataclass(frozen=True)

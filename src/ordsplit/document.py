@@ -155,6 +155,9 @@ def _scalar(G, s, where):
         raise DocumentError(where, f"coordinates are strings, got {s!r}")
     if isinstance(G, FreeAbelian):
         return int(s)
+    if "e" in s.lower():
+        # Fraction computes 10**exponent, which the digit limit does not bound.
+        raise ValueError("exponent notation is not accepted")
     return Fraction(s)
 
 
@@ -217,7 +220,8 @@ def _need(spec: dict, key: str, where: str):
 def _number(value, where: str, kind: type = int):
     """kind(value), refusing booleans and a float that kind would round."""
     try:
-        out = kind(value)
+        # Fraction("1e9999999") computes 10**exponent, which the digit limit does not bound.
+        out = None if isinstance(value, str) and "e" in value.lower() else kind(value)
     except (TypeError, ValueError, ZeroDivisionError, OverflowError):
         out = None
     if out is None or isinstance(value, bool) or (isinstance(value, float) and out != value):
@@ -413,13 +417,19 @@ def _shape(spec, groups, cones, actions, where) -> ExtensionShape:
     b = _pre(groups, cones, spec, "b_group", "b_cone", where)
     action = _ref(actions, _need(spec, "action", where), where, "action")
     try:
-        return ExtensionShape(x, b, action)
+        shape = ExtensionShape(x, b, action)
+        shape.carrier  # a finite carrier over the window cap is refused here
+        return shape
     except StructureError as exc:
         raise DocumentError(where, str(exc)) from exc
 
 
-def _thresholds(spec, where) -> tuple:
-    return tuple(INF if t == "inf" else _number(t, where) for t in _list(spec, "thresholds", where))
+def _thresholds(spec, where) -> UpSetFibers:
+    thresholds = _list(spec, "thresholds", where)
+    try:
+        return UpSetFibers(tuple(INF if t == "inf" else _number(t, where) for t in thresholds))
+    except StructureError as exc:
+        raise DocumentError(where, str(exc)) from exc
 
 
 def _parse_point(name, spec, groups, cones, actions) -> SplitExtension:
@@ -430,7 +440,7 @@ def _parse_point(name, spec, groups, cones, actions) -> SplitExtension:
         if tag in ("product", "lex", "minimal"):
             return point(shape, tag)
         if isinstance(tag, dict) and tag.get("kind") == "family":
-            fam = ConeFamily(shape.b, shape.x, UpSetFibers(_thresholds(tag, where)))
+            fam = ConeFamily(shape.b, shape.x, _thresholds(tag, where))
             return SplitExtension(shape.x, shape.b, shape.action, FamilyCone(shape.carrier, fam))
     except StructureError as exc:
         raise DocumentError(where, str(exc)) from exc
@@ -482,6 +492,22 @@ def _scope_field(spec, doc, r, where):
     raise DocumentError(where, f"unknown scope {scope!r}")
 
 
+def _base_field(spec, doc, r, where):
+    base = _pre(doc.groups, doc.cones, spec, "base_group", "base_cone", where)
+    if r["along"].source != base.group or r["along"].target != r["point"].b.group:
+        raise DocumentError(where, "pullback map must go from the new base into the old one")
+    return base
+
+
+def _pair_field(spec, doc, r, where):
+    c = _ref(doc.homs, _need(spec, "c", where), where, "homomorphism")
+    try:
+        PairHom(r["src"].carrier, r["dst"].carrier, r["a"], c)
+    except StructureError as exc:
+        raise DocumentError(where, str(exc)) from exc
+    return c
+
+
 def _mode_field(spec, doc, r, where):
     mode = spec.get("mode", "interval")
     if mode not in COMPATIBILITY_MODES:
@@ -511,11 +537,11 @@ _FIELDS = {
     "left": _element_field("left", lambda r: r["pre"].group),
     "right": _element_field("right", lambda r: r["pre"].group),
     "along": _ref_field("along", "homs", "homomorphism"),
-    "base": _pre_field("base_group", "base_cone"),
+    "base": _base_field,
     "src": _ref_field("src", "points", "point"),
     "dst": _ref_field("dst", "points", "point"),
     "a": _ref_field("a", "homs", "homomorphism"),
-    "c": _ref_field("c", "homs", "homomorphism"),
+    "c": _pair_field,
     "x": _pre_field("x_group", "x_cone"),
     "order": _order_field,
 }
@@ -532,8 +558,8 @@ class QueryOp:
     execute: Callable[..., Any]
 
 
-def _validate_family(shape, thresholds, b):
-    fam = ConeFamily(shape.b, shape.x, UpSetFibers(thresholds))
+def _validate_family(shape, fibers, b):
+    fam = ConeFamily(shape.b, shape.x, fibers)
     fv = validate_family(fam, shape.action, b)
     return fv.conditions, {"details": {"orbit_remark": fv.orbit_remark.state.value}}
 

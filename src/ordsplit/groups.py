@@ -283,6 +283,8 @@ class CyclicGroup(Group):
     def __post_init__(self):
         if self.n < 1:
             raise StructureError("modulus must be positive")
+        # A finite carrier's scan universe is all of it.
+        check_window_size(self, self.n)
 
     @property
     def is_finite(self) -> bool:
@@ -405,6 +407,8 @@ class DirectProduct(Group):
     def __post_init__(self):
         if len(self.factors) < 2:
             raise StructureError("need at least two factors")
+        if self.is_finite:
+            check_window_size(self, self.order())
 
     @property
     def is_finite(self) -> bool:
@@ -466,12 +470,14 @@ class Semidirect(Group):
 
     x_group: Group
     b_group: Group
-    action: Any  # Action of b_group on x_group; its laws are checked by extensions.semidirect
+    action: Any  # Action of b_group on x_group, trusted to obey the laws validate_action checks
 
     def __post_init__(self):
         # add and neg hand the action unchecked parts of checked pairs.
         if self.action.acting != self.b_group or self.action.acted != self.x_group:
             raise StructureError("action does not act on the given groups")
+        if self.is_finite:
+            check_window_size(self, self.order())
 
     @property
     def is_finite(self) -> bool:
@@ -534,32 +540,38 @@ class Semidirect(Group):
         return f"({self.x_group} x| {self.b_group})"
 
 
-def generated_subgroup(G: Group, gens) -> set:
-    """Orbit closure of gens (with inverses) in a finite group."""
-    closed = {G.zero()}
-    frontier = [G.zero()]
-    step = list(gens) + [G.neg(g) for g in gens]
-    while frontier:
+def word_ball(G: Group, gens, radius: int | None = None) -> list:
+    """The sums of at most radius terms from gens and their negatives, in
+    breadth-first order from 0; all of them when radius is None (G finite)."""
+    steps = list(gens)
+    steps += [G.neg(g) for g in steps]
+    ball = [G.zero()]
+    seen = set(ball)
+    frontier = list(ball)
+    rounds = itertools.count() if radius is None else range(radius)
+    for _ in rounds:
+        if not frontier:
+            break
         nxt = []
-        for a in frontier:
-            for g in step:
-                c = G.add(a, g)
-                if c not in closed:
-                    closed.add(c)
+        for w in frontier:
+            for s in steps:
+                c = G._add(w, s)
+                if c not in seen:
+                    seen.add(c)
                     nxt.append(c)
+        ball += nxt
         frontier = nxt
-    return closed
+    return ball
+
+
+def generated_subgroup(G: Group, gens) -> set:
+    """The subgroup of a finite group generated by gens."""
+    return set(word_ball(G, gens))
 
 
 def element_order(G: Group, a: Element) -> int:
     """Least k >= 1 with k*a = 0 (finite groups only)."""
-    z = G.zero()
-    acc = a
-    k = 1
-    while acc != z:
-        acc = G.add(acc, a)
-        k += 1
-    return k
+    return len(word_ball(G, [a]))
 
 
 def format_element(el) -> str:

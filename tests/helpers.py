@@ -62,6 +62,27 @@ def oracle_cone_closure(G: Group, seed) -> frozenset:
     return frozenset(S)
 
 
+def oracle_words(G: Group, max_len: int) -> list:
+    """The sums of at most max_len generators of G and their negatives, in
+    breadth-first order from 0."""
+    gens = list(G.generators())
+    steps = gens + [G.neg(g) for g in gens]
+    seen = {G.zero()}
+    frontier = [G.zero()]
+    out = [G.zero()]
+    for _ in range(max_len):
+        nxt = []
+        for w in frontier:
+            for s in steps:
+                c = G.add(w, s)
+                if c not in seen:
+                    seen.add(c)
+                    nxt.append(c)
+                    out.append(c)
+        frontier = nxt
+    return out
+
+
 def oracle_is_closed(G: Group, S: frozenset) -> bool:
     if G.zero() not in S:
         return False

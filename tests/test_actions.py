@@ -12,8 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ordsplit.actions import FiniteTableAction, PrecomposedAction, ScalingAction
+from ordsplit.catalog import catalog_dict
+from ordsplit.document import parse_document
 from ordsplit.groups import CyclicGroup, FreeAbelian, RationalVector, ShapeError
-from ordsplit.homs import ScalarHom, TableHom
+from ordsplit.homs import Homomorphism, ScalarHom, TableHom
 
 Z = FreeAbelian(1)
 Q = RationalVector(1)
@@ -110,3 +112,14 @@ def test_warm_precomposed_scaling_agrees_with_a_fresh_one_and_the_closed_form(pa
         assert got == Fraction(2) ** (3 * c) * x
         assert warm.scalar_for(c) == Fraction(2) ** (3 * c)
         assert warm.base.apply(3 * c, x) == got
+
+
+def test_building_the_catalog_table_action_applies_no_homomorphism(monkeypatch):
+    cat = catalog_dict()
+    doc = {"format": cat["format"], "groups": cat["groups"],
+           "actions": {"invert_z3": cat["actions"]["invert_z3"]}}
+    calls = []
+    apply = Homomorphism.apply
+    monkeypatch.setattr(Homomorphism, "apply", lambda h, el: calls.append(el) or apply(h, el))
+    assert isinstance(parse_document(doc).actions["invert_z3"], FiniteTableAction)
+    assert len(calls) == 0

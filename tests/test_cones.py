@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from fractions import Fraction
 from hypothesis import given, settings
@@ -20,6 +22,7 @@ from ordsplit.cones import (
     cone_subset,
     generated_cone,
     is_monotone,
+    _finite_closure,
     units_subgroup,
 )
 from ordsplit.groups import (
@@ -33,7 +36,13 @@ from ordsplit.groups import (
 from ordsplit.homs import IdentityHom, ScalarHom
 from ordsplit.verdict import SaturationBudget, Window
 
-from helpers import SMALL_BUDGET, assert_state, oracle_cone_closure, symmetric_cayley
+from helpers import (
+    SMALL_BUDGET,
+    assert_state,
+    oracle_cone_closure,
+    random_finite_extension,
+    symmetric_cayley,
+)
 
 Z = FreeAbelian(1)
 Q = RationalVector(1)
@@ -302,3 +311,13 @@ def test_lex_membership_asks_each_base_sign_once(monkeypatch):
         calls.clear()
         assert_state(lex.contains(el, SMALL_BUDGET), state, str(el))
         assert len(calls) == 2, (el, calls)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 3))
+def test_finite_closure_matches_the_fixpoint_oracle(seed, k):
+    rng = random.Random(seed)
+    x_pre, b_pre, action = random_finite_extension(rng)
+    carrier = Semidirect(x_pre.group, b_pre.group, action)
+    S = rng.sample(carrier.elements(), k)
+    assert _finite_closure(carrier, S) == oracle_cone_closure(carrier, S)

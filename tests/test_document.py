@@ -833,7 +833,7 @@ def test_catalog_query_mutants_that_parse_run_without_raising():
                     pytest.fail(f"{query['id']} {path} = {value!r}: {type(exc).__name__}: {exc}")
                 assert len(report["queries"]) == 1
                 ran += 1
-    assert ran == 320
+    assert ran == 313
 
 
 def test_cli_integer_literal_over_the_digit_limit_exits_2(tmp_path):
@@ -873,12 +873,12 @@ def test_generated_cones_on_rational_and_product_carriers():
     }
 
 
-def _table_action(phi0, phi1, n=3):
-    """Z_2 acting on Z_n: r0 maps x to phi0[x] and r1 maps x to phi1[x]."""
+def _table_action(phi0, phi1):
+    """Z_2 acting on Z_n, n = len(phi0): r0 maps x to phi0[x] and r1 to phi1[x]."""
     return {
         "kind": "finite_table", "acting": "Z2", "acted": "Zn",
         "images": [
-            [[f"r{b}"], [[[f"r{x}"], [f"r{phi[x]}"]] for x in range(n)]]
+            [[f"r{b}"], [[[f"r{x}"], [f"r{y}"]] for x, y in enumerate(phi)]]
             for b, phi in enumerate((phi0, phi1))
         ],
     }
@@ -886,7 +886,7 @@ def _table_action(phi0, phi1, n=3):
 
 @pytest.mark.parametrize("action", [
     pytest.param(_table_action([0, 1, 2], [1, 0, 2]), id="not_additive"),
-    pytest.param(_table_action([0, 1, 2, 3, 4], [0, 2, 4, 1, 3], 5), id="composition"),
+    pytest.param(_table_action([0, 1, 2, 3, 4], [0, 2, 4, 1, 3]), id="composition"),
     pytest.param(_table_action([0, 2, 1], [0, 1, 2]), id="zero_not_identity"),
     pytest.param(_table_action([0, 1, 2], [0, 0, 0]), id="not_bijective"),
 ])
@@ -898,3 +898,83 @@ def test_cli_rejects_finite_table_action_law_failures(tmp_path, capsys, action):
     code, err = _validate_exit(tmp_path, capsys, doc)
     assert code == 2
     assert "invalid: actions.bad:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("thresholds, message", [
+    (["1", "2"], "threshold sequence must start with x_0 = 0"),
+    (["0", "-3"], "thresholds live in N plus infinity"),
+])
+def test_cli_rejects_bad_family_thresholds_at_parse(tmp_path, capsys, thresholds, message):
+    doc = minimal_doc([dict(SHAPE_SPEC, op="validate_family", action="sgn",
+                            thresholds=thresholds)])
+    code, err = _validate_exit(tmp_path, capsys, doc)
+    assert code == 2
+    assert f"queries[0]: {message}" in err
+
+
+def test_cli_rejects_rational_literals_with_an_exponent(tmp_path, capsys):
+    doc = minimal_doc([{"op": "cone_contains", "cone": "qnat", "element": ["-1e5000"]}])
+    code, err = _validate_exit(tmp_path, capsys, doc)
+    assert code == 2
+    assert "queries[0]: malformed element literal ['-1e5000']" in err
+    assert "Traceback" not in err
+    doc["actions"]["sc"] = {"kind": "scaling", "acting": "Z", "acted": "Q", "ratio": "1e9999999"}
+    code, err = _validate_exit(tmp_path, capsys, doc)
+    assert code == 2
+    assert "actions.sc.ratio: expected a number, got '1e9999999'" in err
+    for lit in ("1/3", "-2", "0.5"):
+        doc = minimal_doc([{"op": "cone_contains", "cone": "qnat", "element": [lit]}])
+        assert _validate_exit(tmp_path, capsys, doc)[0] == 0
+
+
+def _finite_carriers_over_the_cap():
+    def cyclic(doc):
+        doc["groups"]["Zbig"] = {"kind": "finite_cyclic", "n": 300000}
+
+    def product(doc):
+        doc["groups"]["Z500"] = {"kind": "finite_cyclic", "n": 500}
+        doc["groups"]["Zbig"] = {"kind": "direct_product", "factors": ["Z500", "Z500"]}
+
+    def semidirect(doc):
+        doc["groups"]["X"] = {"kind": "finite_cyclic", "n": 1000}
+        doc["groups"]["B"] = {"kind": "finite_cyclic", "n": 300}
+        doc["cones"]["xt"] = {"kind": "trivial", "group": "X"}
+        doc["cones"]["bt"] = {"kind": "trivial", "group": "B"}
+        doc["actions"]["tr"] = {"kind": "trivial", "acting": "B", "acted": "X"}
+        doc["queries"] = [{"op": "lattice", "x_group": "X", "x_cone": "xt", "b_group": "B",
+                           "b_cone": "bt", "action": "tr", "scope": {"kind": "exhaustive"}}]
+
+    return [
+        pytest.param(cyclic, "groups.Zbig", id="cyclic"),
+        pytest.param(product, "groups.Zbig", id="product"),
+        pytest.param(semidirect, "queries[0]", id="semidirect"),
+    ]
+
+
+@pytest.mark.parametrize("mutate, location", _finite_carriers_over_the_cap())
+def test_cli_rejects_finite_carriers_over_the_window_cap(tmp_path, capsys, mutate, location):
+    doc = minimal_doc()
+    mutate(doc)
+    code, err = _validate_exit(tmp_path, capsys, doc, "lattice")
+    assert code == 2
+    assert f"invalid: {location}: window of" in err and "over the cap" in err
+
+
+def test_cli_rejects_mismatched_pullback_and_pair_maps_at_parse(tmp_path, capsys):
+    doc = minimal_doc()
+    doc["homs"] = {"id_q": {"kind": "identity", "source": "Q", "target": "Q"}}
+    doc["cones"]["triv"] = {"kind": "trivial", "group": "Z"}
+    doc["points"] = {
+        "p": dict(SHAPE_SPEC, action="sgn", cone="product"),
+        "m": {"x_group": "Z", "x_cone": "triv", "b_group": "Z", "b_cone": "nat",
+              "action": "sgn", "cone": "minimal"},
+    }
+    doc["queries"] = [{"op": "pullback_strong", "point": "p", "along": "id_q",
+                       "base_group": "Q", "base_cone": "qnat"}]
+    code, err = _validate_exit(tmp_path, capsys, doc)
+    assert code == 2
+    assert "queries[0]: pullback map must go from the new base into the old one" in err
+    doc["queries"] = [{"op": "ssfl", "src": "m", "dst": "p", "a": "id_q", "c": "id_q"}]
+    code, err = _validate_exit(tmp_path, capsys, doc)
+    assert code == 2
+    assert "queries[0]: pair map parts do not match the carriers" in err

@@ -14,10 +14,11 @@ from ordsplit.groups import (
     StructureError,
     element_order,
     generated_subgroup,
+    word_ball,
 )
 from ordsplit.verdict import Window
 
-from helpers import klein_four, symmetric_cayley
+from helpers import klein_four, oracle_words, symmetric_cayley
 
 Z = FreeAbelian(1)
 Q = RationalVector(1)
@@ -213,3 +214,23 @@ def test_from_coords_makes_exact_elements():
     for G, vec in ((Z, (Fraction(1, 2),)), (Z2V, (1, Fraction(1, 3)))):
         with pytest.raises(ShapeError, match="non-integral image"):
             G.from_coords(vec)
+
+
+@pytest.mark.parametrize("G", [
+    Z,
+    Z2V,
+    Semidirect(Q, Z, ScalingAction(Z, Q, Fraction(2))),
+    Semidirect(Z, Z, SignAction(Z, Z)),
+], ids=str)
+@pytest.mark.parametrize("radius", [1, 2, 3])
+def test_word_ball_matches_the_word_oracle_in_order(G, radius):
+    assert word_ball(G, G.generators(), radius) == oracle_words(G, radius)
+
+
+@pytest.mark.parametrize("G", [CyclicGroup(6), klein_four(), symmetric_cayley(3)], ids=str)
+def test_element_order_matches_repeated_addition(G):
+    for a in G.elements():
+        k, acc = 1, a
+        while acc != G.zero():
+            acc, k = G.add(acc, a), k + 1
+        assert element_order(G, a) == k
