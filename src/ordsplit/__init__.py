@@ -56,9 +56,9 @@ from .cones import (
     units_subgroup,
 )
 from .extensions import (
-    ConeFamily,
     ExhaustiveFinite,
     ExtensionShape,
+    FamilyCone,
     LatticeReport,
     SplitExtension,
     SuperadditiveWindow,
@@ -66,7 +66,6 @@ from .extensions import (
     compatible_exists,
     cone_to_family,
     enumerate_compatible_cones,
-    family_to_cone,
     is_compatible,
     is_minimal_equal_product,
     lex_cone,
@@ -84,6 +83,7 @@ from .points import (
     check_point_morphism,
     classify_point,
     default_base_catalog,
+    equivariance_failure,
     hom_leq,
     is_rali,
     is_strong,

@@ -23,7 +23,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Any, Optional
+from typing import Optional
 
 from .actions import _spread
 from .groups import (
@@ -380,13 +380,20 @@ class GeneratedCone(Cone):
     """
 
     group: Group
-    source: Any
+    source: ExplicitGenerators | ConeGenerators
     certified_compatible: bool = False
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         if self.group.is_finite:
             raise StructureError("finite carriers are closed by generated_cone")
+        # Saturation adds and conjugates without checks, so what it starts
+        # from is checked here, once.
+        if isinstance(self.source, ExplicitGenerators):
+            for g in self.source.elements:
+                self.group.check(g)
+        elif self.source.cone.group != self.group:
+            raise ShapeError("source cone lives on another group")
 
     def contains(self, x, budget=DEFAULT_BUDGET):
         self.group.check(x)
@@ -586,7 +593,7 @@ class GeneratedCone(Cone):
             nxt = set()
             for a in state["frontier"]:
                 for g in state["atoms"]:
-                    c = self.group.add(a, g)
+                    c = self.group._add(a, g)
                     if c not in state["reached"] and _within_cap(c, cap):
                         nxt.add(c)
             state["reached"] |= nxt
@@ -609,7 +616,7 @@ class GeneratedCone(Cone):
         for a in base:
             atoms.add(a)
             for w in words:
-                c = G.conjugate(w, a)
+                c = G._conjugate(w, a)
                 if _within_cap(c, cap):
                     atoms.add(c)
         return frozenset(atoms)
@@ -673,13 +680,13 @@ def _flatten(G: Group, el) -> tuple | None:
 def generated_cone(G: Group, generators) -> Cone:
     """Least cone containing the generators (Extensional on finite carriers)."""
     gens = tuple(generators)
-    for g in gens:
-        G.check(g)
     if not gens:
         return TrivialCone(G)
-    if G.is_finite:
-        return ExtensionalCone(G, _finite_closure(G, gens))
-    return GeneratedCone(G, ExplicitGenerators(gens))
+    if not G.is_finite:
+        return GeneratedCone(G, ExplicitGenerators(gens))  # which checks gens
+    for g in gens:
+        G.check(g)
+    return ExtensionalCone(G, _finite_closure(G, gens))
 
 
 def _finite_closure(G: Group, seed) -> frozenset:

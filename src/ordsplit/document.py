@@ -43,7 +43,6 @@ from .cones import (
     generated_cone,
 )
 from .extensions import (
-    ConeFamily,
     ExtensionShape,
     SplitExtension,
     SuperadditiveWindow,
@@ -81,6 +80,7 @@ from .homs import (
 from .points import (
     PointMorphism,
     default_base_catalog,
+    equivariance_failure,
     is_rali,
     is_strong,
     pullback,
@@ -440,8 +440,7 @@ def _parse_point(name, spec, groups, cones, actions) -> SplitExtension:
         if tag in ("product", "lex", "minimal"):
             return point(shape, tag)
         if isinstance(tag, dict) and tag.get("kind") == "family":
-            fam = ConeFamily(shape.b, shape.x, _thresholds(tag, where))
-            return SplitExtension(shape.x, shape.b, shape.action, FamilyCone(shape.carrier, fam))
+            return point(shape, FamilyCone(shape, _thresholds(tag, where)))
     except StructureError as exc:
         raise DocumentError(where, str(exc)) from exc
     raise DocumentError(where, f"unknown point cone tag {tag!r}")
@@ -505,6 +504,12 @@ def _pair_field(spec, doc, r, where):
         PairHom(r["src"].carrier, r["dst"].carrier, r["a"], c)
     except StructureError as exc:
         raise DocumentError(where, str(exc)) from exc
+    failure = equivariance_failure(r["a"], c, r["src"], r["dst"])
+    if failure is not None:
+        raise DocumentError(
+            where,
+            f"a and c do not intertwine the actions at (b, x) = {format_element(failure)}",
+        )
     return c
 
 
@@ -559,8 +564,7 @@ class QueryOp:
 
 
 def _validate_family(shape, fibers, b):
-    fam = ConeFamily(shape.b, shape.x, fibers)
-    fv = validate_family(fam, shape.action, b)
+    fv = validate_family(FamilyCone(shape, fibers), b)
     return fv.conditions, {"details": {"orbit_remark": fv.orbit_remark.state.value}}
 
 
@@ -614,7 +618,7 @@ QUERY_OPS: dict[str, QueryOp] = {
     "is_compatible": QueryOp(
         "check",
         ("point", "mode"),
-        lambda pt, mode, b: (is_compatible(pt.cone, pt.shape, mode, b), {"mode": mode}),
+        lambda pt, mode, b: (is_compatible(pt.cone, pt, mode, b), {"mode": mode}),
     ),
     "cone_contains": QueryOp("check", ("cone", "element"), lambda c, x, b: c.contains(x, b)),
     "point_cone_contains": QueryOp(

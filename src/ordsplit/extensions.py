@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Any
 
 from .actions import Action, FiniteTableAction, ProductAction, TrivialAction, validate_action
 from .cones import (
@@ -90,7 +89,7 @@ class ExtensionShape:
         if self.action.acted != self.x.group or self.action.acting != self.b.group:
             raise StructureError("action does not match the kernel/base groups")
 
-    @property
+    @cached_property
     def carrier(self) -> Semidirect:
         return Semidirect(self.x.group, self.b.group, self.action)
 
@@ -99,38 +98,19 @@ class ExtensionShape:
 
 
 @dataclass(frozen=True)
-class SplitExtension:
-    """A point: the twisted carrier with a chosen candidate cone."""
+class SplitExtension(ExtensionShape):
+    """A point: a shape with a chosen candidate cone on its carrier."""
 
-    x: PreorderedGroup
-    b: PreorderedGroup
-    action: Action
     cone: Cone
 
     def __post_init__(self):
+        super().__post_init__()
         if self.cone.group != self.carrier:
             raise ShapeError("cone does not live on the twisted carrier")
 
     @property
-    def shape(self) -> ExtensionShape:
-        return ExtensionShape(self.x, self.b, self.action)
-
-    @property
-    def carrier(self) -> Semidirect:
-        return Semidirect(self.x.group, self.b.group, self.action)
-
-    @property
     def pre(self) -> PreorderedGroup:
         return PreorderedGroup(self.carrier, self.cone)
-
-    def kernel_hom(self) -> Homomorphism:
-        return KernelHom(self.carrier)
-
-    def projection_hom(self) -> Homomorphism:
-        return ProjectionHom(self.carrier)
-
-    def section_hom(self) -> Homomorphism:
-        return SectionHom(self.carrier)
 
     def __str__(self):
         return f"({self.x} -> {self.carrier}, {self.cone}) <-> {self.b}"
@@ -524,48 +504,28 @@ def _fits_window(x, window: Window) -> bool:
 
 
 @dataclass(frozen=True)
-class ConeFamily:
-    """A candidate cone on X x| B described fibrewise over B.
+class FamilyCone(Cone):
+    """A candidate cone on a shape's carrier described fibrewise over B:
+    (x, b) is in it iff x is in the fibre over b.
 
     Fibres exist for every base element; away from the base positives they
     are empty (condition 1 forces this, so storing them costs nothing).
     """
 
-    base: PreorderedGroup
-    fiber: PreorderedGroup
-    sets: Any  # UpSetFibers | ExplicitFibers
+    shape: ExtensionShape
+    sets: UpSetFibers | ExplicitFibers
 
-    def fiber_nonempty(self, b) -> bool:
-        return self.sets.nonempty(b)
-
-    def fiber_contains(self, b, x) -> bool:
-        return self.sets.contains(b, x)
-
-    def fiber_sample(self, b, window: Window) -> list:
-        return self.sets.sample(b, window)
-
-    def __str__(self):
-        return f"family({self.sets})"
-
-
-@dataclass(frozen=True)
-class FamilyCone(Cone):
-    group: Group
-    family: ConeFamily
+    @property
+    def group(self) -> Semidirect:
+        return self.shape.carrier
 
     def contains(self, el, budget=DEFAULT_BUDGET):
         self.group.check(el)
         x, b = el
-        return yes() if self.family.fiber_contains(b, x) else no(el)
+        return yes() if self.sets.contains(b, x) else no(el)
 
     def __str__(self):
-        return str(self.family)
-
-
-def family_to_cone(fam: ConeFamily, action: Action | None = None) -> FamilyCone:
-    action = action or TrivialAction(fam.base.group, fam.fiber.group)
-    carrier = Semidirect(fam.fiber.group, fam.base.group, action)
-    return FamilyCone(carrier, fam)
+        return f"family({self.sets})"
 
 
 def cone_to_family(
@@ -573,10 +533,10 @@ def cone_to_family(
     shape: ExtensionShape,
     window: Window | None = None,
     budget: SaturationBudget = DEFAULT_BUDGET,
-) -> ConeFamily:
+) -> FamilyCone:
     """Window snapshot of a cone as explicit fibres X_b = {x : (x,b) in P}."""
     if isinstance(P, FamilyCone):
-        return P.family
+        return P
     window = window or budget.window
     fibers = []
     for b in shape.b.group.window_elements(window):
@@ -586,7 +546,7 @@ def cone_to_family(
             if P.contains((x, b), budget).is_yes
         )
         fibers.append((b, fib))
-    return ConeFamily(shape.b, shape.x, ExplicitFibers(tuple(sorted(fibers, key=repr))))
+    return FamilyCone(shape, ExplicitFibers(tuple(sorted(fibers, key=repr))))
 
 
 @dataclass(frozen=True)
@@ -595,9 +555,7 @@ class FamilyValidation:
     orbit_remark: Verdict
 
 
-def validate_family(
-    fam: ConeFamily, action: Action, budget: SaturationBudget = DEFAULT_BUDGET
-) -> FamilyValidation:
+def validate_family(fam: FamilyCone, budget: SaturationBudget = DEFAULT_BUDGET) -> FamilyValidation:
     """The four fibrewise conditions, plus the orbit consequence reported apart.
 
     (1) nonempty iff base-positive iff contains 0; (2) fibre over 0 is the
@@ -607,32 +565,32 @@ def validate_family(
     """
     window = budget.window
     # Each base element is asked about once; every condition reads the answers.
-    B = fam.base
+    B = fam.shape.b
     base_in = {b: B.cone.contains(b, budget) for b in B.group.window_elements(window)}
     positives = [b for b, v in base_in.items() if v.is_yes]
-    cond = _family_conditions(fam, action, base_in, positives, window, budget)
-    remark = _family_orbit_remark(fam, action, base_in, positives, window)
+    cond = _family_conditions(fam, base_in, positives, window, budget)
+    remark = _family_orbit_remark(fam, base_in, positives, window)
     return FamilyValidation(cond, remark)
 
 
-def _family_conditions(fam, action, base_in, positives, window, budget) -> Verdict:
-    B, X = fam.base, fam.fiber
+def _family_conditions(fam, base_in, positives, window, budget) -> Verdict:
+    B, X, sets = fam.shape.b, fam.shape.x, fam.sets
     bz = B.group.zero()
     undecided = "family conditions hit undecided memberships"
 
     def support_matches(b):
-        nonempty = fam.fiber_nonempty(b)
+        nonempty = sets.nonempty(b)
         vb = base_in[b]
         if vb.is_unknown:
             return vb
-        has_zero = fam.fiber_contains(b, X.group.zero())
+        has_zero = sets.contains(b, X.group.zero())
         return yes() if nonempty == vb.is_yes == has_zero else no(b)
 
     def zero_fibre_matches(x):
         vx = X.cone.contains(x, budget)
         if vx.is_unknown:
             return vx
-        return yes() if vx.is_yes == fam.fiber_contains(bz, x) else no(x)
+        return yes() if vx.is_yes == sets.contains(bz, x) else no(x)
 
     v = for_all_members(
         base_in, None, support_matches,
@@ -648,7 +606,7 @@ def _family_conditions(fam, action, base_in, positives, window, budget) -> Verdi
     if v.is_no:
         return v
     for check in (_family_addition, _family_conjugation):
-        w = check(fam, action, base_in, positives, window)
+        w = check(fam, base_in, positives, window)
         if w.is_no:
             return w
         if w.is_unknown:
@@ -656,28 +614,28 @@ def _family_conditions(fam, action, base_in, positives, window, budget) -> Verdi
     return v
 
 
-def _family_addition(fam, action, base_in, positives, window) -> Verdict:
-    B, X = fam.base, fam.fiber
-    if isinstance(fam.sets, UpSetFibers) and action.provably_trivial():
-        failure = _superadditive_failure(fam.sets.thresholds)
+def _family_addition(fam, base_in, positives, window) -> Verdict:
+    B, X, action, sets = fam.shape.b, fam.shape.x, fam.shape.action, fam.sets
+    if isinstance(sets, UpSetFibers) and action.provably_trivial():
+        failure = _superadditive_failure(sets.thresholds)
         if failure is not None:
             return no(failure, "threshold superadditivity fails (condition 3)")
         return yes("threshold superadditivity")
     for b1 in positives:
         for b2 in positives:
             target = B.group.add(b1, b2)
-            for x1 in fam.fiber_sample(b1, window):
-                for x2 in fam.fiber_sample(b2, window):
+            for x1 in sets.sample(b1, window):
+                for x2 in sets.sample(b2, window):
                     val = X.group.add(x1, action.apply(b1, x2))
-                    if not fam.fiber_contains(target, val):
+                    if not sets.contains(target, val):
                         return no(((x1, b1), (x2, b2)), "fibre addition escapes (condition 3)")
     return yes()
 
 
-def _family_conjugation(fam, action, base_in, positives, window) -> Verdict:
-    B, X = fam.base, fam.fiber
+def _family_conjugation(fam, base_in, positives, window) -> Verdict:
+    B, X, action, sets = fam.shape.b, fam.shape.x, fam.shape.action, fam.sets
     xs = X.group.window_elements(window)
-    samples = {b: fam.fiber_sample(b, window) for b in positives}
+    samples = {b: sets.sample(b, window) for b in positives}
     for a in base_in:
         for b in positives:
             target = B.group.add(B.group.add(a, b), B.group.neg(a))
@@ -688,7 +646,7 @@ def _family_conjugation(fam, action, base_in, positives, window) -> Verdict:
                     val = X.group.add(x, action.apply(a, y))
                     # need val in X_target + phi_target(x)
                     residue = X.group.sub(val, tx)
-                    if not fam.fiber_contains(target, residue):
+                    if not sets.contains(target, residue):
                         return no(
                             ((x, a), (y, b)),
                             "conjugation stability fails (condition 4)",
@@ -696,18 +654,18 @@ def _family_conjugation(fam, action, base_in, positives, window) -> Verdict:
     return yes()
 
 
-def _family_orbit_remark(fam, action, base_in, positives, window) -> Verdict:
+def _family_orbit_remark(fam, base_in, positives, window) -> Verdict:
     """phi_a(X_b) = X_{a+b-a} on window samples."""
-    B = fam.base
+    B, action, sets = fam.shape.b, fam.shape.action, fam.sets
     for a in base_in:
         for b in positives:
             target = B.group.add(B.group.add(a, b), B.group.neg(a))
-            for y in fam.fiber_sample(b, window):
-                if not fam.fiber_contains(target, action.apply(a, y)):
+            for y in sets.sample(b, window):
+                if not sets.contains(target, action.apply(a, y)):
                     return no((a, b, y), "orbit image escapes the conjugate fibre")
-            for z in fam.fiber_sample(target, window):
+            for z in sets.sample(target, window):
                 back = action.apply(B.group.neg(a), z)
-                if not fam.fiber_contains(b, back):
+                if not sets.contains(b, back):
                     return no((a, b, z), "conjugate fibre not covered by the orbit image")
     return yes("window-verified" if not B.group.is_finite else "exhaustive")
 
@@ -816,10 +774,9 @@ def _enumerate_superadditive(shape: ExtensionShape, scope: SuperadditiveWindow) 
     cones = []
     checks = []
     for seq in seqs:
-        fam = ConeFamily(shape.b, shape.x, UpSetFibers((0,) + seq))
-        cones.append(FamilyCone(shape.carrier, fam))
+        cones.append(FamilyCone(shape, UpSetFibers((0,) + seq)))
         labels.append(_seq_label(seq))
-        checks.append((labels[-1], validate_family(fam, shape.action, budget).conditions))
+        checks.append((labels[-1], validate_family(cones[-1], budget).conditions))
     pool = set(seqs)
     meets = True
     for a in seqs:

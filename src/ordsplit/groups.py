@@ -350,8 +350,12 @@ class CayleyGroup(Group):
         for a in range(n):
             if self.table[e][a] != a or self.table[a][e] != a:
                 raise StructureError(f"identity is not neutral at {a}")
-        for a in range(n):
-            for b in range(n):
+        # Light's test: the b with (a b) c = a (b c) for all a, c are closed
+        # under the operation, and in a finite Latin square with an identity
+        # that closure holds the identity and right inverses; so the b of a
+        # set whose word ball is the whole table decide associativity.
+        for b in minimal_generating_sequence(self):
+            for a in range(n):
                 for c in range(n):
                     if self.table[self.table[a][b]][c] != self.table[a][self.table[b][c]]:
                         raise StructureError(f"table is not associative at {(a, b, c)}")
@@ -567,6 +571,22 @@ def word_ball(G: Group, gens, radius: int | None = None) -> list:
 def generated_subgroup(G: Group, gens) -> set:
     """The subgroup of a finite group generated by gens."""
     return set(word_ball(G, gens))
+
+
+def minimal_generating_sequence(G: Group) -> list[Element]:
+    """Greedy small generating set of a finite group, in canonical order:
+    each element that the word ball of the ones before does not reach."""
+    els = G.elements()
+    gens: list[Element] = []
+    reached = {G.zero()}
+    for a in els:
+        if a in reached:
+            continue
+        gens.append(a)
+        reached = generated_subgroup(G, gens)
+        if len(reached) == len(els):
+            break
+    return gens
 
 
 def element_order(G: Group, a: Element) -> int:

@@ -23,13 +23,12 @@ from .cones import (
     cones_equal,
     is_monotone,
 )
-from .extensions import SplitExtension, minimal_cone, product_cone
+from .extensions import ExtensionShape, SplitExtension, minimal_cone, point, product_cone
 from .groups import (
     CyclicGroup,
     DirectProduct,
     FreeAbelian,
     Group,
-    Semidirect,
     ShapeError,
     StructureError,
     format_element,
@@ -37,7 +36,10 @@ from .groups import (
 from .homs import (
     Homomorphism,
     IdentityHom,
+    KernelHom,
+    ProjectionHom,
     ScalarHom,
+    SectionHom,
     TableHom,
     compose,
     invert,
@@ -96,10 +98,11 @@ def hom_leq(
 
 def is_rali(pt: SplitExtension, budget: SaturationBudget = DEFAULT_BUDGET) -> Verdict:
     """Cone equality with the componentwise cone, cross-checked by adjointness."""
-    by_cone = cones_equal(pt.cone, product_cone(pt.shape), budget)
-    sf = compose(pt.section_hom(), pt.projection_hom())
+    by_cone = cones_equal(pt.cone, product_cone(pt), budget)
+    s, f = SectionHom(pt.carrier), ProjectionHom(pt.carrier)
+    sf = compose(s, f)
     for b in pt.b.group.window_elements(budget.window):
-        if pt.projection_hom().apply(pt.section_hom().apply(b)) != b:
+        if f.apply(s.apply(b)) != b:
             raise AssertionError("projection after section is not the identity")
     by_adjoint = hom_leq(sf, IdentityHom(pt.carrier), pt.pre, pt.pre, budget)
     if (by_cone.is_yes and by_adjoint.is_no) or (by_cone.is_no and by_adjoint.is_yes):
@@ -111,7 +114,7 @@ def is_rali(pt: SplitExtension, budget: SaturationBudget = DEFAULT_BUDGET) -> Ve
 
 def is_strong(pt: SplitExtension, budget: SaturationBudget = DEFAULT_BUDGET) -> Verdict:
     """Cone equality with the least compatible cone."""
-    minimal = minimal_cone(pt.shape, budget)
+    minimal = minimal_cone(pt, budget)
     lower = cone_subset(minimal, pt.cone, budget)
     upper = cone_subset(pt.cone, minimal, budget)
     return vand(lower, upper)
@@ -156,10 +159,8 @@ def pullback(
         raise StructureError(
             f"pullback map not monotone: {mono.note} at {format_element(mono.witness)}"
         )
-    action = PrecomposedAction(pt.action, g)
-    carrier = Semidirect(pt.x.group, base.group, action)
-    cone = PullbackCone(carrier, base.cone, pt.cone)
-    return SplitExtension(pt.x, base, action, cone)
+    shape = ExtensionShape(pt.x, base, PrecomposedAction(pt.action, g))
+    return point(shape, PullbackCone(shape.carrier, base.cone, pt.cone))
 
 
 @dataclass(frozen=True)
@@ -228,10 +229,26 @@ def point_product(pt1: SplitExtension, pt2: SplitExtension) -> SplitExtension:
             DirectProduct((pt1.b.group, pt2.b.group)), pt1.b.cone, pt2.b.cone
         ),
     )
-    action = ProductAction(pt1.action, pt2.action)
-    carrier = Semidirect(x.group, b.group, action)
-    cone = PointProductCone(carrier, pt1.cone, pt2.cone)
-    return SplitExtension(x, b, action, cone)
+    shape = ExtensionShape(x, b, ProductAction(pt1.action, pt2.action))
+    return point(shape, PointProductCone(shape.carrier, pt1.cone, pt2.cone))
+
+
+def equivariance_failure(
+    a: Homomorphism, c: Homomorphism, src: ExtensionShape, dst: ExtensionShape
+) -> tuple | None:
+    """The first (b, x) over generators with a(phi_b(x)) != phi'_{c(b)}(a(x)), or None.
+
+    A failure means (x, b) -> (a(x), c(b)) is not a homomorphism.  None means
+    it is one whenever the base is generated by its generators as a group
+    (Z^k, finite groups): both sides are homomorphisms in x, fixed by a basis
+    also on Q^k, and the b where they agree form a subgroup.
+    """
+    for b in src.b.group.generators():
+        cb = c.apply(b)
+        for x in src.x.group.generators():
+            if a.apply(src.action.apply(b, x)) != dst.action.apply(cb, a.apply(x)):
+                return b, x
+    return None
 
 
 def check_point_morphism(
@@ -242,8 +259,8 @@ def check_point_morphism(
 ) -> Verdict:
     """Commutation of the three squares plus monotonicity of all three maps."""
     window = budget.window
-    k, f, s = src.kernel_hom(), src.projection_hom(), src.section_hom()
-    k2, f2, s2 = dst.kernel_hom(), dst.projection_hom(), dst.section_hom()
+    k, f, s = KernelHom(src.carrier), ProjectionHom(src.carrier), SectionHom(src.carrier)
+    k2, f2, s2 = KernelHom(dst.carrier), ProjectionHom(dst.carrier), SectionHom(dst.carrier)
     for x in src.x.group.window_elements(window):
         if k2.apply(m.a.apply(x)) != m.b.apply(k.apply(x)):
             return no(x, "kernel square does not commute")
@@ -253,6 +270,9 @@ def check_point_morphism(
     for bb in src.b.group.window_elements(window):
         if s2.apply(m.c.apply(bb)) != m.b.apply(s.apply(bb)):
             return no(bb, "section square does not commute")
+    failure = equivariance_failure(m.a, m.c, src, dst)
+    if failure is not None:
+        return no(failure, "kernel and base maps do not intertwine the actions")
     return vand(
         is_monotone(m.a, src.x, dst.x, budget),
         is_monotone(m.b, src.pre, dst.pre, budget),

@@ -44,7 +44,7 @@ from ordsplit.extensions import (
     product_cone,
 )
 from ordsplit.groups import FreeAbelian, RationalVector
-from ordsplit.homs import IdentityHom, PairHom, ScalarHom, compose
+from ordsplit.homs import IdentityHom, PairHom, ProjectionHom, ScalarHom, SectionHom, compose
 from ordsplit.points import (
     PointMorphism,
     hom_leq,
@@ -205,8 +205,8 @@ def test_acceptance_4_rali_two_routes_agree():
     """Cone equality and the adjointness inequalities give the same verdicts."""
     disagreements = []
     for name, pt in _catalog_points():
-        by_cone = cones_equal(pt.cone, product_cone(pt.shape), SMALL_BUDGET)
-        sf = compose(pt.section_hom(), pt.projection_hom())
+        by_cone = cones_equal(pt.cone, product_cone(pt), SMALL_BUDGET)
+        sf = compose(SectionHom(pt.carrier), ProjectionHom(pt.carrier))
         by_adjoint = hom_leq(sf, IdentityHom(pt.carrier), pt.pre, pt.pre, SMALL_BUDGET)
         if (by_cone.is_yes and by_adjoint.is_no) or (by_cone.is_no and by_adjoint.is_yes):
             disagreements.append((name, by_cone, by_adjoint))
@@ -231,16 +231,16 @@ def test_acceptance_5_pullback_instability():
     assert pb.cone.contains((-2, 1), SMALL_BUDGET).is_yes
     v = is_strong(pb, SMALL_BUDGET)
     assert v.is_no and v.witness == (-2, 1)
-    mc = minimal_cone(pb.shape, SMALL_BUDGET)
+    mc = minimal_cone(pb, SMALL_BUDGET)
     assert mc.contains((-2, 1), SMALL_BUDGET).is_no
     # independent separating argument: every generator of the downstairs
     # componentwise cone has vanishing first coordinate, so every element of
     # the cone it generates does too (the carrier is untwisted here); -2 != 0.
-    prod = product_cone(pb.shape)
+    prod = product_cone(pb)
     for (x, a) in pb.carrier.window_elements(Window(4, 4, 2)):
         if prod.contains((x, a)).is_yes:
             assert x == 0
-    assert pb.shape.action.provably_trivial()
+    assert pb.action.provably_trivial()
     print("\nACCEPTANCE 5: PASS - strong point loses strongness along n -> 2n, witness (-2, 1)")
 
 

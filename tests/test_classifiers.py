@@ -4,6 +4,7 @@ from fractions import Fraction
 from ordsplit.actions import FiniteTableAction, MatrixAction, ScalingAction, TrivialAction
 from ordsplit.classifiers import (
     AutEvalAction,
+    FiniteAutGroup,
     MinusCone,
     OrthantPermAutGroup,
     PlusCone,
@@ -107,6 +108,39 @@ def test_admissibility():
     assert_state(v, "no")
 
 
+@pytest.mark.parametrize("n, positives", [
+    (4, {0, 2}),
+    # Not closed, but kept by negation, which the minus order then refuses.
+    (5, {0, 1, 4}),
+])
+def test_minus_cone_on_a_finite_base_matches_the_table(n, positives):
+    G = CyclicGroup(n)
+    aut = monotone_aut(PreorderedGroup(G, ExtensionalCone(G, frozenset(positives))))
+    assert isinstance(aut, FiniteAutGroup)
+
+    def inverse(alpha):
+        inv = [None] * n
+        for x, y in enumerate(alpha):
+            inv[y] = x
+        return tuple(inv)
+
+    def minus(alpha):  # alpha(x) >= x whenever x <= 0
+        return all((alpha[x] - x) % n in positives for x in range(n) if (-x) % n in positives)
+
+    def fixes_up_to_units(alpha):
+        return all(
+            (alpha[x] - x) % n in positives and (x - alpha[x]) % n in positives for x in range(n)
+        )
+
+    order = aut_cone(aut, "minus", SMALL_BUDGET)
+    for alpha in aut.elements():
+        assert MinusCone(aut).contains(alpha, SMALL_BUDGET).is_yes == minus(alpha)
+    units = [a for a in aut.elements() if minus(a) and minus(inverse(a))]
+    expected = "yes" if all(fixes_up_to_units(u) for u in units) else "no"
+    assert_state(admissible_check(order, SMALL_BUDGET), expected)
+    assert aut.order() == 2 and len(units) == (2 if n == 4 else 1)
+
+
 def test_tilde_admissible_for_all_supported_kernels():
     kernels = [
         ZN,
@@ -134,7 +168,7 @@ def test_build_classifier_z_is_rali():
 def test_tilde_product_order_coincides_with_lex():
     x = QP
     cls = build_classifier(x, aut_cone(monotone_aut(x), "tilde"), SMALL_BUDGET)
-    lex = lex_cone(cls.shape)
+    lex = lex_cone(cls)
     for el in cls.carrier.window_elements(Window(2, 3, 2)):
         a = cls.cone.contains(el, SMALL_BUDGET)
         b = lex.contains(el, SMALL_BUDGET)

@@ -101,6 +101,16 @@ def test_generated_cone_refuses_a_finite_carrier():
     assert generated_cone(Z4, [2]) == ExtensionalCone(Z4, frozenset({0, 2}))
 
 
+def test_generated_cone_refuses_a_bad_generator_when_built():
+    # Saturation adds and conjugates unchecked, so the generators are checked up front.
+    sd = Semidirect(Z, Z, SignAction(Z, Z))
+    for bad in ((0, True), (Fraction(1), 0), 3):
+        with pytest.raises(ShapeError):
+            GeneratedCone(sd, ExplicitGenerators(((0, 1), bad)))
+    with pytest.raises(ShapeError):
+        GeneratedCone(sd, ConeGenerators(OrthantCone(Z)))
+
+
 def test_generated_cone_s3_transposition_is_everything():
     S3 = symmetric_cayley(3)
     from ordsplit.groups import element_order

@@ -330,10 +330,10 @@ def test_lattice_undecided_family_is_unknown_and_a_no_names_the_family(monkeypat
     real = extensions.validate_family
     verdicts = {(0, 1, 2): unknown("family conditions hit undecided memberships")}
 
-    def fake(fam, action, budget):
+    def fake(fam, budget):
         v = verdicts.get(fam.sets.thresholds)
         if v is None:
-            return real(fam, action, budget)
+            return real(fam, budget)
         return extensions.FamilyValidation(v, v)
 
     monkeypatch.setattr(extensions, "validate_family", fake)
@@ -547,14 +547,35 @@ def test_cli_rejects_non_additive_table_hom(tmp_path, capsys):
     code, err = _validate_exit(tmp_path, capsys, doc)
     assert code == 2
     assert "homs.bad: not a homomorphism: h(0) != 0 at 0" in err
-    # h(0) = 0 but h(r1 + r2) != h(r1) + h(r2).
+    # h(0) = 0 but h(r2 + r1) != h(r2) + h(r1): the first (element, generator) pair.
     doc["groups"]["Z3"] = {"kind": "finite_cyclic", "n": 3}
     doc["homs"]["bad"] = {"kind": "finite_table", "source": "Z3", "target": "Z",
                           "map": [[["r0"], ["0"]], [["r1"], ["1"]], [["r2"], ["2"]]]}
     with pytest.raises(DocumentError) as exc:
         parse_document(doc)
     assert exc.value.location == "homs.bad"
-    assert exc.value.message == "not a homomorphism: additivity fails at (1, 2)"
+    assert exc.value.message == "not a homomorphism: additivity fails at (2, 1)"
+
+
+def test_parse_checks_a_table_map_on_generators(monkeypatch):
+    # h(a + g) = h(a) + h(g) for each a and generator g: linear, not |Z_n|^2.
+    from ordsplit.homs import TableHom
+
+    n = 200
+    doc = minimal_doc()
+    doc["groups"]["Zn"] = {"kind": "finite_cyclic", "n": n}
+    doc["homs"] = {"id": {"kind": "finite_table", "source": "Zn", "target": "Zn",
+                          "map": [[[f"r{i}"], [f"r{i}"]] for i in range(n)]}}
+    calls = []
+    real = TableHom._apply
+
+    def counting(self, el):
+        calls.append(el)
+        return real(self, el)
+
+    monkeypatch.setattr(TableHom, "_apply", counting)
+    parse_document(doc)
+    assert 0 < len(calls) <= 4 * n
 
 
 # --- malformed shapes of names, ids and list fields ---------------------------------
@@ -978,3 +999,21 @@ def test_cli_rejects_mismatched_pullback_and_pair_maps_at_parse(tmp_path, capsys
     code, err = _validate_exit(tmp_path, capsys, doc)
     assert code == 2
     assert "queries[0]: pair map parts do not match the carriers" in err
+
+
+def test_cli_rejects_ssfl_maps_that_do_not_intertwine_the_actions(tmp_path, capsys):
+    # id x id from Z x|_trivial Z to Z x|_sign Z is not additive: phi_1(1) = 1 but
+    # phi'_1(1) = -1.  The query used to answer yes.
+    doc = minimal_doc()
+    doc["homs"] = {"id": {"kind": "identity", "source": "Z", "target": "Z"}}
+    doc["cones"]["triv"] = {"kind": "trivial", "group": "Z"}
+    doc["actions"]["tr"] = {"kind": "trivial", "acting": "Z", "acted": "Z"}
+    row = {"x_group": "Z", "x_cone": "triv", "b_group": "Z", "b_cone": "nat", "cone": "product"}
+    doc["points"] = {"s": dict(row, action="tr"), "d": dict(row, action="sgn")}
+    doc["queries"] = [{"op": "ssfl", "src": "s", "dst": "d", "a": "id", "c": "id"}]
+    code, err = _validate_exit(tmp_path, capsys, doc)
+    assert code == 2
+    assert "queries[0]: a and c do not intertwine the actions at (b, x) = (1, 1)" in err
+    doc["queries"][0]["dst"] = "s"
+    code, err = _validate_exit(tmp_path, capsys, doc)
+    assert code == 0

@@ -20,16 +20,16 @@ from ordsplit.cones import (
 )
 from ordsplit.extensions import (
     INF,
-    ConeFamily,
     ExhaustiveFinite,
     ExplicitFibers,
     ExtensionShape,
+    FamilyCone,
+    SplitExtension,
     SuperadditiveWindow,
     UpSetFibers,
     compatible_exists,
     cone_to_family,
     enumerate_compatible_cones,
-    family_to_cone,
     is_compatible,
     is_minimal_equal_product,
     lex_cone,
@@ -47,6 +47,7 @@ from ordsplit.groups import (
     FreeAbelian,
     RationalVector,
     Semidirect,
+    ShapeError,
     StructureError,
 )
 from ordsplit.homs import (
@@ -87,6 +88,18 @@ def sign_strong_shape():
 
 def scaling_shape():
     return ExtensionShape(QP, ZN, ScalingAction(Z, Q, Fraction(2)))
+
+
+def test_a_point_is_a_shape_with_a_cone():
+    shape = trivial_shape()
+    pt = point(shape, "product")
+    assert isinstance(pt, ExtensionShape)
+    assert shape.carrier is shape.carrier and pt.carrier is pt.carrier
+    assert pt.carrier == shape.carrier
+    with pytest.raises(ShapeError):
+        SplitExtension(shape.x, shape.b, shape.action, product_cone(sign_strong_shape()))
+    with pytest.raises(StructureError, match="does not match the kernel/base groups"):
+        SplitExtension(QP, ZN, shape.action, pt.cone)
 
 
 def test_semidirect_validates_action():
@@ -242,15 +255,15 @@ def test_normalize_rejects_broken_section():
 
 
 def test_validate_family_doubling_sequence():
-    fam = ConeFamily(ZN, ZN, UpSetFibers((0, 1, 2, 4)))
-    res = validate_family(fam, TrivialAction(Z, Z), SMALL_BUDGET)
+    fam = FamilyCone(trivial_shape(), UpSetFibers((0, 1, 2, 4)))
+    res = validate_family(fam, SMALL_BUDGET)
     assert_state(res.conditions, "yes")
     assert_state(res.orbit_remark, "yes")
 
 
 def test_validate_family_superadditivity_failure():
-    fam = ConeFamily(ZN, ZN, UpSetFibers((0, 1, 1)))
-    res = validate_family(fam, TrivialAction(Z, Z), SMALL_BUDGET)
+    fam = FamilyCone(trivial_shape(), UpSetFibers((0, 1, 1)))
+    res = validate_family(fam, SMALL_BUDGET)
     assert_state(res.conditions, "no")
     assert res.conditions.witness == (1, 1)
 
@@ -258,15 +271,14 @@ def test_validate_family_superadditivity_failure():
 def test_validate_family_wrong_zero_fiber():
     fibers = {0: frozenset({0, 1}), 1: frozenset(range(-3, 4)),
               2: frozenset(range(-3, 4)), 3: frozenset(range(-3, 4))}
-    fam = ConeFamily(ZN, ZN, ExplicitFibers(tuple(sorted(fibers.items()))))
-    res = validate_family(fam, TrivialAction(Z, Z), SMALL_BUDGET)
+    fam = FamilyCone(trivial_shape(), ExplicitFibers(tuple(sorted(fibers.items()))))
+    res = validate_family(fam, SMALL_BUDGET)
     assert_state(res.conditions, "no")
     assert res.conditions.witness == 2
 
 
 def test_family_cone_membership_threshold():
-    fam = ConeFamily(ZN, ZN, UpSetFibers((0, 1, 2, 3)))
-    cone = family_to_cone(fam)
+    cone = FamilyCone(trivial_shape(), UpSetFibers((0, 1, 2, 3)))
     assert_state(cone.contains((-1, 1)), "yes")
     assert_state(cone.contains((-2, 1)), "no")
     assert_state(cone.contains((1, -1)), "no")
@@ -274,18 +286,16 @@ def test_family_cone_membership_threshold():
 
 def test_family_round_trips():
     shape = trivial_shape()
-    fam = ConeFamily(ZN, ZN, UpSetFibers((0, 1, 2, 4)))
-    cone = family_to_cone(fam)
+    cone = FamilyCone(shape, UpSetFibers((0, 1, 2, 4)))
     fam2 = cone_to_family(cone, shape, Window(3, 4, 2))
-    cone2 = family_to_cone(fam2)
+    cone2 = FamilyCone(shape, fam2.sets)
     for el in shape.carrier.window_elements(Window(3, 4, 2)):
         assert cone.contains(el).state == cone2.contains(el).state
 
 
 def test_lex_cone_equals_all_infinite_thresholds():
     shape = trivial_shape()
-    fam = ConeFamily(ZN, ZN, UpSetFibers((0, INF, INF, INF)))
-    cone = family_to_cone(fam)
+    cone = FamilyCone(shape, UpSetFibers((0, INF, INF, INF)))
     lex = lex_cone(shape)
     for el in shape.carrier.window_elements(Window(3, 4, 2)):
         assert cone.contains(el).state == lex.contains(el).state
@@ -294,9 +304,9 @@ def test_lex_cone_equals_all_infinite_thresholds():
 def test_product_cone_family_snapshot():
     shape = trivial_shape()
     fam = cone_to_family(product_cone(shape), shape, Window(3, 4, 2))
-    assert fam.fiber_contains(1, 0)
-    assert not fam.fiber_contains(1, -1)
-    assert not fam.fiber_contains(-1, 0)
+    assert fam.sets.contains(1, 0)
+    assert not fam.sets.contains(1, -1)
+    assert not fam.sets.contains(-1, 0)
 
 
 def test_cone_to_family_of_sign_minimal_validates():
@@ -305,7 +315,7 @@ def test_cone_to_family_of_sign_minimal_validates():
     wide = SaturationBudget(2, 6, Window(8, 8, 4))
     mc = minimal_cone(shape, wide)
     fam = cone_to_family(mc, shape, Window(8, 8, 4), wide)
-    res = validate_family(fam, shape.action, SMALL_BUDGET)
+    res = validate_family(fam, SMALL_BUDGET)
     assert not res.conditions.is_no
     assert not res.orbit_remark.is_no
 
@@ -416,8 +426,8 @@ def test_validate_family_asks_each_cone_once_per_window_element(monkeypatch):
         return orthant_contains(self, x, budget)
 
     monkeypatch.setattr(OrthantCone, "contains", counting)
-    fam = ConeFamily(ZN, ZN, UpSetFibers((0, 1, 2, 4)))
-    fv = validate_family(fam, TrivialAction(Z, Z), SaturationBudget(2, 6, Window(4, 8, 4)))
+    fam = FamilyCone(trivial_shape(), UpSetFibers((0, 1, 2, 4)))
+    fv = validate_family(fam, SaturationBudget(2, 6, Window(4, 8, 4)))
     assert_state(fv.conditions, "yes")
     assert_state(fv.orbit_remark, "yes")
     assert len(calls) == 18

@@ -24,8 +24,8 @@ from ordsplit.cones import (
     is_monotone,
 )
 from ordsplit.extensions import (
-    ConeFamily,
     ExtensionShape,
+    FamilyCone,
     UpSetFibers,
     _kernel_reflects,
     point,
@@ -174,8 +174,8 @@ def test_kernel_reflects_scan():
 
 
 def test_family_conditions_unknown_note():
-    fam = ConeFamily(pre(Undecided(NAT, frozenset({2}))), pre(NAT), UpSetFibers((0, 1, 2, 4)))
-    v = validate_family(fam, TrivialAction(Z, Z), SMALL_BUDGET).conditions
+    shape = ExtensionShape(pre(NAT), pre(Undecided(NAT, frozenset({2}))), TrivialAction(Z, Z))
+    v = validate_family(FamilyCone(shape, UpSetFibers((0, 1, 2, 4))), SMALL_BUDGET).conditions
     assert_state(v, "unknown")
     assert v.note == "family conditions hit undecided memberships"
 

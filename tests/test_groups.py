@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from fractions import Fraction
 from hypothesis import given, settings
@@ -147,6 +149,39 @@ def test_cayley_validation_rejects_non_associative():
     )
     with pytest.raises(StructureError):
         CayleyGroup(table, 0)
+
+
+def _reduced_latin_squares(n):
+    """Every Latin square on 0..n-1 whose first row and first column are 0..n-1."""
+
+    def extend(rows):
+        if len(rows) == n:
+            yield tuple(rows)
+            return
+        for perm in itertools.permutations(range(n)):
+            if perm[0] == len(rows) and all(perm[j] != r[j] for r in rows for j in range(n)):
+                yield from extend(rows + [perm])
+
+    yield from extend([tuple(range(n))])
+
+
+def test_cayley_associativity_matches_the_cubic_oracle_on_order_5():
+    # Generators of the table's word ball decide associativity (Light's test).
+    squares = list(_reduced_latin_squares(5))
+    assert len(squares) == 56
+    groups = 0
+    for t in squares:
+        associative = all(
+            t[t[a][b]][c] == t[a][t[b][c]] for a in range(5) for b in range(5) for c in range(5)
+        )
+        if associative:
+            CayleyGroup(t, 0)
+            groups += 1
+        else:
+            with pytest.raises(StructureError, match="not associative"):
+                CayleyGroup(t, 0)
+    # The labellings of Z_5 with identity 0: 4! / |Aut(Z_5)| = 6.
+    assert groups == 6
 
 
 def test_generated_subgroup_orbit():

@@ -21,12 +21,13 @@ from ordsplit.extensions import (
     product_cone,
 )
 from ordsplit.groups import CyclicGroup, FreeAbelian, RationalVector, Semidirect, StructureError
-from ordsplit.homs import IdentityHom, PairHom, ScalarHom
+from ordsplit.homs import IdentityHom, PairHom, ScalarHom, check_homomorphism
 from ordsplit.points import (
     PointMorphism,
     check_point_morphism,
     classify_point,
     default_base_catalog,
+    equivariance_failure,
     hom_leq,
     is_rali,
     is_strong,
@@ -144,7 +145,7 @@ def test_sign_pullback_witness_expansion():
     assert_state(v, "no")
     assert v.witness == (-2, 1)
     # the downstairs minimal cone rejects it outright
-    mc = minimal_cone(pb.shape, SMALL_BUDGET)
+    mc = minimal_cone(pb, SMALL_BUDGET)
     assert_state(mc.contains((-2, 1), SMALL_BUDGET), "no")
 
 
@@ -181,7 +182,7 @@ def test_point_product_of_ralis_is_rali():
 def test_point_product_of_scaling_points_strong_on_window():
     pp = point_product(scaling_point(), scaling_point())
     small = SaturationBudget(2, 4, Window(2, 3, 2))
-    mc = minimal_cone(pp.shape, small)
+    mc = minimal_cone(pp, small)
     for el in pp.carrier.window_elements(Window(1, 2, 2)):
         vp = pp.cone.contains(el, small)
         vm = mc.contains(el, small)
@@ -244,6 +245,25 @@ def test_ssfl_requires_iso_components():
         ssfl_check(m, src, src, SMALL_BUDGET)
 
 
+def test_ssfl_refuses_a_middle_map_that_is_not_a_homomorphism():
+    # id x id from the trivially acted Z x Z onto the sign-acted one squares
+    # with every structure map, but is not additive: phi_1(1) = 1 goes to 1,
+    # while phi'_1(1) = -1.
+    src = point(ExtensionShape(Z0, ZN, TrivialAction(Z, Z)), "product")
+    dst = point(ExtensionShape(Z0, ZN, SignAction(Z, Z)), "product")
+    ident = IdentityHom(Z)
+    mid = PairHom(src.carrier, dst.carrier, ident, ident)
+    assert_state(check_homomorphism(mid), "no")
+    assert equivariance_failure(ident, ident, src, dst) == (1, 1)
+    assert equivariance_failure(ident, ident, dst, dst) is None
+    m = PointMorphism(ident, mid, ident)
+    v = check_point_morphism(m, src, dst, SMALL_BUDGET)
+    assert_state(v, "no")
+    assert v.witness == (1, 1)
+    with pytest.raises(StructureError, match="not a point morphism"):
+        ssfl_check(m, src, dst, SMALL_BUDGET)
+
+
 def test_order_iso_check_scaling():
     h = ScalarHom(Q, Q, Fraction(2))
     assert_state(order_iso_check(h, QP, QP, SMALL_BUDGET), "yes")
@@ -263,7 +283,7 @@ def test_pullback_of_rali_is_rali_along_catalog():
         pb = pullback(pt, g, base, SMALL_BUDGET)
         assert_state(is_rali(pb, SMALL_BUDGET), "yes", f"along {g}")
         # pullback cone of a rali point is the product cone on the window
-        prod = product_cone(pb.shape)
+        prod = product_cone(pb)
         for el in pb.carrier.window_elements(Window(2, 2, 1)):
             assert pb.cone.contains(el, SMALL_BUDGET).state == prod.contains(el, SMALL_BUDGET).state
 
