@@ -647,12 +647,15 @@ class GeneratedCone(Cone):
 
 
 def _within_cap(el, cap: int) -> bool:
-    if isinstance(el, tuple):
+    # Exact type tests: isinstance(el, Fraction) asks an ABC on every int.
+    # A bool falls through to True; with cap >= 2 isinstance passed it too.
+    kind = type(el)
+    if kind is tuple:
         return all(_within_cap(c, cap) for c in el)
-    if isinstance(el, Fraction):
-        return abs(el) <= cap and el.denominator <= 64
-    if isinstance(el, int):
+    if kind is int:
         return abs(el) <= cap
+    if kind is Fraction:
+        return abs(el) <= cap and el.denominator <= 64
     return True
 
 

@@ -1,9 +1,11 @@
 """Classification of points: rali, strong, stably strong; pullbacks; SSFL.
 
 A point is rali exactly when its cone is the componentwise cone, and strong
-exactly when its cone is the one generated from it.  Strongness is not stable
-under pullback, so "stably strong" is only ever certified relative to an
-explicit catalog of base morphisms.
+exactly when its cone is the one generated from it.  Each query answers by
+one route: `is_rali` by cone equality, not by the equivalent s∘f <= id of
+`hom_leq`, which stays here so that the tests can compare the two.
+Strongness is not stable under pullback, so "stably strong" is only ever
+certified relative to an explicit catalog of base morphisms.
 """
 
 from __future__ import annotations
@@ -35,13 +37,11 @@ from .groups import (
 )
 from .homs import (
     Homomorphism,
-    IdentityHom,
     KernelHom,
     ProjectionHom,
     ScalarHom,
     SectionHom,
     TableHom,
-    compose,
     invert,
 )
 from .linalg import determinant
@@ -97,19 +97,8 @@ def hom_leq(
 
 
 def is_rali(pt: SplitExtension, budget: SaturationBudget = DEFAULT_BUDGET) -> Verdict:
-    """Cone equality with the componentwise cone, cross-checked by adjointness."""
-    by_cone = cones_equal(pt.cone, product_cone(pt), budget)
-    s, f = SectionHom(pt.carrier), ProjectionHom(pt.carrier)
-    sf = compose(s, f)
-    for b in pt.b.group.window_elements(budget.window):
-        if f.apply(s.apply(b)) != b:
-            raise AssertionError("projection after section is not the identity")
-    by_adjoint = hom_leq(sf, IdentityHom(pt.carrier), pt.pre, pt.pre, budget)
-    if (by_cone.is_yes and by_adjoint.is_no) or (by_cone.is_no and by_adjoint.is_yes):
-        raise AssertionError(
-            f"rali routes disagree: cone equality {by_cone} vs adjointness {by_adjoint}"
-        )
-    return by_cone
+    """Cone equality with the componentwise cone (see the module docstring)."""
+    return cones_equal(pt.cone, product_cone(pt), budget)
 
 
 def is_strong(pt: SplitExtension, budget: SaturationBudget = DEFAULT_BUDGET) -> Verdict:
@@ -297,9 +286,6 @@ def order_iso_check(
     inv = invert(h)
     if inv is None:
         return unknown("no exact inverse available for this representation")
-    for x in src.group.window_elements(budget.window):
-        if inv.apply(h.apply(x)) != x:
-            return no(x, "claimed inverse fails")
     return vand(
         is_monotone(h, src, dst, budget),
         is_monotone(inv, dst, src, budget),
@@ -335,10 +321,6 @@ class PointClassification:
     rali: Verdict
     strong: Verdict
     stably_strong: StablyStrongReport
-
-    def __post_init__(self):
-        if self.rali.is_yes and self.strong.is_no:
-            raise AssertionError("a rali point must be strong")
 
 
 def classify_point(

@@ -210,7 +210,7 @@ def test_acceptance_4_rali_two_routes_agree():
         by_adjoint = hom_leq(sf, IdentityHom(pt.carrier), pt.pre, pt.pre, SMALL_BUDGET)
         if (by_cone.is_yes and by_adjoint.is_no) or (by_cone.is_no and by_adjoint.is_yes):
             disagreements.append((name, by_cone, by_adjoint))
-        # and the packaged op cross-asserts internally
+        # the packaged op answers by the cone route alone, without raising
         is_rali(pt, SMALL_BUDGET)
     assert not disagreements, disagreements
     print(f"\nACCEPTANCE 4: PASS - rali routes agree on {len(_catalog_points())} catalog points")

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -504,9 +505,23 @@ def _bad_numbers():
     def fractional_rank(doc):
         doc["groups"]["Z"]["rank"] = 1.5
 
+    # A JSON 0.1 is the binary float 3602879701896397/2**55, not 1/10.
+    def float_ratio(doc):
+        doc["actions"]["sc"] = {"kind": "scaling", "acting": "Z", "acted": "Q", "ratio": 0.1}
+
+    def float_matrix_entry(doc):
+        doc["homs"] = {"m": {"kind": "linear", "source": "Q", "target": "Q", "matrix": [[0.1]]}}
+
+    def infinite_ratio(doc):
+        doc["actions"]["sc"] = {"kind": "scaling", "acting": "Z", "acted": "Q",
+                                "ratio": float("inf")}
+
     cases = [
         (rank, "groups.Z.rank: expected an integer, got 'two'"),
         (fractional_rank, "groups.Z.rank: expected an integer, got 1.5"),
+        (float_ratio, "actions.sc.ratio: expected a number, got 0.1"),
+        (float_matrix_entry, "homs.m: expected a number, got 0.1"),
+        (infinite_ratio, "actions.sc.ratio: expected a number, got inf"),
         (cayley_cell, "groups.C2: expected an integer, got 'x'"),
         (matrix_entry, "homs.m: expected a number, got 'x'"),
         (ratio, "actions.sc.ratio: expected a number, got '1/0'"),
@@ -946,6 +961,18 @@ def test_cli_rejects_rational_literals_with_an_exponent(tmp_path, capsys):
     for lit in ("1/3", "-2", "0.5"):
         doc = minimal_doc([{"op": "cone_contains", "cone": "qnat", "element": [lit]}])
         assert _validate_exit(tmp_path, capsys, doc)[0] == 0
+
+
+def test_cli_accepts_exact_floats(tmp_path, capsys):
+    doc = minimal_doc()
+    doc["actions"]["sc"] = {"kind": "scaling", "acting": "Z", "acted": "Q", "ratio": 0.5}
+    doc["homs"] = {"m": {"kind": "linear", "source": "Q", "target": "Q", "matrix": [[-0.25]]}}
+    doc["groups"]["Z2"] = {"kind": "free_abelian", "rank": 2.0}
+    assert _validate_exit(tmp_path, capsys, doc)[0] == 0
+    parsed = parse_document(doc)
+    assert parsed.actions["sc"].q == Fraction(1, 2)
+    assert parsed.homs["m"].matrix == ((Fraction(-1, 4),),)
+    assert parsed.groups["Z2"].rank == 2
 
 
 def _finite_carriers_over_the_cap():

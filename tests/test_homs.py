@@ -143,6 +143,36 @@ def test_invert_linear_unimodular():
     assert inv.apply(m.apply((2, 3))) == (2, 3)
 
 
+def _invertible_representations():
+    Z2, Q2 = FreeAbelian(2), RationalVector(2)
+    sd = Semidirect(Z, Z, SignAction(Z, Z))
+    c5 = CyclicGroup(5)
+    return [
+        pytest.param(IdentityHom(Z2), id="identity"),
+        pytest.param(ScalarHom(Z, Z, Fraction(-1)), id="scalar-z"),
+        pytest.param(ScalarHom(Q, Q, Fraction(-2, 3)), id="scalar-q"),
+        pytest.param(LinearHom(Z2, Z2, ((Fraction(2), Fraction(1)), (Fraction(1), Fraction(1)))),
+                     id="linear-z"),
+        pytest.param(LinearHom(Q2, Q2, ((Fraction(1, 2), Fraction(3)), (Fraction(0), Fraction(-1)))),
+                     id="linear-q"),
+        pytest.param(TableHom.from_dict(c5, c5, {a: 2 * a % 5 for a in range(5)}), id="table"),
+        pytest.param(PairHom(sd, sd, ScalarHom(Z, Z, Fraction(-1)), IdentityHom(Z)), id="pair"),
+    ]
+
+
+@pytest.mark.parametrize("h", _invertible_representations())
+def test_invert_is_a_two_sided_inverse_on_a_window(h):
+    # order_iso_check trusts invert() to be exact, without a round-trip scan.
+    inv = invert(h)
+    assert inv is not None
+    assert inv.source == h.target and inv.target == h.source
+    window = Window(3, 4, 3)
+    for x in h.source.window_elements(window):
+        assert inv.apply(h.apply(x)) == x
+    for y in h.target.window_elements(window):
+        assert h.apply(inv.apply(y)) == y
+
+
 def test_check_homomorphism_pair_map_is_window_only():
     # Equivariance of a pair map cannot be certified from the representation,
     # so a clean window scan stays Unknown on an infinite source.

@@ -1,10 +1,11 @@
+import random
 import sys
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from ordsplit import cones
+from ordsplit import cones, extensions, points
 from ordsplit.actions import ScalingAction, SignAction, TrivialAction
 from ordsplit.cones import (
     ConeGenerators,
@@ -16,12 +17,23 @@ from ordsplit.cones import (
 )
 from ordsplit.extensions import (
     ExtensionShape,
+    compatible_exists,
+    is_compatible,
+    lex_cone,
     minimal_cone,
     point,
     product_cone,
 )
 from ordsplit.groups import CyclicGroup, FreeAbelian, RationalVector, Semidirect, StructureError
-from ordsplit.homs import IdentityHom, PairHom, ScalarHom, check_homomorphism
+from ordsplit.homs import (
+    IdentityHom,
+    PairHom,
+    ProjectionHom,
+    ScalarHom,
+    SectionHom,
+    check_homomorphism,
+    compose,
+)
 from ordsplit.points import (
     PointMorphism,
     check_point_morphism,
@@ -39,7 +51,7 @@ from ordsplit.points import (
 )
 from ordsplit.verdict import SaturationBudget, Window
 
-from helpers import SMALL_BUDGET, assert_state
+from helpers import SMALL_BUDGET, assert_state, random_finite_extension
 
 Z = FreeAbelian(1)
 Q = RationalVector(1)
@@ -98,6 +110,65 @@ def test_rali_implies_strong_on_catalog():
         r, s = is_rali(pt, SMALL_BUDGET), is_strong(pt, SMALL_BUDGET)
         if r.is_yes:
             assert s.is_yes
+
+
+def _contradict(a, b):
+    return (a.is_yes and b.is_no) or (a.is_no and b.is_yes)
+
+
+def test_routes_never_contradict_on_random_finite_extensions():
+    # Each query answers by one route; the paper's other route is compared
+    # here.  On a finite carrier the componentwise cone is the only
+    # compatible one, so the rali routes see only rali points; the catalog
+    # points of acceptance 4 cover the `no` side.
+    rng = random.Random(20261018)
+    compat_states = set()
+    for _ in range(25):
+        shape = ExtensionShape(*random_finite_extension(rng, max_carrier=32))
+        candidates = [product_cone(shape), lex_cone(shape)]
+        if compatible_exists(shape, SMALL_BUDGET).is_yes:
+            candidates.append(minimal_cone(shape, SMALL_BUDGET))
+        for P in candidates:
+            interval = is_compatible(P, shape, "interval", SMALL_BUDGET)
+            definitional = is_compatible(P, shape, "definitional", SMALL_BUDGET)
+            assert not _contradict(interval, definitional), (shape, P)
+            compat_states |= {interval.state, definitional.state}
+            if not interval.is_yes:
+                continue
+            pt = point(shape, P)
+            by_cone = is_rali(pt, SMALL_BUDGET)
+            sf = compose(SectionHom(pt.carrier), ProjectionHom(pt.carrier))
+            by_adjoint = hom_leq(sf, IdentityHom(pt.carrier), pt.pre, pt.pre, SMALL_BUDGET)
+            assert not _contradict(by_cone, by_adjoint), (shape, P)
+            if by_cone.is_yes:
+                assert_state(is_strong(pt, SMALL_BUDGET), "yes", str(shape))
+    assert {s.value for s in compat_states} == {"yes", "no"}
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_each_query_computes_only_its_own_route(monkeypatch):
+    leq_calls = _count_calls(monkeypatch, points, "hom_leq")
+    for pt in (trivial_point(), trivial_point("lex"), sign_point(), scaling_point()):
+        is_rali(pt, SMALL_BUDGET)
+    assert leq_calls == []
+    monotone_calls = _count_calls(monkeypatch, extensions, "is_monotone")
+    subset_calls = _count_calls(monkeypatch, extensions, "cone_subset")
+    pt = trivial_point("lex")
+    assert_state(is_compatible(pt.cone, pt, "interval", SMALL_BUDGET), "yes")
+    assert (len(monotone_calls), len(subset_calls)) == (0, 2)
+    assert_state(is_compatible(pt.cone, pt, "definitional", SMALL_BUDGET), "yes")
+    assert (len(monotone_calls), len(subset_calls)) == (3, 2)
 
 
 def test_pullback_along_identity_preserves_membership():
