@@ -371,8 +371,7 @@ class TildeCone(Cone):
 
     group: AutGroup
 
-    def contains(self, el, budget=DEFAULT_BUDGET):
-        self.group.check(el)
+    def _contains(self, el, budget):
         v = pointwise_sim_id(self.group.realize(el), self.group.base, budget)
         if v.is_no:
             return no(el, f"moves {format_element(v.witness)}")
@@ -391,8 +390,7 @@ class PlusCone(Cone):
 
     group: AutGroup
 
-    def contains(self, el, budget=DEFAULT_BUDGET):
-        self.group.check(el)
+    def _contains(self, el, budget):
         return _dominates_id(self.group, el, budget)
 
     def known_cone(self):
@@ -408,8 +406,7 @@ class MinusCone(Cone):
 
     group: AutGroup
 
-    def contains(self, el, budget=DEFAULT_BUDGET):
-        self.group.check(el)
+    def _contains(self, el, budget):
         return _dominated_by_id_on_negatives(self.group, el, budget)
 
     def known_cone(self):

@@ -5,14 +5,22 @@ x <= y  iff  -x+y is in the cone.  Membership answers are three-valued:
 built-in cones are exact, generated cones search within a budget and certify
 exclusions on abelian carriers with separating functionals.
 
-Generated cones memoize their saturation per budget, and the conjugator
-system I - phi_b per base element and budget; the fill is idempotent and
+Membership follows the template of groups, actions and maps: the public
+contains checks the element once, _contains trusts it, and a composite cone
+(product, point product, intersection, lex, generated, pullback, family)
+asks its parts' _contains about the components.
+
+Generated cones memoize their saturation per budget, and the elimination of
+the conjugator system I - phi_b per base element and budget, so that each
+fibre element costs one matrix-vector product; the fill is idempotent and
 queries never mutate shared state in a way observable across queries.
 
 The "for all" checks (cone subset, monotonicity, pointwise comparison, the
 cone axioms, fibre reflection) get their "on generators", "window-verified"
 and "exhaustive" verdicts only from the two helpers in verdict.py:
 on_generators for the generator shortcut, for_all_members for the scan.
+cones_equal, behind strongness and rali, decides both inclusions in one
+window scan and answers exactly as the two cone_subset calls would.
 """
 
 from __future__ import annotations
@@ -39,7 +47,15 @@ from .groups import (
     word_ball,
 )
 from .homs import Homomorphism, KernelHom, ProjectionHom, SectionHom, _pair_parts
-from .linalg import feasible_strict, identity_matrix, mat_sub, scalar_matrix, solve
+from .linalg import (
+    Elimination,
+    eliminate,
+    feasible_strict,
+    identity_matrix,
+    mat_sub,
+    scalar_matrix,
+    solve,
+)
 from .verdict import (
     DEFAULT_BUDGET,
     SaturationBudget,
@@ -56,10 +72,21 @@ from .verdict import (
 
 
 class Cone(ABC):
+    """contains checks its element against the carrier, then asks _contains,
+    which trusts it.  A composite cone asks its parts' _contains about the
+    components of an element it has checked.  The classes perfbench's tracer
+    wraps by name (tracer.CONE_CLASSES) bind contains in their own body.
+    """
+
     group: Group
 
+    def contains(self, x: Element, budget: SaturationBudget = DEFAULT_BUDGET) -> Verdict:
+        self.group.check(x)
+        return self._contains(x, budget)
+
     @abstractmethod
-    def contains(self, x: Element, budget: SaturationBudget = DEFAULT_BUDGET) -> Verdict: ...
+    def _contains(self, x: Element, budget: SaturationBudget) -> Verdict:
+        """Membership of an x that already passed group.check."""
 
     def known_cone(self) -> bool:
         """True when 0-membership and closure under addition and conjugation
@@ -75,7 +102,7 @@ class Cone(ABC):
         return [
             x
             for x in self.group.window_elements(window)
-            if self.contains(x, budget).is_yes
+            if self._contains(x, budget).is_yes
         ]
 
 
@@ -83,8 +110,7 @@ class Cone(ABC):
 class TrivialCone(Cone):
     group: Group
 
-    def contains(self, x, budget=DEFAULT_BUDGET):
-        self.group.check(x)
+    def _contains(self, x, budget):
         if x == self.group.zero():
             return yes()
         return no(x)
@@ -103,8 +129,7 @@ class TrivialCone(Cone):
 class FullCone(Cone):
     group: Group
 
-    def contains(self, x, budget=DEFAULT_BUDGET):
-        self.group.check(x)
+    def _contains(self, x, budget):
         return yes()
 
     def known_cone(self):
@@ -133,8 +158,9 @@ class OrthantCone(Cone):
         if not isinstance(self.group, (FreeAbelian, RationalVector)):
             raise ShapeError("orthant cone needs a vector carrier")
 
-    def contains(self, x, budget=DEFAULT_BUDGET):
-        self.group.check(x)
+    contains = Cone.contains
+
+    def _contains(self, x, budget):
         for c in self.group.coords(x):
             if c < 0:
                 return no(x)
@@ -161,8 +187,9 @@ class ExtensionalCone(Cone):
         for x in self.elements:
             self.group.check(x)
 
-    def contains(self, x, budget=DEFAULT_BUDGET):
-        self.group.check(x)
+    contains = Cone.contains
+
+    def _contains(self, x, budget):
         return yes() if x in self.elements else no(x)
 
     @cached_property
@@ -204,12 +231,15 @@ class ProductCone(Cone):
     def __post_init__(self):
         if not isinstance(self.group, (Semidirect, DirectProduct)):
             raise ShapeError("product cone needs a pair carrier")
+        if (self.x_cone.group, self.b_cone.group) != _pair_parts(self.group):
+            raise ShapeError("product cone components live on other carriers")
 
-    def contains(self, x, budget=DEFAULT_BUDGET):
-        self.group.check(x)
+    contains = Cone.contains
+
+    def _contains(self, x, budget):
         xp, bp = x
-        vx = self.x_cone.contains(xp, budget)
-        vb = self.b_cone.contains(bp, budget)
+        vx = self.x_cone._contains(xp, budget)
+        vb = self.b_cone._contains(bp, budget)
         v = vand(vx, vb)
         if v.is_no:
             return no(x, "component outside its cone")
@@ -244,10 +274,9 @@ class PointProductCone(Cone):
     first: Cone
     second: Cone
 
-    def contains(self, el, budget=DEFAULT_BUDGET):
-        self.group.check(el)
+    def _contains(self, el, budget):
         (x1, x2), (b1, b2) = el
-        return vand(self.first.contains((x1, b1), budget), self.second.contains((x2, b2), budget))
+        return vand(self.first._contains((x1, b1), budget), self.second._contains((x2, b2), budget))
 
     def __str__(self):
         return f"({self.first} * {self.second})"
@@ -263,8 +292,8 @@ class IntersectionCone(Cone):
             if c.group != self.group:
                 raise ShapeError("intersection components live on different carriers")
 
-    def contains(self, x, budget=DEFAULT_BUDGET):
-        return vand(*(c.contains(x, budget) for c in self.cones))
+    def _contains(self, x, budget):
+        return vand(*(c._contains(x, budget) for c in self.cones))
 
     def known_cone(self):
         return all(c.known_cone() for c in self.cones)
@@ -313,17 +342,21 @@ class LexCone(Cone):
     def __post_init__(self):
         if not isinstance(self.group, (Semidirect, DirectProduct)):
             raise ShapeError("lex cone needs a pair carrier")
+        if (self.x_pre.group, self.b_pre.group) != _pair_parts(self.group):
+            raise ShapeError("lex cone components live on other carriers")
 
-    def contains(self, x, budget=DEFAULT_BUDGET):
-        self.group.check(x)
+    contains = Cone.contains
+
+    def _contains(self, x, budget):
+        # 0 <= b, b <= 0 and 0 <= x are b, -b and x in their cones.
         xp, bp = x
-        bz = self.b_pre.group.zero()
-        pos = self.b_pre.leq(bz, bp, budget)
-        back = self.b_pre.leq(bp, bz, budget)
+        B, b_cone = self.b_pre.group, self.b_pre.cone
+        pos = b_cone._contains(bp, budget)
+        back = b_cone._contains(B._neg(bp), budget)
         strict = vand(pos, vnot(back, bp))
         if strict.is_yes:
             return yes()
-        xpos = self.x_pre.leq(self.x_pre.group.zero(), xp, budget)
+        xpos = self.x_pre.cone._contains(xp, budget)
         tail = vand(back, pos, xpos)
         if tail.is_yes:
             return yes()
@@ -361,7 +394,7 @@ class ConeGenerators:
         return self.cone.positive_sample(window, budget)
 
     def member(self, x, budget) -> Verdict:
-        return self.cone.contains(x, budget)
+        return self.cone._contains(x, budget)
 
 
 @dataclass(frozen=True)
@@ -395,8 +428,9 @@ class GeneratedCone(Cone):
         elif self.source.cone.group != self.group:
             raise ShapeError("source cone lives on another group")
 
-    def contains(self, x, budget=DEFAULT_BUDGET):
-        self.group.check(x)
+    contains = Cone.contains
+
+    def _contains(self, x, budget):
         if x == self.group.zero():
             return yes()
         src = self.source.member(x, budget)
@@ -439,11 +473,11 @@ class GeneratedCone(Cone):
         xp, bp = x
         px, pb = self._product_parts()
         if self.certified_compatible and pb is not None:
-            vb = pb.contains(bp, budget)
+            vb = pb._contains(bp, budget)
             if vb.is_no:
                 return no(x, "base part outside the base cone")
             if bp == G.b_group.zero() and px is not None:
-                vx = px.contains(xp, budget)
+                vx = px._contains(xp, budget)
                 if vx.is_yes:
                     return yes("kernel part positive")
                 if vx.is_no:
@@ -472,8 +506,9 @@ class GeneratedCone(Cone):
             return all(g[0] == xz for g in self.source.elements)
         return False
 
-    def _conjugator_system(self, bp, budget):
-        """I - phi_bp when (0, bp) is a source element, else None; once per (bp, budget).
+    def _conjugator_system(self, bp, budget) -> Elimination | None:
+        """The elimination of I - phi_bp when (0, bp) is a source element,
+        else None; once per (bp, budget).
 
         bp has passed group.check in contains, so an int and an equal
         Fraction never share a key.
@@ -490,7 +525,7 @@ class GeneratedCone(Cone):
             if s is not None:
                 m = scalar_matrix(s, X.rank)
         if m is not None and self.source.member((X.zero(), bp), budget).is_yes:
-            a = mat_sub(identity_matrix(X.rank), m)
+            a = eliminate(mat_sub(identity_matrix(X.rank), m))
         self._cache[key] = a
         return a
 
@@ -500,10 +535,10 @@ class GeneratedCone(Cone):
         X = G.x_group
         if not isinstance(X, (FreeAbelian, RationalVector)):
             return None
-        a = self._conjugator_system(bp, budget)
-        if a is None:
+        system = self._conjugator_system(bp, budget)
+        if system is None:
             return None
-        particular, basis = solve(a, X.coords(xp))
+        particular, basis = solve(system, X.coords(xp))
         if particular is None:
             return None
         candidates = [particular]
@@ -518,7 +553,7 @@ class GeneratedCone(Cone):
                 r = X.from_coords(cand)
             except ShapeError:
                 continue  # not integral on Z^k
-            check = G.conjugate((r, G.b_group.zero()), (X.zero(), bp))
+            check = G._conjugate((r, G.b_group.zero()), (X.zero(), bp))
             if check == (xp, bp):
                 return r
         return None
@@ -791,33 +826,81 @@ def check_cone_axioms(cone: Cone, budget: SaturationBudget = DEFAULT_BUDGET) -> 
     )
 
 
+_SUBSET_NO = "element of the first cone only"
+_SUBSET_UNDECIDED = "subset check hit undecided memberships"
+
+
+def _on_generators_of(P: Cone, Q: Cone, budget: SaturationBudget) -> Verdict | None:
+    """P inside Q decided on P's generators, or None when a scan must decide."""
+    gens = P.finite_generators()
+    if gens is None or not Q.known_cone():
+        return None
+    # Additive and conjugation closure of Q reduce the check to generators.
+    v = on_generators(
+        gens, lambda g: Q.contains(g, budget),
+        "generator escapes the larger cone", "on generators",
+    )
+    return None if v.is_unknown else v
+
+
 def cone_subset(P: Cone, Q: Cone, budget: SaturationBudget = DEFAULT_BUDGET) -> Verdict:
     """P a subset of Q, window-checked with generator shortcuts."""
     if P == Q:
         return yes("identical cones")
+    v = _on_generators_of(P, Q, budget)
+    if v is not None:
+        return v
     G = P.group
-    gens = P.finite_generators()
-    if gens is not None and Q.known_cone():
-        # Additive and conjugation closure of Q reduce the check to generators.
-        v = on_generators(
-            gens, lambda g: Q.contains(g, budget),
-            "generator escapes the larger cone", "on generators",
-        )
-        if not v.is_unknown:
-            return v
     return for_all_members(
         G.window_elements(budget.window),
         lambda x: P.contains(x, budget),
         lambda x: Q.contains(x, budget),
-        "element of the first cone only", "subset check hit undecided memberships",
+        _SUBSET_NO, _SUBSET_UNDECIDED,
         yes("exhaustive" if G.is_finite else "window-verified"),
     )
 
 
 def cones_equal(P: Cone, Q: Cone, budget: SaturationBudget = DEFAULT_BUDGET) -> Verdict:
+    """vand(cone_subset(P, Q), cone_subset(Q, P)), in one window scan.
+
+    The generator shortcut settles each inclusion it can.  The scan then
+    walks the window once for the inclusions left open, asking each cone
+    about an element only when an open inclusion needs the answer.  The
+    first element of P outside Q returns at once; the first of Q outside P
+    closes that inclusion and is returned after the scan, unless P outside
+    Q turns up later.
+    """
     if P == Q:
         return yes("identical cones")
-    return vand(cone_subset(P, Q, budget), cone_subset(Q, P, budget))
+    lower = _on_generators_of(P, Q, budget)
+    if lower is not None and lower.is_no:
+        return lower
+    upper = _on_generators_of(Q, P, budget)
+    open_lower, open_upper = lower is None, upper is None
+    saw_unknown = False
+    if open_lower or open_upper:
+        for x in P.group.window_elements(budget.window):
+            p = q = None
+            if open_lower:
+                p = P.contains(x, budget)
+                if p.is_yes:
+                    q = Q.contains(x, budget)
+                    if q.is_no:
+                        return no(x, _SUBSET_NO)
+            if open_upper:
+                if q is None:
+                    q = Q.contains(x, budget)
+                if q.is_yes:
+                    if p is None:
+                        p = P.contains(x, budget)
+                    if p.is_no:
+                        upper, open_upper = no(x, _SUBSET_NO), False
+                        if not open_lower:
+                            break
+            saw_unknown |= (p is not None and p.is_unknown) or (q is not None and q.is_unknown)
+    if upper is not None and upper.is_no:
+        return upper
+    return unknown(_SUBSET_UNDECIDED) if saw_unknown else yes()
 
 
 def is_monotone(

@@ -268,8 +268,9 @@ def _pairs(spec, key, where: str) -> list:
 def _table(spec, key, where: str, kind: type = int) -> tuple:
     """A list of lists of numbers: a Cayley table or a matrix."""
     rows = _list(spec, key, where)
+    at = _at(where, key)
     return tuple(
-        tuple(_number(c, where, kind) for c in _list(rows, i, _at(where, key)))
+        tuple(_number(c, _at(_at(at, i), j), kind) for j, c in enumerate(_list(rows, i, at)))
         for i in range(len(rows))
     )
 

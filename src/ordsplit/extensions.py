@@ -518,8 +518,9 @@ class FamilyCone(Cone):
     def group(self) -> Semidirect:
         return self.shape.carrier
 
-    def contains(self, el, budget=DEFAULT_BUDGET):
-        self.group.check(el)
+    contains = Cone.contains
+
+    def _contains(self, el, budget):
         x, b = el
         return yes() if self.sets.contains(b, x) else no(el)
 

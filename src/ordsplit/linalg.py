@@ -2,12 +2,14 @@
 
 Everything here works on tuples of tuples of Fraction; sizes are desk-scale
 (rank <= ~6), so plain elimination and Fourier-Motzkin are fine.  One
-Gauss-Jordan routine, _reduce, serves solve, matrix_inverse and determinant.
+Gauss-Jordan routine, _reduce, serves eliminate (and so solve),
+matrix_inverse and determinant.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -102,16 +104,25 @@ def matrix_inverse(a: Matrix) -> Matrix | None:
     return tuple(tuple(row[n:]) for row in aug)
 
 
-def solve(a: Matrix, b) -> tuple[Vector | None, list[Vector]]:
-    """One solution of a x = b (or None) plus a basis of the null space."""
+@dataclass(frozen=True)
+class Elimination:
+    """The Gauss-Jordan form of a matrix a, kept to solve a x = b for many b.
+
+    Pivots and row operations depend only on a, so reducing [a | I] once
+    records them in transform: transform b is, exactly, the right-hand
+    column that reducing [a | b] would leave.
+    """
+
+    ncols: int
+    pivots: tuple[int, ...]
+    transform: Matrix
+    basis: tuple[Vector, ...]  # of the null space of a
+
+
+def eliminate(a: Matrix) -> Elimination:
     n = len(a[0]) if a else 0
-    aug = [[Fraction(c) for c in row] + [Fraction(v)] for row, v in zip(a, b)]
+    aug = [list(row) + list(e) for row, e in zip(mat(a), identity_matrix(len(a)))]
     pivots = _reduce(aug, n)[0]
-    if any(row[n] != 0 for row in aug[len(pivots):]):
-        return None, []
-    x = [Fraction(0)] * n
-    for row, col in zip(aug, pivots):
-        x[col] = row[n]
     basis = []
     for fc in (c for c in range(n) if c not in pivots):
         v = [Fraction(0)] * n
@@ -119,7 +130,22 @@ def solve(a: Matrix, b) -> tuple[Vector | None, list[Vector]]:
         for row, col in zip(aug, pivots):
             v[col] = -row[fc]
         basis.append(tuple(v))
-    return tuple(x), basis
+    return Elimination(n, tuple(pivots), tuple(tuple(row[n:]) for row in aug), tuple(basis))
+
+
+def solve(a: Matrix | Elimination, b) -> tuple[Vector | None, list[Vector]]:
+    """One solution of a x = b (or None) plus a basis of the null space.
+
+    Given eliminate(a) in place of a, one elimination serves many b.
+    """
+    e = a if isinstance(a, Elimination) else eliminate(a)
+    y = mat_vec(e.transform, b)
+    if any(y[len(e.pivots):]):
+        return None, []
+    x = [Fraction(0)] * e.ncols
+    for yi, col in zip(y, e.pivots):
+        x[col] = yi
+    return tuple(x), list(e.basis)
 
 
 def feasible_strict(

@@ -21,7 +21,6 @@ from .cones import (
     PreorderedGroup,
     ProductCone,
     TrivialCone,
-    cone_subset,
     cones_equal,
     is_monotone,
 )
@@ -102,11 +101,9 @@ def is_rali(pt: SplitExtension, budget: SaturationBudget = DEFAULT_BUDGET) -> Ve
 
 
 def is_strong(pt: SplitExtension, budget: SaturationBudget = DEFAULT_BUDGET) -> Verdict:
-    """Cone equality with the least compatible cone."""
-    minimal = minimal_cone(pt, budget)
-    lower = cone_subset(minimal, pt.cone, budget)
-    upper = cone_subset(pt.cone, minimal, budget)
-    return vand(lower, upper)
+    """Cone equality with the least compatible cone; a yes carries no note."""
+    v = cones_equal(minimal_cone(pt, budget), pt.cone, budget)
+    return yes() if v.is_yes else v
 
 
 @dataclass(frozen=True)
@@ -121,13 +118,14 @@ class PullbackCone(Cone):
     base_cone: Cone
     upstairs: Cone
 
-    def contains(self, el, budget=DEFAULT_BUDGET):
-        self.group.check(el)
+    contains = Cone.contains
+
+    def _contains(self, el, budget):
         x, c = el
-        vb = self.base_cone.contains(c, budget)
+        vb = self.base_cone._contains(c, budget)
         if vb.is_no:
             return no(el, "base part not positive")
-        vu = self.upstairs.contains((x, self.group.action.image(c)), budget)
+        vu = self.upstairs._contains((x, self.group.action._image(c)), budget)
         return vand(vb, vu)
 
     def __str__(self):

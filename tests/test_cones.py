@@ -25,6 +25,7 @@ from ordsplit.cones import (
     _finite_closure,
     units_subgroup,
 )
+from ordsplit.extensions import ExtensionShape, FamilyCone, UpSetFibers, minimal_cone, point
 from ordsplit.groups import (
     CyclicGroup,
     FreeAbelian,
@@ -34,6 +35,7 @@ from ordsplit.groups import (
     StructureError,
 )
 from ordsplit.homs import IdentityHom, ScalarHom
+from ordsplit.points import pullback
 from ordsplit.verdict import SaturationBudget, Window
 
 from helpers import (
@@ -304,18 +306,53 @@ def test_generated_membership_budget_monotone():
             assert v2.is_no
 
 
+def test_public_contains_refuses_malformed_elements():
+    # contains checks and _contains trusts: a composite cone hands its parts
+    # components it never checks again, so its own contains must refuse.
+    for bad in (True, Fraction(1)):
+        with pytest.raises(ShapeError):
+            OrthantCone(Z).contains(bad)
+    shape = ExtensionShape(Z0, ZN, SignAction(Z, Z))
+    sd = shape.carrier
+    product = ProductCone(sd, TrivialCone(Z), OrthantCone(Z))
+    composites = [
+        product,
+        pullback(point(shape, "minimal"), ScalarHom(Z, Z, Fraction(2)), ZN, SMALL_BUDGET).cone,
+        minimal_cone(shape, SMALL_BUDGET),
+        LexCone(sd, Z0, ZN),
+        FamilyCone(shape, UpSetFibers((0, 1))),
+        IntersectionCone(sd, (product, LexCone(sd, Z0, ZN))),
+    ]
+    assert [type(c).__name__ for c in composites] == [
+        "ProductCone", "PullbackCone", "GeneratedCone", "LexCone", "FamilyCone", "IntersectionCone",
+    ]
+    for cone in composites:
+        for bad in ((1,), (1, 0, 0), [0, 1], (True, 0), (0, Fraction(1))):
+            with pytest.raises(ShapeError):
+                cone.contains(bad, SMALL_BUDGET)
+
+
+def test_composite_cones_refuse_parts_on_other_carriers():
+    sd = Semidirect(Z, Z, TrivialAction(Z, Z))
+    with pytest.raises(ShapeError):
+        ProductCone(sd, OrthantCone(Q), OrthantCone(Z))
+    with pytest.raises(ShapeError):
+        LexCone(sd, ZN, QP)
+
+
 def test_lex_membership_asks_each_base_sign_once(monkeypatch):
     # 0 <= b and b <= 0 are asked once each, whether or not b turns out
     # strictly positive; strictly_positive followed by sim asked each twice.
     # The fibre order is full, so every orthant query is a base query.
+    # LexCone asks its parts' trusting _contains.
     calls = []
-    orthant_contains = OrthantCone.contains
+    orthant_contains = OrthantCone._contains
 
-    def counting(self, x, budget=SMALL_BUDGET):
+    def counting(self, x, budget):
         calls.append(x)
         return orthant_contains(self, x, budget)
 
-    monkeypatch.setattr(OrthantCone, "contains", counting)
+    monkeypatch.setattr(OrthantCone, "_contains", counting)
     lex = LexCone(Semidirect(Z, Z, TrivialAction(Z, Z)), ZF, ZN)
     for el, state in [((1, 0), "yes"), ((-1, 0), "yes"), ((5, -1), "no"), ((-5, 1), "yes")]:
         calls.clear()

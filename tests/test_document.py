@@ -439,6 +439,47 @@ def test_catalog_report_bytes_pinned(doubled, digest):
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
+def _sweep_document(ks):
+    """is_strong of the scaling point Q x| Z (n acting by 2^n, least cone)
+    pulled back along n -> 3n, one query per window k."""
+    return {
+        "format": document.FORMAT,
+        "groups": {
+            "Z": {"kind": "free_abelian", "rank": 1},
+            "Q": {"kind": "rational_vector", "rank": 1},
+        },
+        "cones": {
+            "z_nat": {"kind": "orthant", "group": "Z"},
+            "q_nat": {"kind": "orthant", "group": "Q"},
+        },
+        "homs": {"triple": {"kind": "linear", "source": "Z", "target": "Z", "matrix": [["3"]]}},
+        "actions": {"scale2": {"kind": "scaling", "acting": "Z", "acted": "Q", "ratio": "2"}},
+        "points": {
+            "scaling_minimal": {
+                "x_group": "Q", "x_cone": "q_nat", "b_group": "Z", "b_cone": "z_nat",
+                "action": "scale2", "cone": "minimal",
+            },
+        },
+        "queries": [
+            {
+                "id": f"k{k}", "op": "pullback_strong", "point": "scaling_minimal",
+                "along": "triple", "base_group": "Z", "base_cone": "z_nat",
+                "budget": {"conjugators": 2, "summands": 6, "window": [k, 2 * k, k]},
+                "expect": {"verdict": "yes"},
+            }
+            for k in ks
+        ],
+    }
+
+
+def test_sweep_report_bytes_pinned():
+    doc = parse_document(json.dumps(_sweep_document(range(3, 6))))
+    text = render_report_json(run(doc, SaturationBudget(2, 6, Window(8, 16, 8))))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+        "3585f207c846220a301133864aa19ad581c5233a651701172e07d345d0936cc7"
+    )
+
+
 # --- malformed documents exit 2 with a location, never a traceback ----------------
 
 
@@ -520,10 +561,10 @@ def _bad_numbers():
         (rank, "groups.Z.rank: expected an integer, got 'two'"),
         (fractional_rank, "groups.Z.rank: expected an integer, got 1.5"),
         (float_ratio, "actions.sc.ratio: expected a number, got 0.1"),
-        (float_matrix_entry, "homs.m: expected a number, got 0.1"),
+        (float_matrix_entry, "homs.m.matrix[0][0]: expected a number, got 0.1"),
         (infinite_ratio, "actions.sc.ratio: expected a number, got inf"),
-        (cayley_cell, "groups.C2: expected an integer, got 'x'"),
-        (matrix_entry, "homs.m: expected a number, got 'x'"),
+        (cayley_cell, "groups.C2.table[0][1]: expected an integer, got 'x'"),
+        (matrix_entry, "homs.m.matrix[0][0]: expected a number, got 'x'"),
         (ratio, "actions.sc.ratio: expected a number, got '1/0'"),
         (threshold, "queries[0]: expected an integer, got 'x'"),
     ]

@@ -36,7 +36,7 @@ from ordsplit.extensions import (
 from ordsplit.groups import FreeAbelian, RationalVector
 from ordsplit.homs import IdentityHom, LinearHom, ScalarHom
 from ordsplit.points import hom_leq
-from ordsplit.verdict import DEFAULT_BUDGET, unknown
+from ordsplit.verdict import unknown
 
 from helpers import SMALL_BUDGET, assert_state
 
@@ -59,10 +59,10 @@ class Undecided(Cone):
     def group(self):
         return self.base.group
 
-    def contains(self, x, budget=DEFAULT_BUDGET):
+    def _contains(self, x, budget):
         if x in self.undecided:
             return unknown(STUB_NOTE)
-        return self.base.contains(x, budget)
+        return self.base._contains(x, budget)
 
     def finite_generators(self):
         return self.gens

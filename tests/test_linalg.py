@@ -5,7 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ordsplit.linalg import (
+    _reduce,
     determinant,
+    eliminate,
     feasible_strict,
     identity_matrix,
     mat,
@@ -65,6 +67,39 @@ def test_solve_produces_solutions(rows, b):
         assert mat_vec(a, particular) == tuple(Fraction(c) for c in b)
         for v in basis:
             assert mat_vec(a, v) == (Fraction(0), Fraction(0))
+
+
+def _solve_by_augmenting(a, b):
+    """Gauss-Jordan on [a | b] itself, the elimination redone for every b."""
+    n = len(a[0])
+    aug = [list(row) + [Fraction(v)] for row, v in zip(a, b)]
+    pivots = _reduce(aug, n)[0]
+    if any(row[n] != 0 for row in aug[len(pivots):]):
+        return None, []
+    x = [Fraction(0)] * n
+    for row, col in zip(aug, pivots):
+        x[col] = row[n]
+    basis = []
+    for fc in (c for c in range(n) if c not in pivots):
+        v = [Fraction(0)] * n
+        v[fc] = Fraction(1)
+        for row, col in zip(aug, pivots):
+            v[col] = -row[fc]
+        basis.append(tuple(v))
+    return tuple(x), basis
+
+
+@settings(max_examples=60)
+@given(st.lists(st.lists(small_int, min_size=3, max_size=3), min_size=1, max_size=3),
+       st.lists(st.tuples(small_int, small_int, small_int), min_size=1, max_size=4))
+def test_one_elimination_solves_as_augmenting_each_right_side(rows, targets):
+    # Pivots depend only on a, so the kept row operations give the same
+    # exact solution and null-space basis for every b.
+    a = mat(rows)
+    e = eliminate(a)
+    for t in targets:
+        for b in (t[: len(rows)], mat_vec(a, t)):
+            assert solve(e, b) == solve(a, b) == _solve_by_augmenting(a, b)
 
 
 def test_mat_pow_negative_exponent():

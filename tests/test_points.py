@@ -1,6 +1,8 @@
+import itertools
 import random
 import sys
 from collections import Counter
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import pytest
@@ -8,12 +10,16 @@ import pytest
 from ordsplit import cones, extensions, points
 from ordsplit.actions import ScalingAction, SignAction, TrivialAction
 from ordsplit.cones import (
+    Cone,
     ConeGenerators,
     FullCone,
     GeneratedCone,
     OrthantCone,
     PreorderedGroup,
+    ProductCone,
     TrivialCone,
+    cone_subset,
+    cones_equal,
 )
 from ordsplit.extensions import (
     ExtensionShape,
@@ -34,6 +40,7 @@ from ordsplit.homs import (
     check_homomorphism,
     compose,
 )
+from ordsplit.linalg import Elimination
 from ordsplit.points import (
     PointMorphism,
     check_point_morphism,
@@ -49,7 +56,7 @@ from ordsplit.points import (
     ssfl_check,
     stably_strong_over,
 )
-from ordsplit.verdict import SaturationBudget, Window
+from ordsplit.verdict import DEFAULT_BUDGET, SaturationBudget, Window, vand
 
 from helpers import SMALL_BUDGET, assert_state, random_finite_extension
 
@@ -358,64 +365,172 @@ def test_pullback_of_rali_is_rali_along_catalog():
         for el in pb.carrier.window_elements(Window(2, 2, 1)):
             assert pb.cone.contains(el, SMALL_BUDGET).state == prod.contains(el, SMALL_BUDGET).state
 
+# --- cone equality in one scan ---------------------------------------------------
+
+# At one summand and one conjugator the minimal cones leave memberships unknown.
+TINY_BUDGET = SaturationBudget(1, 1, Window(2, 4, 2))
+
+
+def _two_scans(P, Q, budget):
+    """The reference cones_equal must reproduce: both inclusions, then vand."""
+    return vand(cone_subset(P, Q, budget), cone_subset(Q, P, budget))
+
+
+def _equality_cases():
+    """(P, Q, budget) with P != Q: finite shapes, the Z-based points, two half-axes."""
+    rng = random.Random(20261019)
+    for _ in range(12):
+        shape = ExtensionShape(*random_finite_extension(rng, max_carrier=32))
+        candidates = [product_cone(shape), lex_cone(shape)]
+        if compatible_exists(shape, SMALL_BUDGET).is_yes:
+            candidates.append(minimal_cone(shape, SMALL_BUDGET))
+        for first, second in itertools.permutations(candidates, 2):
+            if first != second:
+                yield first, second, SMALL_BUDGET
+    for budget in (SMALL_BUDGET, TINY_BUDGET):
+        pts = [sign_point(), scaling_point(), trivial_point("lex")]
+        pts += [
+            pullback(pt, ScalarHom(Z, Z, Fraction(c)), ZN, budget)
+            for pt in (sign_point(), scaling_point())
+            for c in (1, 2, 3)
+        ]
+        for pt in pts:
+            candidates = [pt.cone, minimal_cone(pt, budget), product_cone(pt), lex_cone(pt)]
+            for first, second in itertools.permutations(candidates, 2):
+                if first != second:
+                    yield first, second, budget
+    # Two half-axes: neither holds the other, so both inclusions fail.
+    carrier = scaling_point().carrier
+    axes = [
+        ProductCone(carrier, OrthantCone(Q), TrivialCone(Z)),
+        ProductCone(carrier, TrivialCone(Q), OrthantCone(Z)),
+    ]
+    yield axes[0], axes[1], SMALL_BUDGET
+    yield axes[1], axes[0], SMALL_BUDGET
+
+
+def test_cones_equal_matches_both_subset_scans():
+    states = Counter()
+    for P, Q, budget in _equality_cases():
+        got, want = cones_equal(P, Q, budget), _two_scans(P, Q, budget)
+        assert (got.state, got.witness, got.note) == (want.state, want.witness, want.note), (P, Q)
+        states[got.state.value] += 1
+    assert set(states) == {"yes", "no", "unknown"}
+    cone = scaling_point().cone
+    assert cones_equal(cone, cone, SMALL_BUDGET) == cone_subset(cone, cone, SMALL_BUDGET)
+
+
+@dataclass(frozen=True)
+class Counted(Cone):
+    """A cone that records the elements its public contains is asked about."""
+
+    base: Cone
+    asked: list = field(default_factory=list, compare=False)
+
+    @property
+    def group(self):
+        return self.base.group
+
+    def contains(self, x, budget=DEFAULT_BUDGET):
+        self.asked.append(x)
+        return self.base.contains(x, budget)
+
+    def _contains(self, x, budget):
+        return self.base._contains(x, budget)
+
+    def finite_generators(self):
+        return self.base.finite_generators()
+
+    def known_cone(self):
+        return self.base.known_cone()
+
+
+def test_cones_equal_asks_no_more_than_the_two_scans():
+    # An eager scan, asking both cones about every element, would ask more
+    # whenever one inclusion fails early.
+    fewer = 0
+    for P, Q, budget in _equality_cases():
+        one = Counted(P), Counted(Q)
+        two = Counted(P), Counted(Q)
+        cones_equal(*one, budget)
+        _two_scans(*two, budget)
+        assert len(one[0].asked) <= len(two[0].asked), (P, Q)
+        assert len(one[1].asked) <= len(two[1].asked), (P, Q)
+        fewer += len(one[0].asked) + len(one[1].asked) < len(two[0].asked) + len(two[1].asked)
+    assert fewer
+
+
 def test_conjugator_system_is_built_once_per_base_element(monkeypatch):
-    # Per base element and budget: along(c), and source membership of (0, b).
-    # Per fibre element: the solve and the conjugation that verifies it.
-    # Calls made by a contains method are its own membership tests, not the
-    # conjugator's, and are left out.
+    # Per base element and budget: along(c), the source membership of (0, b)
+    # and the elimination of I - phi_b.  Per fibre element: one solve against
+    # that elimination and one conjugation that verifies its solution.  A
+    # membership test of the element (0, b) itself comes from _contains and
+    # is not the conjugator's.
     budget = SaturationBudget(2, 6, Window(3, 6, 3))
     g = ScalarHom(Z, Z, Fraction(3))
     pb = pullback(scaling_point(), g, ZN, budget)
-    images, members, solves, checks = Counter(), Counter(), [], []
-    routes = Counter()
+    images, members, systems = Counter(), Counter(), Counter()
+    solves, checks, routes = [], [], Counter()
 
     def caller():
-        return sys._getframe(2).f_code.co_name
+        return sys._getframe(2)
 
     hom_apply = ScalarHom.apply
 
     def counting_apply(self, el):
-        if self is g and caller() != "contains":
+        if self is g:
             images[el] += 1
         return hom_apply(self, el)
 
     member = ConeGenerators.member
 
     def counting_member(self, x, budget):
-        if caller() != "contains":
+        if caller().f_code.co_name == "_conjugator_system":
             members[(id(self), x, budget)] += 1
         return member(self, x, budget)
 
+    eliminate = cones.eliminate
+
+    def counting_eliminate(a):
+        frame = sys._getframe(1)
+        assert frame.f_code.co_name == "_conjugator_system"
+        local = frame.f_locals
+        systems[(id(local["self"]), local["bp"], local["budget"])] += 1
+        return eliminate(a)
+
     solve = cones.solve
 
-    def counting_solve(a, target):
+    def counting_solve(system, target):
+        assert isinstance(system, Elimination)
         solves.append(target)
-        return solve(a, target)
+        return solve(system, target)
 
-    conjugate = Semidirect.conjugate
+    conjugate = Semidirect._conjugate
 
     def counting_conjugate(self, a, x):
-        if caller() == "_solve_conjugator":
+        if caller().f_code.co_name == "_solve_conjugator":
             checks.append(x)
         return conjugate(self, a, x)
 
-    contains = GeneratedCone.contains
+    contains = GeneratedCone._contains
 
-    def counting_contains(self, x, budget=SMALL_BUDGET):
+    def counting_contains(self, x, budget):
         v = contains(self, x, budget)
         routes[(v.note or "").startswith("conjugator")] += 1
         return v
 
     monkeypatch.setattr(ScalarHom, "apply", counting_apply)
     monkeypatch.setattr(ConeGenerators, "member", counting_member)
+    monkeypatch.setattr(cones, "eliminate", counting_eliminate)
     monkeypatch.setattr(cones, "solve", counting_solve)
-    monkeypatch.setattr(Semidirect, "conjugate", counting_conjugate)
-    monkeypatch.setattr(GeneratedCone, "contains", counting_contains)
+    monkeypatch.setattr(Semidirect, "_conjugate", counting_conjugate)
+    monkeypatch.setattr(GeneratedCone, "_contains", counting_contains)
     assert_state(is_strong(pb, budget), "yes")
     assert images and max(images.values()) == 1
     assert members and max(members.values()) == 1
     assert all(x[0] == 0 for _, x, _ in members)
-    assert routes[True] > len(members)
+    assert systems and max(systems.values()) == 1
+    assert routes[True] > len(systems)
     assert len(solves) == len(checks) == routes[True]
 
 
