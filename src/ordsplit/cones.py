@@ -3,17 +3,19 @@
 A cone is a submonoid closed under conjugation; it determines the preorder
 x <= y  iff  -x+y is in the cone.  Membership answers are three-valued:
 built-in cones are exact, generated cones search within a budget and certify
-exclusions on abelian carriers with separating functionals.
+exclusions on abelian carriers by separating functionals, the rays of their
+generators' dual cone.
 
 Membership follows the template of groups, actions and maps: the public
 contains checks the element once, _contains trusts it, and a composite cone
 (product, point product, intersection, lex, generated, pullback, family)
 asks its parts' _contains about the components.
 
-Generated cones memoize their saturation per budget, and the elimination of
-the conjugator system I - phi_b per base element and budget, so that each
-fibre element costs one matrix-vector product; the fill is idempotent and
-queries never mutate shared state in a way observable across queries.
+Generated cones memoize their saturation per budget, the elimination of the
+conjugator system I - phi_b per base element and budget (so that each fibre
+element costs one matrix-vector product) and that dual cone; the fill is
+idempotent and queries never mutate shared state in a way observable across
+queries.
 
 The "for all" checks (cone subset, monotonicity, pointwise comparison, the
 cone axioms, fibre reflection) get their "on generators", "window-verified"
@@ -49,6 +51,7 @@ from .groups import (
 from .homs import Homomorphism, KernelHom, ProjectionHom, SectionHom, _pair_parts
 from .linalg import (
     Elimination,
+    dual_cone,
     eliminate,
     feasible_strict,
     identity_matrix,
@@ -663,6 +666,14 @@ class GeneratedCone(Cone):
     # exclusion certificates on abelian carriers
 
     def _abelian_exclusion(self, x, budget) -> Verdict | None:
+        """Exact No when a ray of the generators' dual cone is negative on x.
+
+        Complete, as cone(rows) = {x : r.x >= 0 for every ray r} over Q: the
+        rays generate C* = {y : y.a >= 0 for every row a} (dual_cone), so an
+        x with every r.x >= 0 has y.x >= 0 on all of C* and lies in C** = C
+        (Farkas).  A ray negative on x is >= 0 on every generator, hence on
+        this cone.  The dual is built once per cone, when a query gets here.
+        """
         G = self.group
         if not G.is_abelian():
             return None
@@ -670,12 +681,11 @@ class GeneratedCone(Cone):
         gens = self.finite_generators()
         if vx is None or gens is None:
             return None
-        vgens = [_flatten(G, g) for g in gens]
-        if None in vgens:
-            return None
-        # Fourier-Motzkin is complete: by Farkas' lemma, when no functional
-        # separates x it lies in the rational cone of the generators.
-        functional = feasible_strict(vgens, [vx])
+        dual = self._cache.get("dual cone")
+        if dual is None:
+            # _flatten depends on the carrier alone, so the generators flatten as x did.
+            dual = self._cache["dual cone"] = dual_cone([_flatten(G, g) for g in gens], len(vx))
+        functional = feasible_strict(dual, [vx])
         if functional is not None:
             return no(x, f"separating functional {functional}")
         return None

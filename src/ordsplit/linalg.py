@@ -1,14 +1,18 @@
 """Small exact linear algebra over Fractions.
 
 Everything here works on tuples of tuples of Fraction; sizes are desk-scale
-(rank <= ~6), so plain elimination and Fourier-Motzkin are fine.  One
-Gauss-Jordan routine, _reduce, serves eliminate (and so solve),
-matrix_inverse and determinant.
+(rank <= ~6), so plain elimination is fine.  One Gauss-Jordan routine,
+_reduce, serves eliminate (and so solve), matrix_inverse and determinant.
+dual_cone builds the integer rays of a finitely generated cone's dual once,
+and feasible_strict separates a vector from the cone by the first ray that
+is negative on it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -148,84 +152,70 @@ def solve(a: Matrix | Elimination, b) -> tuple[Vector | None, list[Vector]]:
     return tuple(x), list(e.basis)
 
 
-def feasible_strict(
-    nonneg: list, strict_neg: list
-) -> Vector | None:
-    """Find y with y.a >= 0 for all a in nonneg and y.x < 0 for all x in strict_neg.
+@dataclass(frozen=True)
+class DualCone:
+    """Primitive integer rays generating {y : y.a >= 0 for each of nrows rows a}."""
 
-    Fourier-Motzkin on the homogeneous system; returns a rational witness or
-    None when no such functional exists.
+    nrows: int  # len(), as for the rows themselves
+    rays: tuple[tuple[int, ...], ...]
+
+    def __len__(self) -> int:
+        return self.nrows
+
+
+def _primitive(v) -> tuple[int, ...]:
+    """v over its content: the primitive integer vector on the ray of v != 0 in Q^n."""
+    content = Fraction(math.gcd(*(c.numerator for c in v)), math.lcm(*(c.denominator for c in v)))
+    return tuple(int(c / content) for c in v)
+
+
+def _cofactors(m: list, n: int) -> tuple[int, ...]:
+    """y with y.a = det([a; m]) for the (n-1) x n integer matrix m, by Laplace
+    expansion bottom up over every set of columns (n 2^(n-1) products)."""
+    minors = {(): 1}
+    for k, row in enumerate(reversed(m), 1):
+        minors = {cols: sum((-1) ** i * row[c] * minors[cols[:i] + cols[i + 1:]]
+                            for i, c in enumerate(cols) if row[c])
+                  for cols in itertools.combinations(range(n), k)}
+    return tuple((-1) ** j * minors[tuple(c for c in range(n) if c != j)] for j in range(n))
+
+
+def dual_cone(rows, n: int) -> DualCone:
+    """The dual {y : y.a >= 0 for every row a} of the cone the rows generate in Q^n.
+
+    With L the span of the rows and d its dimension, the dual is L's
+    orthogonal complement plus a pointed cone inside L, each of whose extreme
+    rays is tight on d-1 independent rows.  So +- a basis of the complement
+    and, for each (d-1)-subset of the rows in order, its normal inside L when
+    every row lies on one side of it, oriented to that side, generate the
+    dual.  Rows scaled to primitive integers make each normal a cofactor vector.
     """
+    prim = list(dict.fromkeys(_primitive(r) for r in rows if any(r)))
+    perp = [_primitive(v) for v in eliminate(mat(prim or [[0] * n])).basis]
+    rays = [s for p in perp for s in (p, tuple(-c for c in p))]
+    for subset in itertools.combinations(prim, n - len(perp) - 1) if prim else ():
+        y = _cofactors(list(subset) + perp, n)
+        if not any(y):
+            continue  # the subset is dependent
+        dots = [sum(map(operator.mul, y, a)) for a in prim]
+        if min(dots) >= 0:
+            rays.append(_primitive(y))
+        elif max(dots) <= 0:
+            rays.append(_primitive([-c for c in y]))
+    return DualCone(len(rows), tuple(dict.fromkeys(rays)))
+
+
+def feasible_strict(nonneg: list | DualCone, strict_neg: list) -> Vector | None:
+    """Find y with y.a >= 0 for all a in nonneg and y.x < 0 for the x in strict_neg.
+
+    The first ray of dual_cone(nonneg) negative on x, or None when there is no
+    such y; given the dual cone in place of nonneg, one build serves many x.
+    """
+    if len(strict_neg) > 1:
+        raise ValueError("feasible_strict separates at most one vector")
     if not strict_neg:
         return None
-    n = len(strict_neg[0])
-    # Constraints as (coeffs, strict): coeffs . y >= 0, or > 0 when strict.
-    cons: list[tuple[list[Fraction], bool]] = []
-    for a in nonneg:
-        cons.append(([Fraction(c) for c in a], False))
-    for x in strict_neg:
-        cons.append(([-Fraction(c) for c in x], True))
-    return _fourier_motzkin(cons, n)
-
-
-def _fourier_motzkin(cons, n) -> Vector | None:
-    """Solve coeffs.y >= 0 (or > 0) by eliminating y_{n-1}, ..., y_0."""
-    if n == 0:
-        for coeffs, strict in cons:
-            if strict:
-                return None
-        return ()
-    var = n - 1
-    lower, upper, rest = [], [], []
-    # c*y_var + head.y' >= 0  ->  y_var >= -head.y'/c (c>0), <= -head.y'/c (c<0).
-    for coeffs, strict in cons:
-        c = coeffs[var]
-        head = coeffs[:var]
-        if c > 0:
-            lower.append(([x / c for x in head], strict))
-        elif c < 0:
-            upper.append(([x / c for x in head], strict))
-        else:
-            rest.append((head, strict))
-    for lo, s1 in lower:
-        for up, s2 in upper:
-            # -lo.y' <= -up.y' is (lo - up).y' >= 0; strict if either side is.
-            rest.append(([l - u for l, u in zip(lo, up)], s1 or s2))
-    sub = _fourier_motzkin(rest, var)
-    if sub is None:
-        return None
-    subl = list(sub)
-
-    def val(expr):
-        return sum((c * v for c, v in zip(expr, subl)), Fraction(0))
-
-    lo_bound = lo_strict = None
-    for lo, s in lower:
-        v = -val(lo)
-        if lo_bound is None or v > lo_bound:
-            lo_bound, lo_strict = v, s
-        elif v == lo_bound:
-            lo_strict = lo_strict or s
-    up_bound = up_strict = None
-    for up, s in upper:
-        v = -val(up)
-        if up_bound is None or v < up_bound:
-            up_bound, up_strict = v, s
-        elif v == up_bound:
-            up_strict = up_strict or s
-    if lo_bound is None and up_bound is None:
-        y = Fraction(0)
-    elif lo_bound is None:
-        y = up_bound - 1 if up_strict else up_bound
-    elif up_bound is None:
-        y = lo_bound + 1 if lo_strict else lo_bound
-    else:
-        if lo_bound > up_bound:
-            return None
-        if lo_bound == up_bound:
-            if lo_strict or up_strict:
-                return None
-            y = lo_bound
-        else:
-            y = (lo_bound + up_bound) / 2
-    return tuple(subl + [y])
+    x = strict_neg[0]
+    dual = nonneg if isinstance(nonneg, DualCone) else dual_cone(nonneg, len(x))
+    negative = (r for r in dual.rays if sum(map(operator.mul, r, x)) < 0)
+    return next((tuple(map(Fraction, r)) for r in negative), None)

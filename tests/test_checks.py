@@ -21,7 +21,7 @@ import pytest
 import ordsplit
 from ordsplit.actions import Action, ActionHom, ProductAction, ScalingAction, SignAction, TrivialAction
 from ordsplit.classifiers import FiniteAutGroup, OrthantPermAutGroup, TrivialAutGroup
-from ordsplit.cones import FullCone, OrthantCone, PreorderedGroup
+from ordsplit.cones import ExplicitGenerators, FullCone, GeneratedCone, OrthantCone, PreorderedGroup
 from ordsplit.groups import (
     CyclicGroup,
     DirectProduct,
@@ -33,7 +33,7 @@ from ordsplit.groups import (
     StructureError,
 )
 from ordsplit.homs import ComposedHom, Homomorphism, IdentityHom, PairHom, ScalarHom, TableHom
-from ordsplit.verdict import Window
+from ordsplit.verdict import SaturationBudget, Window
 
 Z = FreeAbelian(1)
 Q = RationalVector(1)
@@ -177,13 +177,18 @@ def test_fixed_data_is_built_once():
         aut.neg((1, 2, 0))
 
 
-def test_perfbench_tracer_installs_and_uninstalls():
-    # The benchmark's tracer wraps these layers' methods by name; a refactor
-    # that moves one makes install raise LookupError.
+def _perfbench_tracer():
     path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_perfbench_tracer_installs_and_uninstalls():
+    # The benchmark's tracer wraps these layers' methods by name; a refactor
+    # that moves one makes install raise LookupError.
+    tracer = _perfbench_tracer()
     t = tracer.Tracer()
     try:
         tracer.install(t)
@@ -193,6 +198,24 @@ def test_perfbench_tracer_installs_and_uninstalls():
     calls, _ = t.fold()
     assert calls["groups.add"] == 1 and calls["groups.neg"] == 1 and calls["groups.check"] >= 3
     assert "traced" not in Group.add.__qualname__
+
+
+def test_perfbench_tracer_counts_one_separation_by_its_rows():
+    # The tracer wraps linalg.feasible_strict by name and counts
+    # len(args[0]) + len(args[1]) rows a call; handed the cone's DualCone,
+    # that is still the number of generators plus the one separated vector.
+    tracer = _perfbench_tracer()
+    gens = ((1, 0, 0), (1, 1, 0), (0, 1, 1), (0, 0, 1))
+    t = tracer.Tracer()
+    try:
+        tracer.install(t)
+        cone = GeneratedCone(FreeAbelian(3), ExplicitGenerators(gens))
+        assert cone.contains((0, -1, 0), SaturationBudget(1, 2, Window(2, 2, 1))).is_no
+    finally:
+        t.uninstall()
+    calls, _ = t.fold()
+    assert calls["linalg.feasible_strict"] == 1
+    assert t.counters["linalg.feasible_strict.rows"] == len(gens) + 1
 
 
 # The element <-> coordinate conversion of vector carriers, written inline.

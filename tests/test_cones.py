@@ -5,6 +5,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ordsplit import cones as cones_module
 from ordsplit.actions import SignAction, ScalingAction, TrivialAction
 from ordsplit.cones import (
     ConeGenerators,
@@ -25,6 +26,7 @@ from ordsplit.cones import (
     _finite_closure,
     units_subgroup,
 )
+from ordsplit.document import parse_document, run
 from ordsplit.extensions import ExtensionShape, FamilyCone, UpSetFibers, minimal_cone, point
 from ordsplit.groups import (
     CyclicGroup,
@@ -291,6 +293,32 @@ def test_generated_cone_cache_safe_under_concurrent_queries():
         results = list(pool.map(lambda q: fresh.contains(q, SMALL_BUDGET).state, queries * 3))
     for q, state in zip(queries * 3, results):
         assert state == expected[q]
+
+
+def test_generated_cone_builds_its_dual_cone_once(monkeypatch):
+    # The separating rays are built on the first exclusion and kept in the
+    # cone's cache; a re-parsed document holds new cones and starts cold, as
+    # each CLI invocation does.
+    built = []
+    real = cones_module.dual_cone
+    monkeypatch.setattr(cones_module, "dual_cone", lambda rows, n: built.append(rows) or real(rows, n))
+    cone = GeneratedCone(Z2V, ExplicitGenerators(((1, 0), (1, 1))))
+    excluded = [(0, 1), (-1, 0), (-2, 1), (0, -3), (3, 5)]
+    assert all(cone.contains(x, SMALL_BUDGET).is_no for x in excluded)
+    assert built == [[(1, 0), (1, 1)]]
+    doc = {
+        "format": "ordsplit-1",
+        "groups": {"Z2": {"kind": "free_abelian", "rank": 2}},
+        "cones": {"diag": {"kind": "generated", "group": "Z2", "generators": [["1", "0"], ["1", "1"]]}},
+        "queries": [
+            {"id": f"q{i}", "op": "cone_contains", "cone": "diag", "element": [str(a), str(b)]}
+            for i, (a, b) in enumerate(excluded)
+        ],
+    }
+    for parses in (1, 2):
+        report = run(parse_document(doc), SMALL_BUDGET)
+        assert [q["verdict"]["state"] for q in report["queries"]] == ["no"] * len(excluded)
+        assert len(built) == 1 + parses
 
 
 def test_generated_membership_budget_monotone():

@@ -946,7 +946,7 @@ def test_generated_cones_on_rational_and_product_carriers():
     }
     assert got["zz_out"] == {
         "state": "no", "witness": "(0, 1)",
-        "note": "separating functional (Fraction(1, 1), Fraction(-1, 2))",
+        "note": "separating functional (Fraction(1, 1), Fraction(-1, 1))",
     }
 
 

@@ -1,5 +1,8 @@
 import itertools
+import random
 from fractions import Fraction
+
+import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +10,7 @@ from hypothesis import strategies as st
 from ordsplit.linalg import (
     _reduce,
     determinant,
+    dual_cone,
     eliminate,
     feasible_strict,
     identity_matrix,
@@ -174,3 +178,69 @@ def test_no_separating_functional_puts_x_in_the_span(gens, x):
         particular, _ = solve(columns, x)
         assert particular is not None
         assert mat_vec(columns, particular) == tuple(Fraction(c) for c in x)
+
+
+def _in_rational_cone(rows, x):
+    """Caratheodory: x is in the cone of rows iff some linearly independent
+    rows solve for x with nonnegative coefficients."""
+    if not any(x):
+        return True
+    for k in range(1, len(x) + 1):
+        for subset in itertools.combinations(rows, k):
+            particular, basis = solve(mat(zip(*subset)), x)
+            if particular is not None and not basis and min(particular) >= 0:
+                return True
+    return False
+
+
+def _random_rows(rng, n):
+    """Rows in Q^n: empty, random, a line, or the full space, with zero,
+    parallel and opposite rows mixed in."""
+    def vec():
+        return tuple(Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2, 3))) for _ in range(n))
+
+    kind = rng.choice(("empty", "random", "random", "line", "full"))
+    if kind == "empty":
+        return []
+    rows = [vec() for _ in range(rng.randint(1, 4))]
+    if kind == "line":
+        rows = [rows[0], tuple(-c for c in rows[0])] + rows[1: rng.randint(1, 2)]
+    elif kind == "full":
+        rows = [tuple(Fraction(s * (i == j)) for j in range(n)) for i in range(n) for s in (1, -1)]
+    extra = rng.choice(("zero", "parallel", "opposite", "none"))
+    if extra == "zero":
+        rows.append((Fraction(0),) * n)
+    elif extra == "parallel":
+        rows.append(tuple(c * rng.choice((Fraction(1, 2), 2, 3)) for c in rng.choice(rows)))
+    elif extra == "opposite":
+        rows.append(tuple(-c for c in rng.choice(rows)))
+    rng.shuffle(rows)
+    return rows
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_dual_rays_separate_exactly_the_non_members(n):
+    # Farkas-Minkowski-Weyl: a ray of the dual cone is negative on x iff x
+    # lies outside the rational cone of the rows, as an independent
+    # Caratheodory oracle decides it.
+    rng = random.Random(n)
+    for _ in range(250):
+        rows = _random_rows(rng, n)
+        if rows and rng.random() < 0.5:
+            coeffs = [Fraction(rng.randint(0, 2), rng.choice((1, 2))) for _ in rows]
+            x = tuple(sum((c * r[i] for c, r in zip(coeffs, rows)), Fraction(0)) for i in range(n))
+        else:
+            x = tuple(Fraction(rng.randint(-3, 3)) for _ in range(n))
+        y = feasible_strict(rows, [x])
+        assert (y is None) == _in_rational_cone(rows, x), (rows, x, y)
+        assert feasible_strict(dual_cone(rows, n), [x]) == y
+        if y is not None:
+            assert all(sum(c * v for c, v in zip(y, r)) >= 0 for r in rows)
+            assert sum(c * v for c, v in zip(y, x)) < 0
+
+
+def test_feasible_strict_separates_one_vector_at_a_time():
+    with pytest.raises(ValueError):
+        feasible_strict([(1, 0)], [(-1, 0), (0, -1)])
+    assert feasible_strict([(1, 0)], []) is None
+    assert len(dual_cone([(1, 0), (1, 1), (0, 0)], 2)) == 3
