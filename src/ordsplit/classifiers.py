@@ -9,7 +9,6 @@ Symbolic carriers are a closed catalog; anything else is rejected.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -23,6 +22,7 @@ from .cones import (
     PreorderedGroup,
     TrivialCone,
     is_monotone,
+    units_subgroup,
 )
 from .extensions import (
     ExtensionShape,
@@ -78,43 +78,26 @@ class AutGroup(Group):
 
 
 @dataclass(frozen=True)
-class FiniteAutGroup(AutGroup):
-    """Cone-preserving automorphisms of a finite preordered group.
+class _PermutationAutGroup(AutGroup):
+    """Automorphisms that permute a finite tuple of points, as image tuples.
 
-    Elements are image tuples in the canonical element order; composition is
-    the group operation.  Inverse monotonicity is automatic: every element has
-    finite order, so the inverse is a power of the element itself.
+    An element lists the images of ``_points`` in order, so ``zero`` is the
+    points themselves and (a . b)(x) = a(b(x)) matches the twisted addition
+    convention.  Subclasses give the points, the sorted members, a check of
+    one image and a membership test.
     """
 
     base: PreorderedGroup
 
-    def __post_init__(self):
-        if not self.base.group.is_finite:
-            raise StructureError("finite automorphism groups need a finite carrier")
-
-    @cached_property
-    def _order_list(self) -> tuple:
-        return tuple(self.base.group.elements())
-
     @cached_property
     def _index(self) -> dict:
-        return {x: i for i, x in enumerate(self._order_list)}
+        return {x: i for i, x in enumerate(self._points)}
 
-    @cached_property
-    def _member_set(self) -> frozenset:
-        return frozenset(self._members)
+    def _check_image(self, y) -> None:
+        raise NotImplementedError
 
-    @cached_property
-    def _members(self) -> tuple:
-        pos = frozenset(
-            x for x in self.base.group.elements() if self.base.cone.contains(x).is_yes
-        )
-        out = []
-        for h in enumerate_automorphisms(self.base.group):
-            mapping = h.mapping()
-            if frozenset(mapping[p] for p in pos) == pos:
-                out.append(tuple(mapping[x] for x in self._order_list))
-        return tuple(sorted(out))
+    def _is_member(self, el: tuple) -> bool:
+        raise NotImplementedError
 
     @property
     def is_finite(self) -> bool:
@@ -124,24 +107,29 @@ class FiniteAutGroup(AutGroup):
         return len(self._members)
 
     def zero(self):
-        return tuple(self._order_list)
+        return self._points
 
     def _add(self, a, b):
-        # (a . b)(x) = a(b(x)): matches the twisted addition convention.
-        return tuple(a[self._index[b[i]]] for i in range(len(b)))
+        return tuple(a[self._index[y]] for y in b)
 
     def _neg(self, a):
         inv = [None] * len(a)
-        for i, img in enumerate(a):
-            inv[self._index[img]] = self._order_list[i]
+        for x, y in zip(self._points, a):
+            inv[self._index[y]] = x
         return tuple(inv)
 
     def check(self, el) -> None:
-        if el not in self._member_set:
-            raise ShapeError(f"not a cone-preserving automorphism: {el!r}")
+        # Images first: True == 1 and both hash alike, so a bool image would
+        # pass the membership test.
+        if not (isinstance(el, tuple) and len(el) == len(self._points)):
+            raise ShapeError(f"expected {len(self._points)} images, got {el!r}")
+        for y in el:
+            self._check_image(y)
+        if not self._is_member(el):
+            raise ShapeError(f"not an element of {self}: {el!r}")
 
     def generators(self):
-        return tuple(m for m in self._members if m != self.zero())
+        return tuple(m for m in self._members if m != self._points)
 
     def elements(self):
         return list(self._members)
@@ -149,19 +137,53 @@ class FiniteAutGroup(AutGroup):
     def window_elements(self, window):
         return self.elements()
 
+
+@dataclass(frozen=True)
+class FiniteAutGroup(_PermutationAutGroup):
+    """Cone-preserving automorphisms of a finite preordered group.
+
+    The points are the base elements in canonical order.  Inverse
+    monotonicity is automatic: every element has finite order, so the inverse
+    is a power of the element itself.
+    """
+
+    def __post_init__(self):
+        if not self.base.group.is_finite:
+            raise StructureError("finite automorphism groups need a finite carrier")
+
+    @cached_property
+    def _points(self) -> tuple:
+        return tuple(self.base.group.elements())
+
+    @cached_property
+    def _members(self) -> tuple:
+        pos = frozenset(x for x in self._points if self.base.cone.contains(x).is_yes)
+        out = []
+        for h in enumerate_automorphisms(self.base.group):
+            mapping = h.mapping()
+            if frozenset(mapping[p] for p in pos) == pos:
+                out.append(tuple(mapping[x] for x in self._points))
+        return tuple(sorted(out))
+
+    @cached_property
+    def _member_set(self) -> frozenset:
+        return frozenset(self._members)
+
+    def _check_image(self, y) -> None:
+        self.base.group.check(y)
+
+    def _is_member(self, el) -> bool:
+        return el in self._member_set
+
     def is_abelian(self) -> bool:
         return all(self._add(a, b) == self._add(b, a) for a in self._members for b in self._members)
 
     def realize(self, el) -> Homomorphism:
         self.check(el)
-        return TableHom.from_dict(
-            self.base.group,
-            self.base.group,
-            {x: el[i] for i, x in enumerate(self._order_list)},
-        )
+        return TableHom.from_dict(self.base.group, self.base.group, dict(zip(self._points, el)))
 
     def from_action(self, action: Action, b):
-        cand = tuple(action.apply(b, x) for x in self._order_list)
+        cand = tuple(action.apply(b, x) for x in self._points)
         return cand if cand in self._member_set else None
 
     def __str__(self):
@@ -169,52 +191,59 @@ class FiniteAutGroup(AutGroup):
 
 
 @dataclass(frozen=True)
-class TrivialAutGroup(AutGroup):
-    """The only monotone additive bijection of (Z, N) is the identity."""
+class OrthantPermAutGroup(_PermutationAutGroup):
+    """Monotone automorphisms of (Z^k, N^k), k >= 1: coordinate permutations.
 
-    base: PreorderedGroup
+    The points are the coordinates 0..k-1; Aut(Z, N) is S_1 = {(0,)}.
+    """
+
+    def __post_init__(self):
+        G = self.base.group
+        if not (isinstance(G, FreeAbelian) and G.rank >= 1):
+            raise StructureError("permutation automorphism group needs carrier Z^k, k>=1")
 
     @property
-    def is_finite(self) -> bool:
-        return True
+    def rank(self) -> int:
+        return self.base.group.rank
 
-    def order(self) -> int:
-        return 1
+    @cached_property
+    def _points(self) -> tuple:
+        return tuple(range(self.rank))
 
-    def zero(self):
-        return 0
+    @cached_property
+    def _members(self) -> tuple:
+        return tuple(itertools.permutations(self._points))
 
-    def _add(self, a, b):
-        return 0
+    def _check_image(self, y) -> None:
+        if type(y) is not int:
+            raise ShapeError(f"coordinate images must be int, got {y!r}")
 
-    def _neg(self, a):
-        return 0
-
-    def check(self, el) -> None:
-        if type(el) is not int or el != 0:
-            raise ShapeError("the trivial automorphism group has a single element")
-
-    def generators(self):
-        return ()
-
-    def elements(self):
-        return [0]
-
-    def window_elements(self, window):
-        return [0]
+    def _is_member(self, el) -> bool:
+        return sorted(el) == list(self._points)
 
     def is_abelian(self) -> bool:
-        return True
+        return self.rank <= 2
 
     def realize(self, el) -> Homomorphism:
         self.check(el)
-        return IdentityHom(self.base.group)
+        # Row i of the matrix picks the coordinate j with el[j] = i, so basis
+        # vector e_j maps to e_{el[j]}.
+        m = tuple(
+            tuple(Fraction(1) if el[j] == i else Fraction(0) for j in range(self.rank))
+            for i in range(self.rank)
+        )
+        return LinearHom(self.base.group, self.base.group, m)
 
     def from_action(self, action: Action, b):
-        return 0 if action.is_identity_for(b) else None
+        basis = list(self.base.group.generators())
+        images = [action.apply(b, g) for g in basis]
+        if not all(img in basis for img in images):
+            return None
+        out = tuple(basis.index(img) for img in images)
+        return out if self._is_member(out) else None
 
     def __str__(self):
-        return "Aut(Z,N)={id}"
+        return f"Aut(Z^{self.rank},N^{self.rank})=S_{self.rank}"
 
 
 @dataclass(frozen=True)
@@ -270,95 +299,15 @@ class RatScalingAutGroup(AutGroup):
         return "Aut(Q,>=0)=Q_{>0}"
 
 
-@dataclass(frozen=True)
-class OrthantPermAutGroup(AutGroup):
-    """Monotone automorphisms of (Z^k, N^k): coordinate permutations."""
-
-    base: PreorderedGroup
-
-    def __post_init__(self):
-        G = self.base.group
-        if not (isinstance(G, FreeAbelian) and G.rank >= 2):
-            raise StructureError("permutation automorphism group needs carrier Z^k, k>=2")
-
-    @property
-    def rank(self) -> int:
-        return self.base.group.rank
-
-    @property
-    def is_finite(self) -> bool:
-        return True
-
-    def order(self) -> int:
-        return math.factorial(self.rank)
-
-    def zero(self):
-        return tuple(range(self.rank))
-
-    def _add(self, a, b):
-        # (a . b) moves coordinate i to a[b[i]].
-        return tuple(a[b[i]] for i in range(self.rank))
-
-    def _neg(self, a):
-        inv = [0] * self.rank
-        for i, v in enumerate(a):
-            inv[v] = i
-        return tuple(inv)
-
-    def check(self, el) -> None:
-        perm = isinstance(el, tuple) and sorted(el) == list(range(self.rank))
-        if not (perm and all(type(v) is int for v in el)):
-            raise ShapeError(f"expected a permutation of 0..{self.rank - 1}, got {el!r}")
-
-    def generators(self):
-        return tuple(p for p in self.elements() if p != self.zero())
-
-    def elements(self):
-        return [tuple(p) for p in itertools.permutations(range(self.rank))]
-
-    def window_elements(self, window):
-        return self.elements()
-
-    def is_abelian(self) -> bool:
-        return self.rank <= 2
-
-    def realize(self, el) -> Homomorphism:
-        self.check(el)
-        # Row i of the matrix picks the coordinate j with el[j] = i, so basis
-        # vector e_j maps to e_{el[j]}.
-        m = tuple(
-            tuple(Fraction(1) if el[j] == i else Fraction(0) for j in range(self.rank))
-            for i in range(self.rank)
-        )
-        return LinearHom(self.base.group, self.base.group, m)
-
-    def from_action(self, action: Action, b):
-        G = self.base.group
-        images = [action.apply(b, g) for g in G.generators()]
-        perm = []
-        basis = list(G.generators())
-        for img in images:
-            if img not in basis:
-                return None
-            perm.append(basis.index(img))
-        out = tuple(perm)
-        return out if sorted(out) == list(range(self.rank)) else None
-
-    def __str__(self):
-        return f"Aut(Z^{self.rank},N^{self.rank})=S_{self.rank}"
-
-
 def monotone_aut(X: PreorderedGroup) -> AutGroup:
     """The automorphisms of X preserving its cone setwise."""
     G = X.group
     if G.is_finite:
         return FiniteAutGroup(X)
-    if isinstance(G, FreeAbelian) and G.rank == 1 and isinstance(X.cone, OrthantCone):
-        return TrivialAutGroup(X)
+    if isinstance(G, FreeAbelian) and isinstance(X.cone, OrthantCone):
+        return OrthantPermAutGroup(X)
     if isinstance(G, RationalVector) and G.rank == 1 and isinstance(X.cone, OrthantCone):
         return RatScalingAutGroup(X)
-    if isinstance(G, FreeAbelian) and G.rank >= 2 and isinstance(X.cone, OrthantCone):
-        return OrthantPermAutGroup(X)
     raise StructureError(f"no symbolic automorphism group for {X}")
 
 
@@ -465,27 +414,16 @@ def _order_units(O: PreorderedGroup, budget) -> tuple[list | str, bool]:
     A = O.group
     if isinstance(O.cone, TildeCone):
         return "tilde", True
-    if A.is_finite:
-        out = [
-            a
-            for a in A.elements()
-            if O.cone.contains(a, budget).is_yes and O.cone.contains(A.neg(a), budget).is_yes
-        ]
-        return out, True
-    if isinstance(O.cone, (PlusCone, MinusCone)):
+    if not A.is_finite and isinstance(O.cone, (PlusCone, MinusCone)):
         # alpha and alpha^{-1} both dominating (or dominated by) the identity
         # pinch to the identity on the symbolic carriers.
         return [A.zero()], True
-    if isinstance(O.cone, FullCone):
-        return "all", True
-    if isinstance(O.cone, TrivialCone):
-        return [A.zero()], True
-    found = [
-        a
-        for a in A.window_elements(budget.window)
-        if O.cone.contains(a, budget).is_yes and O.cone.contains(A.neg(a), budget).is_yes
-    ]
-    return found, False
+    units = units_subgroup(O, budget)
+    if units.elements is None:
+        return "all", units.exact
+    # Sorted is the element order on the finite carriers and the window order
+    # on Q_{>0}, so the first unit that moves an element is the same witness.
+    return sorted(units.elements), units.exact
 
 
 def admissible_check(O: PreorderedGroup, budget: SaturationBudget = DEFAULT_BUDGET) -> Verdict:
@@ -529,6 +467,7 @@ class AutEvalAction(Action):
         return self.aut.realize(b)._apply(x)
 
     def is_identity_for(self, b):
+        self.acting.check(b)
         return b == self.aut.zero()
 
     def scalar_for(self, b):
@@ -625,20 +564,20 @@ def _uniqueness_check(pt, aut: AutGroup, cbar, budget) -> Verdict:
     phi_b on the kernel; agreement on the window must pin down cbar(b)."""
     window = budget.window
     xs = pt.x.group.window_elements(window)
+    realized = [(a, aut.realize(a)) for a in aut.elements()] if aut.is_finite else None
     for b in pt.b.group.window_elements(window):
         expected = cbar.apply(b)
-        if aut.is_finite:
+        phi_b = [pt.action.apply(b, x) for x in xs]
+        if realized is not None:
             candidates = [
-                a
-                for a in aut.elements()
-                if all(aut.realize(a).apply(x) == pt.action.apply(b, x) for x in xs)
+                a for a, h in realized if all(h.apply(x) == y for x, y in zip(xs, phi_b))
             ]
             if candidates != [expected]:
                 return no(b, "several automorphisms agree with phi_b on the window")
         else:
             h = aut.realize(expected)
-            for x in xs:
-                if h.apply(x) != pt.action.apply(b, x):
+            for x, y in zip(xs, phi_b):
+                if h.apply(x) != y:
                     return no((b, x), "canonical image disagrees with phi_b")
     return yes("forced on the window")
 

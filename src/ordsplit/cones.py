@@ -324,12 +324,6 @@ class PreorderedGroup:
     def sim(self, x, y, budget: SaturationBudget = DEFAULT_BUDGET) -> Verdict:
         return vand(self.leq(x, y, budget), self.leq(y, x, budget))
 
-    def strictly_positive(self, b, budget: SaturationBudget = DEFAULT_BUDGET) -> Verdict:
-        """0 <= b and not b <= 0; the No side must be exact for a Yes."""
-        pos = self.leq(self.group.zero(), b, budget)
-        back = self.leq(b, self.group.zero(), budget)
-        return vand(pos, vnot(back, b))
-
     def __str__(self):
         return f"({self.group}, {self.cone})"
 

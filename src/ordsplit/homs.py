@@ -373,24 +373,6 @@ def _pair_parts(G: Group) -> tuple[Group, Group]:
     raise StructureError(f"{G} is not a pair carrier")
 
 
-def compose(outer: Homomorphism, inner: Homomorphism) -> Homomorphism:
-    """outer after inner, simplified where the representations allow."""
-    if inner.target != outer.source:
-        raise StructureError("composition mismatch")
-    if isinstance(outer, IdentityHom):
-        return inner
-    if isinstance(inner, IdentityHom):
-        return outer
-    sa, sb = outer.as_scalar(), inner.as_scalar()
-    if sa is not None and sb is not None and inner.source == outer.target:
-        return ScalarHom(inner.source, outer.target, sa * sb)
-    if isinstance(inner, TableHom):
-        return TableHom.from_dict(
-            inner.source, outer.target, {a: outer.apply(b) for a, b in inner.pairs}
-        )
-    return ComposedHom(outer, inner)
-
-
 def invert(h: Homomorphism) -> Homomorphism | None:
     """Inverse homomorphism when the representation exposes one."""
     if isinstance(h, IdentityHom):

@@ -11,9 +11,16 @@ import random
 
 from ordsplit.actions import FiniteTableAction
 from ordsplit.cones import ExtensionalCone, FullCone, PreorderedGroup
-from ordsplit.groups import CayleyGroup, CyclicGroup, DirectProduct, Group
-from ordsplit.homs import enumerate_homomorphisms
-from ordsplit.verdict import SaturationBudget, Window
+from ordsplit.groups import CayleyGroup, CyclicGroup, DirectProduct, Group, StructureError
+from ordsplit.homs import (
+    ComposedHom,
+    Homomorphism,
+    IdentityHom,
+    ScalarHom,
+    TableHom,
+    enumerate_homomorphisms,
+)
+from ordsplit.verdict import DEFAULT_BUDGET, SaturationBudget, Verdict, Window, vand, vnot
 
 SMALL_BUDGET = SaturationBudget(2, 5, Window(3, 6, 3))
 
@@ -35,6 +42,31 @@ def symmetric_cayley(n: int) -> CayleyGroup:
 
 def klein_four() -> DirectProduct:
     return DirectProduct((CyclicGroup(2), CyclicGroup(2)))
+
+
+def compose(outer: Homomorphism, inner: Homomorphism) -> Homomorphism:
+    """outer after inner, simplified where the representations allow."""
+    if inner.target != outer.source:
+        raise StructureError("composition mismatch")
+    if isinstance(outer, IdentityHom):
+        return inner
+    if isinstance(inner, IdentityHom):
+        return outer
+    sa, sb = outer.as_scalar(), inner.as_scalar()
+    if sa is not None and sb is not None and inner.source == outer.target:
+        return ScalarHom(inner.source, outer.target, sa * sb)
+    if isinstance(inner, TableHom):
+        return TableHom.from_dict(
+            inner.source, outer.target, {a: outer.apply(b) for a, b in inner.pairs}
+        )
+    return ComposedHom(outer, inner)
+
+
+def strictly_positive(P: PreorderedGroup, b, budget: SaturationBudget = DEFAULT_BUDGET) -> Verdict:
+    """0 <= b and not b <= 0 in P; the No side must be exact for a Yes."""
+    pos = P.leq(P.group.zero(), b, budget)
+    back = P.leq(b, P.group.zero(), budget)
+    return vand(pos, vnot(back, b))
 
 
 # --- independent oracles --------------------------------------------------------

@@ -44,7 +44,7 @@ from ordsplit.extensions import (
     product_cone,
 )
 from ordsplit.groups import FreeAbelian, RationalVector
-from ordsplit.homs import IdentityHom, PairHom, ProjectionHom, ScalarHom, SectionHom, compose
+from ordsplit.homs import IdentityHom, PairHom, ProjectionHom, ScalarHom, SectionHom
 from ordsplit.points import (
     PointMorphism,
     hom_leq,
@@ -57,6 +57,7 @@ from ordsplit.verdict import Window
 
 from helpers import (
     SMALL_BUDGET,
+    compose,
     oracle_all_compatible_cones,
     oracle_is_compatible_set,
     random_finite_extension,

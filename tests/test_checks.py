@@ -20,7 +20,7 @@ import pytest
 
 import ordsplit
 from ordsplit.actions import Action, ActionHom, ProductAction, ScalingAction, SignAction, TrivialAction
-from ordsplit.classifiers import FiniteAutGroup, OrthantPermAutGroup, TrivialAutGroup
+from ordsplit.classifiers import FiniteAutGroup, OrthantPermAutGroup
 from ordsplit.cones import ExplicitGenerators, FullCone, GeneratedCone, OrthantCone, PreorderedGroup
 from ordsplit.groups import (
     CyclicGroup,
@@ -142,10 +142,32 @@ def test_subclasses_of_int_and_fraction_are_refused():
         Z.add(True, 1)
     Z2V = FreeAbelian(2)
     perms = OrthantPermAutGroup(PreorderedGroup(Z2V, OrthantCone(Z2V)))
-    trivial = TrivialAutGroup(PreorderedGroup(Z, OrthantCone(Z)))
+    trivial = OrthantPermAutGroup(PreorderedGroup(Z, OrthantCone(Z)))
     for G, el in ((perms, (True, False)), (perms, (1, Int(0))), (trivial, False), (trivial, Fraction(0))):
         with pytest.raises(ShapeError):
             G.neg(el)
+
+
+def test_finite_aut_group_refuses_images_outside_the_base_group():
+    # True == 1 and both hash alike, so a bare membership test would take a
+    # bool image for an int one; each image is checked against Z_3 first.
+    aut = FiniteAutGroup(PreorderedGroup(CyclicGroup(3), FullCone(CyclicGroup(3))))
+    for el in ((False, 2, True), (0, Fraction(2), 1), (0, 2), (0, 2, 1, 0), [0, 2, 1]):
+        with pytest.raises(ShapeError):
+            aut.check(el)
+        with pytest.raises(ShapeError):
+            aut.add(el, aut.zero())
+    assert aut.add((0, 2, 1), aut.zero()) == (0, 2, 1)
+
+
+def test_only_the_permutation_carrier_and_the_scalings_define_aut_arithmetic():
+    module = importlib.import_module("ordsplit.classifiers")
+    found = {
+        name
+        for name, cls in inspect.getmembers(module, inspect.isclass)
+        if cls.__module__ == module.__name__ and {"_add", "_neg"} & set(vars(cls))
+    }
+    assert found == {"_PermutationAutGroup", "RatScalingAutGroup"}
 
 
 def test_only_the_base_classes_define_the_checked_operations():

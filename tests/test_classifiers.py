@@ -1,16 +1,17 @@
 import pytest
+from collections import Counter
 from fractions import Fraction
 
 from ordsplit.actions import FiniteTableAction, MatrixAction, ScalingAction, TrivialAction
 from ordsplit.classifiers import (
     AutEvalAction,
+    CorestrictionHom,
     FiniteAutGroup,
     MinusCone,
     OrthantPermAutGroup,
     PlusCone,
     RatScalingAutGroup,
     TildeCone,
-    TrivialAutGroup,
     admissible_check,
     aut_cone,
     build_classifier,
@@ -18,6 +19,7 @@ from ordsplit.classifiers import (
     monotone_aut,
     no_classifier_witness,
     sclass_membership,
+    _uniqueness_check,
 )
 from ordsplit.cones import (
     ExtensionalCone,
@@ -28,12 +30,12 @@ from ordsplit.cones import (
     check_cone_axioms,
 )
 from ordsplit.extensions import ExtensionShape, lex_cone, point
-from ordsplit.groups import CyclicGroup, FreeAbelian, RationalVector, StructureError
+from ordsplit.groups import CyclicGroup, FreeAbelian, RationalVector, ShapeError, StructureError
 from ordsplit.homs import TableHom
 from ordsplit.points import is_rali
 from ordsplit.verdict import Window
 
-from helpers import SMALL_BUDGET, assert_state, klein_four
+from helpers import SMALL_BUDGET, assert_state, klein_four, symmetric_cayley
 
 Z = FreeAbelian(1)
 Q = RationalVector(1)
@@ -42,7 +44,7 @@ QP = PreorderedGroup(Q, OrthantCone(Q))
 
 
 def test_monotone_aut_symbolic_dispatch():
-    assert isinstance(monotone_aut(ZN), TrivialAutGroup)
+    assert isinstance(monotone_aut(ZN), OrthantPermAutGroup)
     assert isinstance(monotone_aut(QP), RatScalingAutGroup)
     z2n = PreorderedGroup(FreeAbelian(2), OrthantCone(FreeAbelian(2)))
     assert isinstance(monotone_aut(z2n), OrthantPermAutGroup)
@@ -279,11 +281,21 @@ def test_orthant_perm_aut_elements():
     assert monotone_aut(Z2N).elements() == [(0, 1), (1, 0)]
 
 
-@pytest.mark.parametrize("rank", [2, 3])
-def test_orthant_perm_aut_arithmetic_matches_realize(rank):
-    # add is composition and neg is inversion of the realized coordinate maps.
-    G = FreeAbelian(rank)
-    aut = monotone_aut(PreorderedGroup(G, OrthantCone(G)))
+@pytest.mark.parametrize("G, cone", [
+    pytest.param(FreeAbelian(1), OrthantCone, id="1"),
+    pytest.param(FreeAbelian(2), OrthantCone, id="2"),
+    pytest.param(FreeAbelian(3), OrthantCone, id="3"),
+    pytest.param(CyclicGroup(4), FullCone, id="Z4-full"),
+    pytest.param(CyclicGroup(4), TrivialCone, id="Z4-trivial"),
+    pytest.param(klein_four(), FullCone, id="K4-full"),
+    pytest.param(klein_four(), TrivialCone, id="K4-trivial"),
+    pytest.param(symmetric_cayley(3), FullCone, id="S3-full"),
+    pytest.param(symmetric_cayley(3), TrivialCone, id="S3-trivial"),
+])
+def test_orthant_perm_aut_arithmetic_matches_realize(G, cone):
+    # add is composition and neg is inversion of the realized maps, on the
+    # coordinate permutations of Z^k and the automorphisms of finite groups.
+    aut = monotone_aut(PreorderedGroup(G, cone(G)))
     window = G.window_elements(Window(1, 1, 1))
     for a in aut.elements():
         inv = aut.realize(aut.neg(a))
@@ -307,3 +319,42 @@ def test_orthant_perm_aut_from_action():
 def test_orthant_perm_aut_orders_admissible(order):
     aut = monotone_aut(Z2N)
     assert_state(admissible_check(aut_cone(aut, order, SMALL_BUDGET), SMALL_BUDGET), "yes")
+
+
+def test_aut_eval_action_checks_the_automorphism_it_tests():
+    # is_identity_for refuses what apply refuses, instead of answering for it.
+    for aut, bad, good in (
+        (monotone_aut(QP), True, Fraction(1)),
+        (monotone_aut(ZN), 5, (0,)),
+        (monotone_aut(Z2N), (0, True), (0, 1)),
+    ):
+        act = AutEvalAction(aut)
+        with pytest.raises(ShapeError):
+            act.is_identity_for(bad)
+        with pytest.raises(ShapeError):
+            act.apply(bad, aut.base.group.generators()[0])
+        assert act.is_identity_for(good)
+    assert not AutEvalAction(monotone_aut(Z2N)).is_identity_for((1, 0))
+
+
+def test_uniqueness_realizes_each_candidate_once_and_phi_b_once_per_b(monkeypatch):
+    z3full = PreorderedGroup(CyclicGroup(3), FullCone(CyclicGroup(3)))
+    z2full = PreorderedGroup(CyclicGroup(2), FullCone(CyclicGroup(2)))
+    inv = FiniteTableAction.from_homs(
+        CyclicGroup(2), CyclicGroup(3),
+        {0: TableHom.from_dict(CyclicGroup(3), CyclicGroup(3), {0: 0, 1: 1, 2: 2}),
+         1: TableHom.from_dict(CyclicGroup(3), CyclicGroup(3), {0: 0, 1: 2, 2: 1})},
+    )
+    pt = point(ExtensionShape(z3full, z2full, inv), "product")
+    aut = monotone_aut(z3full)
+    cbar = CorestrictionHom(pt.b.group, aut, pt.action)
+    realized, applied = [], []
+    realize, apply = FiniteAutGroup.realize, FiniteTableAction._apply
+    monkeypatch.setattr(FiniteAutGroup, "realize", lambda s, a: realized.append(a) or realize(s, a))
+    monkeypatch.setattr(
+        FiniteTableAction, "_apply", lambda s, b, x: applied.append((b, x)) or apply(s, b, x)
+    )
+    assert_state(_uniqueness_check(pt, aut, cbar, SMALL_BUDGET), "yes")
+    assert realized == aut.elements()
+    # Each phi_b(x) is computed twice: once by cbar(b), once for the window.
+    assert Counter(applied) == {(b, x): 2 for b in range(2) for x in range(3)}

@@ -45,6 +45,7 @@ from helpers import (
     assert_state,
     oracle_cone_closure,
     random_finite_extension,
+    strictly_positive,
     symmetric_cayley,
 )
 
@@ -155,8 +156,8 @@ def test_leq_basics():
 
 def test_sim_and_strictly_positive():
     assert_state(ZF.sim(3, -5), "yes")
-    assert_state(ZN.strictly_positive(1), "yes")
-    assert_state(ZN.strictly_positive(0), "no")
+    assert_state(strictly_positive(ZN, 1), "yes")
+    assert_state(strictly_positive(ZN, 0), "no")
     Z6 = CyclicGroup(6)
     evens = PreorderedGroup(Z6, ExtensionalCone(Z6, frozenset({0, 2, 4})))
     assert_state(evens.sim(2, 0), "yes")
@@ -167,7 +168,7 @@ def test_no_strictly_positive_on_finite_groups():
     Z6 = CyclicGroup(6)
     evens = PreorderedGroup(Z6, ExtensionalCone(Z6, frozenset({0, 2, 4})))
     for b in Z6.elements():
-        assert not evens.strictly_positive(b).is_yes
+        assert not strictly_positive(evens, b).is_yes
 
 
 def test_units_subgroup():

@@ -20,14 +20,13 @@ from ordsplit.homs import (
     SectionHom,
     TableHom,
     check_homomorphism,
-    compose,
     enumerate_automorphisms,
     enumerate_homomorphisms,
     invert,
 )
 from ordsplit.verdict import Window
 
-from helpers import assert_state, klein_four, oracle_automorphisms, symmetric_cayley
+from helpers import assert_state, compose, klein_four, oracle_automorphisms, symmetric_cayley
 
 Z = FreeAbelian(1)
 Q = RationalVector(1)

@@ -38,7 +38,6 @@ from ordsplit.homs import (
     ScalarHom,
     SectionHom,
     check_homomorphism,
-    compose,
 )
 from ordsplit.linalg import Elimination
 from ordsplit.points import (
@@ -58,7 +57,7 @@ from ordsplit.points import (
 )
 from ordsplit.verdict import DEFAULT_BUDGET, SaturationBudget, Window, vand
 
-from helpers import SMALL_BUDGET, assert_state, random_finite_extension
+from helpers import SMALL_BUDGET, assert_state, compose, random_finite_extension
 
 Z = FreeAbelian(1)
 Q = RationalVector(1)
