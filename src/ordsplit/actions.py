@@ -25,7 +25,7 @@ from .groups import (
     format_element,
 )
 from .homs import Homomorphism, TableHom
-from .linalg import Matrix, determinant, identity_matrix, mat, mat_mul, mat_pow, mat_vec
+from .linalg import Matrix, determinant, mat, mat_mul, mat_pow, mat_vec, scalar_matrix
 from .verdict import Verdict, Window, no, yes
 
 
@@ -52,9 +52,6 @@ class Action(ABC):
     def provably_trivial(self) -> bool:
         gens = self.acting.generators()
         return all(self.is_identity_for(g) for g in gens)
-
-    def scalar_for(self, b: Element) -> Optional[Fraction]:
-        return None
 
     def matrix_for(self, b: Element) -> Optional[Matrix]:
         return None
@@ -84,17 +81,23 @@ class ActionHom(Homomorphism):
     def _apply(self, el):
         return self.action._apply(self.b, el)
 
-    def as_scalar(self):
-        return self.action.scalar_for(self.b)
+    @cached_property
+    def _matrix(self):
+        return self.action.matrix_for(self.b)
 
     def as_matrix(self):
-        return self.action.matrix_for(self.b)
+        return self._matrix
 
     def additive_by_construction(self):
         return True
 
     def __str__(self):
         return f"phi_{self.b}"
+
+
+def _vector_scalar(X: Group, s) -> Optional[Matrix]:
+    """s times the identity on a vector group X."""
+    return scalar_matrix(s, X.rank) if isinstance(X, (FreeAbelian, RationalVector)) else None
 
 
 @dataclass(frozen=True)
@@ -108,10 +111,8 @@ class TrivialAction(Action):
     def is_identity_for(self, b):
         return True
 
-    def scalar_for(self, b):
-        if isinstance(self.acted, (FreeAbelian, RationalVector)) and self.acted.rank == 1:
-            return Fraction(1)
-        return None
+    def matrix_for(self, b):
+        return _vector_scalar(self.acted, 1)
 
     def __str__(self):
         return "trivial"
@@ -138,10 +139,8 @@ class SignAction(Action):
     def is_identity_for(self, b):
         return b % 2 == 0
 
-    def scalar_for(self, b):
-        if isinstance(self.acted, (FreeAbelian, RationalVector)) and self.acted.rank == 1:
-            return Fraction(1) if b % 2 == 0 else Fraction(-1)
-        return None
+    def matrix_for(self, b):
+        return _vector_scalar(self.acted, 1 if b % 2 == 0 else -1)
 
     def __str__(self):
         return "sign"
@@ -179,10 +178,8 @@ class ScalingAction(Action):
     def is_identity_for(self, b):
         return self.q == 1 or b == 0
 
-    def scalar_for(self, b):
-        if self.acted.rank == 1:
-            return self.q**b
-        return None
+    def matrix_for(self, b):
+        return scalar_matrix(self.q**b, self.acted.rank)
 
     def __str__(self):
         return f"scaling({self.q})"
@@ -232,12 +229,7 @@ class MatrixAction(Action):
         return self.acted.from_coords(mat_vec(self.matrix_for(b), self.acted.coords(x)))
 
     def is_identity_for(self, b):
-        return self.matrix_for(b) == identity_matrix(self.acted.rank)
-
-    def scalar_for(self, b):
-        if self.acted.rank == 1:
-            return Fraction(self.matrix_for(b)[0][0])
-        return None
+        return self.matrix_for(b) == scalar_matrix(1, self.acted.rank)
 
     def __str__(self):
         return f"matrix{self.images}"
@@ -325,9 +317,6 @@ class PrecomposedAction(Action):
 
     def is_identity_for(self, c):
         return self.base.is_identity_for(self.image(c))
-
-    def scalar_for(self, c):
-        return self.base.scalar_for(self.image(c))
 
     def matrix_for(self, c):
         return self.base.matrix_for(self.image(c))

@@ -288,12 +288,8 @@ class RatScalingAutGroup(AutGroup):
         return ScalarHom(self.base.group, self.base.group, el)
 
     def from_action(self, action: Action, b):
-        s = action.scalar_for(b)
-        if s is not None and s > 0:
-            return Fraction(s)
-        if action.is_identity_for(b):
-            return Fraction(1)
-        return None
+        m = action.matrix_for(b)
+        return m[0][0] if m is not None and m[0][0] > 0 else None
 
     def __str__(self):
         return "Aut(Q,>=0)=Q_{>0}"
@@ -469,9 +465,6 @@ class AutEvalAction(Action):
     def is_identity_for(self, b):
         self.acting.check(b)
         return b == self.aut.zero()
-
-    def scalar_for(self, b):
-        return self.aut.realize(b).as_scalar()
 
     def matrix_for(self, b):
         return self.aut.realize(b).as_matrix()

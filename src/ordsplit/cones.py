@@ -4,18 +4,18 @@ A cone is a submonoid closed under conjugation; it determines the preorder
 x <= y  iff  -x+y is in the cone.  Membership answers are three-valued:
 built-in cones are exact, generated cones search within a budget and certify
 exclusions on abelian carriers by separating functionals, the rays of their
-generators' dual cone.
+generators' dual cone, and on Z^k x| Z^n by the fibre lattice.
 
 Membership follows the template of groups, actions and maps: the public
 contains checks the element once, _contains trusts it, and a composite cone
 (product, point product, intersection, lex, generated, pullback, family)
 asks its parts' _contains about the components.
 
-Generated cones memoize their saturation per budget, the elimination of the
-conjugator system I - phi_b per base element and budget (so that each fibre
-element costs one matrix-vector product) and that dual cone; the fill is
-idempotent and queries never mutate shared state in a way observable across
-queries.
+Generated cones memoize their saturation per budget, the reduced form of the
+conjugator system I - phi_b per base element and budget (the elimination on
+Q^k, the Hermite form on Z^k, so that each fibre element costs one
+substitution), the fibre lattice and that dual cone; the fill is idempotent
+and queries never mutate shared state in a way observable across queries.
 
 The "for all" checks (cone subset, monotonicity, pointwise comparison, the
 cone axioms, fibre reflection) get their "on generators", "window-verified"
@@ -28,7 +28,6 @@ window scan and answers exactly as the two cone_subset calls would.
 from __future__ import annotations
 
 import itertools
-import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -51,12 +50,14 @@ from .groups import (
 from .homs import Homomorphism, KernelHom, ProjectionHom, SectionHom, _pair_parts
 from .linalg import (
     Elimination,
+    Hermite,
     dual_cone,
     eliminate,
     feasible_strict,
+    hermite,
     identity_matrix,
+    integer_solve,
     mat_sub,
-    scalar_matrix,
     solve,
 )
 from .verdict import (
@@ -482,9 +483,9 @@ class GeneratedCone(Cone):
         r = self._solve_conjugator(xp, bp, budget)
         if r is not None:
             return yes(f"conjugator {format_element(r)}")
-        v = self._residue_exclusion(x, budget)
-        if v is not None:
-            return v
+        lattice = self._fibre_lattice
+        if lattice is not None and integer_solve(lattice, G.x_group.coords(xp)) is None:
+            return no(x, "fibre residue obstruction: fibre outside the lattice of I - phi_e")
         return None
 
     def _product_parts(self) -> tuple[Cone | None, Cone | None]:
@@ -493,19 +494,10 @@ class GeneratedCone(Cone):
             return src.cone.x_cone, src.cone.b_cone
         return None, None
 
-    def _fibre_parts_all_zero(self) -> bool:
-        """Do all generators sit over the base axis, with trivial fibre part?"""
-        px, _ = self._product_parts()
-        if isinstance(px, TrivialCone):
-            return True
-        if isinstance(self.source, ExplicitGenerators):
-            xz = self.group.x_group.zero()
-            return all(g[0] == xz for g in self.source.elements)
-        return False
-
-    def _conjugator_system(self, bp, budget) -> Elimination | None:
-        """The elimination of I - phi_bp when (0, bp) is a source element,
-        else None; once per (bp, budget).
+    def _conjugator_system(self, bp, budget) -> Elimination | Hermite | None:
+        """The reduced form of I - phi_bp (the Hermite form on Z^k, the
+        elimination on Q^k) when (0, bp) is a source element, else None; once
+        per (bp, budget).
 
         bp has passed group.check in contains, so an int and an equal
         Fraction never share a key.
@@ -517,17 +509,15 @@ class GeneratedCone(Cone):
         X = G.x_group
         a = None
         m = G.action.matrix_for(bp)
-        if m is None:
-            s = G.action.scalar_for(bp)
-            if s is not None:
-                m = scalar_matrix(s, X.rank)
         if m is not None and self.source.member((X.zero(), bp), budget).is_yes:
-            a = eliminate(mat_sub(identity_matrix(X.rank), m))
+            a = mat_sub(identity_matrix(X.rank), m)
+            a = hermite(a, X.rank) if isinstance(X, FreeAbelian) else eliminate(a)
         self._cache[key] = a
         return a
 
     def _solve_conjugator(self, xp, bp, budget):
-        """Find r with (r,0)+(0,bp)-(r,0) = (xp,bp), assuming (0,bp) generates."""
+        """Find r with (r,0)+(0,bp)-(r,0) = ((I - phi_bp) r, bp) = (xp,bp),
+        over Z on Z^k, assuming (0,bp) generates; the conjugation certifies r."""
         G = self.group
         X = G.x_group
         if not isinstance(X, (FreeAbelian, RationalVector)):
@@ -535,70 +525,40 @@ class GeneratedCone(Cone):
         system = self._conjugator_system(bp, budget)
         if system is None:
             return None
-        particular, basis = solve(system, X.coords(xp))
-        if particular is None:
+        if isinstance(system, Hermite):
+            r = integer_solve(system, X.coords(xp))
+        else:
+            r = solve(system, X.coords(xp))[0]
+        if r is None:
             return None
-        candidates = [particular]
-        if basis:
-            for shifts in itertools.product(range(-3, 4), repeat=len(basis)):
-                v = list(particular)
-                for s, bvec in zip(shifts, basis):
-                    v = [c + s * bc for c, bc in zip(v, bvec)]
-                candidates.append(tuple(v))
-        for cand in candidates:
-            try:
-                r = X.from_coords(cand)
-            except ShapeError:
-                continue  # not integral on Z^k
-            check = G._conjugate((r, G.b_group.zero()), (X.zero(), bp))
-            if check == (xp, bp):
-                return r
-        return None
+        r = X.from_coords(r)
+        return r if G._conjugate((r, G.b_group.zero()), (X.zero(), bp)) == (xp, bp) else None
 
-    def _residue_exclusion(self, el, budget) -> Verdict | None:
-        """Exact No on Z x| Z with trivial fibre cone and a finite-order action.
+    @cached_property
+    def _fibre_lattice(self) -> Hermite | None:
+        """On Z^k x| Z^n with every generator (0, b) over the base axis, the
+        lattice L spanned by the columns of I - phi_e over the base generators
+        e, which holds the fibre of every cone element; else None.
 
-        Every cone element over a nonzero base part is a sum of conjugates
-        (r - phi_beta(r), beta), so its fibre lies in the subgroup generated
-        by the images of (id - phi_beta); with period p those images repeat,
-        and a residue obstruction modulo their gcd certifies exclusion.
+        Every cone element is a sum of conjugates of generators, and the
+        conjugate of (0, b) by (r, c) is ((I - phi_b) r, b).  As
+        I - phi_{u+v} = (I - phi_u) + phi_u (I - phi_v), and phi_u commutes
+        with I - phi_v, L is phi-invariant and holds every Im(I - phi_b) (with
+        I - phi_{-e} = -phi_{-e} (I - phi_e)).  So a sum
+        (x1, b1) + (x2, b2) = (x1 + phi_b1 x2, b1 + b2) keeps its fibre in L.
         """
-        G = self.group
-        xp, bp = el
+        G, src = self.group, self.source
         X, B = G.x_group, G.b_group
-        if not (
-            isinstance(X, FreeAbelian)
-            and X.rank == 1
-            and isinstance(B, FreeAbelian)
-            and B.rank == 1
-        ):
+        over_axis = isinstance(self._product_parts()[0], TrivialCone) or (
+            isinstance(src, ExplicitGenerators) and all(g[0] == X.zero() for g in src.elements)
+        )
+        if not (over_axis and isinstance(X, FreeAbelian) and isinstance(B, FreeAbelian)):
             return None
-        if not self._fibre_parts_all_zero():
+        mats = [G.action.matrix_for(e) for e in B.generators()]
+        if None in mats:
             return None
-        period = None
-        for p in range(1, budget.window.int_bound + 1):
-            if G.action.is_identity_for(p):
-                period = p
-                break
-        if period is None:
-            return None
-        diffs = []
-        for beta in range(1, period + 1):
-            s = G.action.scalar_for(beta)
-            if s is None or s.denominator != 1:
-                return None
-            diffs.append(1 - int(s))
-        if bp == B.zero():
-            return None  # handled by the kernel-reflection path
-        nonzero = [abs(d) for d in diffs if d]
-        if not nonzero:
-            return no(el, "action is trivial and the fibre cone is {0}") if xp != 0 else None
-        d = 0
-        for v in nonzero:
-            d = math.gcd(d, v)
-        if xp % d != 0:
-            return no(el, f"fibre residue obstruction modulo {d}")
-        return None
+        diffs = [mat_sub(identity_matrix(X.rank), m) for m in mats]
+        return hermite([sum(rows, ()) for rows in zip(*diffs)], X.rank * B.rank)
 
     # budgeted breadth-first saturation
 

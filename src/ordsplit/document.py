@@ -427,10 +427,11 @@ def _shape(spec, groups, cones, actions, where) -> ExtensionShape:
         raise DocumentError(where, str(exc)) from exc
 
 
-def _thresholds(spec, where) -> UpSetFibers:
+def _family(shape, spec, where) -> FamilyCone:
     thresholds = _list(spec, "thresholds", where)
     try:
-        return UpSetFibers(tuple(INF if t == "inf" else _number(t, where) for t in thresholds))
+        fibers = UpSetFibers(tuple(INF if t == "inf" else _number(t, where) for t in thresholds))
+        return FamilyCone(shape, fibers)
     except StructureError as exc:
         raise DocumentError(where, str(exc)) from exc
 
@@ -443,7 +444,7 @@ def _parse_point(name, spec, groups, cones, actions) -> SplitExtension:
         if tag in ("product", "lex", "minimal"):
             return point(shape, tag)
         if isinstance(tag, dict) and tag.get("kind") == "family":
-            return point(shape, FamilyCone(shape, _thresholds(tag, where)))
+            return point(shape, _family(shape, tag, where))
     except StructureError as exc:
         raise DocumentError(where, str(exc)) from exc
     raise DocumentError(where, f"unknown point cone tag {tag!r}")
@@ -532,7 +533,7 @@ def _order_field(spec, doc, r, where):
 
 _FIELDS = {
     "shape": lambda spec, doc, r, where: _shape(spec, doc.groups, doc.cones, doc.actions, where),
-    "thresholds": lambda spec, doc, r, where: _thresholds(spec, where),
+    "thresholds": lambda spec, doc, r, where: _family(r["shape"], spec, where),
     "scope": _scope_field,
     "point": _ref_field("point", "points", "point"),
     "mode": _mode_field,
@@ -566,8 +567,8 @@ class QueryOp:
     execute: Callable[..., Any]
 
 
-def _validate_family(shape, fibers, b):
-    fv = validate_family(FamilyCone(shape, fibers), b)
+def _validate_family(_shape, family, b):
+    fv = validate_family(family, b)
     return fv.conditions, {"details": {"orbit_remark": fv.orbit_remark.state.value}}
 
 

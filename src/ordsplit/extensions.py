@@ -502,6 +502,10 @@ def _fits_window(x, window: Window) -> bool:
     return True
 
 
+def _over_z(shape: ExtensionShape) -> bool:
+    return all(isinstance(G, FreeAbelian) and G.rank == 1 for G in (shape.x.group, shape.b.group))
+
+
 @dataclass(frozen=True)
 class FamilyCone(Cone):
     """A candidate cone on a shape's carrier described fibrewise over B:
@@ -509,10 +513,16 @@ class FamilyCone(Cone):
 
     Fibres exist for every base element; away from the base positives they
     are empty (condition 1 forces this, so storing them costs nothing).
+    Up-set fibres are integer up-sets indexed by integers, so they need a
+    Z kernel and a Z base.
     """
 
     shape: ExtensionShape
     sets: UpSetFibers | ExplicitFibers
+
+    def __post_init__(self):
+        if isinstance(self.sets, UpSetFibers) and not _over_z(self.shape):
+            raise StructureError("threshold fibres need kernel Z and base Z")
 
     @property
     def group(self) -> Semidirect:
@@ -757,10 +767,7 @@ def superadditive_sequences(length: int, max_value: int) -> list[tuple]:
 
 def _enumerate_superadditive(shape: ExtensionShape, scope: SuperadditiveWindow) -> LatticeReport:
     if not (
-        isinstance(shape.x.group, FreeAbelian)
-        and shape.x.group.rank == 1
-        and isinstance(shape.b.group, FreeAbelian)
-        and shape.b.group.rank == 1
+        _over_z(shape)
         and shape.action.provably_trivial()
         and isinstance(shape.x.cone, OrthantCone)
         and isinstance(shape.b.cone, OrthantCone)

@@ -45,7 +45,8 @@ class Homomorphism(ABC):
 
     def as_scalar(self) -> Optional[Fraction]:
         """x -> q*x on vector carriers, when that is exactly this map."""
-        return None
+        m = self.as_matrix()
+        return m[0][0] if m is not None and len(m) == len(m[0]) == 1 else None
 
     def as_matrix(self) -> Optional[tuple[tuple[Fraction, ...], ...]]:
         return None
@@ -139,11 +140,6 @@ class LinearHom(Homomorphism):
 
     def _apply(self, el):
         return self.target.from_coords(mat_vec(self.matrix, self.source.coords(el)))
-
-    def as_scalar(self):
-        if len(self.matrix) == 1 and len(self.matrix[0]) == 1:
-            return Fraction(self.matrix[0][0])
-        return None
 
     def as_matrix(self):
         return mat(self.matrix)
@@ -330,39 +326,6 @@ class ProjectionHom(Homomorphism):
 
     def __str__(self):
         return "pi_B"
-
-
-@dataclass(frozen=True)
-class ComposedHom(Homomorphism):
-    outer: Homomorphism
-    inner: Homomorphism
-
-    def __post_init__(self):
-        if self.inner.target != self.outer.source:
-            raise StructureError("composition mismatch")
-
-    @property
-    def source(self):
-        return self.inner.source
-
-    @property
-    def target(self):
-        return self.outer.target
-
-    def _apply(self, el):
-        return self.outer._apply(self.inner._apply(el))
-
-    def as_scalar(self):
-        a, b = self.outer.as_scalar(), self.inner.as_scalar()
-        if a is not None and b is not None:
-            return a * b
-        return None
-
-    def additive_by_construction(self):
-        return self.outer.additive_by_construction() and self.inner.additive_by_construction()
-
-    def __str__(self):
-        return f"{self.outer} . {self.inner}"
 
 
 def _pair_parts(G: Group) -> tuple[Group, Group]:

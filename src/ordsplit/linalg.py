@@ -1,8 +1,9 @@
-"""Small exact linear algebra over Fractions.
+"""Small exact linear algebra over Fractions and over the integers.
 
 Everything here works on tuples of tuples of Fraction; sizes are desk-scale
 (rank <= ~6), so plain elimination is fine.  One Gauss-Jordan routine,
-_reduce, serves eliminate (and so solve), matrix_inverse and determinant.
+_reduce, serves eliminate (and so solve), matrix_inverse and determinant; one
+Hermite form, hermite, serves integer_solve and integer_kernel on Z^k.
 dual_cone builds the integer rays of a finitely generated cone's dual once,
 and feasible_strict separates a vector from the cone by the first ray that
 is negative on it.
@@ -26,8 +27,8 @@ def mat(rows) -> Matrix:
 
 def scalar_matrix(s, n: int) -> Matrix:
     """s times the n x n identity."""
-    s, zero = Fraction(s), Fraction(0)
-    return tuple(tuple(s if i == j else zero for j in range(n)) for i in range(n))
+    s, zero = (s if type(s) is Fraction else Fraction(s)), Fraction(0)
+    return tuple((zero,) * i + (s,) + (zero,) * (n - i - 1) for i in range(n))
 
 
 def identity_matrix(n: int) -> Matrix:
@@ -152,6 +153,67 @@ def solve(a: Matrix | Elimination, b) -> tuple[Vector | None, list[Vector]]:
     return tuple(x), list(e.basis)
 
 
+def _xgcd(p: int, q: int) -> tuple[int, int, int]:
+    """(g, s, t) with s p + t q = g = gcd(p, q) >= 0."""
+    s, t, s1, t1 = 1, 0, 0, 1
+    while q:
+        k = p // q
+        p, q, s, t, s1, t1 = q, p - k * q, s1, t1, s - k * s1, t - k * t1
+    return (p, s, t) if p >= 0 else (-p, -s, -t)
+
+
+@dataclass(frozen=True)
+class Hermite:
+    """a u = h, by columns, for an integer matrix a and a unimodular u: column
+    j < rank of h starts, positive, in row rows[j] (rows increase), the later
+    columns are zero, and so the later columns of u span a's integer kernel."""
+
+    rows: tuple[int, ...]
+    h: tuple[tuple[int, ...], ...]
+    u: tuple[tuple[int, ...], ...]
+
+
+def hermite(a, n: int) -> Hermite:
+    """The column echelon form of the integer matrix a (n columns), by extended-gcd
+    column operations on [a; I] (Cohen, Computational Algebraic Number Theory, 2.4)."""
+    if any(Fraction(c).denominator != 1 for row in a for c in row):
+        raise ValueError("hermite needs an integer matrix")
+    m, rows = len(a), []
+    cols = [[int(row[j]) for row in a] + [int(i == j) for i in range(n)] for j in range(n)]
+    for i in range(m):
+        r = len(rows)
+        for j in range(r + 1, n):
+            if cols[j][i]:
+                g, s, t = _xgcd(cols[r][i], cols[j][i])
+                p, q = cols[r][i] // g, cols[j][i] // g
+                cols[r], cols[j] = ([s * x + t * y for x, y in zip(cols[r], cols[j])],
+                                    [p * y - q * x for x, y in zip(cols[r], cols[j])])
+        if r < n and cols[r][i]:
+            cols[r] = [-x for x in cols[r]] if cols[r][i] < 0 else cols[r]
+            rows.append(i)
+    return Hermite(tuple(rows), tuple(tuple(c[:m]) for c in cols), tuple(tuple(c[m:]) for c in cols))
+
+
+def integer_solve(a, b) -> tuple[int, ...] | None:
+    """An integer x with a x = b, or None; given hermite(a, n) in place of a,
+    one reduction serves many b."""
+    form = a if isinstance(a, Hermite) else hermite(a, len(a[0]) if a else 0)
+    rest, x = [Fraction(c) for c in b], [0] * len(form.u)
+    for i, h, u in zip(form.rows, form.h, form.u):
+        y = rest[i] / h[i]
+        if y.denominator != 1:
+            return None
+        rest = [c - y * e for c, e in zip(rest, h)]
+        x = [c + int(y) * e for c, e in zip(x, u)]
+    return None if any(rest) else tuple(x)
+
+
+def integer_kernel(a, n: int) -> list[tuple[int, ...]]:
+    """A basis of {x in Z^n : a x = 0}: n - rank primitive vectors."""
+    form = hermite(a, n)
+    return list(form.u[len(form.rows):])
+
+
 @dataclass(frozen=True)
 class DualCone:
     """Primitive integer rays generating {y : y.a >= 0 for each of nrows rows a}."""
@@ -169,17 +231,6 @@ def _primitive(v) -> tuple[int, ...]:
     return tuple(int(c / content) for c in v)
 
 
-def _cofactors(m: list, n: int) -> tuple[int, ...]:
-    """y with y.a = det([a; m]) for the (n-1) x n integer matrix m, by Laplace
-    expansion bottom up over every set of columns (n 2^(n-1) products)."""
-    minors = {(): 1}
-    for k, row in enumerate(reversed(m), 1):
-        minors = {cols: sum((-1) ** i * row[c] * minors[cols[:i] + cols[i + 1:]]
-                            for i, c in enumerate(cols) if row[c])
-                  for cols in itertools.combinations(range(n), k)}
-    return tuple((-1) ** j * minors[tuple(c for c in range(n) if c != j)] for j in range(n))
-
-
 def dual_cone(rows, n: int) -> DualCone:
     """The dual {y : y.a >= 0 for every row a} of the cone the rows generate in Q^n.
 
@@ -188,20 +239,22 @@ def dual_cone(rows, n: int) -> DualCone:
     rays is tight on d-1 independent rows.  So +- a basis of the complement
     and, for each (d-1)-subset of the rows in order, its normal inside L when
     every row lies on one side of it, oriented to that side, generate the
-    dual.  Rows scaled to primitive integers make each normal a cofactor vector.
+    dual.  Both come from integer kernels of the primitive integer rows: the
+    normal is the one kernel vector of an independent subset and the complement.
     """
     prim = list(dict.fromkeys(_primitive(r) for r in rows if any(r)))
-    perp = [_primitive(v) for v in eliminate(mat(prim or [[0] * n])).basis]
+    perp = integer_kernel(prim, n)
     rays = [s for p in perp for s in (p, tuple(-c for c in p))]
     for subset in itertools.combinations(prim, n - len(perp) - 1) if prim else ():
-        y = _cofactors(list(subset) + perp, n)
-        if not any(y):
+        normal = integer_kernel(list(subset) + perp, n)
+        if len(normal) != 1:
             continue  # the subset is dependent
+        y = normal[0]
         dots = [sum(map(operator.mul, y, a)) for a in prim]
         if min(dots) >= 0:
-            rays.append(_primitive(y))
+            rays.append(y)
         elif max(dots) <= 0:
-            rays.append(_primitive([-c for c in y]))
+            rays.append(tuple(-c for c in y))
     return DualCone(len(rows), tuple(dict.fromkeys(rays)))
 
 

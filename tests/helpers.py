@@ -8,12 +8,12 @@ from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import dataclass
 
 from ordsplit.actions import FiniteTableAction
 from ordsplit.cones import ExtensionalCone, FullCone, PreorderedGroup
 from ordsplit.groups import CayleyGroup, CyclicGroup, DirectProduct, Group, StructureError
 from ordsplit.homs import (
-    ComposedHom,
     Homomorphism,
     IdentityHom,
     ScalarHom,
@@ -42,6 +42,39 @@ def symmetric_cayley(n: int) -> CayleyGroup:
 
 def klein_four() -> DirectProduct:
     return DirectProduct((CyclicGroup(2), CyclicGroup(2)))
+
+
+@dataclass(frozen=True)
+class ComposedHom(Homomorphism):
+    outer: Homomorphism
+    inner: Homomorphism
+
+    def __post_init__(self):
+        if self.inner.target != self.outer.source:
+            raise StructureError("composition mismatch")
+
+    @property
+    def source(self):
+        return self.inner.source
+
+    @property
+    def target(self):
+        return self.outer.target
+
+    def _apply(self, el):
+        return self.outer._apply(self.inner._apply(el))
+
+    def as_scalar(self):
+        a, b = self.outer.as_scalar(), self.inner.as_scalar()
+        if a is not None and b is not None:
+            return a * b
+        return None
+
+    def additive_by_construction(self):
+        return self.outer.additive_by_construction() and self.inner.additive_by_construction()
+
+    def __str__(self):
+        return f"{self.outer} . {self.inner}"
 
 
 def compose(outer: Homomorphism, inner: Homomorphism) -> Homomorphism:

@@ -46,12 +46,10 @@ def test_precomposed_cache_hit_still_checks_the_acting_element():
     act = scaling_along_triple()
     x = Fraction(1, 3)
     assert act.apply(1, x) == Fraction(8, 3)
-    assert act.scalar_for(1) == 8
+    assert act.matrix_for(1) == ((Fraction(8),),)
     assert not act.is_identity_for(1)
     with pytest.raises(ShapeError):
         act.apply(Fraction(1), x)
-    with pytest.raises(ShapeError):
-        act.scalar_for(Fraction(1))
     with pytest.raises(ShapeError):
         act.is_identity_for(Fraction(1))
     with pytest.raises(ShapeError):
@@ -110,7 +108,7 @@ def test_warm_precomposed_scaling_agrees_with_a_fresh_one_and_the_closed_form(pa
         got = warm.apply(c, x)
         assert got == scaling_along_triple().apply(c, x)
         assert got == Fraction(2) ** (3 * c) * x
-        assert warm.scalar_for(c) == Fraction(2) ** (3 * c)
+        assert warm.matrix_for(c) == ((Fraction(2) ** (3 * c),),)
         assert warm.base.apply(3 * c, x) == got
 
 

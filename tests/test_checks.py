@@ -32,8 +32,10 @@ from ordsplit.groups import (
     ShapeError,
     StructureError,
 )
-from ordsplit.homs import ComposedHom, Homomorphism, IdentityHom, PairHom, ScalarHom, TableHom
+from ordsplit.homs import Homomorphism, IdentityHom, PairHom, ScalarHom, TableHom
 from ordsplit.verdict import SaturationBudget, Window
+
+from helpers import ComposedHom
 
 Z = FreeAbelian(1)
 Q = RationalVector(1)
@@ -258,3 +260,16 @@ def test_no_function_level_imports_but_the_verdict_groups_cycle():
             if isinstance(node, (ast.Import, ast.ImportFrom)) and node not in tree.body:
                 found.add((path.stem, getattr(node, "module", None)))
     assert found == {("verdict", "groups")}
+
+
+def test_one_linear_form_of_an_action_and_one_determinant():
+    # matrix_for is the one linear representation of an action, and the dual
+    # cone's normals come from integer kernels, not a cofactor expansion.
+    found = set()
+    for info in pkgutil.iter_modules(ordsplit.__path__):
+        module = importlib.import_module(f"ordsplit.{info.name}")
+        for name, cls in inspect.getmembers(module, inspect.isclass):
+            if cls.__module__ == module.__name__ and "scalar_for" in vars(cls):
+                found.add(name)
+    assert found == set()
+    assert not hasattr(importlib.import_module("ordsplit.linalg"), "_cofactors")

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ordsplit import cones as cones_module
-from ordsplit.actions import SignAction, ScalingAction, TrivialAction
+from ordsplit.actions import MatrixAction, SignAction, ScalingAction, TrivialAction
 from ordsplit.cones import (
     ConeGenerators,
     ExplicitGenerators,
@@ -140,12 +141,42 @@ def test_generated_cone_sign_carrier_conjugates():
 
 def test_generated_cone_explicit_sign_generator():
     # On the sign carrier, conjugating (0,1) by (y,0) reaches (2y,1); odd
-    # fibre parts are excluded by the residue obstruction.
+    # fibre parts lie outside the fibre lattice 2Z.  Window(1, 2, 1) holds
+    # no period of the action, and the lattice needs none.
     sd = Semidirect(Z, Z, SignAction(Z, Z))
     cone = generated_cone(sd, [(0, 1)])
-    assert_state(cone.contains((2, 1), SMALL_BUDGET), "yes")
-    assert_state(cone.contains((1, 1), SMALL_BUDGET), "no")
+    for budget in (SMALL_BUDGET, SaturationBudget(2, 5, Window(1, 2, 1))):
+        assert_state(cone.contains((2, 1), budget), "yes")
+        assert_state(cone.contains((1, 1), budget), "no")
     assert sd.conjugate((1, 0), (0, 1)) == (2, 1)
+
+
+@pytest.mark.parametrize("matrix", [((0, 1), (1, 0)), ((1, 1), (0, 1))], ids=["swap", "shear"])
+def test_z2_conjugators_and_fibre_lattice_match_sums_of_conjugates(matrix):
+    # On Z^2 x| Z the swap and the shear make I - phi singular.  The cone of
+    # (0, 1) holds over b = 1 exactly the conjugates ((I - phi) r, 1), and
+    # over b = 2 the sums of two; a brute-force oracle lists both.
+    G = Semidirect(Z2V, Z, MatrixAction(Z, Z2V, (matrix,)))
+    gen = ((0, 0), 1)
+    cone = generated_cone(G, [gen])
+    box = list(itertools.product(range(-3, 4), repeat=2))
+    conjugates = {G.conjugate((r, c), gen) for r in box for c in (-1, 0, 1)}
+    sums = {G.zero()} | conjugates | {G.add(a, b) for a in conjugates for b in conjugates}
+    fibres = {xp for xp, _ in sums}
+    for b in (-1, 0, 1, 2):
+        for xp in box:
+            x = (xp, b)
+            v = cone.contains(x, SMALL_BUDGET)
+            if v.is_yes:
+                assert x in sums, x
+            if v.is_no:
+                assert x not in sums, x
+            if b == 1 and xp != (0, 0):
+                assert v.is_yes == (x in conjugates), (x, v)
+                if v.is_yes:
+                    assert v.note.startswith("conjugator"), v
+            if b in (1, 2) and xp not in fibres:
+                assert v.is_no and v.note.startswith("fibre residue obstruction"), (x, v)
 
 
 def test_leq_basics():

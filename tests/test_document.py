@@ -724,16 +724,16 @@ def test_cli_rejects_malformed_shapes(tmp_path, capsys, mutate, message):
 def _rank3_minimal_doc():
     doc = minimal_doc([])
     doc["groups"]["Q3"] = {"kind": "rational_vector", "rank": 3}
-    doc["cones"]["q3_nat"] = {"kind": "orthant", "group": "Q3"}
-    doc["actions"]["t3"] = {"kind": "trivial", "acting": "Z", "acted": "Q3"}
-    doc["points"] = {"p": {"x_group": "Q3", "x_cone": "q3_nat", "b_group": "Z",
-                           "b_cone": "nat", "action": "t3", "cone": "minimal"}}
+    doc["cones"]["q3_gen"] = {"kind": "generated", "group": "Q3", "generators": [["1", "0", "0"]]}
+    doc["actions"]["t3"] = {"kind": "trivial", "acting": "Q3", "acted": "Z"}
+    doc["points"] = {"p": {"x_group": "Z", "x_cone": "nat", "b_group": "Q3",
+                           "b_cone": "q3_gen", "action": "t3", "cone": "minimal"}}
     return doc
 
 
 def test_cli_rejects_window_over_the_cap_at_parse_time(tmp_path, capsys):
-    # Deciding the minimal point scans Q^3, whose default window has
-    # 167^3 = 4,657,463 elements.
+    # Deciding the minimal point scans Q^3 for the units of its generated
+    # base cone, and Q^3's default window has 167^3 = 4,657,463 elements.
     started = time.monotonic()
     code, err = _validate_exit(tmp_path, capsys, _rank3_minimal_doc())
     assert time.monotonic() - started < 1
@@ -977,16 +977,34 @@ def test_cli_rejects_finite_table_action_law_failures(tmp_path, capsys, action):
     assert "invalid: actions.bad:" in err and "Traceback" not in err
 
 
+_Q_KERNEL = {"x_group": "Q", "x_cone": "qnat", "action": "sgn_q"}
+_Q_BASE = {"b_group": "Q", "b_cone": "qnat", "action": "triv_q"}
+
+
 @pytest.mark.parametrize("thresholds, message", [
     (["1", "2"], "threshold sequence must start with x_0 = 0"),
     (["0", "-3"], "thresholds live in N plus infinity"),
+    (dict(_Q_KERNEL, thresholds=["0", "1"]), "threshold fibres need kernel Z and base Z"),
+    (dict(_Q_BASE, thresholds=["0", "1"]), "threshold fibres need kernel Z and base Z"),
 ])
 def test_cli_rejects_bad_family_thresholds_at_parse(tmp_path, capsys, thresholds, message):
-    doc = minimal_doc([dict(SHAPE_SPEC, op="validate_family", action="sgn",
-                            thresholds=thresholds)])
+    # A list is the thresholds over the (Z, N) base on (Z, N); a dict also
+    # overrides the shape.
+    fields = thresholds if isinstance(thresholds, dict) else {"thresholds": thresholds}
+    spec = {**SHAPE_SPEC, "action": "sgn", **fields}
+    doc = minimal_doc([dict(spec, op="validate_family")])
+    doc["actions"]["sgn_q"] = {"kind": "sign", "acting": "Z", "acted": "Q"}
+    doc["actions"]["triv_q"] = {"kind": "trivial", "acting": "Q", "acted": "Z"}
     code, err = _validate_exit(tmp_path, capsys, doc)
     assert code == 2
     assert f"queries[0]: {message}" in err
+    assert "Traceback" not in err
+    family = {"kind": "family", "thresholds": spec.pop("thresholds")}
+    doc["queries"] = []
+    doc["points"] = {"p": dict(spec, cone=family)}
+    code, err = _validate_exit(tmp_path, capsys, doc)
+    assert code == 2
+    assert f"points.p: {message}" in err
 
 
 def test_cli_rejects_rational_literals_with_an_exponent(tmp_path, capsys):

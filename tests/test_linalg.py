@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -13,7 +14,10 @@ from ordsplit.linalg import (
     dual_cone,
     eliminate,
     feasible_strict,
+    hermite,
     identity_matrix,
+    integer_kernel,
+    integer_solve,
     mat,
     mat_mul,
     mat_pow,
@@ -244,3 +248,45 @@ def test_feasible_strict_separates_one_vector_at_a_time():
         feasible_strict([(1, 0)], [(-1, 0), (0, -1)])
     assert feasible_strict([(1, 0)], []) is None
     assert len(dual_cone([(1, 0), (1, 1), (0, 0)], 2)) == 3
+
+
+def _integer_rows(a, x):
+    return [sum(c * v for c, v in zip(row, x)) for row in a]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_integer_solve_and_kernel_match_planted_and_box_searched_answers(seed):
+    # Hermite form over Z: a planted right side a x0 is always solved, every
+    # x returned solves, a None is confirmed by a box search, and the kernel
+    # basis has n - rank primitive vectors in the kernel.
+    rng = random.Random(seed)
+    for _ in range(120):
+        m, n = rng.randint(1, 3), rng.randint(1, 4)
+        a = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]
+        form = hermite(a, n)
+        x0 = [rng.randint(-3, 3) for _ in range(n)]
+        planted = _integer_rows(a, x0)
+        x = integer_solve(form, planted)
+        assert x is not None and _integer_rows(a, x) == planted
+        b = [rng.randint(-6, 6) for _ in range(m)]
+        x = integer_solve(a, b)
+        if x is None:
+            box = itertools.product(range(-3, 4), repeat=n)
+            assert all(_integer_rows(a, v) != b for v in box), (a, b)
+        else:
+            assert _integer_rows(a, x) == b
+        kernel = integer_kernel(a, n)
+        assert len(kernel) == n - rank_by_minors(mat(a))
+        for v in kernel:
+            assert math.gcd(*v) == 1 and not any(_integer_rows(a, v))
+
+
+def test_integer_solve_refuses_fractions_and_finds_lattice_holes():
+    assert integer_solve([[2, 0], [0, 3]], [4, 9]) == (2, 3)
+    assert integer_solve([[2, 0], [0, 3]], [4, 8]) is None
+    assert integer_solve([[2, 4]], [Fraction(1, 2)]) is None
+    assert integer_solve([[2, 4]], [6]) is not None
+    assert integer_solve([[2, 4]], [3]) is None  # 3 is outside 2Z
+    assert integer_kernel([], 2) == [(1, 0), (0, 1)]
+    with pytest.raises(ValueError):
+        hermite([[Fraction(1, 2)]], 1)
