@@ -167,10 +167,15 @@ class ScalingAction(Action):
         # An int ratio would give float powers q**b for negative b.
         object.__setattr__(self, "q", Fraction(self.q))
 
-    def _apply(self, b, x):
+    def _power(self, b):
+        """q**b for a b that already passed acting.check."""
         f = self._powers.get(b)
         if f is None:
             f = self._powers[b] = self.q**b
+        return f
+
+    def _apply(self, b, x):
+        f = self._power(b)
         if self.acted.rank == 1:
             return f * x
         return tuple(f * c for c in x)
@@ -179,7 +184,8 @@ class ScalingAction(Action):
         return self.q == 1 or b == 0
 
     def matrix_for(self, b):
-        return scalar_matrix(self.q**b, self.acted.rank)
+        self.acting.check(b)
+        return scalar_matrix(self._power(b), self.acted.rank)
 
     def __str__(self):
         return f"scaling({self.q})"

@@ -361,13 +361,28 @@ class MinusCone(Cone):
         return "P-"
 
 
+def _orthant_matrix_leq(aut: AutGroup, el, h: Homomorphism, sign: int) -> Verdict | None:
+    """On an orthant base, h(x) >= x for every x in sign * P iff every entry of
+    sign * (M - I) is >= 0; the witness is sign * e_j for the first failing
+    column j.  None when the base is no orthant or h has no matrix."""
+    m = h.as_matrix() if isinstance(aut.base.cone, OrthantCone) else None
+    if m is None:
+        return None
+    side = "positive" if sign > 0 else "negative"
+    for j in range(len(m[0])):
+        if any(row[j] < (i == j) if sign > 0 else row[j] > (i == j) for i, row in enumerate(m)):
+            G = aut.base.group
+            e = G.generators()[j]
+            return no((el, e if sign > 0 else G.neg(e)), f"matrix lowers a {side}")
+    return yes(f"matrix raises every {side}")
+
+
 def _dominates_id(aut: AutGroup, el, budget) -> Verdict:
     base = aut.base
     h = aut.realize(el)
-    s = h.as_scalar()
-    if s is not None and isinstance(base.cone, OrthantCone):
-        one = base.group.generators()[0]
-        return yes("scalar >= 1") if s >= 1 else no((el, one), f"scaling {s} drops a positive")
+    v = _orthant_matrix_leq(aut, el, h, 1)
+    if v is not None:
+        return v
     if isinstance(base.cone, (FullCone, TrivialCone)):
         return yes("degenerate base order")
     return hom_leq(IdentityHom(base.group), h, base, base, budget)
@@ -376,12 +391,9 @@ def _dominates_id(aut: AutGroup, el, budget) -> Verdict:
 def _dominated_by_id_on_negatives(aut: AutGroup, el, budget) -> Verdict:
     base = aut.base
     h = aut.realize(el)
-    s = h.as_scalar()
-    if s is not None and isinstance(base.cone, OrthantCone):
-        one = base.group.generators()[0]
-        if 0 < s <= 1:
-            return yes("scalar in (0,1]")
-        return no((el, base.group.neg(one)), f"scaling {s} drops a negative")
+    v = _orthant_matrix_leq(aut, el, h, -1)
+    if v is not None:
+        return v
     if isinstance(base.cone, (FullCone, TrivialCone)):
         return yes("degenerate base order")
     if base.group.is_finite:

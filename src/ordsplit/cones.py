@@ -528,7 +528,7 @@ class GeneratedCone(Cone):
         if isinstance(system, Hermite):
             r = integer_solve(system, X.coords(xp))
         else:
-            r = solve(system, X.coords(xp))[0]
+            r = solve(system, X.coords(xp))
         if r is None:
             return None
         r = X.from_coords(r)
@@ -719,14 +719,8 @@ def units_subgroup(P: PreorderedGroup, budget: SaturationBudget = DEFAULT_BUDGET
         return UnitsReport(True, None, tuple(G.generators()), "full cone: every element")
     if isinstance(cone, OrthantCone):
         return UnitsReport(True, frozenset([G.zero()]), (), "antisymmetric orthant")
-    if G.is_finite:
-        els = [
-            x
-            for x in G.elements()
-            if cone.contains(x, budget).is_yes and cone.contains(G.neg(x), budget).is_yes
-        ]
-        return UnitsReport(True, frozenset(els), tuple(els), "finite intersection")
-    if isinstance(cone, ProductCone) and isinstance(G, (Semidirect, DirectProduct)):
+    pair = isinstance(G, (Semidirect, DirectProduct))
+    if isinstance(cone, ProductCone) and pair and not G.is_finite:
         X, B = _pair_parts(G)
         ux = units_subgroup(PreorderedGroup(X, cone.x_cone), budget)
         ub = units_subgroup(PreorderedGroup(B, cone.b_cone), budget)
@@ -736,20 +730,22 @@ def units_subgroup(P: PreorderedGroup, budget: SaturationBudget = DEFAULT_BUDGET
         if ux.elements is not None and ub.elements is not None:
             els = frozenset((a, b) for a in ux.elements for b in ub.elements)
         return UnitsReport(ux.exact and ub.exact, els, gens, "componentwise")
+    # The window is the whole carrier of a finite group.
     found = []
     undecided = False
     for x in G.window_elements(budget.window):
         fwd = cone.contains(x, budget)
-        bwd = cone.contains(G.neg(x), budget)
+        bwd = fwd if fwd.is_no else cone.contains(G.neg(x), budget)
         if fwd.is_yes and bwd.is_yes:
             found.append(x)
-        elif fwd.is_unknown or bwd.is_unknown:
+        elif not bwd.is_no:
             undecided = True
     return UnitsReport(
-        False,
+        G.is_finite and not undecided,
         frozenset(found),
         tuple(found),
-        "window search" + (" (some memberships unknown)" if undecided else ""),
+        ("finite intersection" if G.is_finite else "window search")
+        + (" (some memberships unknown)" if undecided else ""),
     )
 
 
@@ -904,26 +900,16 @@ def is_monotone(
 
 
 def _structural_monotone(h, src, dst, budget) -> Verdict | None:
-    # Scalar/matrix maps between orthants decide exactly by sign inspection.
-    if isinstance(src.cone, OrthantCone) and isinstance(dst.cone, OrthantCone):
-        m = h.as_matrix()
-        s = h.as_scalar()
-        if s is not None:
-            if s >= 0:
-                return yes("nonnegative scalar")
-            one = src.group.generators()[0]
-            return no(one, f"scalar {s} flips positives")
-        if m is not None:
-            for j in range(len(m[0])):
-                if any(row[j] < 0 for row in m):
-                    return no(src.group.generators()[j], "matrix column leaves the orthant")
-            return yes("nonnegative matrix")
-    if isinstance(src.cone, OrthantCone) and isinstance(dst.cone, TrivialCone):
-        s = h.as_scalar()
-        if s is not None:
-            if s == 0:
-                return yes("zero map")
-            return no(src.group.generators()[0], "nonzero scalar into the trivial order")
+    # A matrix map out of an orthant is monotone into an orthant iff every
+    # column is >= 0, and into the trivial order iff every column is 0.
+    m = h.as_matrix() if isinstance(src.cone, OrthantCone) else None
+    if m is not None and isinstance(dst.cone, (OrthantCone, TrivialCone)):
+        into_orthant = isinstance(dst.cone, OrthantCone)
+        for j, gen in enumerate(src.group.generators()):
+            if any(row[j] < 0 if into_orthant else row[j] != 0 for row in m):
+                return no(gen, "matrix column leaves the orthant" if into_orthant
+                          else "nonzero matrix column into the trivial order")
+        return yes("nonnegative matrix" if into_orthant else "zero map")
     # Structure maps of pair carriers against their componentwise cones.
     if isinstance(h, ProjectionHom):
         c = src.cone

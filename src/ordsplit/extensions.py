@@ -51,6 +51,7 @@ from .homs import (
     TableHom,
     check_homomorphism,
 )
+from .linalg import identity_matrix
 from .verdict import (
     DEFAULT_BUDGET,
     SaturationBudget,
@@ -137,28 +138,18 @@ def point(shape: ExtensionShape, cone: Cone | str = "product") -> SplitExtension
     return SplitExtension(shape.x, shape.b, shape.action, cone)
 
 
+def _generated_by_generators(G: Group) -> bool:
+    """Is G generated by G.generators()?  Z^k, finite groups and their products are; Q^k is not."""
+    if isinstance(G, DirectProduct):
+        return all(_generated_by_generators(f) for f in G.factors)
+    return G.is_finite or isinstance(G, FreeAbelian)
+
+
 def pointwise_sim_id(
     h: Homomorphism, x_pre: PreorderedGroup, budget: SaturationBudget = DEFAULT_BUDGET
 ) -> Verdict:
-    """Is h(x) ~ x for every x?  Exact on scalars, finite, and f.g. abelian data."""
-    s = h.as_scalar()
-    if s is not None:
-        if s == 1:
-            return yes("identity scalar")
-        if isinstance(x_pre.cone, FullCone):
-            return yes("full order")
-        one = x_pre.group.generators()[0]
-        v = x_pre.sim(h.apply(one), one, budget)
-        if v.is_no:
-            return no(one, f"scaling by {s} moves a generator")
-        # (s-1)x must land in the units subgroup for every x.  One generator
-        # decides this over Z (units are closed under integer multiples) and
-        # over the standard cones on Q (whose units are trivial, forcing s=1).
-        if isinstance(x_pre.cone, (OrthantCone, TrivialCone)) or isinstance(
-            x_pre.group, FreeAbelian
-        ):
-            return v
-        # Exotic cones on Q: one point is not conclusive, fall through.
+    """Is h(x) ~ x for every x?  Exact on finite and f.g. abelian carriers, and
+    on linear maps under the full, orthant and trivial cones."""
     G = x_pre.group
     if G.is_finite:
         for x in G.elements():
@@ -166,13 +157,24 @@ def pointwise_sim_id(
             if not v.is_yes:
                 return no(x, "automorphism moves an element") if v.is_no else v
         return yes("exhaustive")
-    if isinstance(G, (FreeAbelian, DirectProduct)) and G.is_abelian():
-        # d(x) = h(x)-x is additive, and units form a subgroup, so group
-        # generators decide the whole carrier.
-        return on_generators(
+    # A linear map under the full cone, and the identity, need no membership call.
+    m = h.as_matrix()
+    if m is not None and (m == identity_matrix(len(m)) or isinstance(x_pre.cone, FullCone)):
+        return yes("full order or identity map")
+    # d(x) = h(x)-x is additive and units form a subgroup, so generators
+    # decide every x of an abelian carrier they generate.  The orthant and
+    # trivial cones have units {0}, so generators decide a linear map under
+    # them over Q^k too; elsewhere a moved generator is a No.
+    decided = (G.is_abelian() and _generated_by_generators(G)) or (
+        m is not None and isinstance(x_pre.cone, (OrthantCone, TrivialCone))
+    )
+    if decided or m is not None:
+        v = on_generators(
             G.generators(), lambda g: x_pre.sim(h.apply(g), g, budget),
             "automorphism moves a generator", "on group generators",
         )
+        if decided or v.is_no:
+            return v
     return for_all_members(
         G.window_elements(budget.window), None, lambda x: x_pre.sim(h.apply(x), x, budget),
         "automorphism moves an element", "pointwise comparison hit undecided memberships",

@@ -27,7 +27,7 @@ from .groups import (
     element_order,
     minimal_generating_sequence,
 )
-from .linalg import mat, mat_vec, matrix_inverse, scalar_matrix
+from .linalg import identity_matrix, mat, mat_vec, matrix_inverse, scalar_matrix
 from .verdict import Verdict, Window, no, unknown, yes
 
 
@@ -43,12 +43,8 @@ class Homomorphism(ABC):
     def _apply(self, el: Element) -> Element:
         """The image of an el that already passed source.check."""
 
-    def as_scalar(self) -> Optional[Fraction]:
-        """x -> q*x on vector carriers, when that is exactly this map."""
-        m = self.as_matrix()
-        return m[0][0] if m is not None and len(m) == len(m[0]) == 1 else None
-
     def as_matrix(self) -> Optional[tuple[tuple[Fraction, ...], ...]]:
+        """The matrix of this map in coordinates, when that is exactly this map."""
         return None
 
     def additive_by_construction(self) -> bool:
@@ -60,6 +56,18 @@ def _vec_rank(G: Group) -> int | None:
     if isinstance(G, (FreeAbelian, RationalVector)):
         return G.rank
     return None
+
+
+def _check_entries(source: Group, target: Group, entries) -> None:
+    """Refuse a linear map that does not land in an integer target: a
+    fractional entry, or any nonzero entry out of Q^k, since Q^k is divisible
+    and Z^m has no nonzero divisible element (Hom(Q^k, Z^m) = 0)."""
+    if isinstance(target, FreeAbelian):
+        for c in entries:
+            if Fraction(c).denominator != 1:
+                raise StructureError(f"entry {c} not integral for {target}")
+            if c and isinstance(source, RationalVector):
+                raise StructureError(f"no nonzero map from {source} into {target}")
 
 
 @dataclass(frozen=True)
@@ -77,8 +85,9 @@ class IdentityHom(Homomorphism):
     def _apply(self, el):
         return el
 
-    def as_scalar(self):
-        return Fraction(1) if _vec_rank(self.group) == 1 else None
+    def as_matrix(self):
+        r = _vec_rank(self.group)
+        return None if r is None else identity_matrix(r)
 
     def additive_by_construction(self):
         return True
@@ -99,17 +108,13 @@ class ScalarHom(Homomorphism):
         r1, r2 = _vec_rank(self.source), _vec_rank(self.target)
         if r1 is None or r1 != r2:
             raise StructureError("scalar maps need vector carriers of equal rank")
-        if isinstance(self.target, FreeAbelian) and self.factor.denominator != 1:
-            raise StructureError(f"factor {self.factor} does not map into {self.target}")
+        _check_entries(self.source, self.target, (self.factor,))
 
     def _apply(self, el):
         return self.target.from_coords(tuple(self.factor * c for c in self.source.coords(el)))
 
-    def as_scalar(self):
-        return Fraction(self.factor)
-
     def as_matrix(self):
-        return scalar_matrix(self.factor, _vec_rank(self.source))
+        return scalar_matrix(self.factor, self.source.rank)
 
     def additive_by_construction(self):
         return True
@@ -132,11 +137,7 @@ class LinearHom(Homomorphism):
             raise StructureError("linear maps need vector carriers")
         if len(self.matrix) != r2 or any(len(row) != r1 for row in self.matrix):
             raise StructureError("matrix shape does not match carrier ranks")
-        if isinstance(self.target, FreeAbelian):
-            for row in self.matrix:
-                for c in row:
-                    if Fraction(c).denominator != 1:
-                        raise StructureError(f"entry {c} not integral for {self.target}")
+        _check_entries(self.source, self.target, (c for row in self.matrix for c in row))
 
     def _apply(self, el):
         return self.target.from_coords(mat_vec(self.matrix, self.source.coords(el)))
@@ -340,11 +341,6 @@ def invert(h: Homomorphism) -> Homomorphism | None:
     """Inverse homomorphism when the representation exposes one."""
     if isinstance(h, IdentityHom):
         return h
-    if isinstance(h, ScalarHom) and h.factor != 0:
-        try:
-            return ScalarHom(h.target, h.source, 1 / h.factor)
-        except StructureError:
-            return None
     if isinstance(h, TableHom):
         inv = {b: a for a, b in h.pairs}
         if len(inv) != len(h.pairs) or not h.target.is_finite:
@@ -352,20 +348,19 @@ def invert(h: Homomorphism) -> Homomorphism | None:
         if set(inv) != set(h.target.elements()):
             return None
         return TableHom.from_dict(h.target, h.source, inv)
-    if isinstance(h, LinearHom):
-        m = matrix_inverse(h.as_matrix())
-        if m is None:
-            return None
-        try:
-            return LinearHom(h.target, h.source, m)
-        except StructureError:
-            return None
     if isinstance(h, PairHom):
         ix, ib = invert(h.hx), invert(h.hb)
         if ix is None or ib is None:
             return None
         return PairHom(h.target, h.source, ix, ib)
-    return None
+    m = h.as_matrix()
+    inv = None if m is None else matrix_inverse(m)
+    if inv is None:
+        return None
+    try:
+        return LinearHom(h.target, h.source, inv)
+    except StructureError:
+        return None
 
 
 def check_homomorphism(h: Homomorphism, window: Window | None = None) -> Verdict:

@@ -11,6 +11,7 @@ is negative on it.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -19,6 +20,7 @@ from fractions import Fraction
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 Vector = tuple[Fraction, ...]
+_ZERO = Fraction(0)
 
 
 def mat(rows) -> Matrix:
@@ -27,10 +29,11 @@ def mat(rows) -> Matrix:
 
 def scalar_matrix(s, n: int) -> Matrix:
     """s times the n x n identity."""
-    s, zero = (s if type(s) is Fraction else Fraction(s)), Fraction(0)
-    return tuple((zero,) * i + (s,) + (zero,) * (n - i - 1) for i in range(n))
+    s = s if type(s) is Fraction else Fraction(s)
+    return tuple([(_ZERO,) * i + (s,) + (_ZERO,) * (n - i - 1) for i in range(n)])
 
 
+@functools.cache
 def identity_matrix(n: int) -> Matrix:
     return scalar_matrix(1, n)
 
@@ -121,36 +124,28 @@ class Elimination:
     ncols: int
     pivots: tuple[int, ...]
     transform: Matrix
-    basis: tuple[Vector, ...]  # of the null space of a
 
 
 def eliminate(a: Matrix) -> Elimination:
     n = len(a[0]) if a else 0
     aug = [list(row) + list(e) for row, e in zip(mat(a), identity_matrix(len(a)))]
     pivots = _reduce(aug, n)[0]
-    basis = []
-    for fc in (c for c in range(n) if c not in pivots):
-        v = [Fraction(0)] * n
-        v[fc] = Fraction(1)
-        for row, col in zip(aug, pivots):
-            v[col] = -row[fc]
-        basis.append(tuple(v))
-    return Elimination(n, tuple(pivots), tuple(tuple(row[n:]) for row in aug), tuple(basis))
+    return Elimination(n, tuple(pivots), tuple(tuple(row[n:]) for row in aug))
 
 
-def solve(a: Matrix | Elimination, b) -> tuple[Vector | None, list[Vector]]:
-    """One solution of a x = b (or None) plus a basis of the null space.
+def solve(a: Matrix | Elimination, b) -> Vector | None:
+    """One solution of a x = b, or None.
 
     Given eliminate(a) in place of a, one elimination serves many b.
     """
     e = a if isinstance(a, Elimination) else eliminate(a)
     y = mat_vec(e.transform, b)
     if any(y[len(e.pivots):]):
-        return None, []
+        return None
     x = [Fraction(0)] * e.ncols
     for yi, col in zip(y, e.pivots):
         x[col] = yi
-    return tuple(x), list(e.basis)
+    return tuple(x)
 
 
 def _xgcd(p: int, q: int) -> tuple[int, int, int]:

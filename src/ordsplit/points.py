@@ -274,15 +274,16 @@ def order_iso_check(
     budget: SaturationBudget = DEFAULT_BUDGET,
 ) -> Verdict:
     """Group isomorphism (via an exact inverse) monotone in both directions."""
-    m = h.as_matrix()
-    if m is not None and src.group == dst.group:
-        d = determinant(m)
-        if isinstance(src.group, FreeAbelian) and abs(d) != 1:
-            return no(d, "matrix determinant is not a unit over Z")
-        if d == 0:
-            return no(d, "matrix is singular")
     inv = invert(h)
     if inv is None:
+        # A unit determinant gives an exact inverse, so only here can it fail.
+        m = h.as_matrix()
+        if m is not None and src.group == dst.group:
+            d = determinant(m)
+            if isinstance(src.group, FreeAbelian) and abs(d) != 1:
+                return no(d, "matrix determinant is not a unit over Z")
+            if d == 0:
+                return no(d, "matrix is singular")
         return unknown("no exact inverse available for this representation")
     return vand(
         is_monotone(h, src, dst, budget),

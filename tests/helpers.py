@@ -20,6 +20,7 @@ from ordsplit.homs import (
     TableHom,
     enumerate_homomorphisms,
 )
+from ordsplit.linalg import mat_mul
 from ordsplit.verdict import DEFAULT_BUDGET, SaturationBudget, Verdict, Window, vand, vnot
 
 SMALL_BUDGET = SaturationBudget(2, 5, Window(3, 6, 3))
@@ -64,10 +65,10 @@ class ComposedHom(Homomorphism):
     def _apply(self, el):
         return self.outer._apply(self.inner._apply(el))
 
-    def as_scalar(self):
-        a, b = self.outer.as_scalar(), self.inner.as_scalar()
+    def as_matrix(self):
+        a, b = self.outer.as_matrix(), self.inner.as_matrix()
         if a is not None and b is not None:
-            return a * b
+            return mat_mul(a, b)
         return None
 
     def additive_by_construction(self):
@@ -85,9 +86,9 @@ def compose(outer: Homomorphism, inner: Homomorphism) -> Homomorphism:
         return inner
     if isinstance(inner, IdentityHom):
         return outer
-    sa, sb = outer.as_scalar(), inner.as_scalar()
-    if sa is not None and sb is not None and inner.source == outer.target:
-        return ScalarHom(inner.source, outer.target, sa * sb)
+    scalars = isinstance(outer, ScalarHom) and isinstance(inner, ScalarHom)
+    if scalars and inner.source == outer.target:
+        return ScalarHom(inner.source, outer.target, outer.factor * inner.factor)
     if isinstance(inner, TableHom):
         return TableHom.from_dict(
             inner.source, outer.target, {a: outer.apply(b) for a, b in inner.pairs}

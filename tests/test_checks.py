@@ -8,6 +8,7 @@ elements of its source and target.
 """
 
 import ast
+import dataclasses
 import importlib.util
 import inspect
 import pkgutil
@@ -263,13 +264,18 @@ def test_no_function_level_imports_but_the_verdict_groups_cycle():
 
 
 def test_one_linear_form_of_an_action_and_one_determinant():
-    # matrix_for is the one linear representation of an action, and the dual
-    # cone's normals come from integer kernels, not a cofactor expansion.
+    # matrix_for is the one linear representation of an action and as_matrix
+    # of a map; the dual cone's normals come from integer kernels, not a
+    # cofactor expansion, and an elimination keeps no null-space basis.
     found = set()
     for info in pkgutil.iter_modules(ordsplit.__path__):
         module = importlib.import_module(f"ordsplit.{info.name}")
         for name, cls in inspect.getmembers(module, inspect.isclass):
-            if cls.__module__ == module.__name__ and "scalar_for" in vars(cls):
-                found.add(name)
+            if cls.__module__ == module.__name__:
+                found.update(
+                    (name, attr) for attr in ("scalar_for", "as_scalar") if attr in vars(cls)
+                )
     assert found == set()
-    assert not hasattr(importlib.import_module("ordsplit.linalg"), "_cofactors")
+    linalg = importlib.import_module("ordsplit.linalg")
+    assert not hasattr(linalg, "_cofactors")
+    assert "basis" not in {f.name for f in dataclasses.fields(linalg.Elimination)}

@@ -86,6 +86,25 @@ def test_aut_cone_membership_scalings():
     assert_state(plus.contains(Fraction(1, 2)), "no")
 
 
+def test_plus_and_minus_read_the_matrix_on_an_orthant_base():
+    # alpha >= id on positives iff M - I >= 0 and on negatives iff I - M >= 0;
+    # the witness pairs alpha with e_j (or -e_j) for the first failing column.
+    aut = monotone_aut(QP)
+    assert PlusCone(aut).contains(Fraction(1, 2)).witness == (Fraction(1, 2), Fraction(1))
+    assert MinusCone(aut).contains(Fraction(2)).witness == (Fraction(2), Fraction(-1))
+    Z3 = FreeAbelian(3)
+    aut = monotone_aut(PreorderedGroup(Z3, OrthantCone(Z3)))
+    swap = (0, 2, 1)  # e_1 <-> e_2
+    v = PlusCone(aut).contains(swap)
+    assert_state(v, "no")
+    assert v.witness == (swap, (0, 1, 0))
+    v = MinusCone(aut).contains(swap)
+    assert_state(v, "no")
+    assert v.witness == (swap, (0, -1, 0))
+    for cone in (PlusCone(aut), MinusCone(aut)):
+        assert_state(cone.contains((0, 1, 2)), "yes")
+
+
 def test_plus_minus_inverse_duality():
     aut = monotone_aut(QP)
     plus, minus = PlusCone(aut), MinusCone(aut)

@@ -37,7 +37,7 @@ from ordsplit.groups import (
     ShapeError,
     StructureError,
 )
-from ordsplit.homs import IdentityHom, ScalarHom
+from ordsplit.homs import IdentityHom, LinearHom, ScalarHom
 from ordsplit.points import pullback
 from ordsplit.verdict import SaturationBudget, Window
 
@@ -212,12 +212,42 @@ def test_units_subgroup():
     assert units_subgroup(QP).elements == frozenset({Fraction(0)})
 
 
+def test_units_of_an_infinite_carrier_come_from_the_window_scan():
+    # cone{(1,0), (-1,0), (0,1)} on Z^2 has the units Z x 0, found in the
+    # window and so not exact.
+    window = Window(3, 6, 3)
+    cone = generated_cone(Z2V, [(1, 0), (-1, 0), (0, 1)])
+    units = units_subgroup(PreorderedGroup(Z2V, cone), SaturationBudget(2, 6, window))
+    assert not units.exact
+    assert units.elements == frozenset((a, 0) for a in Z.window_elements(window))
+    assert units.note == "window search"
+
+
 def test_is_monotone_examples():
     assert_state(is_monotone(IdentityHom(Z), ZN, ZN), "yes")
     v = is_monotone(ScalarHom(Z, Z, Fraction(-1)), ZN, ZN)
     assert_state(v, "no")
     assert v.witness == 1
     assert_state(is_monotone(ScalarHom(Q, Q, Fraction(2)), QP, QP), "yes")
+
+
+def test_matrix_maps_out_of_an_orthant_decide_by_their_columns():
+    # Into an orthant every column must be >= 0, into the trivial order 0;
+    # the witness is the basis vector of the first failing column.
+    Z2N = PreorderedGroup(Z2V, OrthantCone(Z2V))
+    Z20 = PreorderedGroup(Z2V, TrivialCone(Z2V))
+    assert_state(is_monotone(IdentityHom(Z2V), Z2N, Z2N), "yes")
+    h = LinearHom(Z2V, Z2V, ((1, 0), (-1, 2)))
+    v = is_monotone(h, Z2N, Z2N)
+    assert_state(v, "no")
+    assert v.witness == (1, 0)
+    assert_state(is_monotone(LinearHom(Z2V, Z2V, ((0, 0), (0, 0))), Z2N, Z20), "yes")
+    v = is_monotone(LinearHom(Z2V, Z2V, ((0, 0), (0, 3))), Z2N, Z20)
+    assert_state(v, "no")
+    assert v.witness == (0, 1)
+    v = is_monotone(ScalarHom(Z, Z, Fraction(1)), ZN, Z0)
+    assert_state(v, "no")
+    assert v.witness == 1
 
 
 def test_is_monotone_generator_reduction_matches_bruteforce():

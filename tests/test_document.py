@@ -950,6 +950,32 @@ def test_generated_cones_on_rational_and_product_carriers():
     }
 
 
+def test_compatible_exists_does_not_decide_a_rational_factor_on_generators():
+    # The lattice Z^2 is a cone on Q x Z.  Both generators are ~ their
+    # negatives, but x = (1/4, 0) is not (2x is outside Z^2), so the sign
+    # action has no compatible order: generators do not decide Q x Z.
+    doc = minimal_doc([{"id": "qz", "op": "compatible_exists", "x_group": "QZ",
+                        "x_cone": "lattice", "b_group": "Z", "b_cone": "full",
+                        "action": "sgn_qz"}])
+    doc["groups"]["QZ"] = {"kind": "direct_product", "factors": ["Q", "Z"]}
+    doc["cones"]["lattice"] = {"kind": "generated", "group": "QZ", "generators": [
+        [["1"], ["0"]], [["-1"], ["0"]], [["0"], ["1"]], [["0"], ["-1"]],
+    ]}
+    doc["actions"]["sgn_qz"] = {"kind": "sign", "acting": "Z", "acted": "QZ"}
+    got = _verdicts(parse_document(doc))["qz"]["verdict"]
+    assert got["state"] == "unknown"
+
+
+def test_cli_rejects_a_nonzero_linear_map_from_rationals_into_integers(tmp_path, capsys):
+    doc = minimal_doc()
+    doc["homs"] = {"m": {"kind": "linear", "source": "Q", "target": "Z", "matrix": [["2"]]}}
+    code, err = _validate_exit(tmp_path, capsys, doc)
+    assert code == 2
+    assert "homs.m: no nonzero map from Q into Z" in err
+    doc["homs"]["m"]["matrix"] = [["0"]]
+    assert _validate_exit(tmp_path, capsys, doc)[0] == 0
+
+
 def _table_action(phi0, phi1):
     """Z_2 acting on Z_n, n = len(phi0): r0 maps x to phi0[x] and r1 to phi1[x]."""
     return {

@@ -22,6 +22,7 @@ from ordsplit.cones import (
     check_cone_axioms,
     cone_subset,
     is_monotone,
+    units_subgroup,
 )
 from ordsplit.extensions import (
     ExtensionShape,
@@ -33,7 +34,7 @@ from ordsplit.extensions import (
     product_cone,
     validate_family,
 )
-from ordsplit.groups import FreeAbelian, RationalVector
+from ordsplit.groups import CyclicGroup, FreeAbelian, RationalVector
 from ordsplit.homs import IdentityHom, LinearHom, ScalarHom
 from ordsplit.points import hom_leq
 from ordsplit.verdict import unknown
@@ -150,7 +151,7 @@ def test_generator_unknown_is_returned_as_is():
 def test_pointwise_sim_id_window_scan():
     b = SMALL_BUDGET
     h = ScalarHom(Q, Q, Fraction(2))
-    # h(x) ~ x asks about x and -x; the scalar shortcut asks about +-1.
+    # h(x) ~ x asks about x and -x; the generator check asks about +-1.
     ones = frozenset({Fraction(1), Fraction(-1)})
     v = pointwise_sim_id(h, pre(Undecided(FullCone(Q), ones)), b)
     assert_state(v, "unknown")
@@ -160,6 +161,18 @@ def test_pointwise_sim_id_window_scan():
     v = pointwise_sim_id(h, pre(cone), b)
     assert_state(v, "no")
     assert (v.witness, v.note) == (second, "automorphism moves an element")
+
+
+def test_units_scan_with_an_undecided_membership_is_not_exact():
+    # The window is all of Z_4, but 2 ~ 0 is left open by the stub.
+    Z4 = CyclicGroup(4)
+    cone = Undecided(ExtensionalCone(Z4, frozenset({0, 2})), frozenset({2}))
+    units = units_subgroup(pre(cone), SMALL_BUDGET)
+    assert not units.exact
+    assert units.elements == frozenset({0})
+    assert units.note == "finite intersection (some memberships unknown)"
+    units = units_subgroup(pre(cone.base), SMALL_BUDGET)
+    assert units.exact and units.elements == frozenset({0, 2})
 
 
 def test_kernel_reflects_scan():

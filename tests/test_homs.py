@@ -46,6 +46,19 @@ def test_scalar_into_integers_must_be_integral():
     assert h.apply(Fraction(3)) == Fraction(3, 2)
 
 
+def test_no_nonzero_map_from_rationals_into_integers():
+    # Q is divisible and Z has no nonzero divisible element: Hom(Q^k, Z^m) = 0.
+    Z2 = FreeAbelian(2)
+    with pytest.raises(StructureError, match="no nonzero map from Q into Z"):
+        LinearHom(Q, Z, ((Fraction(2),),))
+    with pytest.raises(StructureError, match="no nonzero map"):
+        LinearHom(RationalVector(2), Z2, ((0, 0), (0, 1)))
+    with pytest.raises(StructureError, match="no nonzero map"):
+        ScalarHom(Q, Z, Fraction(3))
+    assert LinearHom(Q, Z2, ((0,), (0,))).apply(Fraction(1, 4)) == (0, 0)
+    assert ScalarHom(Q, Z, Fraction(0)).apply(Fraction(1, 4)) == 0
+
+
 def test_check_homomorphism_linear_yes():
     m = LinearHom(FreeAbelian(2), FreeAbelian(2), ((Fraction(1), Fraction(1)), (Fraction(0), Fraction(1))))
     assert_state(check_homomorphism(m, Window(3, 3, 1)), "yes")

@@ -70,11 +70,9 @@ def test_matrix_inverse_round_trip(rows):
        vec2())
 def test_solve_produces_solutions(rows, b):
     a = mat(rows)
-    particular, basis = solve(a, b)
+    particular = solve(a, b)
     if particular is not None:
         assert mat_vec(a, particular) == tuple(Fraction(c) for c in b)
-        for v in basis:
-            assert mat_vec(a, v) == (Fraction(0), Fraction(0))
 
 
 def _solve_by_augmenting(a, b):
@@ -83,18 +81,11 @@ def _solve_by_augmenting(a, b):
     aug = [list(row) + [Fraction(v)] for row, v in zip(a, b)]
     pivots = _reduce(aug, n)[0]
     if any(row[n] != 0 for row in aug[len(pivots):]):
-        return None, []
+        return None
     x = [Fraction(0)] * n
     for row, col in zip(aug, pivots):
         x[col] = row[n]
-    basis = []
-    for fc in (c for c in range(n) if c not in pivots):
-        v = [Fraction(0)] * n
-        v[fc] = Fraction(1)
-        for row, col in zip(aug, pivots):
-            v[col] = -row[fc]
-        basis.append(tuple(v))
-    return tuple(x), basis
+    return tuple(x)
 
 
 @settings(max_examples=60)
@@ -102,7 +93,7 @@ def _solve_by_augmenting(a, b):
        st.lists(st.tuples(small_int, small_int, small_int), min_size=1, max_size=4))
 def test_one_elimination_solves_as_augmenting_each_right_side(rows, targets):
     # Pivots depend only on a, so the kept row operations give the same
-    # exact solution and null-space basis for every b.
+    # exact solution for every b.
     a = mat(rows)
     e = eliminate(a)
     for t in targets:
@@ -162,11 +153,19 @@ def test_determinant_agrees_with_leibniz_through_row_swaps(rows, zeroed):
 @given(st.lists(st.lists(small_int, min_size=3, max_size=3), min_size=1, max_size=3),
        st.tuples(small_int, small_int, small_int))
 def test_solve_basis_has_n_minus_rank_vectors(rows, v):
+    # solve puts no weight on a free column j, so e_j - solve(a, a e_j) over
+    # the free columns are n - rank independent null vectors.
     a = mat(rows)
     b = mat_vec(a, v)
-    particular, basis = solve(a, b)
+    particular = solve(a, b)
     assert particular is not None and mat_vec(a, particular) == b
+    free = [j for j in range(3) if j not in eliminate(a).pivots]
+    basis = []
+    for j in free:
+        e = tuple(Fraction(i == j) for i in range(3))
+        basis.append(tuple(c - x for c, x in zip(e, solve(a, mat_vec(a, e)))))
     assert len(basis) == 3 - rank_by_minors(a)
+    assert all(not any(mat_vec(a, w)) for w in basis)
     if basis:
         assert rank_by_minors(mat(basis)) == len(basis)
 
@@ -176,10 +175,10 @@ def test_solve_basis_has_n_minus_rank_vectors(rows, v):
        st.tuples(small_int, small_int, small_int))
 def test_no_separating_functional_puts_x_in_the_span(gens, x):
     # Farkas: x outside the rational cone of gens is separated by some y;
-    # GeneratedCone._abelian_exclusion relies on Fourier-Motzkin finding it.
+    # GeneratedCone._abelian_exclusion relies on its dual rays finding it.
     if feasible_strict(gens, [x]) is None:
         columns = mat(zip(*gens))
-        particular, _ = solve(columns, x)
+        particular = solve(columns, x)
         assert particular is not None
         assert mat_vec(columns, particular) == tuple(Fraction(c) for c in x)
 
@@ -191,8 +190,8 @@ def _in_rational_cone(rows, x):
         return True
     for k in range(1, len(x) + 1):
         for subset in itertools.combinations(rows, k):
-            particular, basis = solve(mat(zip(*subset)), x)
-            if particular is not None and not basis and min(particular) >= 0:
+            particular = solve(mat(zip(*subset)), x)
+            if particular is not None and min(particular) >= 0 and rank_by_minors(subset) == k:
                 return True
     return False
 

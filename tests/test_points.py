@@ -37,6 +37,7 @@ from ordsplit.homs import (
     ProjectionHom,
     ScalarHom,
     SectionHom,
+    TableHom,
     check_homomorphism,
 )
 from ordsplit.linalg import Elimination
@@ -245,9 +246,7 @@ def test_stably_strong_reports():
 
 def test_default_catalog_covers_scalars_up_to_four():
     cat = default_base_catalog(ZN)
-    factors = sorted(
-        int(g.as_scalar()) for _, g in cat if g.as_scalar() is not None
-    )
+    factors = sorted(int(m[0][0]) for _, g in cat if (m := g.as_matrix()) is not None)
     assert factors == list(range(-4, 5))
 
 
@@ -296,6 +295,25 @@ def test_check_point_morphism_catches_broken_square():
     m = PointMorphism(IdentityHom(Z), IdentityHom(pt.carrier), ScalarHom(Z, Z, Fraction(2)))
     v = check_point_morphism(m, pt, pt, SMALL_BUDGET)
     assert_state(v, "no")
+
+
+def test_check_point_morphism_catches_broken_kernel_and_section_squares():
+    # On Z_2 x Z_2, (x, b) -> (x, b + x) moves the kernel off its axis (the
+    # first square checked), and (x, b) -> (x + b, b) breaks only the section.
+    Z2 = CyclicGroup(2)
+    full = PreorderedGroup(Z2, FullCone(Z2))
+    pt = point(ExtensionShape(full, full, TrivialAction(Z2, Z2)), "product")
+    ident = IdentityHom(Z2)
+    els = pt.carrier.elements()
+    for image, note in (
+        (lambda x, b: (x, (b + x) % 2), "kernel square does not commute"),
+        (lambda x, b: ((x + b) % 2, b), "section square does not commute"),
+    ):
+        mid = TableHom.from_dict(pt.carrier, pt.carrier, {(x, b): image(x, b) for x, b in els})
+        assert_state(check_homomorphism(mid), "yes")
+        v = check_point_morphism(PointMorphism(ident, mid, ident), pt, pt, SMALL_BUDGET)
+        assert_state(v, "no")
+        assert (v.witness, v.note) == (1, note)
 
 
 def test_ssfl_identity_on_minimal_rows():
