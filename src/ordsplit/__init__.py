@@ -20,7 +20,6 @@ from .homs import (
     IdentityHom,
     LinearHom,
     PairHom,
-    ScalarHom,
     TableHom,
     check_homomorphism,
     enumerate_automorphisms,

@@ -46,9 +46,9 @@ from .homs import (
     IdentityHom,
     LinearHom,
     PairHom,
-    ScalarHom,
     TableHom,
     enumerate_automorphisms,
+    first_difference,
 )
 from .points import PointMorphism, hom_leq
 from .verdict import (
@@ -285,7 +285,7 @@ class RatScalingAutGroup(AutGroup):
 
     def realize(self, el) -> Homomorphism:
         self.check(el)
-        return ScalarHom(self.base.group, self.base.group, el)
+        return LinearHom.scalar(self.base.group, self.base.group, el)
 
     def from_action(self, action: Action, b):
         m = action.matrix_for(b)
@@ -545,17 +545,11 @@ def classify_into(
     aut = cls.b.group
     if not isinstance(aut, AutGroup):
         raise StructureError("classifier base must be an automorphism group")
-    for g in pt.b.group.generators():
-        for b in (g, pt.b.group.neg(g)):
-            if aut.from_action(pt.action, b) is None:
-                raise StructureError(
-                    f"phi_{format_element(b)} is not a monotone automorphism of the kernel"
-                )
     cbar = CorestrictionHom(pt.b.group, aut, pt.action)
+    uniq = _uniqueness_check(pt, aut, cbar)  # first: it refuses phi_b outside aut
     mid = PairHom(pt.carrier, cls.carrier, IdentityHom(pt.x.group), cbar)
     base_mono = is_monotone(cbar, pt.b, cls.b, budget)
     mid_mono = is_monotone(mid, pt.pre, cls.pre, budget)
-    uniq = _uniqueness_check(pt, aut, cbar, budget)
     return ClassifyReport(
         morphism=PointMorphism(IdentityHom(pt.x.group), mid, cbar),
         base_monotone=base_mono,
@@ -564,27 +558,17 @@ def classify_into(
     )
 
 
-def _uniqueness_check(pt, aut: AutGroup, cbar, budget) -> Verdict:
-    """Any kernel-fixing morphism must send b to an automorphism agreeing with
-    phi_b on the kernel; agreement on the window must pin down cbar(b)."""
-    window = budget.window
-    xs = pt.x.group.window_elements(window)
-    realized = [(a, aut.realize(a)) for a in aut.elements()] if aut.is_finite else None
-    for b in pt.b.group.window_elements(window):
-        expected = cbar.apply(b)
-        phi_b = [pt.action.apply(b, x) for x in xs]
-        if realized is not None:
-            candidates = [
-                a for a, h in realized if all(h.apply(x) == y for x, y in zip(xs, phi_b))
-            ]
-            if candidates != [expected]:
-                return no(b, "several automorphisms agree with phi_b on the window")
-        else:
-            h = aut.realize(expected)
-            for x, y in zip(xs, phi_b):
-                if h.apply(x) != y:
-                    return no((b, x), "canonical image disagrees with phi_b")
-    return yes("forced on the window")
+def _uniqueness_check(pt, aut: AutGroup, cbar) -> Verdict:
+    """A kernel-fixing morphism sends b to an automorphism equal to phi_b, and
+    distinct elements of aut are distinct maps, so cbar(b) is the only one
+    once it realizes phi_b: first_difference decides that on the base
+    generators, as in equivariance_failure.  cbar raises on phi_b outside aut."""
+    for b in pt.b.group.generators():
+        h = aut.realize(cbar.apply(b))
+        x = first_difference(pt.x.group, h.apply, lambda x: pt.action.apply(b, x))
+        if x is not None:
+            return no((b, x), "canonical image disagrees with phi_b")
+    return yes("forced on generators")
 
 
 def sclass_membership(

@@ -28,6 +28,7 @@ window scan and answers exactly as the two cone_subset calls would.
 from __future__ import annotations
 
 import itertools
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -401,7 +402,8 @@ class GeneratedCone(Cone):
 
     Yes answers come from source membership, solved conjugators, or budgeted
     breadth-first saturation; No answers need an exact argument (separating
-    functional, or the structure shortcuts unlocked by certified_compatible).
+    functional, the generators' integer span, or the structure shortcuts
+    unlocked by certified_compatible).
 
     Whether the source is already closed is not asked here: minimal_cone
     decides it once and returns a closed componentwise cone as it is.  A
@@ -620,13 +622,17 @@ class GeneratedCone(Cone):
     # exclusion certificates on abelian carriers
 
     def _abelian_exclusion(self, x, budget) -> Verdict | None:
-        """Exact No when a ray of the generators' dual cone is negative on x.
+        """Exact No when a ray of the generators' dual cone is negative on x,
+        or when x lies outside the generators' integer span.
 
-        Complete, as cone(rows) = {x : r.x >= 0 for every ray r} over Q: the
-        rays generate C* = {y : y.a >= 0 for every row a} (dual_cone), so an
-        x with every r.x >= 0 has y.x >= 0 on all of C* and lies in C** = C
-        (Farkas).  A ray negative on x is >= 0 on every generator, hence on
-        this cone.  The dual is built once per cone, when a query gets here.
+        The rays are complete for the rational cone C, as cone(rows) =
+        {x : r.x >= 0 for every ray r} over Q: the rays generate
+        C* = {y : y.a >= 0 for every row a} (dual_cone), so an x with every
+        r.x >= 0 has y.x >= 0 on all of C* and lies in C** = C (Farkas).  A
+        ray negative on x is >= 0 on every generator, hence on this cone.
+        The cone, the generators' monoid, lies in their integer span too: x is
+        there iff d x is an integer combination of the d-scaled generators, d
+        the lcm of their denominators.  Both are built once per cone.
         """
         G = self.group
         if not G.is_abelian():
@@ -635,13 +641,19 @@ class GeneratedCone(Cone):
         gens = self.finite_generators()
         if vx is None or gens is None:
             return None
-        dual = self._cache.get("dual cone")
-        if dual is None:
+        built = self._cache.get("dual cone")
+        if built is None:
             # _flatten depends on the carrier alone, so the generators flatten as x did.
-            dual = self._cache["dual cone"] = dual_cone([_flatten(G, g) for g in gens], len(vx))
+            flat = [_flatten(G, g) for g in gens]
+            d = math.lcm(*(Fraction(c).denominator for g in flat for c in g))
+            span = hermite([[d * g[i] for g in flat] for i in range(len(vx))], len(flat))
+            built = self._cache["dual cone"] = (dual_cone(flat, len(vx)), d, span)
+        dual, d, span = built
         functional = feasible_strict(dual, [vx])
         if functional is not None:
             return no(x, f"separating functional {functional}")
+        if integer_solve(span, [d * c for c in vx]) is None:
+            return no(x, "outside the integer span of the generators")
         return None
 
 

@@ -50,6 +50,7 @@ from .homs import (
     SectionHom,
     TableHom,
     check_homomorphism,
+    first_difference,
 )
 from .linalg import identity_matrix
 from .verdict import (
@@ -364,28 +365,29 @@ def normalize(
 
     The action is conjugation by the section through the kernel; theta sends
     a to (a - sf(a), f(a)).  Supported inputs: finite A, or an A that is
-    already a pair carrier with its standard structure maps.
+    already a pair carrier with its standard structure maps.  The maps must
+    be homomorphisms: then generators decide f s = id and k, and once k maps
+    X onto the fibre of f over 0, theta is an isomorphism (splitting lemma).
     """
-    window = Window()
     if f.source != A or s.target != A or k.target != A:
         raise StructureError("structure maps do not match the total group")
     B, X = f.target, k.source
     if s.source != B:
         raise StructureError("section must come from the cokernel target")
-    for b in B.window_elements(window):
-        if f.apply(s.apply(b)) != b:
-            raise StructureError(f"f(s(b)) != b at b={format_element(b)}")
+    for name, h in (("projection", f), ("section", s), ("kernel", k)):
+        v = yes() if h.additive_by_construction() else check_homomorphism(h)
+        if not v.is_yes:
+            raise StructureError(f"{name} map is not a homomorphism: {v}")
+    b = first_difference(B, lambda b: f.apply(s.apply(b)), lambda b: b)
+    if b is not None:
+        raise StructureError(f"f(s(b)) != b at b={format_element(b)}")
     if A.is_finite:
         return _normalize_finite(A, f, s, k)
     if isinstance(A, (Semidirect, DirectProduct)):
-        action = A.action if isinstance(A, Semidirect) else TrivialAction(
-            A.factors[1], A.factors[0]
-        )
-        for x in X.window_elements(window):
-            if k.apply(x) != (x, B.zero()):
-                raise StructureError("kernel map is not the standard inclusion")
-        theta = IdentityHom(A)
-        return action, theta
+        if first_difference(X, k.apply, lambda x: (x, B.zero())) is not None:
+            raise StructureError("kernel map is not the standard inclusion")
+        action = A.action if isinstance(A, Semidirect) else TrivialAction(A.factors[1], A.factors[0])
+        return action, IdentityHom(A)
     raise StructureError(f"cannot normalize data over {A}")
 
 
@@ -403,13 +405,8 @@ def _normalize_finite(A, f, s, k):
     action_table = {}
     for b in B.elements():
         sb = s.apply(b)
-        mapping = {}
-        for x in X.elements():
-            conj = A.add(A.add(sb, k.apply(x)), A.neg(sb))
-            if conj not in kernel_image:
-                raise StructureError(f"conjugate of the kernel leaves the kernel at {(b, x)}")
-            mapping[x] = kernel_image[conj]
-        action_table[b] = TableHom.from_dict(X, X, mapping)
+        conj = {x: kernel_image[A.add(A.add(sb, k.apply(x)), A.neg(sb))] for x in X.elements()}
+        action_table[b] = TableHom.from_dict(X, X, conj)
     action = FiniteTableAction.from_homs(B, X, action_table)
     carrier = Semidirect(X, B, action)
     theta_map = {}
@@ -417,13 +414,7 @@ def _normalize_finite(A, f, s, k):
         fa = f.apply(a)
         xpart = A.add(a, A.neg(s.apply(fa)))
         theta_map[a] = (kernel_image[xpart], fa)
-    theta = TableHom.from_dict(A, carrier, theta_map)
-    chk = check_homomorphism(theta)
-    if not chk.is_yes:
-        raise StructureError(f"theta fails additivity at {chk.witness}")
-    if len(set(theta_map.values())) != A.order():
-        raise StructureError("theta is not bijective")
-    return action, theta
+    return action, TableHom.from_dict(A, carrier, theta_map)
 
 
 # --- cone families ------------------------------------------------------------

@@ -1,9 +1,9 @@
 """Group homomorphisms: representations, composition, enumeration, checking.
 
 Finite-source maps normalize to full tables; maps out of Z^k / Q^k are linear
-data (a scalar or an exact rational matrix); structure maps of composite
-carriers (kernel inclusion, projection, section, pairwise maps) are their own
-variants so later order checks can reason about them exactly.
+data (an exact rational matrix); structure maps of composite carriers (kernel
+inclusion, projection, section, pairwise maps) are their own variants so
+later order checks can reason about them exactly.
 """
 
 from __future__ import annotations
@@ -97,33 +97,6 @@ class IdentityHom(Homomorphism):
 
 
 @dataclass(frozen=True)
-class ScalarHom(Homomorphism):
-    """x -> factor * x between vector groups of equal rank."""
-
-    source: Group
-    target: Group
-    factor: Fraction
-
-    def __post_init__(self):
-        r1, r2 = _vec_rank(self.source), _vec_rank(self.target)
-        if r1 is None or r1 != r2:
-            raise StructureError("scalar maps need vector carriers of equal rank")
-        _check_entries(self.source, self.target, (self.factor,))
-
-    def _apply(self, el):
-        return self.target.from_coords(tuple(self.factor * c for c in self.source.coords(el)))
-
-    def as_matrix(self):
-        return scalar_matrix(self.factor, self.source.rank)
-
-    def additive_by_construction(self):
-        return True
-
-    def __str__(self):
-        return f"(*{self.factor})"
-
-
-@dataclass(frozen=True)
 class LinearHom(Homomorphism):
     """Matrix map between vector groups; rows index the target coordinates."""
 
@@ -139,6 +112,11 @@ class LinearHom(Homomorphism):
             raise StructureError("matrix shape does not match carrier ranks")
         _check_entries(self.source, self.target, (c for row in self.matrix for c in row))
 
+    @classmethod
+    def scalar(cls, source: Group, target: Group, c) -> "LinearHom":
+        """x -> c x, the matrix c I; the target must have the source's rank."""
+        return cls(source, target, scalar_matrix(c, _vec_rank(source) or 0))
+
     def _apply(self, el):
         return self.target.from_coords(mat_vec(self.matrix, self.source.coords(el)))
 
@@ -149,6 +127,8 @@ class LinearHom(Homomorphism):
         return True
 
     def __str__(self):
+        if len(self.matrix) == 1 and len(self.matrix[0]) == 1:
+            return f"(*{self.matrix[0][0]})"
         return f"linear{self.matrix}"
 
 
@@ -232,7 +212,8 @@ class FreeImagesHom(Homomorphism):
 
 @dataclass(frozen=True)
 class PairHom(Homomorphism):
-    """(x, b) -> (hx(x), hb(b)) between composite carriers."""
+    """(x, b) -> (hx(x), hb(b)) between composite carriers; additive only when
+    hx and hb intertwine the actions, which is checked, not assumed."""
 
     source: Group
     target: Group
@@ -248,10 +229,6 @@ class PairHom(Homomorphism):
     def _apply(self, el):
         x, b = el
         return (self.hx.apply(x), self.hb.apply(b))
-
-    def additive_by_construction(self):
-        # Additivity still needs action equivariance; checked, not assumed.
-        return False
 
     def __str__(self):
         return f"({self.hx} x {self.hb})"
@@ -363,6 +340,31 @@ def invert(h: Homomorphism) -> Homomorphism | None:
         return None
 
 
+def _decided_on_generators(G: Group) -> bool:
+    if isinstance(G, (DirectProduct, Semidirect)):
+        parts = G.factors if isinstance(G, DirectProduct) else (G.x_group, G.b_group)
+        return all(_decided_on_generators(p) for p in parts)
+    return G.is_finite or isinstance(G, (FreeAbelian, RationalVector))
+
+
+def first_difference(G: Group, f, g) -> Element | None:
+    """The first generator of G where the callables f and g differ, or None.
+
+    For homomorphisms f, g out of any carrier ordsplit builds, None means
+    f = g: the x with f(x) = g(x) form a subgroup S that holds the
+    generators.  Z^k and finite groups are generated by theirs, and a
+    product or pair carrier by its parts' ((x, b) = (x, 0) + (0, b)).  On
+    Q^k, n f(v/n) = f(v) = g(v) = n g(v/n), where f(v/n) and g(v/n) are
+    divisible; the divisible elements of every ordsplit carrier lie in a
+    torsion-free abelian part (Q^m coordinates, as divisible base elements
+    act trivially), where n-th roots are unique, so S holds v/n too.  Q_{>0},
+    which its generator 2 does not generate, is refused.
+    """
+    if not _decided_on_generators(G):
+        raise StructureError(f"generators of {G} do not decide maps out of it")
+    return next((x for x in G.generators() if f(x) != g(x)), None)
+
+
 def check_homomorphism(h: Homomorphism, window: Window | None = None) -> Verdict:
     """Additivity check: exhaustive on finite sources, else on window pairs.
 
@@ -389,7 +391,10 @@ def check_homomorphism(h: Homomorphism, window: Window | None = None) -> Verdict
 def extend_generator_images(
     G: Group, H: Group, gens: list[Element], images: list[Element]
 ) -> dict | None:
-    """Grow a map from generator images; None on conflict or partial cover."""
+    """Grow a map from generator images; None on conflict or partial cover.
+
+    The search meets every (a, g) once, so a cover has table[a + g] =
+    table[a] + image(g) throughout: a homomorphism, as gens generate G."""
     table = {G.zero(): H.zero()}
     frontier = [G.zero()]
     while frontier:
@@ -405,13 +410,7 @@ def extend_generator_images(
                     table[b] = val
                     nxt.append(b)
         frontier = nxt
-    if len(table) != G.order():
-        return None
-    for a in table:
-        for g, img in zip(gens, images):
-            if table[G.add(a, g)] != H.add(table[a], img):
-                return None
-    return table
+    return table if len(table) == G.order() else None
 
 
 def enumerate_homomorphisms(

@@ -193,13 +193,15 @@ def integer_solve(a, b) -> tuple[int, ...] | None:
     """An integer x with a x = b, or None; given hermite(a, n) in place of a,
     one reduction serves many b."""
     form = a if isinstance(a, Hermite) else hermite(a, len(a[0]) if a else 0)
-    rest, x = [Fraction(c) for c in b], [0] * len(form.u)
+    if any(c.denominator != 1 for c in b):
+        return None  # the integer matrix maps Z^n into Z^m
+    rest, x = [int(c) for c in b], [0] * len(form.u)
     for i, h, u in zip(form.rows, form.h, form.u):
-        y = rest[i] / h[i]
-        if y.denominator != 1:
+        y, r = divmod(rest[i], h[i])
+        if r:
             return None
         rest = [c - y * e for c, e in zip(rest, h)]
-        x = [c + int(y) * e for c, e in zip(x, u)]
+        x = [c + y * e for c, e in zip(x, u)]
     return None if any(rest) else tuple(x)
 
 

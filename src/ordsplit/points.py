@@ -11,7 +11,6 @@ certified relative to an explicit catalog of base morphisms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .actions import PrecomposedAction, ProductAction
 from .cones import (
@@ -37,10 +36,12 @@ from .groups import (
 from .homs import (
     Homomorphism,
     KernelHom,
-    ProjectionHom,
-    ScalarHom,
+    LinearHom,
+    PairHom,
     SectionHom,
     TableHom,
+    check_homomorphism,
+    first_difference,
     invert,
 )
 from .linalg import determinant
@@ -191,7 +192,7 @@ def default_base_catalog(base: PreorderedGroup) -> list[tuple[PreorderedGroup, H
         PreorderedGroup(Z, TrivialCone(Z)),
     ]
     for c in range(-4, 5):
-        h = ScalarHom(Z, Z, Fraction(c))
+        h = LinearHom.scalar(Z, Z, c)
         for cand in candidates:
             if is_monotone(h, cand, base).is_yes:
                 out.append((cand, h))
@@ -226,15 +227,16 @@ def equivariance_failure(
     """The first (b, x) over generators with a(phi_b(x)) != phi'_{c(b)}(a(x)), or None.
 
     A failure means (x, b) -> (a(x), c(b)) is not a homomorphism.  None means
-    it is one whenever the base is generated by its generators as a group
-    (Z^k, finite groups): both sides are homomorphisms in x, fixed by a basis
-    also on Q^k, and the b where they agree form a subgroup.
+    it is one: for each base generator b both sides are homomorphisms in x,
+    which first_difference decides, and the b where they agree form a
+    subgroup that the generators fill out as in first_difference.
     """
     for b in src.b.group.generators():
         cb = c.apply(b)
-        for x in src.x.group.generators():
-            if a.apply(src.action.apply(b, x)) != dst.action.apply(cb, a.apply(x)):
-                return b, x
+        x = first_difference(src.x.group, lambda x: a.apply(src.action.apply(b, x)),
+                             lambda x: dst.action.apply(cb, a.apply(x)))
+        if x is not None:
+            return b, x
     return None
 
 
@@ -244,22 +246,31 @@ def check_point_morphism(
     dst: SplitExtension,
     budget: SaturationBudget = DEFAULT_BUDGET,
 ) -> Verdict:
-    """Commutation of the three squares plus monotonicity of all three maps."""
-    window = budget.window
-    k, f, s = KernelHom(src.carrier), ProjectionHom(src.carrier), SectionHom(src.carrier)
-    k2, f2, s2 = KernelHom(dst.carrier), ProjectionHom(dst.carrier), SectionHom(dst.carrier)
-    for x in src.x.group.window_elements(window):
-        if k2.apply(m.a.apply(x)) != m.b.apply(k.apply(x)):
-            return no(x, "kernel square does not commute")
-    for el in src.carrier.window_elements(window):
-        if f2.apply(m.b.apply(el)) != m.c.apply(f.apply(el)):
-            return no(el, "projection square does not commute")
-    for bb in src.b.group.window_elements(window):
-        if s2.apply(m.c.apply(bb)) != m.b.apply(s.apply(bb)):
-            return no(bb, "section square does not commute")
-    failure = equivariance_failure(m.a, m.c, src, dst)
-    if failure is not None:
-        return no(failure, "kernel and base maps do not intertwine the actions")
+    """Commutation of the three squares plus monotonicity of all three maps.
+
+    With the middle map b additive (a pair map whose parts intertwine the
+    actions, additive by construction, or checked on a finite carrier; else
+    Unknown), first_difference decides the squares b k = k' a and b s = s' c,
+    and as (x, e) = k(x) + s(e), f'(b(x, e)) = f'(k'(a x) + s'(c e)) = c(e).
+    """
+    b, k, s = m.b.apply, KernelHom(src.carrier).apply, SectionHom(src.carrier).apply
+    k2, s2 = KernelHom(dst.carrier).apply, SectionHom(dst.carrier).apply
+    x = first_difference(src.x.group, lambda x: k2(m.a.apply(x)), lambda x: b(k(x)))
+    if x is not None:
+        return no(x, "kernel square does not commute")
+    e = first_difference(src.b.group, lambda e: s2(m.c.apply(e)), lambda e: b(s(e)))
+    if e is not None:
+        return no(e, "section square does not commute")
+    if isinstance(m.b, PairHom):
+        failure = equivariance_failure(m.b.hx, m.b.hb, src, dst)
+        if failure is not None:
+            return no(failure, "kernel and base maps do not intertwine the actions")
+    elif not m.b.additive_by_construction():
+        if not src.carrier.is_finite:
+            return unknown("middle map not known to be additive")
+        v = check_homomorphism(m.b)
+        if not v.is_yes:
+            return v
     return vand(
         is_monotone(m.a, src.x, dst.x, budget),
         is_monotone(m.b, src.pre, dst.pre, budget),

@@ -16,7 +16,7 @@ from ordsplit.groups import CayleyGroup, CyclicGroup, DirectProduct, Group, Stru
 from ordsplit.homs import (
     Homomorphism,
     IdentityHom,
-    ScalarHom,
+    LinearHom,
     TableHom,
     enumerate_homomorphisms,
 )
@@ -86,9 +86,8 @@ def compose(outer: Homomorphism, inner: Homomorphism) -> Homomorphism:
         return inner
     if isinstance(inner, IdentityHom):
         return outer
-    scalars = isinstance(outer, ScalarHom) and isinstance(inner, ScalarHom)
-    if scalars and inner.source == outer.target:
-        return ScalarHom(inner.source, outer.target, outer.factor * inner.factor)
+    if isinstance(outer, LinearHom) and isinstance(inner, LinearHom):
+        return LinearHom(inner.source, outer.target, mat_mul(outer.matrix, inner.matrix))
     if isinstance(inner, TableHom):
         return TableHom.from_dict(
             inner.source, outer.target, {a: outer.apply(b) for a, b in inner.pairs}

@@ -44,7 +44,7 @@ from ordsplit.extensions import (
     product_cone,
 )
 from ordsplit.groups import FreeAbelian, RationalVector
-from ordsplit.homs import IdentityHom, PairHom, ProjectionHom, ScalarHom, SectionHom
+from ordsplit.homs import IdentityHom, LinearHom, PairHom, ProjectionHom, SectionHom
 from ordsplit.points import (
     PointMorphism,
     hom_leq,
@@ -228,7 +228,7 @@ def test_acceptance_5_pullback_instability():
         total = carrier.add(total, step)
     assert total == (-2, 2)
     assert pt.cone.contains((-2, 2), SMALL_BUDGET).is_yes
-    pb = pullback(pt, ScalarHom(Z, Z, Fraction(2)), ZN, SMALL_BUDGET)
+    pb = pullback(pt, LinearHom.scalar(Z, Z, Fraction(2)), ZN, SMALL_BUDGET)
     assert pb.cone.contains((-2, 1), SMALL_BUDGET).is_yes
     v = is_strong(pb, SMALL_BUDGET)
     assert v.is_no and v.witness == (-2, 1)
@@ -251,7 +251,7 @@ def test_acceptance_6_scaling_point_stably_strong():
     failures = []
     for c in range(-4, 5):
         base = ZN if c >= 0 else Z0
-        g = ScalarHom(Z, Z, Fraction(c))
+        g = LinearHom.scalar(Z, Z, Fraction(c))
         pb = pullback(pt, g, base, SMALL_BUDGET)
         v = is_strong(pb, SMALL_BUDGET)
         if not v.is_yes:
@@ -272,9 +272,9 @@ def _transport_instances():
     rng = random.Random(CORPUS_SEED + 1)
     out = []
     for q in (Fraction(2), Fraction(1, 2), Fraction(3), Fraction(5, 2), Fraction(4, 3), Fraction(7)):
-        out.append((scaling_point(), ScalarHom(Q, Q, q), IdentityHom(Z)))
+        out.append((scaling_point(), LinearHom.scalar(Q, Q, q), IdentityHom(Z)))
     for s in (Fraction(1), Fraction(-1)):
-        out.append((sign_strong_point(), ScalarHom(Z, Z, s), IdentityHom(Z)))
+        out.append((sign_strong_point(), LinearHom.scalar(Z, Z, s), IdentityHom(Z)))
     out.append(
         (point(ExtensionShape(ZN, ZN, TrivialAction(Z, Z)), "minimal"),
          IdentityHom(Z), IdentityHom(Z))

@@ -15,7 +15,7 @@ from ordsplit.actions import FiniteTableAction, PrecomposedAction, ScalingAction
 from ordsplit.catalog import catalog_dict
 from ordsplit.document import parse_document
 from ordsplit.groups import CyclicGroup, FreeAbelian, RationalVector, ShapeError
-from ordsplit.homs import Homomorphism, ScalarHom, TableHom
+from ordsplit.homs import Homomorphism, LinearHom, TableHom
 
 Z = FreeAbelian(1)
 Q = RationalVector(1)
@@ -27,7 +27,7 @@ def scaling():
 
 def scaling_along_triple():
     """n acts on Q by 2**(3n): the scaling action pulled back along n -> 3n."""
-    return PrecomposedAction(scaling(), ScalarHom(Z, Z, Fraction(3)))
+    return PrecomposedAction(scaling(), LinearHom.scalar(Z, Z, Fraction(3)))
 
 
 def test_scaling_cache_hit_still_checks_the_acting_element():

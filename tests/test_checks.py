@@ -33,7 +33,7 @@ from ordsplit.groups import (
     ShapeError,
     StructureError,
 )
-from ordsplit.homs import Homomorphism, IdentityHom, PairHom, ScalarHom, TableHom
+from ordsplit.homs import Homomorphism, IdentityHom, LinearHom, PairHom, TableHom
 from ordsplit.verdict import SaturationBudget, Window
 
 from helpers import ComposedHom
@@ -92,7 +92,7 @@ def test_product_action_apply_refuses_a_malformed_operand():
 
 
 def test_composed_hom_apply_refuses_a_malformed_operand():
-    h = ComposedHom(ScalarHom(Q, Q, Fraction(1, 2)), ScalarHom(Z, Q, Fraction(3)))
+    h = ComposedHom(LinearHom.scalar(Q, Q, Fraction(1, 2)), LinearHom.scalar(Z, Q, Fraction(3)))
     assert h.apply(2) == Fraction(3)
     for el in (Fraction(2), True, 2.0):
         with pytest.raises(ShapeError):
@@ -109,7 +109,7 @@ def test_semidirect_refuses_an_action_on_other_groups():
 def test_pair_hom_and_action_hom_refuse_parts_they_would_trust():
     sd = Semidirect(Z, Z, SignAction(Z, Z))
     with pytest.raises(StructureError, match="parts do not match"):
-        PairHom(sd, sd, ScalarHom(Q, Q, Fraction(2)), IdentityHom(Z))
+        PairHom(sd, sd, LinearHom.scalar(Q, Q, Fraction(2)), IdentityHom(Z))
     with pytest.raises(ShapeError):
         SignAction(Z, Z).as_hom(Fraction(1))
 
@@ -279,3 +279,15 @@ def test_one_linear_form_of_an_action_and_one_determinant():
     linalg = importlib.import_module("ordsplit.linalg")
     assert not hasattr(linalg, "_cofactors")
     assert "basis" not in {f.name for f in dataclasses.fields(linalg.Elimination)}
+
+
+def test_one_linear_map_class_and_identities_decided_on_generators():
+    # A scalar map is LinearHom.scalar, and identities between maps go
+    # through homs.first_difference instead of window scans.
+    assert not hasattr(ordsplit.homs, "ScalarHom")
+    for fn in (
+        ordsplit.points.check_point_morphism,
+        ordsplit.extensions.normalize,
+        ordsplit.classifiers._uniqueness_check,
+    ):
+        assert "window_elements" not in inspect.getsource(fn), fn.__name__

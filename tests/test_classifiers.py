@@ -373,7 +373,9 @@ def test_uniqueness_realizes_each_candidate_once_and_phi_b_once_per_b(monkeypatc
     monkeypatch.setattr(
         FiniteTableAction, "_apply", lambda s, b, x: applied.append((b, x)) or apply(s, b, x)
     )
-    assert_state(_uniqueness_check(pt, aut, cbar, SMALL_BUDGET), "yes")
-    assert realized == aut.elements()
-    # Each phi_b(x) is computed twice: once by cbar(b), once for the window.
-    assert Counter(applied) == {(b, x): 2 for b in range(2) for x in range(3)}
+    assert_state(_uniqueness_check(pt, aut, cbar), "yes")
+    # Only the base generator 1 is realized, and the kernel generator 1
+    # decides the comparison: phi_1 is computed on every point by cbar(1)
+    # and once more on that generator.
+    assert realized == [(0, 2, 1)]
+    assert Counter(applied) == {(1, 0): 1, (1, 1): 2, (1, 2): 1}

@@ -31,13 +31,14 @@ from ordsplit.document import parse_document, run
 from ordsplit.extensions import ExtensionShape, FamilyCone, UpSetFibers, minimal_cone, point
 from ordsplit.groups import (
     CyclicGroup,
+    DirectProduct,
     FreeAbelian,
     RationalVector,
     Semidirect,
     ShapeError,
     StructureError,
 )
-from ordsplit.homs import IdentityHom, LinearHom, ScalarHom
+from ordsplit.homs import IdentityHom, LinearHom
 from ordsplit.points import pullback
 from ordsplit.verdict import SaturationBudget, Window
 
@@ -225,10 +226,10 @@ def test_units_of_an_infinite_carrier_come_from_the_window_scan():
 
 def test_is_monotone_examples():
     assert_state(is_monotone(IdentityHom(Z), ZN, ZN), "yes")
-    v = is_monotone(ScalarHom(Z, Z, Fraction(-1)), ZN, ZN)
+    v = is_monotone(LinearHom.scalar(Z, Z, Fraction(-1)), ZN, ZN)
     assert_state(v, "no")
     assert v.witness == 1
-    assert_state(is_monotone(ScalarHom(Q, Q, Fraction(2)), QP, QP), "yes")
+    assert_state(is_monotone(LinearHom.scalar(Q, Q, Fraction(2)), QP, QP), "yes")
 
 
 def test_matrix_maps_out_of_an_orthant_decide_by_their_columns():
@@ -245,7 +246,7 @@ def test_matrix_maps_out_of_an_orthant_decide_by_their_columns():
     v = is_monotone(LinearHom(Z2V, Z2V, ((0, 0), (0, 3))), Z2N, Z20)
     assert_state(v, "no")
     assert v.witness == (0, 1)
-    v = is_monotone(ScalarHom(Z, Z, Fraction(1)), ZN, Z0)
+    v = is_monotone(LinearHom.scalar(Z, Z, Fraction(1)), ZN, Z0)
     assert_state(v, "no")
     assert v.witness == 1
 
@@ -383,6 +384,37 @@ def test_generated_cone_builds_its_dual_cone_once(monkeypatch):
         assert len(built) == 1 + parses
 
 
+def test_generated_cone_excludes_points_outside_the_integer_span():
+    # The cone is a monoid inside the generators' integer span, so a point of
+    # the rational cone that the span misses is an exact No.
+    one, zero = Fraction(1), Fraction(0)
+    lattice = generated_cone(DirectProduct((Q, Z)), [(one, 0), (-one, 0), (zero, 1), (zero, -1)])
+    v = lattice.contains((Fraction(1, 2), 0), SMALL_BUDGET)
+    assert_state(v, "no")
+    assert (v.witness, v.note) == ((Fraction(1, 2), 0), "outside the integer span of the generators")
+    assert_state(lattice.contains((Fraction(3), -2), SMALL_BUDGET), "yes")
+    wedge = generated_cone(Z2V, [(1, 0), (1, 2)])
+    v = wedge.contains((1, 1), SMALL_BUDGET)
+    assert_state(v, "no")
+    assert v.note == "outside the integer span of the generators"
+    assert_state(wedge.contains((3, 4), SMALL_BUDGET), "yes")
+    assert "functional" in wedge.contains((0, 1), SMALL_BUDGET).note
+
+
+def test_generated_cone_flattens_an_abelian_semidirect_carrier():
+    # Z x| Z under the trivial action is abelian: it flattens to Z^2, where
+    # a dual ray separates (-1, 0) and the integer span misses (1, 1).
+    sd = Semidirect(Z, Z, TrivialAction(Z, Z))
+    wedge = generated_cone(sd, [(1, 0), (1, 2)])
+    v = wedge.contains((-1, 0), SMALL_BUDGET)
+    assert_state(v, "no")
+    assert v.note.startswith("separating functional")
+    v = wedge.contains((1, 1), SMALL_BUDGET)
+    assert_state(v, "no")
+    assert v.note == "outside the integer span of the generators"
+    assert_state(wedge.contains((3, 4), SMALL_BUDGET), "yes")
+
+
 def test_generated_membership_budget_monotone():
     g = generated_cone(Z2V, [(2, 1), (0, 1)])
     small = SaturationBudget(1, 2, Window(2, 4, 2))
@@ -407,7 +439,7 @@ def test_public_contains_refuses_malformed_elements():
     product = ProductCone(sd, TrivialCone(Z), OrthantCone(Z))
     composites = [
         product,
-        pullback(point(shape, "minimal"), ScalarHom(Z, Z, Fraction(2)), ZN, SMALL_BUDGET).cone,
+        pullback(point(shape, "minimal"), LinearHom.scalar(Z, Z, Fraction(2)), ZN, SMALL_BUDGET).cone,
         minimal_cone(shape, SMALL_BUDGET),
         LexCone(sd, Z0, ZN),
         FamilyCone(shape, UpSetFibers((0, 1))),

@@ -55,6 +55,7 @@ from ordsplit.homs import (
     ProjectionHom,
     SectionHom,
     TableHom,
+    enumerate_homomorphisms,
 )
 from ordsplit.verdict import SaturationBudget, Window
 
@@ -249,6 +250,20 @@ def test_normalize_rejects_broken_section():
     bad_s = KernelHom(A)  # lands in the wrong factor: f(s(b)) = 0 != b
     with pytest.raises(StructureError):
         normalize(A, ProjectionHom(A), bad_s, KernelHom(A))
+
+
+def test_normalize_refuses_structure_maps_that_are_not_homomorphisms():
+    # Generators decide f s = id only between homomorphisms, so each finite
+    # structure map is checked first: here the section sends 1 to the
+    # reflection t, and 0 to t as well.
+    S3 = symmetric_cayley(3)
+    Z2, Z3 = CyclicGroup(2), CyclicGroup(3)
+    k = next(h for h in enumerate_homomorphisms(Z3, S3) if len(set(h.mapping().values())) == 3)
+    f = next(h for h in enumerate_homomorphisms(S3, Z2) if set(h.mapping().values()) == {0, 1})
+    t = next(a for a in S3.elements() if f.apply(a) == 1)
+    bad_s = TableHom.from_dict(Z2, S3, {0: t, 1: t})
+    with pytest.raises(StructureError, match="section map is not a homomorphism"):
+        normalize(S3, f, bad_s, k)
 
 
 # --- families -------------------------------------------------------------------

@@ -35,7 +35,7 @@ from ordsplit.extensions import (
     validate_family,
 )
 from ordsplit.groups import CyclicGroup, FreeAbelian, RationalVector
-from ordsplit.homs import IdentityHom, LinearHom, ScalarHom
+from ordsplit.homs import IdentityHom, LinearHom
 from ordsplit.points import hom_leq
 from ordsplit.verdict import unknown
 
@@ -92,7 +92,7 @@ def test_verdict_unknown_note_per_scan():
     v = is_monotone(IdentityHom(Z), pre(half), pre(NAT), b)
     assert_state(v, "unknown")
     assert v.note == "monotonicity hit undecided memberships"
-    v = hom_leq(IdentityHom(Z), ScalarHom(Z, Z, Fraction(2)), pre(half), pre(NAT), b)
+    v = hom_leq(IdentityHom(Z), LinearHom.scalar(Z, Z, Fraction(2)), pre(half), pre(NAT), b)
     assert_state(v, "unknown")
     assert v.note == "pointwise comparison hit undecided memberships"
     v = check_cone_axioms(half, b)
@@ -114,7 +114,7 @@ def test_verdict_later_no_wins_over_earlier_unknown():
     v = is_monotone(IdentityHom(Z), pre(full), pre(NAT), b)
     assert_state(v, "no")
     assert (v.witness, v.note) == (-2, "positive element with non-positive image")
-    v = hom_leq(IdentityHom(Z), ScalarHom(Z, Z, Fraction(2)), pre(full), pre(NAT), b)
+    v = hom_leq(IdentityHom(Z), LinearHom.scalar(Z, Z, Fraction(2)), pre(full), pre(NAT), b)
     assert_state(v, "no")
     assert (v.witness, v.note) == (-2, "comparison fails on a positive element")
     pair = Undecided(ExtensionalCone(Z, frozenset({0, 1})), frozenset({-3}))
@@ -137,7 +137,7 @@ def test_generator_unknown_is_returned_as_is():
     b = SMALL_BUDGET
     # -x + 2x = x, so the comparison on the generator 1 asks the stub about 1.
     v = hom_leq(
-        IdentityHom(Z), ScalarHom(Z, Z, Fraction(2)), pre(NAT_GEN), pre(TRIV_UNDECIDED_AT_1), b
+        IdentityHom(Z), LinearHom.scalar(Z, Z, Fraction(2)), pre(NAT_GEN), pre(TRIV_UNDECIDED_AT_1), b
     )
     assert_state(v, "unknown")
     assert v.note == STUB_NOTE
@@ -150,7 +150,7 @@ def test_generator_unknown_is_returned_as_is():
 
 def test_pointwise_sim_id_window_scan():
     b = SMALL_BUDGET
-    h = ScalarHom(Q, Q, Fraction(2))
+    h = LinearHom.scalar(Q, Q, Fraction(2))
     # h(x) ~ x asks about x and -x; the generator check asks about +-1.
     ones = frozenset({Fraction(1), Fraction(-1)})
     v = pointwise_sim_id(h, pre(Undecided(FullCone(Q), ones)), b)

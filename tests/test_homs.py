@@ -1,8 +1,13 @@
+import random
+
 import pytest
 from fractions import Fraction
 
+from ordsplit.classifiers import monotone_aut
+from ordsplit.cones import OrthantCone, PreorderedGroup
 from ordsplit.groups import (
     CyclicGroup,
+    DirectProduct,
     FreeAbelian,
     RationalVector,
     Semidirect,
@@ -16,12 +21,12 @@ from ordsplit.homs import (
     LinearHom,
     PairHom,
     ProjectionHom,
-    ScalarHom,
     SectionHom,
     TableHom,
     check_homomorphism,
     enumerate_automorphisms,
     enumerate_homomorphisms,
+    first_difference,
     invert,
 )
 from ordsplit.verdict import Window
@@ -33,16 +38,18 @@ Q = RationalVector(1)
 
 
 def test_scalar_and_linear_apply():
-    assert ScalarHom(Z, Z, Fraction(3)).apply(4) == 12
+    assert LinearHom.scalar(Z, Z, Fraction(3)).apply(4) == 12
+    # A 1 x 1 matrix prints as the scalar it is.
+    assert str(LinearHom.scalar(Z, Z, -3)) == "(*-3)"
     m = LinearHom(FreeAbelian(2), FreeAbelian(2), ((Fraction(0), Fraction(1)), (Fraction(1), Fraction(0))))
     assert m.apply((2, 5)) == (5, 2)
 
 
 def test_scalar_into_integers_must_be_integral():
     with pytest.raises(StructureError):
-        ScalarHom(Z, Z, Fraction(1, 2))
+        LinearHom.scalar(Z, Z, Fraction(1, 2))
     # fine into Q
-    h = ScalarHom(Q, Q, Fraction(1, 2))
+    h = LinearHom.scalar(Q, Q, Fraction(1, 2))
     assert h.apply(Fraction(3)) == Fraction(3, 2)
 
 
@@ -54,9 +61,9 @@ def test_no_nonzero_map_from_rationals_into_integers():
     with pytest.raises(StructureError, match="no nonzero map"):
         LinearHom(RationalVector(2), Z2, ((0, 0), (0, 1)))
     with pytest.raises(StructureError, match="no nonzero map"):
-        ScalarHom(Q, Z, Fraction(3))
+        LinearHom.scalar(Q, Z, Fraction(3))
     assert LinearHom(Q, Z2, ((0,), (0,))).apply(Fraction(1, 4)) == (0, 0)
-    assert ScalarHom(Q, Z, Fraction(0)).apply(Fraction(1, 4)) == 0
+    assert LinearHom.scalar(Q, Z, Fraction(0)).apply(Fraction(1, 4)) == 0
 
 
 def test_check_homomorphism_linear_yes():
@@ -138,15 +145,15 @@ def test_structure_maps_of_semidirect():
 
 def test_pair_hom_and_inverse():
     sd = Semidirect(Z, Z, SignAction(Z, Z))
-    h = PairHom(sd, sd, IdentityHom(Z), ScalarHom(Z, Z, Fraction(-1)))
+    h = PairHom(sd, sd, IdentityHom(Z), LinearHom.scalar(Z, Z, Fraction(-1)))
     assert h.apply((3, 2)) == (3, -2)
     hi = invert(h)
     assert hi.apply((3, -2)) == (3, 2)
 
 
 def test_compose_simplifies_scalars():
-    h = compose(ScalarHom(Z, Z, Fraction(2)), ScalarHom(Z, Z, Fraction(3)))
-    assert isinstance(h, ScalarHom) and h.factor == 6
+    h = compose(LinearHom.scalar(Z, Z, Fraction(2)), LinearHom.scalar(Z, Z, Fraction(3)))
+    assert h == LinearHom.scalar(Z, Z, 6)
 
 
 def test_invert_linear_unimodular():
@@ -161,14 +168,14 @@ def _invertible_representations():
     c5 = CyclicGroup(5)
     return [
         pytest.param(IdentityHom(Z2), id="identity"),
-        pytest.param(ScalarHom(Z, Z, Fraction(-1)), id="scalar-z"),
-        pytest.param(ScalarHom(Q, Q, Fraction(-2, 3)), id="scalar-q"),
+        pytest.param(LinearHom.scalar(Z, Z, Fraction(-1)), id="scalar-z"),
+        pytest.param(LinearHom.scalar(Q, Q, Fraction(-2, 3)), id="scalar-q"),
         pytest.param(LinearHom(Z2, Z2, ((Fraction(2), Fraction(1)), (Fraction(1), Fraction(1)))),
                      id="linear-z"),
         pytest.param(LinearHom(Q2, Q2, ((Fraction(1, 2), Fraction(3)), (Fraction(0), Fraction(-1)))),
                      id="linear-q"),
         pytest.param(TableHom.from_dict(c5, c5, {a: 2 * a % 5 for a in range(5)}), id="table"),
-        pytest.param(PairHom(sd, sd, ScalarHom(Z, Z, Fraction(-1)), IdentityHom(Z)), id="pair"),
+        pytest.param(PairHom(sd, sd, LinearHom.scalar(Z, Z, Fraction(-1)), IdentityHom(Z)), id="pair"),
     ]
 
 
@@ -208,3 +215,45 @@ def test_free_images_into_noncommuting_targets_rejected():
     b = next(x for x in S3.elements() if x != S3.zero() and S3.add(a, x) != S3.add(x, a))
     with pytest.raises(StructureError):
         FreeImagesHom(FreeAbelian(2), S3, (a, b))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_first_difference_matches_a_full_scan(seed):
+    # Seeded pairs of homomorphisms: generators decide them exactly when a
+    # scan of every element (finite) or of a window (Z^2, Q^2) finds no
+    # difference.  Each pair is equal about half the time.
+    rng = random.Random(seed)
+    finite = [klein_four(), DirectProduct((CyclicGroup(2), CyclicGroup(4))), symmetric_cayley(3)]
+    pairs = []
+    for G in finite:
+        homs = enumerate_homomorphisms(G, G)
+        for _ in range(12):
+            f = rng.choice(homs)
+            g = TableHom(G, G, f.pairs) if rng.random() < 0.5 else rng.choice(homs)
+            pairs.append((G, f, g, G.elements()))
+    for G in (FreeAbelian(2), RationalVector(2)):
+        entries = [Fraction(n) for n in range(-2, 3)]
+        if isinstance(G, RationalVector):
+            entries += [Fraction(n, 2) for n in (-3, -1, 1, 3)]
+        for _ in range(12):
+            m = [[rng.choice(entries) for _ in range(2)] for _ in range(2)]
+            other = [row[:] for row in m]
+            if rng.random() < 0.5:
+                other[rng.randrange(2)][rng.randrange(2)] += 1
+            f, g = (LinearHom(G, G, tuple(map(tuple, a))) for a in (m, other))
+            pairs.append((G, f, g, G.window_elements(Window(2, 2, 2))))
+    seen = set()
+    for G, f, g, scan in pairs:
+        got = first_difference(G, f.apply, g.apply)
+        equal = all(f.apply(x) == g.apply(x) for x in scan)
+        assert (got is None) == equal, (G, f, g)
+        if got is not None:
+            assert got in G.generators() and f.apply(got) != g.apply(got)
+        seen.add(equal)
+    assert seen == {True, False}
+
+
+def test_first_difference_refuses_a_carrier_its_generators_do_not_decide():
+    aut = monotone_aut(PreorderedGroup(Q, OrthantCone(Q)))
+    with pytest.raises(StructureError, match="do not decide"):
+        first_difference(aut, lambda a: a, lambda a: a)

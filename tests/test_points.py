@@ -33,9 +33,9 @@ from ordsplit.extensions import (
 from ordsplit.groups import CyclicGroup, FreeAbelian, RationalVector, Semidirect, StructureError
 from ordsplit.homs import (
     IdentityHom,
+    LinearHom,
     PairHom,
     ProjectionHom,
-    ScalarHom,
     SectionHom,
     TableHom,
     check_homomorphism,
@@ -58,7 +58,7 @@ from ordsplit.points import (
 )
 from ordsplit.verdict import DEFAULT_BUDGET, SaturationBudget, Window, vand
 
-from helpers import SMALL_BUDGET, assert_state, compose, random_finite_extension
+from helpers import SMALL_BUDGET, ComposedHom, assert_state, compose, random_finite_extension
 
 Z = FreeAbelian(1)
 Q = RationalVector(1)
@@ -80,7 +80,7 @@ def scaling_point():
 
 
 def test_hom_leq_examples():
-    g, h = IdentityHom(Z), ScalarHom(Z, Z, Fraction(2))
+    g, h = IdentityHom(Z), LinearHom.scalar(Z, Z, Fraction(2))
     assert_state(hom_leq(g, g, ZN, ZN, SMALL_BUDGET), "yes")
     assert_state(hom_leq(g, h, ZN, ZN, SMALL_BUDGET), "yes")
     v = hom_leq(h, g, ZN, ZN, SMALL_BUDGET)
@@ -180,7 +180,7 @@ def test_each_query_computes_only_its_own_route(monkeypatch):
 
 def test_pullback_along_identity_preserves_membership():
     pt = trivial_point()
-    pb = pullback(pt, ScalarHom(Z, Z, Fraction(1)), ZN, SMALL_BUDGET)
+    pb = pullback(pt, LinearHom.scalar(Z, Z, Fraction(1)), ZN, SMALL_BUDGET)
     for el in pt.carrier.window_elements(Window(3, 3, 1)):
         assert pb.cone.contains(el, SMALL_BUDGET).state == pt.cone.contains(el, SMALL_BUDGET).state
     assert_state(is_rali(pb, SMALL_BUDGET), "yes")
@@ -188,7 +188,7 @@ def test_pullback_along_identity_preserves_membership():
 
 def test_pullback_along_identity_preserves_classification():
     for pt in (sign_point(), trivial_point()):
-        pb = pullback(pt, ScalarHom(Z, Z, Fraction(1)), pt.b, SMALL_BUDGET)
+        pb = pullback(pt, LinearHom.scalar(Z, Z, Fraction(1)), pt.b, SMALL_BUDGET)
         assert is_rali(pb, SMALL_BUDGET).state == is_rali(pt, SMALL_BUDGET).state
         assert is_strong(pb, SMALL_BUDGET).state == is_strong(pt, SMALL_BUDGET).state
         cat = default_base_catalog(pt.b)
@@ -204,7 +204,7 @@ def test_rali_point_stably_strong_over_catalog():
 
 def test_pullback_requires_monotone_map():
     with pytest.raises(StructureError):
-        pullback(trivial_point(), ScalarHom(Z, Z, Fraction(-1)), ZN, SMALL_BUDGET)
+        pullback(trivial_point(), LinearHom.scalar(Z, Z, Fraction(-1)), ZN, SMALL_BUDGET)
 
 
 def test_sign_pullback_witness_expansion():
@@ -217,7 +217,7 @@ def test_sign_pullback_witness_expansion():
         total = carrier.add(total, step)
     assert total == (-2, 2)
     assert_state(pt.cone.contains((-2, 2), SMALL_BUDGET), "yes")
-    pb = pullback(pt, ScalarHom(Z, Z, Fraction(2)), ZN, SMALL_BUDGET)
+    pb = pullback(pt, LinearHom.scalar(Z, Z, Fraction(2)), ZN, SMALL_BUDGET)
     assert_state(pb.cone.contains((-2, 1), SMALL_BUDGET), "yes")
     v = is_strong(pb, SMALL_BUDGET)
     assert_state(v, "no")
@@ -291,10 +291,11 @@ def test_check_point_morphism_identity():
 
 def test_check_point_morphism_catches_broken_square():
     pt = trivial_point()
-    # c doubles but b is the identity: the projection square fails.
-    m = PointMorphism(IdentityHom(Z), IdentityHom(pt.carrier), ScalarHom(Z, Z, Fraction(2)))
+    # c doubles but b is the identity: the section square fails.
+    m = PointMorphism(IdentityHom(Z), IdentityHom(pt.carrier), LinearHom.scalar(Z, Z, Fraction(2)))
     v = check_point_morphism(m, pt, pt, SMALL_BUDGET)
     assert_state(v, "no")
+    assert (v.witness, v.note) == (1, "section square does not commute")
 
 
 def test_check_point_morphism_catches_broken_kernel_and_section_squares():
@@ -316,6 +317,17 @@ def test_check_point_morphism_catches_broken_kernel_and_section_squares():
         assert (v.witness, v.note) == (1, note)
 
 
+def test_check_point_morphism_needs_a_middle_map_known_to_be_additive():
+    # The squares hold on generators, but a middle map that is neither a pair
+    # map nor additive by construction, on an infinite carrier, leaves the
+    # projection square open: Unknown, with no window scan.
+    pt = trivial_point()
+    mid = ComposedHom(IdentityHom(pt.carrier), PairHom(pt.carrier, pt.carrier, IdentityHom(Z), IdentityHom(Z)))
+    v = check_point_morphism(PointMorphism(IdentityHom(Z), mid, IdentityHom(Z)), pt, pt, SMALL_BUDGET)
+    assert_state(v, "unknown")
+    assert v.note == "middle map not known to be additive"
+
+
 def test_ssfl_identity_on_minimal_rows():
     pt = sign_point()
     m = PointMorphism(IdentityHom(Z), IdentityHom(pt.carrier), IdentityHom(Z))
@@ -333,8 +345,8 @@ def test_ssfl_contrast_lex_vs_minimal():
 
 def test_ssfl_requires_iso_components():
     src = trivial_point("minimal")
-    m = PointMorphism(ScalarHom(Z, Z, Fraction(2)),
-                      PairHom(src.carrier, src.carrier, ScalarHom(Z, Z, Fraction(2)), IdentityHom(Z)),
+    m = PointMorphism(LinearHom.scalar(Z, Z, Fraction(2)),
+                      PairHom(src.carrier, src.carrier, LinearHom.scalar(Z, Z, Fraction(2)), IdentityHom(Z)),
                       IdentityHom(Z))
     with pytest.raises(StructureError):
         ssfl_check(m, src, src, SMALL_BUDGET)
@@ -360,9 +372,9 @@ def test_ssfl_refuses_a_middle_map_that_is_not_a_homomorphism():
 
 
 def test_order_iso_check_scaling():
-    h = ScalarHom(Q, Q, Fraction(2))
+    h = LinearHom.scalar(Q, Q, Fraction(2))
     assert_state(order_iso_check(h, QP, QP, SMALL_BUDGET), "yes")
-    assert_state(order_iso_check(ScalarHom(Z, Z, Fraction(2)), ZN, ZN, SMALL_BUDGET), "no")
+    assert_state(order_iso_check(LinearHom.scalar(Z, Z, Fraction(2)), ZN, ZN, SMALL_BUDGET), "no")
 
 
 def test_classify_point_bundle():
@@ -407,7 +419,7 @@ def _equality_cases():
     for budget in (SMALL_BUDGET, TINY_BUDGET):
         pts = [sign_point(), scaling_point(), trivial_point("lex")]
         pts += [
-            pullback(pt, ScalarHom(Z, Z, Fraction(c)), ZN, budget)
+            pullback(pt, LinearHom.scalar(Z, Z, Fraction(c)), ZN, budget)
             for pt in (sign_point(), scaling_point())
             for c in (1, 2, 3)
         ]
@@ -484,7 +496,7 @@ def test_conjugator_system_is_built_once_per_base_element(monkeypatch):
     # membership test of the element (0, b) itself comes from _contains and
     # is not the conjugator's.
     budget = SaturationBudget(2, 6, Window(3, 6, 3))
-    g = ScalarHom(Z, Z, Fraction(3))
+    g = LinearHom.scalar(Z, Z, Fraction(3))
     pb = pullback(scaling_point(), g, ZN, budget)
     images, members, systems = Counter(), Counter(), Counter()
     solves, checks, routes = [], [], Counter()
@@ -492,7 +504,7 @@ def test_conjugator_system_is_built_once_per_base_element(monkeypatch):
     def caller():
         return sys._getframe(2)
 
-    hom_apply = ScalarHom.apply
+    hom_apply = LinearHom.apply
 
     def counting_apply(self, el):
         if self is g:
@@ -536,7 +548,7 @@ def test_conjugator_system_is_built_once_per_base_element(monkeypatch):
         routes[(v.note or "").startswith("conjugator")] += 1
         return v
 
-    monkeypatch.setattr(ScalarHom, "apply", counting_apply)
+    monkeypatch.setattr(LinearHom, "apply", counting_apply)
     monkeypatch.setattr(ConeGenerators, "member", counting_member)
     monkeypatch.setattr(cones, "eliminate", counting_eliminate)
     monkeypatch.setattr(cones, "solve", counting_solve)
@@ -556,16 +568,16 @@ def test_pullback_cone_reads_along_from_the_action_memo(monkeypatch):
     # PrecomposedAction, so along runs once per distinct base element,
     # counting the calls made from contains.
     budget = SaturationBudget(2, 6, Window(3, 6, 3))
-    g = ScalarHom(Z, Z, Fraction(3))
+    g = LinearHom.scalar(Z, Z, Fraction(3))
     pb = pullback(scaling_point(), g, ZN, budget)
     images = Counter()
-    hom_apply = ScalarHom.apply
+    hom_apply = LinearHom.apply
 
     def counting_apply(self, el):
         if self is g:
             images[el] += 1
         return hom_apply(self, el)
 
-    monkeypatch.setattr(ScalarHom, "apply", counting_apply)
+    monkeypatch.setattr(LinearHom, "apply", counting_apply)
     assert_state(is_strong(pb, budget), "yes")
     assert images and max(images.values()) == 1
