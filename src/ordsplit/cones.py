@@ -48,7 +48,7 @@ from .groups import (
     format_element,
     word_ball,
 )
-from .homs import Homomorphism, KernelHom, ProjectionHom, SectionHom, _pair_parts
+from .homs import Homomorphism, KernelHom, PairHom, ProjectionHom, SectionHom, _pair_parts
 from .linalg import (
     Elimination,
     Hermite,
@@ -922,6 +922,22 @@ def _structural_monotone(h, src, dst, budget) -> Verdict | None:
                 return no(gen, "matrix column leaves the orthant" if into_orthant
                           else "nonzero matrix column into the trivial order")
         return yes("nonnegative matrix" if into_orthant else "zero map")
+    # (hx, hb) maps P_X x P_B onto hx(P_X) x hb(P_B), so monotone parts give
+    # an exact yes; anything else goes to the scan, whose no names the first
+    # failing element of the window.
+    if isinstance(h, PairHom) and isinstance(src.cone, ProductCone) and isinstance(
+        dst.cone, ProductCone
+    ):
+        s, d = src.cone, dst.cone
+        parts = ((h.hx, s.x_cone, d.x_cone), (h.hb, s.b_cone, d.b_cone))
+        used = ()
+        for f, p, q in parts:
+            v = is_monotone(f, PreorderedGroup(p.group, p), PreorderedGroup(q.group, q), budget)
+            if not v.is_yes:
+                break
+            used = used or v.budget_used
+        else:
+            return yes("monotone on both components", budget_used=used)
     # Structure maps of pair carriers against their componentwise cones.
     if isinstance(h, ProjectionHom):
         c = src.cone

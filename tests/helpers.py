@@ -21,7 +21,16 @@ from ordsplit.homs import (
     enumerate_homomorphisms,
 )
 from ordsplit.linalg import mat_mul
-from ordsplit.verdict import DEFAULT_BUDGET, SaturationBudget, Verdict, Window, vand, vnot
+from ordsplit.verdict import (
+    DEFAULT_BUDGET,
+    SaturationBudget,
+    Verdict,
+    Window,
+    no,
+    vand,
+    vnot,
+    yes,
+)
 
 SMALL_BUDGET = SaturationBudget(2, 5, Window(3, 6, 3))
 
@@ -257,6 +266,75 @@ def oracle_automorphisms(G: Group) -> int:
         ):
             count += 1
     return count
+
+
+def oracle_family_conjugation(fam, base_in, positives, window) -> Verdict:
+    """Condition 4 of validate_family by brute force over the window: for every
+    base element a, positive b, kernel element x and sample y of X_b,
+    x + phi_a(y) - phi_{a+b-a}(x) lies in X_{a+b-a}."""
+    B, X, action, sets = fam.shape.b, fam.shape.x, fam.shape.action, fam.sets
+    xs = X.group.window_elements(window)
+    samples = {b: sets.sample(b, window) for b in positives}
+    for a in base_in:
+        for b in positives:
+            target = B.group.add(B.group.add(a, b), B.group.neg(a))
+            phi_t = action.as_hom(target)
+            for x in xs:
+                tx = phi_t.apply(x)
+                for y in samples[b]:
+                    residue = X.group.sub(X.group.add(x, action.apply(a, y)), tx)
+                    if not sets.contains(target, residue):
+                        return no(((x, a), (y, b)), "conjugation stability fails (condition 4)")
+    return yes()
+
+
+def oracle_family_orbit_remark(fam, base_in, positives, window) -> Verdict:
+    """phi_a(X_b) = X_{a+b-a} by brute force over the window samples."""
+    B, action, sets = fam.shape.b, fam.shape.action, fam.sets
+    for a in base_in:
+        for b in positives:
+            target = B.group.add(B.group.add(a, b), B.group.neg(a))
+            for y in sets.sample(b, window):
+                if not sets.contains(target, action.apply(a, y)):
+                    return no((a, b, y), "orbit image escapes the conjugate fibre")
+            for z in sets.sample(target, window):
+                if not sets.contains(b, action.apply(B.group.neg(a), z)):
+                    return no((a, b, z), "conjugate fibre not covered by the orbit image")
+    return yes("window-verified" if not B.group.is_finite else "exhaustive")
+
+
+def count_window_items(monkeypatch) -> list[int]:
+    """Record the length of every window a carrier hands to a caller outside
+    the groups layer (a product window's factor windows are not counted
+    apart).  Patches each carrier class's window_elements for the test."""
+    import ordsplit.classifiers  # noqa: F401  (defines the automorphism carriers)
+
+    sizes: list[int] = []
+    depth = [0]
+
+    def counting(meth):
+        def window_elements(self, *args, **kwargs):
+            depth[0] += 1
+            try:
+                out = meth(self, *args, **kwargs)
+            finally:
+                depth[0] -= 1
+            if depth[0] == 0:
+                sizes.append(len(out))
+            return out
+
+        return window_elements
+
+    seen, stack = set(), list(Group.__subclasses__())
+    while stack:
+        cls = stack.pop()
+        if cls in seen:
+            continue
+        seen.add(cls)
+        stack.extend(cls.__subclasses__())
+        if "window_elements" in vars(cls):
+            monkeypatch.setattr(cls, "window_elements", counting(vars(cls)["window_elements"]))
+    return sizes
 
 
 # --- random finite corpus -------------------------------------------------------

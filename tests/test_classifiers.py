@@ -1,5 +1,4 @@
 import pytest
-from collections import Counter
 from fractions import Fraction
 
 from ordsplit.actions import FiniteTableAction, MatrixAction, ScalingAction, TrivialAction
@@ -356,26 +355,35 @@ def test_aut_eval_action_checks_the_automorphism_it_tests():
     assert not AutEvalAction(monotone_aut(Z2N)).is_identity_for((1, 0))
 
 
-def test_uniqueness_realizes_each_candidate_once_and_phi_b_once_per_b(monkeypatch):
+def test_each_automorphism_group_realizes_phi_b_from_its_own_element():
+    # from_action reads phi_b, and realize turns that element back into phi_b:
+    # the canonical map's uniqueness rests on this, so it is not re-checked
+    # per query.
     z3full = PreorderedGroup(CyclicGroup(3), FullCone(CyclicGroup(3)))
-    z2full = PreorderedGroup(CyclicGroup(2), FullCone(CyclicGroup(2)))
     inv = FiniteTableAction.from_homs(
         CyclicGroup(2), CyclicGroup(3),
         {0: TableHom.from_dict(CyclicGroup(3), CyclicGroup(3), {0: 0, 1: 1, 2: 2}),
          1: TableHom.from_dict(CyclicGroup(3), CyclicGroup(3), {0: 0, 1: 2, 2: 1})},
     )
-    pt = point(ExtensionShape(z3full, z2full, inv), "product")
-    aut = monotone_aut(z3full)
-    cbar = CorestrictionHom(pt.b.group, aut, pt.action)
-    realized, applied = [], []
-    realize, apply = FiniteAutGroup.realize, FiniteTableAction._apply
-    monkeypatch.setattr(FiniteAutGroup, "realize", lambda s, a: realized.append(a) or realize(s, a))
-    monkeypatch.setattr(
-        FiniteTableAction, "_apply", lambda s, b, x: applied.append((b, x)) or apply(s, b, x)
-    )
-    assert_state(_uniqueness_check(pt, aut, cbar), "yes")
-    # Only the base generator 1 is realized, and the kernel generator 1
-    # decides the comparison: phi_1 is computed on every point by cbar(1)
-    # and once more on that generator.
-    assert realized == [(0, 2, 1)]
-    assert Counter(applied) == {(1, 0): 1, (1, 1): 2, (1, 2): 1}
+    z2full = PreorderedGroup(CyclicGroup(2), FullCone(CyclicGroup(2)))
+    cases = [
+        (z3full, z2full, inv, FiniteAutGroup),
+        (Z2N, ZN, SWAP, OrthantPermAutGroup),
+        (QP, ZN, ScalingAction(Z, Q, Fraction(2)), RatScalingAutGroup),
+        (QP, ZN, ScalingAction(Z, Q, Fraction(1, 3)), RatScalingAutGroup),
+    ]
+    for x_pre, b_pre, action, kind in cases:
+        aut = monotone_aut(x_pre)
+        assert type(aut) is kind
+        for b in b_pre.group.window_elements(Window(3, 6, 3)):
+            h = aut.realize(aut.from_action(action, b))
+            for g in x_pre.group.generators():
+                assert h.apply(g) == action.apply(b, g), (kind, b, g)
+        pt = point(ExtensionShape(x_pre, b_pre, action), "product")
+        cbar = CorestrictionHom(pt.b.group, aut, pt.action)
+        assert_state(_uniqueness_check(pt, aut, cbar), "yes")
+    # phi_b outside the automorphism group is refused, not answered.
+    pt = point(ExtensionShape(Z2N, ZN, SHEAR), "product")
+    aut = monotone_aut(Z2N)
+    with pytest.raises(StructureError, match="not a monotone automorphism"):
+        _uniqueness_check(pt, aut, CorestrictionHom(pt.b.group, aut, pt.action))

@@ -38,13 +38,14 @@ from ordsplit.groups import (
     ShapeError,
     StructureError,
 )
-from ordsplit.homs import IdentityHom, LinearHom
+from ordsplit.homs import IdentityHom, LinearHom, PairHom
 from ordsplit.points import pullback
 from ordsplit.verdict import SaturationBudget, Window
 
 from helpers import (
     SMALL_BUDGET,
     assert_state,
+    count_window_items,
     oracle_cone_closure,
     random_finite_extension,
     strictly_positive,
@@ -249,6 +250,50 @@ def test_matrix_maps_out_of_an_orthant_decide_by_their_columns():
     v = is_monotone(LinearHom.scalar(Z, Z, Fraction(1)), ZN, Z0)
     assert_state(v, "no")
     assert v.witness == 1
+
+
+def test_pair_maps_between_componentwise_cones_decide_by_their_parts(monkeypatch):
+    # Over the sign action the componentwise cone is not a known cone, so the
+    # generator route is closed: only the parts or the window scan decide.
+    sizes = count_window_items(monkeypatch)
+    for x_pre in (ZN, Z0):
+        pt = point(ExtensionShape(x_pre, ZN, SignAction(Z, Z)), "product")
+        for hx, hb in (
+            (IdentityHom(Z), IdentityHom(Z)),
+            (LinearHom.scalar(Z, Z, 2), IdentityHom(Z)),
+            (IdentityHom(Z), LinearHom.scalar(Z, Z, 3)),
+        ):
+            v = is_monotone(PairHom(pt.carrier, pt.carrier, hx, hb), pt.pre, pt.pre, SMALL_BUDGET)
+            assert (v.state.value, v.note) == ("yes", "monotone on both components")
+    assert sizes == []
+    # A non-monotone part falls through to the scan, whose no names the
+    # first failing element of the window.
+    pt = point(ExtensionShape(ZN, ZN, SignAction(Z, Z)), "product")
+    minus = LinearHom.scalar(Z, Z, -1)
+    for hx, hb, witness in ((minus, IdentityHom(Z), (1, 0)), (IdentityHom(Z), minus, (0, 1))):
+        v = is_monotone(PairHom(pt.carrier, pt.carrier, hx, hb), pt.pre, pt.pre, SMALL_BUDGET)
+        assert (v.state.value, v.witness, v.note) == (
+            "no", witness, "positive element with non-positive image"
+        )
+    assert sizes == [49, 49]
+    # Over a trivial action the generator route names the generator.
+    pt = point(ExtensionShape(ZN, ZN, TrivialAction(Z, Z)), "product")
+    v = is_monotone(PairHom(pt.carrier, pt.carrier, minus, IdentityHom(Z)), pt.pre, pt.pre)
+    assert (v.state.value, v.witness, v.note) == ("no", (1, 0), "generator image not positive")
+
+
+def test_pair_maps_out_of_or_into_other_cones_keep_their_routes(monkeypatch):
+    shape = ExtensionShape(ZN, ZN, TrivialAction(Z, Z))
+    prod, lex = point(shape, "product"), point(shape, "lex")
+    ident = PairHom(prod.carrier, prod.carrier, IdentityHom(Z), IdentityHom(Z))
+    sizes = count_window_items(monkeypatch)
+    v = is_monotone(ident, lex.pre, prod.pre, SMALL_BUDGET)
+    assert (v.state.value, v.witness, v.note) == (
+        "no", (-3, 1), "positive element with non-positive image"
+    )
+    v = is_monotone(ident, prod.pre, lex.pre, SMALL_BUDGET)
+    assert (v.state.value, v.note) == ("yes", "window-verified")
+    assert sizes == [49, 49]
 
 
 def test_is_monotone_generator_reduction_matches_bruteforce():

@@ -22,7 +22,7 @@ from ordsplit.document import (
 )
 from ordsplit.groups import StructureError
 from ordsplit.verdict import SaturationBudget, State, Verdict, Window
-from helpers import SMALL_BUDGET
+from helpers import SMALL_BUDGET, count_window_items
 
 
 def minimal_doc(extra_queries=None):
@@ -136,6 +136,27 @@ def test_catalog_budget_doubling_flips_no_definite_verdict():
         s2 = q2.get("verdict", {}).get("state")
         if s1 in ("yes", "no"):
             assert s2 == s1, f"{q1['id']}: {s1} flipped to {s2}"
+
+
+def test_structurally_decided_catalog_queries_walk_few_window_elements(monkeypatch):
+    # Deterministic cost pin: the window elements handed out while answering
+    # each query, at the CLI default and the doubled budgets.  Condition 4
+    # and the orbit remark of trivially acted families, and pair maps
+    # between componentwise cones, no longer scan (before: 168/168, 21/39
+    # and 189/1209).
+    bounds = {
+        "lattice_window_2_2": (112, 112),
+        "family_doubling": (14, 26),
+        "classify_rali_qz": (0, 0),
+    }
+    sizes = count_window_items(monkeypatch)
+    queries = {q["id"]: q for q in builtin_catalog().queries}
+    for qid, limits in bounds.items():
+        for doubled, limit in zip((False, True), limits):
+            del sizes[:]
+            out = document.execute_query(queries[qid], SaturationBudget(), doubled)
+            assert out["matched"], qid
+            assert sum(sizes) <= limit, (qid, doubled, sizes)
 
 
 def test_report_renderings():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ordsplit import extensions
 from ordsplit.actions import (
     FiniteTableAction,
     ScalingAction,
@@ -12,6 +13,7 @@ from ordsplit.actions import (
     TrivialAction,
 )
 from ordsplit.cones import (
+    ExtensionalCone,
     FullCone,
     GeneratedCone,
     OrthantCone,
@@ -62,7 +64,11 @@ from ordsplit.verdict import SaturationBudget, Window
 from helpers import (
     SMALL_BUDGET,
     assert_state,
+    klein_four,
     oracle_all_compatible_cones,
+    oracle_cone_closure,
+    oracle_family_conjugation,
+    oracle_family_orbit_remark,
     random_finite_extension,
     symmetric_cayley,
 )
@@ -447,3 +453,76 @@ def test_validate_family_asks_each_cone_once_per_window_element(monkeypatch):
     assert_state(fv.orbit_remark, "yes")
     assert len(calls) == 18
     assert sorted(calls) == sorted(list(range(-4, 5)) * 2)
+
+
+def _random_threshold_family(rng):
+    values = [0, 1, 2, 3, 5, INF]
+    seq = (0,) + tuple(rng.choice(values) for _ in range(rng.randint(1, 5)))
+    return FamilyCone(trivial_shape(), UpSetFibers(seq))
+
+
+def _random_finite_family(rng):
+    # Trivially acted finite abelian shapes; each fibre is empty, the fibre
+    # cone, or a random set, so conditions 1-2 pass or fail at random.
+    X = rng.choice([CyclicGroup(2), CyclicGroup(3), klein_four()])
+    B = rng.choice([CyclicGroup(2), CyclicGroup(3), CyclicGroup(4), klein_four()])
+    nonzero = [g for g in X.elements() if g != X.zero()]
+    px = oracle_cone_closure(X, rng.sample(nonzero, rng.randint(0, 1)))
+    pb = oracle_cone_closure(B, rng.sample([g for g in B.elements() if g != B.zero()], 1))
+    shape = ExtensionShape(
+        PreorderedGroup(X, ExtensionalCone(X, px)),
+        PreorderedGroup(B, ExtensionalCone(B, pb)),
+        TrivialAction(B, X),
+    )
+    fibers = []
+    for b in B.elements():
+        kind = rng.choice(["cone", "cone", "random"]) if b in pb else rng.choice(["empty", "random"])
+        if kind == "random":
+            fibre = frozenset(x for x in X.elements() if rng.random() < 0.5)
+        else:
+            fibre = px if kind == "cone" else frozenset()
+        fibers.append((b, fibre))
+    return FamilyCone(shape, ExplicitFibers(tuple(fibers)))
+
+
+def test_untwisted_families_match_the_window_loops(monkeypatch):
+    # Under a trivial action over abelian groups, condition 4 and the orbit
+    # remark hold on every sample; the verdicts, witnesses and notes of
+    # conditions 1-3 are those of the brute-force loops.
+    rng = random.Random(20)
+    budget = SaturationBudget(2, 4, Window(4, 8, 4))
+    seen = set()
+    for make in [_random_threshold_family] * 40 + [_random_finite_family] * 40:
+        fam = make(rng)
+        B = fam.shape.b
+        base_in = {b: B.cone.contains(b) for b in B.group.window_elements(budget.window)}
+        positives = [b for b, v in base_in.items() if v.is_yes]
+        assert_state(oracle_family_conjugation(fam, base_in, positives, budget.window), "yes")
+        assert_state(oracle_family_orbit_remark(fam, base_in, positives, budget.window), "yes")
+        got = validate_family(fam, budget)
+        with monkeypatch.context() as m:
+            m.setattr(extensions, "_family_conjugation", oracle_family_conjugation)
+            m.setattr(extensions, "_family_orbit_remark", oracle_family_orbit_remark)
+            want = validate_family(fam, budget)
+        assert got.conditions == want.conditions, fam
+        assert_state(got.orbit_remark, "yes")
+        seen.add((type(fam.sets).__name__, got.conditions.state.value, got.conditions.note))
+    # Both fibre kinds pass and fail, and some family fails each of 1-3.
+    assert {(kind, state) for kind, state, _ in seen} == {
+        (kind, state) for kind in ("UpSetFibers", "ExplicitFibers") for state in ("yes", "no")
+    }
+    fails = {note for _, state, note in seen if state == "no"}
+    assert all(any(f"(condition {i})" in note for note in fails) for i in (1, 2, 3))
+
+
+def test_a_sign_acted_family_is_still_scanned():
+    # Sign acts on (Z, N) by a non-monotone map, so the lexicographic fibres
+    # pass conditions 1-3 and fail conjugation stability in the window.
+    fam = FamilyCone(ExtensionShape(ZN, ZN, SignAction(Z, Z)), UpSetFibers((0, INF, INF, INF)))
+    fv = validate_family(fam, SMALL_BUDGET)
+    assert (fv.conditions.state.value, fv.conditions.witness, fv.conditions.note) == (
+        "no", ((-3, -3), (1, 0)), "conjugation stability fails (condition 4)"
+    )
+    assert (fv.orbit_remark.state.value, fv.orbit_remark.witness, fv.orbit_remark.note) == (
+        "no", (-3, 0, 1), "orbit image escapes the conjugate fibre"
+    )
