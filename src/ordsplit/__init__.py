@@ -40,7 +40,6 @@ from .cones import (
     ExtensionalCone,
     FullCone,
     GeneratedCone,
-    IntersectionCone,
     LexCone,
     OrthantCone,
     PreorderedGroup,
@@ -63,10 +62,8 @@ from .extensions import (
     SuperadditiveWindow,
     UpSetFibers,
     compatible_exists,
-    cone_to_family,
     enumerate_compatible_cones,
     is_compatible,
-    is_minimal_equal_product,
     lex_cone,
     minimal_cone,
     normalize,
@@ -76,17 +73,14 @@ from .extensions import (
     validate_family,
 )
 from .points import (
-    PointClassification,
     PointMorphism,
     StablyStrongReport,
     check_point_morphism,
-    classify_point,
     default_base_catalog,
     equivariance_failure,
     hom_leq,
     is_rali,
     is_strong,
-    point_product,
     pullback,
     ssfl_check,
     stably_strong_over,

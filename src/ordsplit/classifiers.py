@@ -548,7 +548,8 @@ def classify_into(
     uniq = _uniqueness_check(pt, aut, cbar)  # first: it refuses phi_b outside aut
     mid = PairHom(pt.carrier, cls.carrier, IdentityHom(pt.x.group), cbar)
     base_mono = is_monotone(cbar, pt.b, cls.b, budget)
-    mid_mono = is_monotone(mid, pt.pre, cls.pre, budget)
+    # The middle map's base part is cbar again: hand its verdict over.
+    mid_mono = is_monotone(mid, pt.pre, cls.pre, budget, (((cbar, pt.b, cls.b), base_mono),))
     return ClassifyReport(
         morphism=PointMorphism(IdentityHom(pt.x.group), mid, cbar),
         base_monotone=base_mono,

@@ -8,8 +8,8 @@ generators' dual cone, and on Z^k x| Z^n by the fibre lattice.
 
 Membership follows the template of groups, actions and maps: the public
 contains checks the element once, _contains trusts it, and a composite cone
-(product, point product, intersection, lex, generated, pullback, family)
-asks its parts' _contains about the components.
+(product, point product, lex, generated, pullback, family) asks its parts'
+_contains about the components.
 
 Generated cones memoize their saturation per budget, the reduced form of the
 conjugator system I - phi_b per base element and budget (the elimination on
@@ -166,8 +166,10 @@ class OrthantCone(Cone):
     contains = Cone.contains
 
     def _contains(self, x, budget):
+        # A Fraction's denominator is positive, so its sign is its
+        # numerator's; an int is its own numerator.
         for c in self.group.coords(x):
-            if c < 0:
+            if c.numerator < 0:
                 return no(x)
         return yes()
 
@@ -288,26 +290,6 @@ class PointProductCone(Cone):
 
 
 @dataclass(frozen=True)
-class IntersectionCone(Cone):
-    group: Group
-    cones: tuple[Cone, ...]
-
-    def __post_init__(self):
-        for c in self.cones:
-            if c.group != self.group:
-                raise ShapeError("intersection components live on different carriers")
-
-    def _contains(self, x, budget):
-        return vand(*(c._contains(x, budget) for c in self.cones))
-
-    def known_cone(self):
-        return all(c.known_cone() for c in self.cones)
-
-    def __str__(self):
-        return " & ".join(str(c) for c in self.cones)
-
-
-@dataclass(frozen=True)
 class PreorderedGroup:
     group: Group
     cone: Cone
@@ -405,6 +387,15 @@ class GeneratedCone(Cone):
     functional, the generators' integer span, or the structure shortcuts
     unlocked by certified_compatible).
 
+    Membership tries, in this order: the zero element (a bare yes); on a
+    certified semidirect carrier over a componentwise source, the base part
+    outside the base cone (no); the source element (yes); there again, at
+    b = 0, the kernel part (yes "kernel part positive", or no as the kernel
+    reflects the fibre order); then a solved conjugator (yes), the fibre
+    lattice (no), saturation (yes) and the abelian exclusions (no).  A
+    componentwise source's base and kernel cones are each asked at most once
+    per membership, and an undecided part falls through to the later routes.
+
     Whether the source is already closed is not asked here: minimal_cone
     decides it once and returns a closed componentwise cone as it is.  A
     GeneratedCone built by hand over a closed source stays sound, but may
@@ -433,10 +424,9 @@ class GeneratedCone(Cone):
     def _contains(self, x, budget):
         if x == self.group.zero():
             return yes()
-        src = self.source.member(x, budget)
-        if src.is_yes:
-            return yes("source element")
-        v = self._semidirect_paths(x, budget)
+        v = self._source_route(x, budget)
+        if v is None and self._on_semidirect:
+            v = self._semidirect_paths(x, budget)
         if v is not None:
             return v
         if self._bfs_reaches(x, budget):
@@ -464,24 +454,33 @@ class GeneratedCone(Cone):
             ("window", (w.int_bound, w.num_bound, w.den_bound)),
         )
 
-    # structure shortcuts on semidirect carriers
+    # source membership and structure shortcuts on semidirect carriers
+
+    def _source_route(self, x, budget) -> Verdict | None:
+        """Source membership, and on a certified semidirect carrier the
+        component shortcuts, asking each component cone at most once."""
+        parts = self._product_parts
+        if parts is None:
+            return yes("source element") if self.source.member(x, budget).is_yes else None
+        px, pb, base_zero = parts
+        xp, bp = x
+        fibred = base_zero is not None
+        vb = pb._contains(bp, budget)
+        if vb.is_no:
+            return no(x, "base part outside the base cone") if fibred else None
+        at_zero = fibred and bp == base_zero
+        if vb.is_unknown and not at_zero:
+            return None
+        vx = px._contains(xp, budget)
+        if vx.is_yes:
+            return yes("source element" if vb.is_yes else "kernel part positive")
+        if vx.is_no and at_zero:
+            return no(x, "kernel reflects the fibre order")
+        return None
 
     def _semidirect_paths(self, x, budget) -> Verdict | None:
         G = self.group
-        if not isinstance(G, Semidirect):
-            return None
         xp, bp = x
-        px, pb = self._product_parts()
-        if self.certified_compatible and pb is not None:
-            vb = pb._contains(bp, budget)
-            if vb.is_no:
-                return no(x, "base part outside the base cone")
-            if bp == G.b_group.zero() and px is not None:
-                vx = px._contains(xp, budget)
-                if vx.is_yes:
-                    return yes("kernel part positive")
-                if vx.is_no:
-                    return no(x, "kernel reflects the fibre order")
         r = self._solve_conjugator(xp, bp, budget)
         if r is not None:
             return yes(f"conjugator {format_element(r)}")
@@ -490,16 +489,26 @@ class GeneratedCone(Cone):
             return no(x, "fibre residue obstruction: fibre outside the lattice of I - phi_e")
         return None
 
-    def _product_parts(self) -> tuple[Cone | None, Cone | None]:
+    @cached_property
+    def _on_semidirect(self) -> bool:
+        return isinstance(self.group, Semidirect)
+
+    @cached_property
+    def _product_parts(self) -> tuple[Cone, Cone, Element] | None:
+        """The kernel and base cones of a componentwise source, else None;
+        with the base zero when the shortcuts of a certified semidirect
+        carrier apply, else None in its place."""
         src = self.source
-        if isinstance(src, ConeGenerators) and isinstance(src.cone, ProductCone):
-            return src.cone.x_cone, src.cone.b_cone
-        return None, None
+        if not (isinstance(src, ConeGenerators) and isinstance(src.cone, ProductCone)):
+            return None
+        fibred = self.certified_compatible and self._on_semidirect
+        return src.cone.x_cone, src.cone.b_cone, self.group.b_group.zero() if fibred else None
 
     def _conjugator_system(self, bp, budget) -> Elimination | Hermite | None:
         """The reduced form of I - phi_bp (the Hermite form on Z^k, the
         elimination on Q^k) when (0, bp) is a source element, else None; once
-        per (bp, budget).
+        per (bp, budget).  An action has a matrix only on a vector kernel, so
+        every other kernel gets None.
 
         bp has passed group.check in contains, so an int and an equal
         Fraction never share a key.
@@ -522,8 +531,6 @@ class GeneratedCone(Cone):
         over Z on Z^k, assuming (0,bp) generates; the conjugation certifies r."""
         G = self.group
         X = G.x_group
-        if not isinstance(X, (FreeAbelian, RationalVector)):
-            return None
         system = self._conjugator_system(bp, budget)
         if system is None:
             return None
@@ -551,7 +558,8 @@ class GeneratedCone(Cone):
         """
         G, src = self.group, self.source
         X, B = G.x_group, G.b_group
-        over_axis = isinstance(self._product_parts()[0], TrivialCone) or (
+        parts = self._product_parts
+        over_axis = (parts is not None and isinstance(parts[0], TrivialCone)) or (
             isinstance(src, ExplicitGenerators) and all(g[0] == X.zero() for g in src.elements)
         )
         if not (over_axis and isinstance(X, FreeAbelian) and isinstance(B, FreeAbelian)):
@@ -880,15 +888,20 @@ def is_monotone(
     src: PreorderedGroup,
     dst: PreorderedGroup,
     budget: SaturationBudget = DEFAULT_BUDGET,
+    known: tuple = (),
 ) -> Verdict:
-    """h(P_src) inside P_dst; exact on structured data, else window-checked."""
+    """h(P_src) inside P_dst; exact on structured data, else window-checked.
+
+    known holds ((f, src', dst'), verdict) pairs that the caller has already
+    decided; a pair map takes its components' verdicts from there.
+    """
     if h.source != src.group or h.target != dst.group:
         raise ShapeError("homomorphism does not match the preordered carriers")
     if isinstance(dst.cone, FullCone):
         return yes("full target order")
     if isinstance(src.cone, TrivialCone):
         return yes("trivial source order")
-    v = _structural_monotone(h, src, dst, budget)
+    v = _structural_monotone(h, src, dst, budget, known)
     if v is not None:
         return v
     gens = src.cone.finite_generators()
@@ -911,7 +924,7 @@ def is_monotone(
     )
 
 
-def _structural_monotone(h, src, dst, budget) -> Verdict | None:
+def _structural_monotone(h, src, dst, budget, known) -> Verdict | None:
     # A matrix map out of an orthant is monotone into an orthant iff every
     # column is >= 0, and into the trivial order iff every column is 0.
     m = h.as_matrix() if isinstance(src.cone, OrthantCone) else None
@@ -932,7 +945,10 @@ def _structural_monotone(h, src, dst, budget) -> Verdict | None:
         parts = ((h.hx, s.x_cone, d.x_cone), (h.hb, s.b_cone, d.b_cone))
         used = ()
         for f, p, q in parts:
-            v = is_monotone(f, PreorderedGroup(p.group, p), PreorderedGroup(q.group, q), budget)
+            asked = (f, PreorderedGroup(p.group, p), PreorderedGroup(q.group, q))
+            v = next((v for question, v in known if question == asked), None)
+            if v is None:
+                v = is_monotone(*asked, budget)
             if not v.is_yes:
                 break
             used = used or v.budget_used

@@ -282,26 +282,6 @@ def _product_shape_components(shape: ExtensionShape):
     return ExtensionShape(x1, b1, act.first), ExtensionShape(x2, b2, act.second)
 
 
-def is_minimal_equal_product(
-    shape: ExtensionShape, budget: SaturationBudget = DEFAULT_BUDGET
-) -> Verdict:
-    """Least cone equals the componentwise cone iff positives act pointwise ~ id."""
-    v = compatible_exists(shape, budget)
-    if not v.is_yes:
-        raise StructureError(f"no compatible order known: {v}")
-    gens, note = shape.b.cone.finite_generators(), "on positive generators"
-    if gens is None:
-        gens, note = shape.b.cone.positive_sample(budget.window, budget), "window-verified"
-    v = vall(
-        (b, pointwise_sim_id(shape.action.as_hom(b), shape.x, budget))
-        for b in gens
-        if not shape.action.is_identity_for(b)
-    )
-    if v.is_no:
-        return no(v.witness, "positive base element acts nontrivially")
-    return yes(note) if v.is_yes else v
-
-
 COMPATIBILITY_MODES = ("interval", "definitional")
 
 
@@ -529,27 +509,6 @@ class FamilyCone(Cone):
 
     def __str__(self):
         return f"family({self.sets})"
-
-
-def cone_to_family(
-    P: Cone,
-    shape: ExtensionShape,
-    window: Window | None = None,
-    budget: SaturationBudget = DEFAULT_BUDGET,
-) -> FamilyCone:
-    """Window snapshot of a cone as explicit fibres X_b = {x : (x,b) in P}."""
-    if isinstance(P, FamilyCone):
-        return P
-    window = window or budget.window
-    fibers = []
-    for b in shape.b.group.window_elements(window):
-        fib = frozenset(
-            x
-            for x in shape.x.group.window_elements(window)
-            if P.contains((x, b), budget).is_yes
-        )
-        fibers.append((b, fib))
-    return FamilyCone(shape, ExplicitFibers(tuple(sorted(fibers, key=repr))))
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Any
 
 from .verdict import Window, check_window_size
@@ -122,6 +123,10 @@ class _VectorGroup(Group):
     rank: int
 
     def zero(self) -> Element:
+        return self._zero
+
+    @cached_property
+    def _zero(self):
         return self._scalar_zero() if self.rank == 1 else (self._scalar_zero(),) * self.rank
 
     def _add(self, a, b):
@@ -231,6 +236,9 @@ class FreeAbelian(_VectorGroup):
         return "Z" if self.rank == 1 else f"Z^{self.rank}"
 
 
+_Q_ZERO = Fraction(0)
+
+
 @dataclass(frozen=True)
 class RationalVector(_VectorGroup):
     """Q^k; elements are Fractions (k=1) or Fraction tuples, always normalized."""
@@ -254,7 +262,7 @@ class RationalVector(_VectorGroup):
             raise ShapeError(f"expected Fraction {self.rank}-tuple for {self}, got {el!r}")
 
     def _scalar_zero(self):
-        return Fraction(0)
+        return _Q_ZERO
 
     def _scalar_one(self):
         return Fraction(1)
@@ -493,6 +501,10 @@ class Semidirect(Group):
         return self.x_group.order() * self.b_group.order()
 
     def zero(self):
+        return self._zero
+
+    @cached_property
+    def _zero(self):
         return (self.x_group.zero(), self.b_group.zero())
 
     def _add(self, a, b):
@@ -504,6 +516,14 @@ class Semidirect(Group):
         x, b = a
         nb = self.b_group._neg(b)
         return (self.x_group._neg(self.action._apply(nb, x)), nb)
+
+    def _conjugate(self, g, x):
+        # Closed form of g + x - g for g = (r, c), x = (y, b):
+        # (r + phi_c(y) - phi_{c+b-c}(r), c+b-c), as phi_{c+b} phi_{-c} = phi_{c+b-c}.
+        (r, c), (y, b) = g, x
+        X, act = self.x_group, self.action
+        cb = self.b_group._conjugate(c, b)
+        return (X._add(X._add(r, act._apply(c, y)), X._neg(act._apply(cb, r))), cb)
 
     def check(self, el) -> None:
         if not (isinstance(el, tuple) and len(el) == 2):

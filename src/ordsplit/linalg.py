@@ -40,13 +40,15 @@ def identity_matrix(n: int) -> Matrix:
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return tuple(
-        tuple(sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*b))
+        tuple(sum((x * y for x, y in zip(row, col)), _ZERO) for col in zip(*b))
         for row in a
     )
 
 
 def mat_vec(a: Matrix, v) -> Vector:
-    return tuple(sum((c * Fraction(x) for c, x in zip(row, v)), Fraction(0)) for row in a)
+    # Fraction entries times int or Fraction coordinates are Fractions, and
+    # the sum starts from one; the coordinates need no wrapping.
+    return tuple(sum(map(operator.mul, row, v), _ZERO) for row in a)
 
 
 def mat_pow(a: Matrix, n: int) -> Matrix:
@@ -142,7 +144,7 @@ def solve(a: Matrix | Elimination, b) -> Vector | None:
     y = mat_vec(e.transform, b)
     if any(y[len(e.pivots):]):
         return None
-    x = [Fraction(0)] * e.ncols
+    x = [_ZERO] * e.ncols
     for yi, col in zip(y, e.pivots):
         x[col] = yi
     return tuple(x)

@@ -12,13 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .actions import PrecomposedAction, ProductAction
+from .actions import PrecomposedAction
 from .cones import (
     Cone,
     FullCone,
-    PointProductCone,
     PreorderedGroup,
-    ProductCone,
     TrivialCone,
     cones_equal,
     is_monotone,
@@ -26,7 +24,6 @@ from .cones import (
 from .extensions import ExtensionShape, SplitExtension, minimal_cone, point, product_cone
 from .groups import (
     CyclicGroup,
-    DirectProduct,
     FreeAbelian,
     Group,
     ShapeError,
@@ -203,24 +200,6 @@ def default_base_catalog(base: PreorderedGroup) -> list[tuple[PreorderedGroup, H
     return out
 
 
-def point_product(pt1: SplitExtension, pt2: SplitExtension) -> SplitExtension:
-    """Componentwise product of two points in the category of points."""
-    x = PreorderedGroup(
-        DirectProduct((pt1.x.group, pt2.x.group)),
-        ProductCone(
-            DirectProduct((pt1.x.group, pt2.x.group)), pt1.x.cone, pt2.x.cone
-        ),
-    )
-    b = PreorderedGroup(
-        DirectProduct((pt1.b.group, pt2.b.group)),
-        ProductCone(
-            DirectProduct((pt1.b.group, pt2.b.group)), pt1.b.cone, pt2.b.cone
-        ),
-    )
-    shape = ExtensionShape(x, b, ProductAction(pt1.action, pt2.action))
-    return point(shape, PointProductCone(shape.carrier, pt1.cone, pt2.cone))
-
-
 def equivariance_failure(
     a: Homomorphism, c: Homomorphism, src: ExtensionShape, dst: ExtensionShape
 ) -> tuple | None:
@@ -324,24 +303,3 @@ def ssfl_check(
         if not v.is_yes:
             raise StructureError(f"{label} component is not an order isomorphism: {v}")
     return order_iso_check(m.b, src.pre, dst.pre, budget)
-
-
-@dataclass(frozen=True)
-class PointClassification:
-    rali: Verdict
-    strong: Verdict
-    stably_strong: StablyStrongReport
-
-
-def classify_point(
-    pt: SplitExtension,
-    catalog: list[tuple[PreorderedGroup, Homomorphism]] | None = None,
-    budget: SaturationBudget = DEFAULT_BUDGET,
-) -> PointClassification:
-    if catalog is None:
-        catalog = default_base_catalog(pt.b)
-    return PointClassification(
-        rali=is_rali(pt, budget),
-        strong=is_strong(pt, budget),
-        stably_strong=stably_strong_over(pt, catalog, budget),
-    )

@@ -52,7 +52,13 @@ class Verdict:
         return " ".join(parts)
 
 
+# The bare Yes, built once: a frozen Verdict is safe to share.
+_YES = Verdict(State.YES)
+
+
 def yes(note: str = "", budget_used: tuple = ()) -> Verdict:
+    if not note and not budget_used:
+        return _YES
     return Verdict(State.YES, None, note, budget_used)
 
 
@@ -72,14 +78,14 @@ def vand(*verdicts: Verdict) -> Verdict:
             return v
         if v.is_unknown and pending is None:
             pending = v
-    return pending if pending is not None else yes()
+    return pending if pending is not None else _YES
 
 
 def vnot(v: Verdict, witness: Any = None) -> Verdict:
     if v.is_yes:
         return no(witness if witness is not None else v.witness)
     if v.is_no:
-        return yes()
+        return _YES
     return v
 
 

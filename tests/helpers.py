@@ -10,9 +10,32 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from ordsplit.actions import FiniteTableAction
-from ordsplit.cones import ExtensionalCone, FullCone, PreorderedGroup
-from ordsplit.groups import CayleyGroup, CyclicGroup, DirectProduct, Group, StructureError
+from ordsplit.actions import FiniteTableAction, ProductAction
+from ordsplit.cones import (
+    Cone,
+    ExtensionalCone,
+    FullCone,
+    PointProductCone,
+    PreorderedGroup,
+    ProductCone,
+)
+from ordsplit.extensions import (
+    ExplicitFibers,
+    ExtensionShape,
+    FamilyCone,
+    SplitExtension,
+    compatible_exists,
+    point,
+    pointwise_sim_id,
+)
+from ordsplit.groups import (
+    CayleyGroup,
+    CyclicGroup,
+    DirectProduct,
+    Group,
+    ShapeError,
+    StructureError,
+)
 from ordsplit.homs import (
     Homomorphism,
     IdentityHom,
@@ -21,12 +44,20 @@ from ordsplit.homs import (
     enumerate_homomorphisms,
 )
 from ordsplit.linalg import mat_mul
+from ordsplit.points import (
+    StablyStrongReport,
+    default_base_catalog,
+    is_rali,
+    is_strong,
+    stably_strong_over,
+)
 from ordsplit.verdict import (
     DEFAULT_BUDGET,
     SaturationBudget,
     Verdict,
     Window,
     no,
+    vall,
     vand,
     vnot,
     yes,
@@ -109,6 +140,101 @@ def strictly_positive(P: PreorderedGroup, b, budget: SaturationBudget = DEFAULT_
     pos = P.leq(P.group.zero(), b, budget)
     back = P.leq(b, P.group.zero(), budget)
     return vand(pos, vnot(back, b))
+
+
+# --- constructions that only the tests use ------------------------------------
+
+
+@dataclass(frozen=True)
+class IntersectionCone(Cone):
+    group: Group
+    cones: tuple[Cone, ...]
+
+    def __post_init__(self):
+        for c in self.cones:
+            if c.group != self.group:
+                raise ShapeError("intersection components live on different carriers")
+
+    def _contains(self, x, budget):
+        return vand(*(c._contains(x, budget) for c in self.cones))
+
+    def known_cone(self):
+        return all(c.known_cone() for c in self.cones)
+
+    def __str__(self):
+        return " & ".join(str(c) for c in self.cones)
+
+
+def point_product(pt1: SplitExtension, pt2: SplitExtension) -> SplitExtension:
+    """Componentwise product of two points in the category of points."""
+    x_group = DirectProduct((pt1.x.group, pt2.x.group))
+    b_group = DirectProduct((pt1.b.group, pt2.b.group))
+    x = PreorderedGroup(x_group, ProductCone(x_group, pt1.x.cone, pt2.x.cone))
+    b = PreorderedGroup(b_group, ProductCone(b_group, pt1.b.cone, pt2.b.cone))
+    shape = ExtensionShape(x, b, ProductAction(pt1.action, pt2.action))
+    return point(shape, PointProductCone(shape.carrier, pt1.cone, pt2.cone))
+
+
+@dataclass(frozen=True)
+class PointClassification:
+    rali: Verdict
+    strong: Verdict
+    stably_strong: StablyStrongReport
+
+
+def classify_point(
+    pt: SplitExtension,
+    catalog: list[tuple[PreorderedGroup, Homomorphism]] | None = None,
+    budget: SaturationBudget = DEFAULT_BUDGET,
+) -> PointClassification:
+    if catalog is None:
+        catalog = default_base_catalog(pt.b)
+    return PointClassification(
+        rali=is_rali(pt, budget),
+        strong=is_strong(pt, budget),
+        stably_strong=stably_strong_over(pt, catalog, budget),
+    )
+
+
+def is_minimal_equal_product(
+    shape: ExtensionShape, budget: SaturationBudget = DEFAULT_BUDGET
+) -> Verdict:
+    """Least cone equals the componentwise cone iff positives act pointwise ~ id."""
+    v = compatible_exists(shape, budget)
+    if not v.is_yes:
+        raise StructureError(f"no compatible order known: {v}")
+    gens, note = shape.b.cone.finite_generators(), "on positive generators"
+    if gens is None:
+        gens, note = shape.b.cone.positive_sample(budget.window, budget), "window-verified"
+    v = vall(
+        (b, pointwise_sim_id(shape.action.as_hom(b), shape.x, budget))
+        for b in gens
+        if not shape.action.is_identity_for(b)
+    )
+    if v.is_no:
+        return no(v.witness, "positive base element acts nontrivially")
+    return yes(note) if v.is_yes else v
+
+
+def cone_to_family(
+    P: Cone,
+    shape: ExtensionShape,
+    window: Window | None = None,
+    budget: SaturationBudget = DEFAULT_BUDGET,
+) -> FamilyCone:
+    """Window snapshot of a cone as explicit fibres X_b = {x : (x,b) in P}."""
+    if isinstance(P, FamilyCone):
+        return P
+    window = window or budget.window
+    fibers = []
+    for b in shape.b.group.window_elements(window):
+        fib = frozenset(
+            x
+            for x in shape.x.group.window_elements(window)
+            if P.contains((x, b), budget).is_yes
+        )
+        fibers.append((b, fib))
+    return FamilyCone(shape, ExplicitFibers(tuple(sorted(fibers, key=repr))))
 
 
 # --- independent oracles --------------------------------------------------------

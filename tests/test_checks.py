@@ -34,7 +34,7 @@ from ordsplit.groups import (
     StructureError,
 )
 from ordsplit.homs import Homomorphism, IdentityHom, LinearHom, PairHom, TableHom
-from ordsplit.verdict import SaturationBudget, Window
+from ordsplit.verdict import SaturationBudget, Window, vand, yes
 
 from helpers import ComposedHom
 
@@ -200,6 +200,17 @@ def test_fixed_data_is_built_once():
     assert aut.order() == 2 and aut.add((0, 2, 1), (0, 2, 1)) == (0, 1, 2)
     with pytest.raises(ShapeError):
         aut.neg((1, 2, 0))
+
+
+def test_immutable_constants_are_shared():
+    assert yes() is yes() and vand(yes(), yes()) is yes()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        yes().note = "changed"
+    assert yes().note == "" and yes("n").note == "n" and yes("n") is not yes()
+    assert yes(budget_used=(("window", 8),)).budget_used == (("window", 8),)
+    sd = scaling_carrier()
+    assert sd.zero() is sd.zero() == (Fraction(0), 0)
+    assert Q.zero() is Q.zero() and type(Q.zero()) is Fraction
 
 
 def _perfbench_tracer():

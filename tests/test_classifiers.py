@@ -1,6 +1,7 @@
 import pytest
 from fractions import Fraction
 
+from ordsplit import classifiers, cones, document
 from ordsplit.actions import FiniteTableAction, MatrixAction, ScalingAction, TrivialAction
 from ordsplit.classifiers import (
     AutEvalAction,
@@ -32,7 +33,8 @@ from ordsplit.extensions import ExtensionShape, lex_cone, point
 from ordsplit.groups import CyclicGroup, FreeAbelian, RationalVector, ShapeError, StructureError
 from ordsplit.homs import TableHom
 from ordsplit.points import is_rali
-from ordsplit.verdict import Window
+from ordsplit.catalog import builtin_catalog
+from ordsplit.verdict import SaturationBudget, Window
 
 from helpers import SMALL_BUDGET, assert_state, klein_four, symmetric_cayley
 
@@ -215,6 +217,30 @@ def test_classify_scaling_point_into_tilde_fails_monotonicity():
     cls = build_classifier(QP, aut_cone(monotone_aut(QP), "tilde"), SMALL_BUDGET)
     rep = classify_into(pt, cls, SMALL_BUDGET)
     assert rep.base_monotone.is_no
+
+
+def test_classify_into_asks_base_monotonicity_once(monkeypatch):
+    # The middle map's base part is cbar between the same base orders, so
+    # classify_into hands base_monotone over instead of asking again.
+    calls = []
+    is_monotone = cones.is_monotone
+
+    def counting(h, *args, **kwargs):
+        if isinstance(h, CorestrictionHom):
+            calls.append(h)
+        return is_monotone(h, *args, **kwargs)
+
+    monkeypatch.setattr(cones, "is_monotone", counting)
+    monkeypatch.setattr(classifiers, "is_monotone", counting)
+    query = {q["id"]: q for q in builtin_catalog().queries}["classify_rali_qz"]
+    for doubled in (False, True):
+        del calls[:]
+        out = document.execute_query(query, SaturationBudget(), doubled)
+        assert out["matched"] and out["verdict"] == {"state": "yes"}
+        assert out["details"] == {
+            "base_monotone": "yes", "middle_monotone": "yes", "uniqueness": "yes",
+        }
+        assert len(calls) == 1, (doubled, calls)
 
 
 def test_classify_into_finite_classifier():

@@ -1,5 +1,7 @@
 import itertools
 import random
+from collections import Counter
+from dataclasses import dataclass
 
 import pytest
 from fractions import Fraction
@@ -9,12 +11,12 @@ from hypothesis import strategies as st
 from ordsplit import cones as cones_module
 from ordsplit.actions import MatrixAction, SignAction, ScalingAction, TrivialAction
 from ordsplit.cones import (
+    Cone,
     ConeGenerators,
     ExplicitGenerators,
     ExtensionalCone,
     FullCone,
     GeneratedCone,
-    IntersectionCone,
     LexCone,
     OrthantCone,
     PreorderedGroup,
@@ -33,6 +35,7 @@ from ordsplit.groups import (
     CyclicGroup,
     DirectProduct,
     FreeAbelian,
+    Group,
     RationalVector,
     Semidirect,
     ShapeError,
@@ -40,10 +43,11 @@ from ordsplit.groups import (
 )
 from ordsplit.homs import IdentityHom, LinearHom, PairHom
 from ordsplit.points import pullback
-from ordsplit.verdict import SaturationBudget, Window
+from ordsplit.verdict import SaturationBudget, Window, unknown
 
 from helpers import (
     SMALL_BUDGET,
+    IntersectionCone,
     assert_state,
     count_window_items,
     oracle_cone_closure,
@@ -525,6 +529,111 @@ def test_lex_membership_asks_each_base_sign_once(monkeypatch):
         calls.clear()
         assert_state(lex.contains(el, SMALL_BUDGET), state, str(el))
         assert len(calls) == 2, (el, calls)
+
+
+def _scaling_least_cone():
+    return minimal_cone(ExtensionShape(QP, ZN, ScalingAction(Z, Q, Fraction(2))), SMALL_BUDGET)
+
+
+def _sign_least_cone():
+    return minimal_cone(ExtensionShape(Z0, ZN, SignAction(Z, Z)), SMALL_BUDGET)
+
+
+_SATURATED = (("conjugators", 2), ("summands", 5), ("window", (3, 6, 3)))
+
+# (element, state, note, budget_used) on the least cones of the scaling point
+# (Q x| Z, n acting by 2^n) and the sign point (Z x| Z, kernel cone {0}).
+# A no's witness is the element itself.
+LEAST_CONE_ROUTES = {
+    "scaling": [
+        ((Fraction(0), 0), "yes", "", ()),
+        ((Fraction(1), -1), "no", "base part outside the base cone", ()),
+        ((Fraction(0), -2), "no", "base part outside the base cone", ()),
+        ((Fraction(-1, 2), 0), "no", "kernel reflects the fibre order", ()),
+        ((Fraction(1, 2), 0), "yes", "source element", ()),
+        ((Fraction(3), 2), "yes", "source element", ()),
+        ((Fraction(0), 3), "yes", "source element", ()),
+        ((Fraction(-5, 3), 1), "yes", "conjugator 5/3", ()),
+    ],
+    "sign": [
+        ((0, 0), "yes", "", ()),
+        ((1, -1), "no", "base part outside the base cone", ()),
+        ((-1, 0), "no", "kernel reflects the fibre order", ()),
+        ((2, 0), "no", "kernel reflects the fibre order", ()),
+        ((0, 2), "yes", "source element", ()),
+        ((2, 1), "yes", "conjugator 1", ()),
+        ((-2, 1), "yes", "conjugator -1", ()),
+        ((3, 1), "no", "fibre residue obstruction: fibre outside the lattice of I - phi_e", ()),
+        ((-4, 2), "yes", "saturation", _SATURATED),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(LEAST_CONE_ROUTES))
+def test_least_cone_membership_routes(name):
+    # Zero, base part outside, source element, the kernel at b = 0, then
+    # the conjugator, the fibre lattice and saturation, in that order.
+    cone = {"scaling": _scaling_least_cone, "sign": _sign_least_cone}[name]()
+    assert isinstance(cone, GeneratedCone) and cone.certified_compatible
+    for el, state, note, used in LEAST_CONE_ROUTES[name]:
+        v = cone.contains(el, SMALL_BUDGET)
+        assert (v.state.value, v.note, v.budget_used) == (state, note, used), el
+        assert v.witness == (el if state == "no" else None), el
+
+
+@dataclass(frozen=True)
+class _Undecided(Cone):
+    group: Group
+
+    def _contains(self, x, budget):
+        return unknown("undecided")
+
+
+def test_undecided_base_part_falls_through_as_before():
+    # With the base part unknown, b = 0 still reads the kernel part, and
+    # elsewhere the membership goes on to the later routes.
+    sd = Semidirect(Q, Z, ScalingAction(Z, Q, Fraction(2)))
+    source = ConeGenerators(ProductCone(sd, OrthantCone(Q), _Undecided(Z)))
+    cone = GeneratedCone(sd, source, certified_compatible=True)
+    expected = [
+        ((Fraction(1, 2), 0), "yes", "kernel part positive", ()),
+        ((Fraction(-1, 2), 0), "no", "kernel reflects the fibre order", ()),
+        ((Fraction(1), 1), "unknown", "saturation budget exhausted", _SATURATED),
+        ((Fraction(-1), 1), "unknown", "saturation budget exhausted", _SATURATED),
+    ]
+    for el, state, note, used in expected:
+        v = cone.contains(el, SMALL_BUDGET)
+        assert (v.state.value, v.note, v.budget_used) == (state, note, used), el
+
+
+@pytest.mark.parametrize("build", [_scaling_least_cone, _sign_least_cone], ids=["scaling", "sign"])
+def test_certified_membership_asks_each_component_cone_at_most_once(build, monkeypatch):
+    # The conjugator system and saturation ask the component cones once per
+    # cone, base element and budget; a first pass over the window fills
+    # those, and the second counts what each membership asks by itself.
+    cone = build()
+    kernel, base = cone.source.cone.x_cone, cone.source.cone.b_cone
+    calls = Counter()
+
+    def counting(cls):
+        inner = cls._contains
+
+        def _contains(self, x, budget):
+            if self is kernel or self is base:
+                calls[self is base] += 1
+            return inner(self, x, budget)
+
+        return _contains
+
+    for cls in {type(kernel), type(base)}:
+        monkeypatch.setattr(cls, "_contains", counting(cls))
+    els = cone.group.window_elements(SMALL_BUDGET.window)
+    for el in els:
+        cone.contains(el, SMALL_BUDGET)
+    for el in els:
+        calls.clear()
+        cone.contains(el, SMALL_BUDGET)
+        assert calls[True] <= 1 and calls[False] <= 1, (el, calls)
 
 
 @settings(max_examples=40, deadline=None)

@@ -30,10 +30,8 @@ from ordsplit.extensions import (
     SuperadditiveWindow,
     UpSetFibers,
     compatible_exists,
-    cone_to_family,
     enumerate_compatible_cones,
     is_compatible,
-    is_minimal_equal_product,
     lex_cone,
     minimal_cone,
     normalize,
@@ -64,6 +62,8 @@ from ordsplit.verdict import SaturationBudget, Window
 from helpers import (
     SMALL_BUDGET,
     assert_state,
+    cone_to_family,
+    is_minimal_equal_product,
     klein_four,
     oracle_all_compatible_cones,
     oracle_cone_closure,

@@ -1,11 +1,12 @@
 import itertools
+import random
 
 import pytest
 from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ordsplit.actions import ScalingAction, SignAction, TrivialAction
+from ordsplit.actions import MatrixAction, ScalingAction, SignAction, TrivialAction
 from ordsplit.groups import (
     CayleyGroup,
     CyclicGroup,
@@ -20,7 +21,7 @@ from ordsplit.groups import (
 )
 from ordsplit.verdict import Window
 
-from helpers import klein_four, oracle_words, symmetric_cayley
+from helpers import klein_four, oracle_words, random_finite_extension, symmetric_cayley
 
 Z = FreeAbelian(1)
 Q = RationalVector(1)
@@ -56,6 +57,30 @@ def test_semidirect_neg_closed_form_matches_add():
             el = (x, b)
             assert sd.add(el, sd.neg(el)) == (0, 0)
             assert sd.add(sd.neg(el), el) == (0, 0)
+
+
+@pytest.mark.parametrize("sd", [
+    sign_carrier(),
+    Semidirect(Q, Z, ScalingAction(Z, Q, Fraction(2))),
+    Semidirect(Z2V, Z, MatrixAction(Z, Z2V, (((1, 1), (0, 1)),))),
+], ids=str)
+def test_semidirect_conjugate_closed_form_matches_add(sd):
+    els = sd.window_elements(Window(2, 2, 2))
+    for g in els:
+        for x in els[::3]:
+            assert sd.conjugate(g, x) == sd.add(sd.add(g, x), sd.neg(g))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_semidirect_conjugate_closed_form_matches_add_on_finite_carriers(seed):
+    rng = random.Random(seed)
+    x_pre, b_pre, action = random_finite_extension(rng)
+    sd = Semidirect(x_pre.group, b_pre.group, action)
+    els = sd.elements()
+    for g in rng.sample(els, min(6, len(els))):
+        for x in els:
+            assert sd.conjugate(g, x) == sd.add(sd.add(g, x), sd.neg(g))
 
 
 def test_semidirect_neg_example():

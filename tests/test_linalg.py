@@ -289,3 +289,16 @@ def test_integer_solve_refuses_fractions_and_finds_lattice_holes():
     assert integer_kernel([], 2) == [(1, 0), (0, 1)]
     with pytest.raises(ValueError):
         hermite([[Fraction(1, 2)]], 1)
+
+
+def test_mat_vec_and_solve_return_fractions_for_int_input():
+    for a, v, want in (
+        (mat([[1, 2], [0, 3]]), (1, -1), (-1, -3)),
+        (((1, 2), (0, 3)), (1, -1), (-1, -3)),
+        (mat([[Fraction(1, 2)]]), (Fraction(2, 3),), (Fraction(1, 3),)),
+        (mat([[0, 0]]), (0, 0), (0,)),
+    ):
+        out = mat_vec(a, v)
+        assert out == want and all(type(c) is Fraction for c in out)
+    x = solve(mat([[2, 0], [0, 0]]), (4, 0))
+    assert x == (2, 0) and all(type(c) is Fraction for c in x)

@@ -44,21 +44,27 @@ from ordsplit.linalg import Elimination
 from ordsplit.points import (
     PointMorphism,
     check_point_morphism,
-    classify_point,
     default_base_catalog,
     equivariance_failure,
     hom_leq,
     is_rali,
     is_strong,
     order_iso_check,
-    point_product,
     pullback,
     ssfl_check,
     stably_strong_over,
 )
 from ordsplit.verdict import DEFAULT_BUDGET, SaturationBudget, Window, vand
 
-from helpers import SMALL_BUDGET, ComposedHom, assert_state, compose, random_finite_extension
+from helpers import (
+    SMALL_BUDGET,
+    ComposedHom,
+    assert_state,
+    classify_point,
+    compose,
+    point_product,
+    random_finite_extension,
+)
 
 Z = FreeAbelian(1)
 Q = RationalVector(1)
