@@ -17,12 +17,12 @@ Q^k, the Hermite form on Z^k, so that each fibre element costs one
 substitution), the fibre lattice and that dual cone; the fill is idempotent
 and queries never mutate shared state in a way observable across queries.
 
-The "for all" checks (cone subset, monotonicity, pointwise comparison, the
-cone axioms, fibre reflection) get their "on generators", "window-verified"
-and "exhaustive" verdicts only from the two helpers in verdict.py:
-on_generators for the generator shortcut, for_all_members for the scan.
-cones_equal, behind strongness and rali, decides both inclusions in one
-window scan and answers exactly as the two cone_subset calls would.
+The "for all" checks (monotonicity, pointwise comparison, the cone axioms)
+get their "on generators", "window-verified" and "exhaustive" verdicts only
+from the two helpers in verdict.py: on_generators for the generator
+shortcut, for_all_members for the scan.  cone_subset and cones_equal (behind
+strongness and rali) share one inclusion scan, which decides both inclusions
+in one walk and answers exactly as the two cone_subset calls would.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from .groups import (
     format_element,
     word_ball,
 )
-from .homs import Homomorphism, KernelHom, PairHom, ProjectionHom, SectionHom, _pair_parts
+from .homs import Homomorphism, PairHom, _pair_parts
 from .linalg import (
     Elimination,
     Hermite,
@@ -830,25 +830,15 @@ def cone_subset(P: Cone, Q: Cone, budget: SaturationBudget = DEFAULT_BUDGET) -> 
     v = _on_generators_of(P, Q, budget)
     if v is not None:
         return v
-    G = P.group
-    return for_all_members(
-        G.window_elements(budget.window),
-        lambda x: P.contains(x, budget),
-        lambda x: Q.contains(x, budget),
-        _SUBSET_NO, _SUBSET_UNDECIDED,
-        yes("exhaustive" if G.is_finite else "window-verified"),
-    )
+    clean = yes("exhaustive" if P.group.is_finite else "window-verified")
+    return _scan_inclusions(P, Q, True, False, budget, clean)
 
 
 def cones_equal(P: Cone, Q: Cone, budget: SaturationBudget = DEFAULT_BUDGET) -> Verdict:
     """vand(cone_subset(P, Q), cone_subset(Q, P)), in one window scan.
 
-    The generator shortcut settles each inclusion it can.  The scan then
-    walks the window once for the inclusions left open, asking each cone
-    about an element only when an open inclusion needs the answer.  The
-    first element of P outside Q returns at once; the first of Q outside P
-    closes that inclusion and is returned after the scan, unless P outside
-    Q turns up later.
+    The generator shortcut settles each inclusion it can; the scan decides
+    the inclusions left open.
     """
     if P == Q:
         return yes("identical cones")
@@ -856,31 +846,43 @@ def cones_equal(P: Cone, Q: Cone, budget: SaturationBudget = DEFAULT_BUDGET) -> 
     if lower is not None and lower.is_no:
         return lower
     upper = _on_generators_of(Q, P, budget)
-    open_lower, open_upper = lower is None, upper is None
+    v = _scan_inclusions(P, Q, lower is None, upper is None, budget, yes())
+    # P outside Q, found by the scan, comes before Q outside P on generators.
+    return upper if upper is not None and upper.is_no and not v.is_no else v
+
+
+def _scan_inclusions(P: Cone, Q: Cone, lower_open, upper_open, budget, clean) -> Verdict:
+    """P inside Q (lower) and Q inside P (upper), for those left open, in one
+    walk of the window, asking each cone only what an open inclusion needs.
+    The first element of P outside Q returns at once; the first of Q outside
+    P closes that inclusion and is returned after the scan, unless P outside
+    Q turns up later."""
+    if not (lower_open or upper_open):
+        return clean
+    upper = None
     saw_unknown = False
-    if open_lower or open_upper:
-        for x in P.group.window_elements(budget.window):
-            p = q = None
-            if open_lower:
-                p = P.contains(x, budget)
-                if p.is_yes:
-                    q = Q.contains(x, budget)
-                    if q.is_no:
-                        return no(x, _SUBSET_NO)
-            if open_upper:
-                if q is None:
-                    q = Q.contains(x, budget)
-                if q.is_yes:
-                    if p is None:
-                        p = P.contains(x, budget)
-                    if p.is_no:
-                        upper, open_upper = no(x, _SUBSET_NO), False
-                        if not open_lower:
-                            break
-            saw_unknown |= (p is not None and p.is_unknown) or (q is not None and q.is_unknown)
-    if upper is not None and upper.is_no:
+    for x in P.group.window_elements(budget.window):
+        p = q = None
+        if lower_open:
+            p = P.contains(x, budget)
+            if p.is_yes:
+                q = Q.contains(x, budget)
+                if q.is_no:
+                    return no(x, _SUBSET_NO)
+        if upper_open:
+            if q is None:
+                q = Q.contains(x, budget)
+            if q.is_yes:
+                if p is None:
+                    p = P.contains(x, budget)
+                if p.is_no:
+                    upper, upper_open = no(x, _SUBSET_NO), False
+                    if not lower_open:
+                        break
+        saw_unknown |= (p is not None and p.is_unknown) or (q is not None and q.is_unknown)
+    if upper is not None:
         return upper
-    return unknown(_SUBSET_UNDECIDED) if saw_unknown else yes()
+    return unknown(_SUBSET_UNDECIDED) if saw_unknown else clean
 
 
 def is_monotone(
@@ -954,21 +956,4 @@ def _structural_monotone(h, src, dst, budget, known) -> Verdict | None:
             used = used or v.budget_used
         else:
             return yes("monotone on both components", budget_used=used)
-    # Structure maps of pair carriers against their componentwise cones.
-    if isinstance(h, ProjectionHom):
-        c = src.cone
-        if isinstance(c, ProductCone) and c.b_cone == dst.cone:
-            return yes("projection of a componentwise cone")
-        if isinstance(c, LexCone) and c.b_pre.cone == dst.cone:
-            return yes("projection of the lexicographic cone")
-    if isinstance(h, KernelHom):
-        c = dst.cone
-        if isinstance(c, ProductCone) and c.x_cone == src.cone:
-            return yes("kernel inclusion into a componentwise cone")
-        if isinstance(c, LexCone) and c.x_pre.cone == src.cone:
-            return yes("kernel inclusion into the lexicographic cone")
-    if isinstance(h, SectionHom):
-        c = dst.cone
-        if isinstance(c, ProductCone) and c.b_cone == src.cone:
-            return yes("section into a componentwise cone")
     return None

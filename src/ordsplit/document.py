@@ -46,7 +46,6 @@ from .extensions import (
     ExtensionShape,
     SplitExtension,
     SuperadditiveWindow,
-    COMPATIBILITY_MODES,
     ExhaustiveFinite,
     FamilyCone,
     UpSetFibers,
@@ -517,13 +516,6 @@ def _pair_field(spec, doc, r, where):
     return c
 
 
-def _mode_field(spec, doc, r, where):
-    mode = spec.get("mode", "interval")
-    if mode not in COMPATIBILITY_MODES:
-        raise DocumentError(where, f"unknown mode {mode!r}")
-    return mode
-
-
 def _order_field(spec, doc, r, where):
     which = spec.get("order", "tilde")
     if which not in ("tilde", "plus", "minus"):
@@ -536,7 +528,6 @@ _FIELDS = {
     "thresholds": lambda spec, doc, r, where: _family(r["shape"], spec, where),
     "scope": _scope_field,
     "point": _ref_field("point", "points", "point"),
-    "mode": _mode_field,
     "cone": _ref_field("cone", "cones", "cone"),
     # On the queried point's carrier, or on the queried cone's group.
     "element": _element_field(
@@ -620,9 +611,7 @@ QUERY_OPS: dict[str, QueryOp] = {
         "check", ("shape",), lambda shape, b: compatible_exists(shape, b)
     ),
     "is_compatible": QueryOp(
-        "check",
-        ("point", "mode"),
-        lambda pt, mode, b: (is_compatible(pt.cone, pt, mode, b), {"mode": mode}),
+        "check", ("point",), lambda pt, b: is_compatible(pt.cone, pt, b)
     ),
     "cone_contains": QueryOp("check", ("cone", "element"), lambda c, x, b: c.contains(x, b)),
     "point_cone_contains": QueryOp(

@@ -1,7 +1,9 @@
 """Shared builders and independent brute-force oracles.
 
-The oracles here use only raw group arithmetic (add/neg/conjugate) so they
-stay independent of the cone machinery they are used to check.
+The brute-force oracles here use only raw group arithmetic (add/neg/conjugate)
+so they stay independent of the cone machinery they are used to check.
+definitional_compatible is the paper's other compatibility route, built from
+the library's monotonicity checks, for comparison with is_compatible.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ from ordsplit.cones import (
     PointProductCone,
     PreorderedGroup,
     ProductCone,
+    check_cone_axioms,
+    is_monotone,
 )
 from ordsplit.extensions import (
     ExplicitFibers,
@@ -39,7 +43,10 @@ from ordsplit.groups import (
 from ordsplit.homs import (
     Homomorphism,
     IdentityHom,
+    KernelHom,
     LinearHom,
+    ProjectionHom,
+    SectionHom,
     TableHom,
     enumerate_homomorphisms,
 )
@@ -56,6 +63,7 @@ from ordsplit.verdict import (
     SaturationBudget,
     Verdict,
     Window,
+    for_all_members,
     no,
     vall,
     vand,
@@ -316,6 +324,40 @@ def oracle_is_compatible_set(carrier, S: frozenset, px: frozenset, pb: frozenset
         if b == bz and x not in px:
             return False
     return True
+
+
+def definitional_compatible(
+    P: Cone, shape: ExtensionShape, budget: SaturationBudget = DEFAULT_BUDGET
+) -> Verdict:
+    """Compatibility by definition: the cone axioms, the kernel inclusion,
+    section and projection monotone, and the fibre order reflected.
+
+    The oracle for `is_compatible`, which checks the paper's equivalent
+    interval (componentwise <= P <= lexicographic) instead.
+    """
+    if P.group != shape.carrier:
+        raise ShapeError("cone does not live on the extension's carrier")
+    carrier_pre = PreorderedGroup(shape.carrier, P)
+    return vand(
+        check_cone_axioms(P, budget),
+        is_monotone(KernelHom(shape.carrier), shape.x, carrier_pre, budget),
+        is_monotone(SectionHom(shape.carrier), shape.b, carrier_pre, budget),
+        is_monotone(ProjectionHom(shape.carrier), carrier_pre, shape.b, budget),
+        kernel_reflects(P, shape, budget),
+    )
+
+
+def kernel_reflects(P: Cone, shape: ExtensionShape, budget: SaturationBudget) -> Verdict:
+    """(x, 0) in P only for x in the fibre cone, on the kernel's window."""
+    bz = shape.b.group.zero()
+    v = for_all_members(
+        shape.x.group.window_elements(budget.window),
+        lambda x: P.contains((x, bz), budget),
+        lambda x: shape.x.cone.contains(x, budget),
+        "fibre order not reflected", "reflection check hit undecided memberships",
+        yes("window-verified" if not shape.x.group.is_finite else "exhaustive"),
+    )
+    return no((v.witness, bz), v.note) if v.is_no else v
 
 
 def oracle_all_compatible_cones(carrier, px: frozenset, pb: frozenset) -> set[frozenset]:

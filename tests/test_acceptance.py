@@ -57,7 +57,9 @@ from ordsplit.verdict import Window
 
 from helpers import (
     SMALL_BUDGET,
+    assert_state,
     compose,
+    definitional_compatible,
     oracle_all_compatible_cones,
     oracle_is_compatible_set,
     random_finite_extension,
@@ -117,6 +119,11 @@ def test_acceptance_1_interval_oracle_equivalence():
                 if check_cone_axioms(ExtensionalCone(carrier, cand)).is_yes:
                     interval_cones.add(cand)
         assert oracle == interval_cones, f"mismatch on {shape}"
+        # both library routes accept every compatible cone
+        for S in oracle:
+            cone = ExtensionalCone(carrier, S)
+            assert_state(is_compatible(cone, shape, SMALL_BUDGET), "yes", str(shape))
+            assert_state(definitional_compatible(cone, shape, SMALL_BUDGET), "yes", str(shape))
         # the packaged enumerator agrees as well
         rep = enumerate_compatible_cones(shape, ExhaustiveFinite())
         assert {c.elements for c in rep.cones} == oracle
@@ -139,24 +146,27 @@ def test_acceptance_2_lexicographic_equivalence():
     for x_pre, b_pre, action in _corpus():
         shape = ExtensionShape(x_pre, b_pre, action)
         exists = compatible_exists(shape, SMALL_BUDGET)
-        lex_ok = is_compatible(lex_cone(shape), shape, "definitional", SMALL_BUDGET)
+        lex_ok = is_compatible(lex_cone(shape), shape, SMALL_BUDGET)
+        lex_def = definitional_compatible(lex_cone(shape), shape, SMALL_BUDGET)
         count = enumerate_compatible_cones(shape, ExhaustiveFinite()).count
-        states = (exists.is_yes, lex_ok.is_yes, count > 0)
+        states = (exists.is_yes, lex_ok.is_yes, lex_def.is_yes, count > 0)
         if len(set(states)) != 1:
-            mismatches.append((shape, exists, lex_ok, count))
+            mismatches.append((shape, exists, lex_ok, lex_def, count))
     assert not mismatches, mismatches
     # symbolic catalog instances
     sign_bad = ExtensionShape(ZN, PreorderedGroup(Z, FullCone(Z)), SignAction(Z, Z))
     v = compatible_exists(sign_bad, SMALL_BUDGET)
     assert v.is_no and "monotone" in v.note
-    assert is_compatible(lex_cone(sign_bad), sign_bad, "definitional", SMALL_BUDGET).is_no
+    assert is_compatible(lex_cone(sign_bad), sign_bad, SMALL_BUDGET).is_no
+    assert definitional_compatible(lex_cone(sign_bad), sign_bad, SMALL_BUDGET).is_no
     for shape in (
         ExtensionShape(QP, ZN, ScalingAction(Z, Q, Fraction(2))),
         ExtensionShape(ZN, ZN, TrivialAction(Z, Z)),
         ExtensionShape(Z0, ZN, SignAction(Z, Z)),
     ):
         assert compatible_exists(shape, SMALL_BUDGET).is_yes
-        assert is_compatible(lex_cone(shape), shape, "definitional", SMALL_BUDGET).is_yes
+        assert is_compatible(lex_cone(shape), shape, SMALL_BUDGET).is_yes
+        assert definitional_compatible(lex_cone(shape), shape, SMALL_BUDGET).is_yes
     print(f"\nACCEPTANCE 2: PASS - three-way equivalence on {CORPUS_SIZE} finite + 4 symbolic instances")
 
 

@@ -2,7 +2,13 @@ import pytest
 from fractions import Fraction
 
 from ordsplit import classifiers, cones, document
-from ordsplit.actions import FiniteTableAction, MatrixAction, ScalingAction, TrivialAction
+from ordsplit.actions import (
+    FiniteTableAction,
+    MatrixAction,
+    ScalingAction,
+    SignAction,
+    TrivialAction,
+)
 from ordsplit.classifiers import (
     AutEvalAction,
     CorestrictionHom,
@@ -268,6 +274,22 @@ def test_sclass_membership_examples():
     rali_pt = point(ExtensionShape(QP, ZN, TrivialAction(Z, Q)), "product")
     tilde = aut_cone(monotone_aut(QP), "tilde", SMALL_BUDGET)
     assert_state(sclass_membership(rali_pt, tilde, SMALL_BUDGET), "yes")
+
+
+def test_sclass_membership_condition_1_no():
+    # phi_1 halves, a monotone automorphism that P+ leaves out: x/2 < x for x > 0.
+    plus = aut_cone(monotone_aut(QP), "plus", SMALL_BUDGET)
+    halving = point(ExtensionShape(QP, ZN, ScalingAction(Z, Q, Fraction(1, 2))), "minimal")
+    v = sclass_membership(halving, plus, SMALL_BUDGET)
+    assert_state(v, "no")
+    assert (v.witness, v.note) == (
+        (1, Fraction(1, 2)), "positive base element acts outside the order (condition 1)"
+    )
+    # phi_1 = -id is not monotone on (Z, N), so it is no element of the group.
+    sign = point(ExtensionShape(ZN, ZN, SignAction(Z, Z)), "product")
+    v = sclass_membership(sign, aut_cone(monotone_aut(ZN), "plus", SMALL_BUDGET), SMALL_BUDGET)
+    assert_state(v, "no")
+    assert (v.witness, v.note) == (1, "positive base element acts outside the automorphism group")
 
 
 def test_no_classifier_witness_rationals():

@@ -285,16 +285,24 @@ def _verdicts(doc):
 def test_is_compatible_op():
     got = _verdicts(ops_doc([
         {"id": "lex", "op": "is_compatible", "point": "scal_lex"},
-        {"id": "lex_def", "op": "is_compatible", "point": "scal_lex", "mode": "definitional"},
+        # No op reads a "mode" key, so it is ignored like any other.
+        {"id": "lex_mode", "op": "is_compatible", "point": "scal_lex", "mode": "definitional"},
         {"id": "sgn", "op": "is_compatible", "point": "sgn_prod"},
     ]))
-    assert got["lex"]["verdict"] == {"state": "yes"} and got["lex"]["mode"] == "interval"
-    assert got["lex_def"]["verdict"] == {"state": "yes"}
-    assert got["lex_def"]["mode"] == "definitional"
+    assert got["lex"]["verdict"] == {"state": "yes"}
+    assert {k: v for k, v in got["lex_mode"].items() if k != "id"} == {
+        k: v for k, v in got["lex"].items() if k != "id"
+    }
+    assert "mode" not in got["lex"]
     # (0, -3) + (1, -3) = (-1, -6): the sign of -3 flips the kernel part.
     assert got["sgn"]["verdict"] == {
         "state": "no", "witness": "((0, -3), (1, -3))", "note": "not closed under addition",
     }
+
+
+def test_every_field_resolver_is_read_by_an_op():
+    read = {f for op in document.QUERY_OPS.values() for f in op.fields}
+    assert read == set(document._FIELDS)
 
 
 def test_cone_contains_op():
@@ -527,16 +535,6 @@ def test_cli_rejects_action_between_other_groups(tmp_path, capsys, section, loca
     code, err = _validate_exit(tmp_path, capsys, doc)
     assert code == 2
     assert f"{location}: action does not match the kernel/base groups" in err
-
-
-@pytest.mark.parametrize("mode", [5, "lex", None])
-def test_cli_rejects_unknown_mode(tmp_path, capsys, mode):
-    doc = minimal_doc([{"op": "is_compatible", "point": "p", "mode": mode}])
-    doc["actions"]["triv"] = {"kind": "trivial", "acting": "Z", "acted": "Z"}
-    doc["points"] = {"p": dict(SHAPE_SPEC, action="triv", cone="product")}
-    code, err = _validate_exit(tmp_path, capsys, doc)
-    assert code == 2
-    assert f"queries[0]: unknown mode {mode!r}" in err
 
 
 @pytest.mark.parametrize("command", ["validate", "lattice"])

@@ -19,6 +19,7 @@ from ordsplit.cones import (
     OrthantCone,
     PreorderedGroup,
     TrivialCone,
+    generated_cone,
 )
 from ordsplit.extensions import (
     INF,
@@ -63,6 +64,7 @@ from helpers import (
     SMALL_BUDGET,
     assert_state,
     cone_to_family,
+    definitional_compatible,
     is_minimal_equal_product,
     klein_four,
     oracle_all_compatible_cones,
@@ -75,6 +77,7 @@ from helpers import (
 
 Z = FreeAbelian(1)
 Q = RationalVector(1)
+Z2 = FreeAbelian(2)
 ZN = PreorderedGroup(Z, OrthantCone(Z))
 ZF = PreorderedGroup(Z, FullCone(Z))
 Z0 = PreorderedGroup(Z, TrivialCone(Z))
@@ -140,6 +143,16 @@ def test_compatible_exists_three_examples():
     assert_state(compatible_exists(trivial_shape(), SMALL_BUDGET), "yes")
 
 
+def test_compatible_exists_with_window_known_base_units():
+    # The lex cone is compatible here, but the units of a generated base cone
+    # come from a window scan.  Exact units (ROADMAP item 2, step A) turn
+    # this answer into yes.
+    base = PreorderedGroup(Z2, generated_cone(Z2, [(1, 0), (0, 1)]))
+    v = compatible_exists(ExtensionShape(ZN, base, TrivialAction(Z2, Z)), SMALL_BUDGET)
+    assert_state(v, "unknown")
+    assert v.note == "units of the base are only window-known"
+
+
 def test_compatible_exists_returns_lex_certificate():
     v = compatible_exists(trivial_shape(), SMALL_BUDGET)
     assert v.witness is not None
@@ -148,14 +161,14 @@ def test_compatible_exists_returns_lex_certificate():
 
 def test_is_compatible_product_on_trivial():
     shape = trivial_shape()
-    assert_state(is_compatible(product_cone(shape), shape, "interval", SMALL_BUDGET), "yes")
-    assert_state(is_compatible(product_cone(shape), shape, "definitional", SMALL_BUDGET), "yes")
+    assert_state(is_compatible(product_cone(shape), shape, SMALL_BUDGET), "yes")
+    assert_state(definitional_compatible(product_cone(shape), shape, SMALL_BUDGET), "yes")
 
 
 def test_is_compatible_lex_on_sign_extension_no_with_witness():
     shape = sign_bad_shape()
-    for mode in ("interval", "definitional"):
-        v = is_compatible(lex_cone(shape), shape, mode, SMALL_BUDGET)
+    for route in (is_compatible, definitional_compatible):
+        v = route(lex_cone(shape), shape, SMALL_BUDGET)
         assert_state(v, "no")
         assert v.witness is not None
         # the witness pair really does break closure under addition
@@ -168,15 +181,15 @@ def test_is_compatible_lex_on_sign_extension_no_with_witness():
 
 def test_is_compatible_full_cone_fails_projection():
     shape = trivial_shape()
-    v = is_compatible(FullCone(shape.carrier), shape, "definitional", SMALL_BUDGET)
+    v = definitional_compatible(FullCone(shape.carrier), shape, SMALL_BUDGET)
     assert_state(v, "no")
 
 
 def test_modes_never_contradict_on_catalog_cones():
     for shape in (trivial_shape(), scaling_shape(), sign_strong_shape()):
         for cone in (product_cone(shape), lex_cone(shape)):
-            a = is_compatible(cone, shape, "interval", SMALL_BUDGET)
-            b = is_compatible(cone, shape, "definitional", SMALL_BUDGET)
+            a = is_compatible(cone, shape, SMALL_BUDGET)
+            b = definitional_compatible(cone, shape, SMALL_BUDGET)
             assert not (a.is_yes and b.is_no)
             assert not (a.is_no and b.is_yes)
 
@@ -411,7 +424,8 @@ def test_enumerated_lattice_cones_all_pass_is_compatible():
     rep = enumerate_compatible_cones(shape, SuperadditiveWindow(2, 2))
     small = SaturationBudget(2, 4, Window(2, 4, 2))
     for cone in rep.cones:
-        assert_state(is_compatible(cone, shape, "definitional", small), "yes", str(cone))
+        assert_state(is_compatible(cone, shape, small), "yes", str(cone))
+        assert_state(definitional_compatible(cone, shape, small), "yes", str(cone))
 
 
 def test_minimal_cone_below_every_enumerated_cone():

@@ -28,7 +28,6 @@ from ordsplit.extensions import (
     ExtensionShape,
     FamilyCone,
     UpSetFibers,
-    _kernel_reflects,
     point,
     pointwise_sim_id,
     product_cone,
@@ -39,7 +38,7 @@ from ordsplit.homs import IdentityHom, LinearHom
 from ordsplit.points import hom_leq
 from ordsplit.verdict import unknown
 
-from helpers import SMALL_BUDGET, assert_state
+from helpers import SMALL_BUDGET, assert_state, kernel_reflects
 
 Z = FreeAbelian(1)
 Z2 = FreeAbelian(2)
@@ -178,10 +177,10 @@ def test_units_scan_with_an_undecided_membership_is_not_exact():
 def test_kernel_reflects_scan():
     b = SMALL_BUDGET
     shape = ExtensionShape(pre(NAT), pre(NAT), TrivialAction(Z, Z))
-    v = _kernel_reflects(Undecided(product_cone(shape), frozenset({(2, 0)})), shape, b)
+    v = kernel_reflects(Undecided(product_cone(shape), frozenset({(2, 0)})), shape, b)
     assert_state(v, "unknown")
     assert v.note == "reflection check hit undecided memberships"
-    v = _kernel_reflects(Undecided(FullCone(shape.carrier), frozenset({(-3, 0)})), shape, b)
+    v = kernel_reflects(Undecided(FullCone(shape.carrier), frozenset({(-3, 0)})), shape, b)
     assert_state(v, "no")
     assert (v.witness, v.note) == ((-2, 0), "fibre order not reflected")
 

@@ -54,7 +54,7 @@ from ordsplit.points import (
     ssfl_check,
     stably_strong_over,
 )
-from ordsplit.verdict import DEFAULT_BUDGET, SaturationBudget, Window, vand
+from ordsplit.verdict import DEFAULT_BUDGET, SaturationBudget, Window, for_all_members, vand, yes
 
 from helpers import (
     SMALL_BUDGET,
@@ -62,6 +62,7 @@ from helpers import (
     assert_state,
     classify_point,
     compose,
+    definitional_compatible,
     point_product,
     random_finite_extension,
 )
@@ -142,8 +143,8 @@ def test_routes_never_contradict_on_random_finite_extensions():
         if compatible_exists(shape, SMALL_BUDGET).is_yes:
             candidates.append(minimal_cone(shape, SMALL_BUDGET))
         for P in candidates:
-            interval = is_compatible(P, shape, "interval", SMALL_BUDGET)
-            definitional = is_compatible(P, shape, "definitional", SMALL_BUDGET)
+            interval = is_compatible(P, shape, SMALL_BUDGET)
+            definitional = definitional_compatible(P, shape, SMALL_BUDGET)
             assert not _contradict(interval, definitional), (shape, P)
             compat_states |= {interval.state, definitional.state}
             if not interval.is_yes:
@@ -178,10 +179,8 @@ def test_each_query_computes_only_its_own_route(monkeypatch):
     monotone_calls = _count_calls(monkeypatch, extensions, "is_monotone")
     subset_calls = _count_calls(monkeypatch, extensions, "cone_subset")
     pt = trivial_point("lex")
-    assert_state(is_compatible(pt.cone, pt, "interval", SMALL_BUDGET), "yes")
+    assert_state(is_compatible(pt.cone, pt, SMALL_BUDGET), "yes")
     assert (len(monotone_calls), len(subset_calls)) == (0, 2)
-    assert_state(is_compatible(pt.cone, pt, "definitional", SMALL_BUDGET), "yes")
-    assert (len(monotone_calls), len(subset_calls)) == (3, 2)
 
 
 def test_pullback_along_identity_preserves_membership():
@@ -453,6 +452,38 @@ def test_cones_equal_matches_both_subset_scans():
     assert set(states) == {"yes", "no", "unknown"}
     cone = scaling_point().cone
     assert cones_equal(cone, cone, SMALL_BUDGET) == cone_subset(cone, cone, SMALL_BUDGET)
+
+
+def _reference_subset(P, Q, budget):
+    """cone_subset as a generator shortcut, then a plain for_all_members scan."""
+    v = cones._on_generators_of(P, Q, budget)
+    if v is not None:
+        return v
+    G = P.group
+    return for_all_members(
+        G.window_elements(budget.window),
+        lambda x: P.contains(x, budget),
+        lambda x: Q.contains(x, budget),
+        "element of the first cone only", "subset check hit undecided memberships",
+        yes("exhaustive" if G.is_finite else "window-verified"),
+    )
+
+
+def test_cone_subset_keeps_its_notes_and_asking_order():
+    for P, Q, budget in _equality_cases():
+        one = Counted(P), Counted(Q)
+        ref = Counted(P), Counted(Q)
+        got, want = cone_subset(*one, budget), _reference_subset(*ref, budget)
+        assert (got.state, got.witness, got.note) == (want.state, want.witness, want.note), (P, Q)
+        assert (one[0].asked, one[1].asked) == (ref[0].asked, ref[1].asked), (P, Q)
+
+
+def test_cones_equal_returns_the_lower_generator_no():
+    # N's generator 1 escapes the trivial cone: no scan, and P is never asked.
+    P, Q = Counted(OrthantCone(Z)), Counted(TrivialCone(Z))
+    v = cones_equal(P, Q, SMALL_BUDGET)
+    assert (v.state.value, v.witness, v.note) == ("no", 1, "generator escapes the larger cone")
+    assert (P.asked, Q.asked) == ([], [1])
 
 
 @dataclass(frozen=True)
