@@ -4,7 +4,9 @@ A cone is a submonoid closed under conjugation; it determines the preorder
 x <= y  iff  -x+y is in the cone.  Membership answers are three-valued:
 built-in cones are exact, generated cones search within a budget and certify
 exclusions on abelian carriers by separating functionals, the rays of their
-generators' dual cone, and on Z^k x| Z^n by the fibre lattice.
+generators' dual cone, and on Z^k x| Z^n by the fibre lattice.  The least
+cone over (Z^n, N^n) with a Q^k kernel, or a Z^k kernel ordered by {0}, is
+decided exactly fibre by fibre, with no search.
 
 Membership follows the template of groups, actions and maps: the public
 contains checks the element once, _contains trusts it, and a composite cone
@@ -14,8 +16,9 @@ _contains about the components.
 Generated cones memoize their saturation per budget, the reduced form of the
 conjugator system I - phi_b per base element and budget (the elimination on
 Q^k, the Hermite form on Z^k, so that each fibre element costs one
-substitution), the fibre lattice and that dual cone; the fill is idempotent
-and queries never mutate shared state in a way observable across queries.
+substitution), the fibre test per support of the base part, the fibre
+lattice and that dual cone; the fill is idempotent and queries never mutate
+shared state in a way observable across queries.
 
 The "for all" checks (monotonicity, pointwise comparison, the cone axioms)
 get their "on generators", "window-verified" and "exhaustive" verdicts only
@@ -382,19 +385,23 @@ class ConeGenerators:
 class GeneratedCone(Cone):
     """Additive closure of the conjugation closure of the source set.
 
-    Yes answers come from source membership, solved conjugators, or budgeted
-    breadth-first saturation; No answers need an exact argument (separating
-    functional, the generators' integer span, or the structure shortcuts
-    unlocked by certified_compatible).
+    Yes answers come from source membership, the fibres of a least cone over
+    (Z^n, N^n), solved conjugators, or budgeted breadth-first saturation; No
+    answers need an exact argument (separating functional, the generators'
+    integer span, or the structure shortcuts unlocked by
+    certified_compatible).
 
     Membership tries, in this order: the zero element (a bare yes); on a
     certified semidirect carrier over a componentwise source, the base part
     outside the base cone (no); the source element (yes); there again, at
     b = 0, the kernel part (yes "kernel part positive", or no as the kernel
-    reflects the fibre order); then a solved conjugator (yes), the fibre
-    lattice (no), saturation (yes) and the abelian exclusions (no).  A
-    componentwise source's base and kernel cones are each asked at most once
-    per membership, and an undecided part falls through to the later routes.
+    reflects the fibre order).  On the least cone over (Z^n, N^n) whose
+    kernel is Q^k with P_X an orthant or {0}, or Z^k with P_X = {0}, the
+    fibre test then decides every other element exactly (see _fibrewise).
+    Every other cone goes on to a solved conjugator (yes), the fibre lattice
+    (no), saturation (yes) and the abelian exclusions (no).  A componentwise
+    source's base and kernel cones are each asked at most once per
+    membership, and an undecided part falls through to the later routes.
 
     Whether the source is already closed is not asked here: minimal_cone
     decides it once and returns a closed componentwise cone as it is.  A
@@ -425,6 +432,8 @@ class GeneratedCone(Cone):
         if x == self.group.zero():
             return yes()
         v = self._source_route(x, budget)
+        if v is None and self._fibrewise:
+            return self._fibre_route(x)
         if v is None and self._on_semidirect:
             v = self._semidirect_paths(x, budget)
         if v is not None:
@@ -477,6 +486,89 @@ class GeneratedCone(Cone):
         if vx.is_no and at_zero:
             return no(x, "kernel reflects the fibre order")
         return None
+
+    @cached_property
+    def _fibrewise(self) -> bool:
+        """True when the cone is the least compatible cone over (Z^n, N^n) and
+        its kernel is Q^k with P_X an orthant or {0}, or Z^k with P_X = {0}.
+
+        Then its fibre over b is P_X at b = 0, empty for b outside N^n, and
+        P_X + L_S otherwise, where S = supp(b) and
+        L_S = sum over i in S of Im(I - phi_{e_i}).  The conjugate of (y, b) by
+        (r, c) is (phi_c y + (I - phi_b) r, b), and phi_c(P_X) = P_X because
+        the shape is compatible (conjugating by (0, c) maps the fibre over 0
+        into itself, for c and -c).  As phi_u commutes with I - phi_v and is
+        invertible, phi_u(Im(I - phi_v)) = Im(I - phi_v); with
+        I - phi_{u+v} = (I - phi_u) + phi_u (I - phi_v), Im(I - phi_b) lies in
+        L_supp(b) for b in N^n.  So this set F holds the componentwise cone,
+        and it is closed: (x1, b1) + (x2, b2) = (x1 + phi_b1 x2, b1 + b2) has
+        supp(b1 + b2) = supp(b1) | supp(b2) on N^n, and phi_b1 keeps
+        P_X + L_S2; a conjugate of (x, b) is phi_c x + (I - phi_b) r over b.
+        Conversely the cone holds F: the conjugates ((I - phi_{e_i}) r_i, e_i)
+        add up, over the e_i in S, to every element of L_S over e_S (phi_{e_1}
+        maps Im(I - phi_{e_2}) onto itself), and adding (phi_{-e_S} p, b - e_S)
+        from the componentwise cone gives (l + p, b) for every p in P_X.
+
+        On Q^k, P_X + L_S is the rational cone of P_X's rays and +- the
+        columns of the I - phi_{e_i}, decided by its dual cone; on Z^k with
+        P_X = {0} it is the integer span of those columns, decided by its
+        Hermite form.  A full P_X never gets here: the source route says yes
+        to every (y, b) with b in N^n.
+        """
+        parts = self._product_parts
+        if parts is None or parts[2] is None:
+            return False
+        px, pb, _ = parts
+        G = self.group
+        X, B = G.x_group, G.b_group
+        if not (isinstance(B, FreeAbelian) and isinstance(pb, OrthantCone)):
+            return False
+        rational = isinstance(X, RationalVector) and isinstance(px, (OrthantCone, TrivialCone))
+        integral = isinstance(X, FreeAbelian) and isinstance(px, TrivialCone)
+        return (rational or integral) and all(
+            G.action.matrix_for(e) is not None for e in B.generators()
+        )
+
+    def _fibre_route(self, x) -> Verdict:
+        """Exact membership of an x = (y, b), b in N^n nonzero and y outside
+        P_X, in a _fibrewise cone: y in P_X + L_S, S = supp(b).  The test and
+        the yes that names S are built once per S."""
+        G = self.group
+        xp, bp = x
+        S = tuple(i for i, c in enumerate(G.b_group.coords(bp)) if c)
+        built = self._cache.get(("fibre", S))
+        if built is None:
+            built = self._cache[("fibre", S)] = self._fibre_test(S)
+        test, member, support = built
+        coords = G.x_group.coords(xp)
+        if isinstance(test, Hermite):
+            if integer_solve(test, coords) is None:
+                return no(x, f"fibre residue obstruction: fibre outside L_S, S = {support}")
+            return member
+        functional = feasible_strict(test, [coords])
+        if functional is not None:
+            return no(x, f"separating functional {format_element(functional)} "
+                         f"of P_X + L_S, S = {support}")
+        return member
+
+    def _fibre_test(self, S: tuple) -> tuple:
+        """(the Hermite form or the dual cone of P_X + L_S, its yes, S named)."""
+        G = self.group
+        X = G.x_group
+        gens = G.b_group.generators()
+        cols = [
+            col
+            for i in S
+            for col in zip(*mat_sub(identity_matrix(X.rank), G.action.matrix_for(gens[i])))
+        ]
+        support = "{" + ", ".join(f"e{i + 1}" for i in S) + "}"
+        if isinstance(X, FreeAbelian):
+            test = hermite(list(zip(*cols)), len(cols))
+        else:
+            orthant = isinstance(self._product_parts[0], OrthantCone)
+            rays = list(identity_matrix(X.rank)) if orthant else []
+            test = dual_cone(rays + cols + [tuple(-c for c in col) for col in cols], X.rank)
+        return test, yes(f"fibre in P_X + L_S, S = {support}"), support
 
     def _semidirect_paths(self, x, budget) -> Verdict | None:
         G = self.group

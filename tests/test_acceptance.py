@@ -256,7 +256,7 @@ def test_acceptance_5_pullback_instability():
 
 
 def test_acceptance_6_scaling_point_stably_strong():
-    """Every pullback along n -> c n stays strong, via solved conjugators."""
+    """Every pullback along n -> c n stays strong; a conjugator certifies each fibre element."""
     pt = scaling_point()
     failures = []
     for c in range(-4, 5):

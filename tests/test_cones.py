@@ -59,6 +59,7 @@ from helpers import (
 Z = FreeAbelian(1)
 Q = RationalVector(1)
 Z2V = FreeAbelian(2)
+Q2V = RationalVector(2)
 ZN = PreorderedGroup(Z, OrthantCone(Z))
 ZF = PreorderedGroup(Z, FullCone(Z))
 Z0 = PreorderedGroup(Z, TrivialCone(Z))
@@ -133,7 +134,8 @@ def test_generated_cone_s3_transposition_is_everything():
 
 
 def test_generated_cone_sign_carrier_conjugates():
-    # Conjugating (0,1) by (y,0) reaches (2y,1): membership of (2,1) is a Yes.
+    # Conjugating (0,1) by (y,0) reaches (2y,1): membership of (2,1) is a Yes,
+    # and the fibre over 1 is exactly 2Z, so (1,1) is an exact No.
     sd = Semidirect(Z, Z, SignAction(Z, Z))
     cone = GeneratedCone(
         sd,
@@ -141,8 +143,7 @@ def test_generated_cone_sign_carrier_conjugates():
         certified_compatible=True,
     )
     assert_state(cone.contains((2, 1), SMALL_BUDGET), "yes")
-    v = cone.contains((1, 1), SMALL_BUDGET)
-    assert v.is_unknown or v.is_no
+    assert_state(cone.contains((1, 1), SMALL_BUDGET), "no")
 
 
 def test_generated_cone_explicit_sign_generator():
@@ -553,7 +554,7 @@ LEAST_CONE_ROUTES = {
         ((Fraction(1, 2), 0), "yes", "source element", ()),
         ((Fraction(3), 2), "yes", "source element", ()),
         ((Fraction(0), 3), "yes", "source element", ()),
-        ((Fraction(-5, 3), 1), "yes", "conjugator 5/3", ()),
+        ((Fraction(-5, 3), 1), "yes", "fibre in P_X + L_S, S = {e1}", ()),
     ],
     "sign": [
         ((0, 0), "yes", "", ()),
@@ -561,10 +562,10 @@ LEAST_CONE_ROUTES = {
         ((-1, 0), "no", "kernel reflects the fibre order", ()),
         ((2, 0), "no", "kernel reflects the fibre order", ()),
         ((0, 2), "yes", "source element", ()),
-        ((2, 1), "yes", "conjugator 1", ()),
-        ((-2, 1), "yes", "conjugator -1", ()),
-        ((3, 1), "no", "fibre residue obstruction: fibre outside the lattice of I - phi_e", ()),
-        ((-4, 2), "yes", "saturation", _SATURATED),
+        ((2, 1), "yes", "fibre in P_X + L_S, S = {e1}", ()),
+        ((-2, 1), "yes", "fibre in P_X + L_S, S = {e1}", ()),
+        ((3, 1), "no", "fibre residue obstruction: fibre outside L_S, S = {e1}", ()),
+        ((-4, 2), "yes", "fibre in P_X + L_S, S = {e1}", ()),
     ],
 }
 
@@ -572,7 +573,7 @@ LEAST_CONE_ROUTES = {
 @pytest.mark.parametrize("name", sorted(LEAST_CONE_ROUTES))
 def test_least_cone_membership_routes(name):
     # Zero, base part outside, source element, the kernel at b = 0, then
-    # the conjugator, the fibre lattice and saturation, in that order.
+    # the fibre P_X + L_S over b >= 1, in that order.
     cone = {"scaling": _scaling_least_cone, "sign": _sign_least_cone}[name]()
     assert isinstance(cone, GeneratedCone) and cone.certified_compatible
     for el, state, note, used in LEAST_CONE_ROUTES[name]:
@@ -608,9 +609,8 @@ def test_undecided_base_part_falls_through_as_before():
 
 @pytest.mark.parametrize("build", [_scaling_least_cone, _sign_least_cone], ids=["scaling", "sign"])
 def test_certified_membership_asks_each_component_cone_at_most_once(build, monkeypatch):
-    # The conjugator system and saturation ask the component cones once per
-    # cone, base element and budget; a first pass over the window fills
-    # those, and the second counts what each membership asks by itself.
+    # The per-cone caches (the fibre tests here) are filled by a first pass
+    # over the window; the second counts what each membership asks by itself.
     cone = build()
     kernel, base = cone.source.cone.x_cone, cone.source.cone.b_cone
     calls = Counter()
@@ -634,6 +634,87 @@ def test_certified_membership_asks_each_component_cone_at_most_once(build, monke
         calls.clear()
         cone.contains(el, SMALL_BUDGET)
         assert calls[True] <= 1 and calls[False] <= 1, (el, calls)
+
+
+SWAP, SHEAR = ((0, 1), (1, 0)), ((1, 1), (0, 1))
+
+
+def _fibre_shapes():
+    """(name, shape, window, conjugator box): compatible shapes over (Z^n, N^n)
+    whose least cone the fibre route decides; the box holds the r of the
+    brute-force decompositions below."""
+    QT = PreorderedGroup(Q, TrivialCone(Q))
+    Q2P, Q2T = PreorderedGroup(Q2V, OrthantCone(Q2V)), PreorderedGroup(Q2V, TrivialCone(Q2V))
+    Z2T = PreorderedGroup(Z2V, TrivialCone(Z2V))
+    Z2N = PreorderedGroup(Z2V, OrthantCone(Z2V))
+    wide, narrow, rational_box = Window(3, 6, 3), Window(2, 2, 2), Window(6, 12, 6)
+    by_2_and_3 = MatrixAction(Z2V, Q, (((2,),), ((3,),)))
+    by_2_and_1 = MatrixAction(Z2V, Q, (((2,),), ((1,),)))
+    return [
+        ("Q-scaling-2", ExtensionShape(QP, ZN, ScalingAction(Z, Q, Fraction(2))), wide, rational_box),
+        ("Q-scaling-1_3", ExtensionShape(QP, ZN, ScalingAction(Z, Q, Fraction(1, 3))), wide, rational_box),
+        ("Q-trivial-scaling-2", ExtensionShape(QT, ZN, ScalingAction(Z, Q, Fraction(2))), wide, rational_box),
+        ("Q-trivial-sign", ExtensionShape(QT, ZN, MatrixAction(Z, Q, (((-1,),),))), wide, rational_box),
+        ("Q2-swap", ExtensionShape(Q2P, ZN, MatrixAction(Z, Q2V, (SWAP,))), narrow, narrow),
+        ("Q2-trivial-shear", ExtensionShape(Q2T, ZN, MatrixAction(Z, Q2V, (SHEAR,))), narrow, narrow),
+        ("Q-over-Z2-by-2-and-3", ExtensionShape(QP, Z2N, by_2_and_3), narrow, narrow),
+        ("Z-trivial-sign", ExtensionShape(Z0, ZN, SignAction(Z, Z)), wide, narrow),
+        ("Z2-trivial-swap", ExtensionShape(Z2T, ZN, MatrixAction(Z, Z2V, (SWAP,))), narrow, narrow),
+        ("Z2-trivial-shear", ExtensionShape(Z2T, ZN, MatrixAction(Z, Z2V, (SHEAR,))), narrow, narrow),
+        # L_S is Q when S holds e1 and 0 on S = {e2}.
+        ("Q-trivial-over-Z2-by-2-and-1", ExtensionShape(QT, Z2N, by_2_and_1), narrow, narrow),
+    ]
+
+
+def _sum_of_conjugates(shape, x, conjugates):
+    """Is x = (p, 0) + sum over i in S of conj_(r_i, 0)(0, e_i) + (0, b - e_S)
+    for some p in P_X and r_i in the box, S = supp(b)?  conjugates[i] lists
+    conj_(r, 0)(0, e_i) over the box.  Group arithmetic only: each summand is
+    a conjugate of an element of the componentwise cone."""
+    G, X, B = shape.carrier, shape.x.group, shape.b.group
+    coords = B.coords(x[1])
+    S = [i for i, c in enumerate(coords) if c]
+    rest = (X.zero(), B.from_coords([c - (c > 0) for c in coords]))
+    for summands in itertools.product(*(conjugates[i] for i in S)):
+        total = rest
+        for c in reversed(summands):
+            total = G.add(c, total)
+        p, base = G.add(x, G.neg(total))
+        assert base == B.zero()
+        if shape.x.cone.contains(p).is_yes:
+            return True
+    return False
+
+
+@pytest.mark.parametrize(
+    "name, shape, window, box", _fibre_shapes(), ids=[s[0] for s in _fibre_shapes()]
+)
+def test_fibre_route_matches_sums_of_conjugates_and_the_old_routes(name, shape, window, box):
+    # The least cone over (Z^n, N^n) decides every window element through
+    # the source, the structural shortcuts and the fibre test.  A fibre yes
+    # is a brute-force sum of conjugates, a fibre no has none in the box, and
+    # the same cone without the certificate (so on the old routes, at a small
+    # budget) never contradicts either.
+    budget = SaturationBudget(1, 2, window)
+    cone = minimal_cone(shape, budget)
+    assert isinstance(cone, GeneratedCone) and cone._fibrewise
+    old = GeneratedCone(cone.group, cone.source)
+    assert not old._fibrewise
+    G, X, B = shape.carrier, shape.x.group, shape.b.group
+    conjugates = [
+        [G.conjugate((r, B.zero()), (X.zero(), e)) for r in X.window_elements(box)]
+        for e in B.generators()
+    ]
+    fibre_yes = 0
+    for x in G.window_elements(window):
+        v = cone.contains(x, budget)
+        assert not v.is_unknown, (name, x, v)
+        if "L_S" in v.note:
+            fibre_yes += v.is_yes
+            assert _sum_of_conjugates(shape, x, conjugates) == v.is_yes, (name, x, v)
+        w = old.contains(x, budget)
+        assert w.is_unknown or w.state == v.state, (name, x, v, w)
+    assert fibre_yes, name
 
 
 @settings(max_examples=40, deadline=None)

@@ -7,8 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from ordsplit import cones, extensions, points
-from ordsplit.actions import ScalingAction, SignAction, TrivialAction
+from ordsplit import cones, extensions, linalg, points
+from ordsplit.actions import MatrixAction, ScalingAction, SignAction, TrivialAction
 from ordsplit.cones import (
     Cone,
     ConeGenerators,
@@ -40,7 +40,6 @@ from ordsplit.homs import (
     TableHom,
     check_homomorphism,
 )
-from ordsplit.linalg import Elimination
 from ordsplit.points import (
     PointMorphism,
     check_point_morphism,
@@ -84,6 +83,14 @@ def sign_point():
 
 def scaling_point():
     return point(ExtensionShape(QP, ZN, ScalingAction(Z, Q, Fraction(2))), "minimal")
+
+
+def swap_point():
+    """Z^2 under the swap, with N^2: a least cone the fibre route leaves to
+    the conjugator and saturation, as its kernel cone is neither {0} nor on Q^k."""
+    Z2 = FreeAbelian(2)
+    swap = MatrixAction(Z, Z2, (((0, 1), (1, 0)),))
+    return point(ExtensionShape(PreorderedGroup(Z2, OrthantCone(Z2)), ZN, swap), "minimal")
 
 
 def test_hom_leq_examples():
@@ -433,6 +440,10 @@ def _equality_cases():
             for first, second in itertools.permutations(candidates, 2):
                 if first != second:
                     yield first, second, budget
+    # The swap point's least cone leaves memberships unknown at the tiny budget.
+    pt = swap_point()
+    for first, second in itertools.permutations([pt.cone, product_cone(pt), lex_cone(pt)], 2):
+        yield first, second, TINY_BUDGET
     # Two half-axes: neither holds the other, so both inclusions fail.
     carrier = scaling_point().carrier
     axes = [
@@ -527,16 +538,17 @@ def test_cones_equal_asks_no_more_than_the_two_scans():
 
 
 def test_conjugator_system_is_built_once_per_base_element(monkeypatch):
-    # Per base element and budget: along(c), the source membership of (0, b)
-    # and the elimination of I - phi_b.  Per fibre element: one solve against
-    # that elimination and one conjugation that verifies its solution.  A
-    # membership test of the element (0, b) itself comes from _contains and
-    # is not the conjugator's.
-    budget = SaturationBudget(2, 6, Window(3, 6, 3))
+    # On the swap point's pullback, whose memberships still take the
+    # conjugator route: per base element and budget, along(c), the source
+    # membership of (0, b) and the Hermite form of I - phi_b.  Per fibre
+    # element: one integer solve against that form, and one conjugation
+    # verifying each solution found.  A membership test of the element (0, b)
+    # itself comes from _contains and is not the conjugator's.
+    budget = SaturationBudget(1, 2, Window(1, 2, 1))
     g = LinearHom.scalar(Z, Z, Fraction(3))
-    pb = pullback(scaling_point(), g, ZN, budget)
+    pb = pullback(swap_point(), g, ZN, budget)
     images, members, systems = Counter(), Counter(), Counter()
-    solves, checks, routes = [], [], Counter()
+    solutions, checks, routes = [], [], Counter()
 
     def caller():
         return sys._getframe(2)
@@ -555,21 +567,22 @@ def test_conjugator_system_is_built_once_per_base_element(monkeypatch):
             members[(id(self), x, budget)] += 1
         return member(self, x, budget)
 
-    eliminate = cones.eliminate
+    hermite = cones.hermite
 
-    def counting_eliminate(a):
+    def counting_hermite(a, n):
         frame = sys._getframe(1)
-        assert frame.f_code.co_name == "_conjugator_system"
-        local = frame.f_locals
-        systems[(id(local["self"]), local["bp"], local["budget"])] += 1
-        return eliminate(a)
+        if frame.f_code.co_name == "_conjugator_system":
+            local = frame.f_locals
+            systems[(id(local["self"]), local["bp"], local["budget"])] += 1
+        return hermite(a, n)
 
-    solve = cones.solve
+    integer_solve = cones.integer_solve
 
-    def counting_solve(system, target):
-        assert isinstance(system, Elimination)
-        solves.append(target)
-        return solve(system, target)
+    def counting_integer_solve(system, target):
+        r = integer_solve(system, target)
+        if sys._getframe(1).f_code.co_name == "_solve_conjugator" and r is not None:
+            solutions.append(target)
+        return r
 
     conjugate = Semidirect._conjugate
 
@@ -587,17 +600,50 @@ def test_conjugator_system_is_built_once_per_base_element(monkeypatch):
 
     monkeypatch.setattr(LinearHom, "apply", counting_apply)
     monkeypatch.setattr(ConeGenerators, "member", counting_member)
-    monkeypatch.setattr(cones, "eliminate", counting_eliminate)
-    monkeypatch.setattr(cones, "solve", counting_solve)
+    monkeypatch.setattr(cones, "hermite", counting_hermite)
+    monkeypatch.setattr(cones, "integer_solve", counting_integer_solve)
     monkeypatch.setattr(Semidirect, "_conjugate", counting_conjugate)
     monkeypatch.setattr(GeneratedCone, "_contains", counting_contains)
-    assert_state(is_strong(pb, budget), "yes")
+    assert not is_strong(pb, budget).is_no
     assert images and max(images.values()) == 1
     assert members and max(members.values()) == 1
-    assert all(x[0] == 0 for _, x, _ in members)
+    assert all(x[0] == (0, 0) for _, x, _ in members)
     assert systems and max(systems.values()) == 1
     assert routes[True] > len(systems)
-    assert len(solves) == len(checks) == routes[True]
+    assert len(solutions) == len(checks) == routes[True]
+
+
+def test_scaling_pullback_is_strong_without_solves_or_conjugations(monkeypatch):
+    # Over (Z, N) with Q kernels, every membership is decided by the source,
+    # the structural shortcuts or one fibre test per support and cone:
+    # no conjugator solve and no conjugation at all.
+    budget = SaturationBudget(2, 6, Window(3, 6, 3))
+    pb = pullback(scaling_point(), LinearHom.scalar(Z, Z, Fraction(3)), ZN, budget)
+    calls, fibres = Counter(), Counter()
+
+    def counting(name, inner):
+        def wrapped(*args):
+            calls[name] += 1
+            return inner(*args)
+
+        return wrapped
+
+    fibre_test = GeneratedCone._fibre_test
+
+    def counting_fibre_test(self, S):
+        fibres[(id(self), S)] += 1
+        return fibre_test(self, S)
+
+    monkeypatch.setattr(linalg, "solve", counting("solve", linalg.solve))
+    monkeypatch.setattr(cones, "solve", counting("solve", cones.solve))
+    monkeypatch.setattr(Semidirect, "_conjugate", counting("conjugate", Semidirect._conjugate))
+    monkeypatch.setattr(GeneratedCone, "_fibre_test", counting_fibre_test)
+    assert_state(is_strong(pb, budget), "yes")
+    assert calls == Counter()
+    # Two cones ask the fibre test: the pullback's least cone and the
+    # scaling point's own cone read through the pullback.
+    assert len({key[0] for key in fibres}) == 2
+    assert set(fibres.values()) == {1}
 
 
 def test_pullback_cone_reads_along_from_the_action_memo(monkeypatch):
