@@ -198,6 +198,9 @@ class MatrixAction(Action):
     acting: Group
     acted: Group
     images: tuple[Matrix, ...]
+    # The matrix of b per b, filled only after b passed acting.check, as
+    # ScalingAction._powers is: each costs a mat_pow per generator.
+    _matrices: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not isinstance(self.acting, FreeAbelian):
@@ -224,15 +227,22 @@ class MatrixAction(Action):
             if mat_mul(m1, m2) != mat_mul(m2, m1):
                 raise StructureError("generator matrices must commute")
 
-    def matrix_for(self, b):
-        out = None
-        for m, c in zip(self.images, self.acting.coords(b)):
-            p = mat_pow(m, c)
-            out = p if out is None else mat_mul(out, p)
+    def _matrix(self, b):
+        """The matrix of b, for a b that already passed acting.check."""
+        out = self._matrices.get(b)
+        if out is None:
+            for m, c in zip(self.images, self.acting.coords(b)):
+                p = mat_pow(m, c)
+                out = p if out is None else mat_mul(out, p)
+            self._matrices[b] = out
         return out
 
+    def matrix_for(self, b):
+        self.acting.check(b)
+        return self._matrix(b)
+
     def _apply(self, b, x):
-        return self.acted.from_coords(mat_vec(self.matrix_for(b), self.acted.coords(x)))
+        return self.acted.from_coords(mat_vec(self._matrix(b), self.acted.coords(x)))
 
     def is_identity_for(self, b):
         return self.matrix_for(b) == scalar_matrix(1, self.acted.rank)

@@ -6,12 +6,15 @@ built-in cones are exact, generated cones search within a budget and certify
 exclusions on abelian carriers by separating functionals, the rays of their
 generators' dual cone, and on Z^k x| Z^n by the fibre lattice.  The least
 cone over (Z^n, N^n) with a Q^k kernel, or a Z^k kernel ordered by {0}, is
-decided exactly fibre by fibre, with no search.
+decided exactly fibre by fibre, with no search, by one coordinate route:
+b outside N^n (no), x = 0 (yes), y in P_X (yes), b = 0 (no), then the fibre
+test of y over supp(b).
 
 Membership follows the template of groups, actions and maps: the public
 contains checks the element once, _contains trusts it, and a composite cone
 (product, point product, lex, generated, pullback, family) asks its parts'
-_contains about the components.
+_contains about the components.  The coordinate route is the exception: it
+reads the orthant or {0} of each part off the coordinates itself.
 
 Generated cones memoize their saturation per budget, the reduced form of the
 conjugator system I - phi_b per base element and budget (the elimination on
@@ -32,6 +35,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -381,6 +385,12 @@ class ConeGenerators:
         return self.cone._contains(x, budget)
 
 
+# The yes of a source element on the coordinate route, built once: a frozen
+# Verdict is safe to share.
+_SOURCE_YES = yes("source element")
+_NUMERATOR = operator.attrgetter("numerator")
+
+
 @dataclass(frozen=True)
 class GeneratedCone(Cone):
     """Additive closure of the conjugation closure of the source set.
@@ -391,17 +401,22 @@ class GeneratedCone(Cone):
     integer span, or the structure shortcuts unlocked by
     certified_compatible).
 
-    Membership tries, in this order: the zero element (a bare yes); on a
-    certified semidirect carrier over a componentwise source, the base part
+    The least cone over (Z^n, N^n) whose kernel is Q^k with P_X an orthant
+    or {0}, or Z^k with P_X = {0} (see _fibrewise), takes one coordinate
+    route: it reads the coordinates of x = (y, b) once and answers, in this
+    order, b outside N^n (no), y = 0 at b = 0 (a bare yes), y in P_X (yes
+    "source element"), b = 0 (no, as the kernel reflects the fibre order),
+    and otherwise the fibre test of y over supp(b), exact either way.  It
+    asks neither component cone.
+
+    Every other cone tries, in this order: the zero element (a bare yes); on
+    a certified semidirect carrier over a componentwise source, the base part
     outside the base cone (no); the source element (yes); there again, at
     b = 0, the kernel part (yes "kernel part positive", or no as the kernel
-    reflects the fibre order).  On the least cone over (Z^n, N^n) whose
-    kernel is Q^k with P_X an orthant or {0}, or Z^k with P_X = {0}, the
-    fibre test then decides every other element exactly (see _fibrewise).
-    Every other cone goes on to a solved conjugator (yes), the fibre lattice
-    (no), saturation (yes) and the abelian exclusions (no).  A componentwise
-    source's base and kernel cones are each asked at most once per
-    membership, and an undecided part falls through to the later routes.
+    reflects the fibre order); then a solved conjugator (yes), the fibre
+    lattice (no), saturation (yes) and the abelian exclusions (no).  A
+    componentwise source's base and kernel cones are each asked at most once
+    per membership, and an undecided part falls through to the later routes.
 
     Whether the source is already closed is not asked here: minimal_cone
     decides it once and returns a closed componentwise cone as it is.  A
@@ -429,11 +444,11 @@ class GeneratedCone(Cone):
     contains = Cone.contains
 
     def _contains(self, x, budget):
+        if self._fibrewise:
+            return self._coordinate_route(x)
         if x == self.group.zero():
             return yes()
         v = self._source_route(x, budget)
-        if v is None and self._fibrewise:
-            return self._fibre_route(x)
         if v is None and self._on_semidirect:
             v = self._semidirect_paths(x, budget)
         if v is not None:
@@ -512,8 +527,8 @@ class GeneratedCone(Cone):
         On Q^k, P_X + L_S is the rational cone of P_X's rays and +- the
         columns of the I - phi_{e_i}, decided by its dual cone; on Z^k with
         P_X = {0} it is the integer span of those columns, decided by its
-        Hermite form.  A full P_X never gets here: the source route says yes
-        to every (y, b) with b in N^n.
+        Hermite form.  A full P_X is left to _source_route, which says yes to
+        every (y, b) with b in N^n.
         """
         parts = self._product_parts
         if parts is None or parts[2] is None:
@@ -529,23 +544,47 @@ class GeneratedCone(Cone):
             G.action.matrix_for(e) is not None for e in B.generators()
         )
 
-    def _fibre_route(self, x) -> Verdict:
-        """Exact membership of an x = (y, b), b in N^n nonzero and y outside
-        P_X, in a _fibrewise cone: y in P_X + L_S, S = supp(b).  The test and
-        the yes that names S are built once per S."""
+    @cached_property
+    def _kernel_orthant(self) -> bool:
+        """On a _fibrewise cone, True when P_X is the orthant (else it is {0})."""
+        return isinstance(self._product_parts[0], OrthantCone)
+
+    def _coordinate_route(self, x) -> Verdict:
+        """Membership of x = (y, b) in a _fibrewise cone, from the coordinates
+        of b and y read once and asking no component cone.  It answers as the
+        zero test, _source_route and _fibre_route do in turn: b outside N^n,
+        then x = 0, y in P_X, b = 0, and the fibre test."""
         G = self.group
         xp, bp = x
-        S = tuple(i for i, c in enumerate(G.b_group.coords(bp)) if c)
+        bc = G.b_group.coords(bp)
+        if min(bc) < 0:
+            return no(x, "base part outside the base cone")
+        yc = G.x_group.coords(xp)
+        base_zero = not any(bc)
+        if not any(yc):
+            return yes() if base_zero else _SOURCE_YES
+        # A Fraction's sign is its numerator's, as in OrthantCone.
+        if self._kernel_orthant and min(map(_NUMERATOR, yc)) >= 0:
+            return _SOURCE_YES
+        if base_zero:
+            return no(x, "kernel reflects the fibre order")
+        return self._fibre_route(x, bc, yc)
+
+    def _fibre_route(self, x, bc, yc) -> Verdict:
+        """Exact membership of an x = (y, b), b in N^n nonzero and y outside
+        P_X, in a _fibrewise cone, from b's coordinates bc and y's yc: y in
+        P_X + L_S, S = supp(b).  The test and the yes that names S are built
+        once per S."""
+        S = tuple(i for i, c in enumerate(bc) if c)
         built = self._cache.get(("fibre", S))
         if built is None:
             built = self._cache[("fibre", S)] = self._fibre_test(S)
         test, member, support = built
-        coords = G.x_group.coords(xp)
         if isinstance(test, Hermite):
-            if integer_solve(test, coords) is None:
+            if integer_solve(test, yc) is None:
                 return no(x, f"fibre residue obstruction: fibre outside L_S, S = {support}")
             return member
-        functional = feasible_strict(test, [coords])
+        functional = feasible_strict(test, [yc])
         if functional is not None:
             return no(x, f"separating functional {format_element(functional)} "
                          f"of P_X + L_S, S = {support}")
@@ -565,8 +604,7 @@ class GeneratedCone(Cone):
         if isinstance(X, FreeAbelian):
             test = hermite(list(zip(*cols)), len(cols))
         else:
-            orthant = isinstance(self._product_parts[0], OrthantCone)
-            rays = list(identity_matrix(X.rank)) if orthant else []
+            rays = list(identity_matrix(X.rank)) if self._kernel_orthant else []
             test = dual_cone(rays + cols + [tuple(-c for c in col) for col in cols], X.rank)
         return test, yes(f"fibre in P_X + L_S, S = {support}"), support
 

@@ -124,6 +124,9 @@ class PullbackCone(Cone):
         if vb.is_no:
             return no(el, "base part not positive")
         vu = self.upstairs._contains((x, self.group.action._image(c)), budget)
+        if vb.is_yes:
+            # vand(yes, vu), without its loop: the bare yes, or vu as it is.
+            return yes() if vu.is_yes else vu
         return vand(vb, vu)
 
     def __str__(self):

@@ -3,7 +3,9 @@
 The brute-force oracles here use only raw group arithmetic (add/neg/conjugate)
 so they stay independent of the cone machinery they are used to check.
 definitional_compatible is the paper's other compatibility route, built from
-the library's monotonicity checks, for comparison with is_compatible.
+the library's monotonicity checks, for comparison with is_compatible, and
+reference_least_cone_route is the route composition whose verdicts the least
+cone's coordinate route must repeat exactly.
 """
 
 from __future__ import annotations
@@ -243,6 +245,22 @@ def cone_to_family(
         )
         fibers.append((b, fib))
     return FamilyCone(shape, ExplicitFibers(tuple(sorted(fibers, key=repr))))
+
+
+# --- reference routes -----------------------------------------------------------
+
+
+def reference_least_cone_route(cone, x, budget: SaturationBudget) -> Verdict:
+    """Membership of x in a _fibrewise GeneratedCone by the composition its
+    coordinate route stands for: the zero test, then _source_route (which
+    asks the component cones), then the fibre test."""
+    if x == cone.group.zero():
+        return yes()
+    v = cone._source_route(x, budget)
+    if v is not None:
+        return v
+    y, b = x
+    return cone._fibre_route(x, cone.group.b_group.coords(b), cone.group.x_group.coords(y))
 
 
 # --- independent oracles --------------------------------------------------------

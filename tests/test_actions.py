@@ -1,7 +1,8 @@
 """Memoised action data: a warm cache answers like a cold one and checks first.
 
-ScalingAction keeps q**b per b, PrecomposedAction keeps along(c) per c, and
-FiniteTableAction and TableHom build their tables once.  Fraction(2) == 2 and both hash
+ScalingAction keeps q**b per b, MatrixAction the matrix of b per b,
+PrecomposedAction keeps along(c) per c, and FiniteTableAction and TableHom
+build their tables once.  Fraction(2) == 2 and both hash
 alike, so each operand must pass Group.check before any lookup.
 """
 
@@ -11,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ordsplit.actions import FiniteTableAction, PrecomposedAction, ScalingAction
+from ordsplit import actions
+from ordsplit.actions import FiniteTableAction, MatrixAction, PrecomposedAction, ScalingAction
 from ordsplit.catalog import catalog_dict
 from ordsplit.document import parse_document
 from ordsplit.groups import CyclicGroup, FreeAbelian, RationalVector, ShapeError
@@ -40,6 +42,25 @@ def test_scaling_cache_hit_still_checks_the_acting_element():
         act.apply(True, x)
     with pytest.raises(ShapeError):
         act.apply(2, 3)  # an int is not an element of Q
+
+
+def test_matrix_action_builds_each_matrix_once_and_checks_first(monkeypatch):
+    Z2 = FreeAbelian(2)
+    flips = MatrixAction(Z2, Z2, (((-1, 0), (0, 1)), ((1, 0), (0, -1))))
+    powers = []
+    mat_pow = actions.mat_pow
+    monkeypatch.setattr(actions, "mat_pow", lambda m, n: powers.append(n) or mat_pow(m, n))
+    for _ in range(3):
+        assert flips.apply((1, 2), (3, 4)) == (-3, 4)
+        assert flips.apply((-1, 1), (3, 4)) == (-3, -4)
+    assert powers == [1, 2, -1, 1]
+    assert flips.matrix_for((1, 2)) == ((-1, 0), (0, 1))
+    assert not flips.is_identity_for((1, 2)) and flips.is_identity_for((2, -2))
+    for b in ((Fraction(1), 2), (True, 2), 1):
+        with pytest.raises(ShapeError):
+            flips.apply(b, (3, 4))
+        with pytest.raises(ShapeError):
+            flips.matrix_for(b)
 
 
 def test_precomposed_cache_hit_still_checks_the_acting_element():

@@ -52,6 +52,7 @@ from helpers import (
     count_window_items,
     oracle_cone_closure,
     random_finite_extension,
+    reference_least_cone_route,
     strictly_positive,
     symmetric_cayley,
 )
@@ -540,6 +541,17 @@ def _sign_least_cone():
     return minimal_cone(ExtensionShape(Z0, ZN, SignAction(Z, Z)), SMALL_BUDGET)
 
 
+# Saturation on Z^2 x| Z is slow at SMALL_BUDGET; this keeps it to 27 elements.
+_TINY_BUDGET = SaturationBudget(1, 2, Window(1, 2, 1))
+
+
+def _swap_least_cone():
+    # Z^2 under the swap with N^2: a kernel cone neither {0} nor on Q^k, so
+    # not _fibrewise; its memberships take _source_route and the later routes.
+    Z2N = PreorderedGroup(Z2V, OrthantCone(Z2V))
+    return minimal_cone(ExtensionShape(Z2N, ZN, MatrixAction(Z, Z2V, (SWAP,))), _TINY_BUDGET)
+
+
 _SATURATED = (("conjugators", 2), ("summands", 5), ("window", (3, 6, 3)))
 
 # (element, state, note, budget_used) on the least cones of the scaling point
@@ -607,11 +619,23 @@ def test_undecided_base_part_falls_through_as_before():
         assert (v.state.value, v.note, v.budget_used) == (state, note, used), el
 
 
-@pytest.mark.parametrize("build", [_scaling_least_cone, _sign_least_cone], ids=["scaling", "sign"])
-def test_certified_membership_asks_each_component_cone_at_most_once(build, monkeypatch):
-    # The per-cone caches (the fibre tests here) are filled by a first pass
-    # over the window; the second counts what each membership asks by itself.
+@pytest.mark.parametrize(
+    "build, budget, most",
+    [
+        (_scaling_least_cone, SMALL_BUDGET, 0),
+        (_sign_least_cone, SMALL_BUDGET, 0),
+        (_swap_least_cone, _TINY_BUDGET, 1),
+    ],
+    ids=["scaling", "sign", "swap"],
+)
+def test_certified_membership_asks_each_component_cone_at_most_once(build, budget, most, monkeypatch):
+    # The per-cone caches (the fibre tests, conjugator systems and the
+    # saturation) are filled by a first pass over the window; the second
+    # counts what each membership asks by itself.  A _fibrewise cone reads
+    # coordinates and asks neither component cone; any other certified cone
+    # asks each at most once.
     cone = build()
+    assert cone.certified_compatible and cone._fibrewise == (most == 0)
     kernel, base = cone.source.cone.x_cone, cone.source.cone.b_cone
     calls = Counter()
 
@@ -627,13 +651,13 @@ def test_certified_membership_asks_each_component_cone_at_most_once(build, monke
 
     for cls in {type(kernel), type(base)}:
         monkeypatch.setattr(cls, "_contains", counting(cls))
-    els = cone.group.window_elements(SMALL_BUDGET.window)
+    els = cone.group.window_elements(budget.window)
     for el in els:
-        cone.contains(el, SMALL_BUDGET)
+        cone.contains(el, budget)
     for el in els:
         calls.clear()
-        cone.contains(el, SMALL_BUDGET)
-        assert calls[True] <= 1 and calls[False] <= 1, (el, calls)
+        cone.contains(el, budget)
+        assert calls[True] <= most and calls[False] <= most, (el, calls)
 
 
 SWAP, SHEAR = ((0, 1), (1, 0)), ((1, 1), (0, 1))
@@ -650,6 +674,7 @@ def _fibre_shapes():
     wide, narrow, rational_box = Window(3, 6, 3), Window(2, 2, 2), Window(6, 12, 6)
     by_2_and_3 = MatrixAction(Z2V, Q, (((2,),), ((3,),)))
     by_2_and_1 = MatrixAction(Z2V, Q, (((2,),), ((1,),)))
+    flips = MatrixAction(Z2V, Z2V, (((-1, 0), (0, 1)), ((1, 0), (0, -1))))
     return [
         ("Q-scaling-2", ExtensionShape(QP, ZN, ScalingAction(Z, Q, Fraction(2))), wide, rational_box),
         ("Q-scaling-1_3", ExtensionShape(QP, ZN, ScalingAction(Z, Q, Fraction(1, 3))), wide, rational_box),
@@ -661,6 +686,9 @@ def _fibre_shapes():
         ("Z-trivial-sign", ExtensionShape(Z0, ZN, SignAction(Z, Z)), wide, narrow),
         ("Z2-trivial-swap", ExtensionShape(Z2T, ZN, MatrixAction(Z, Z2V, (SWAP,))), narrow, narrow),
         ("Z2-trivial-shear", ExtensionShape(Z2T, ZN, MatrixAction(Z, Z2V, (SHEAR,))), narrow, narrow),
+        # Two commuting sign flips: L_S is 2Z on the flipped coordinates of S,
+        # so r in {-1, 0, 1} reaches every fibre of the window.
+        ("Z2-trivial-over-Z2-by-sign-flips", ExtensionShape(Z2T, Z2N, flips), narrow, Window(1, 1, 1)),
         # L_S is Q when S holds e1 and 0 on S = {e2}.
         ("Q-trivial-over-Z2-by-2-and-1", ExtensionShape(QT, Z2N, by_2_and_1), narrow, narrow),
     ]
@@ -715,6 +743,33 @@ def test_fibre_route_matches_sums_of_conjugates_and_the_old_routes(name, shape, 
         w = old.contains(x, budget)
         assert w.is_unknown or w.state == v.state, (name, x, v, w)
     assert fibre_yes, name
+
+
+def _coordinate_route_cases():
+    """(name, shape, budget): every _fibre_shapes() shape, and the scaling
+    point's pullback along n -> 3n."""
+    cases = [(name, shape, SaturationBudget(1, 2, window)) for name, shape, window, _ in _fibre_shapes()]
+    budget = SaturationBudget(2, 6, Window(3, 6, 3))
+    scaling = point(ExtensionShape(QP, ZN, ScalingAction(Z, Q, Fraction(2))), "minimal")
+    pb = pullback(scaling, LinearHom.scalar(Z, Z, Fraction(3)), ZN, budget)
+    return cases + [("scaling-pullback-3n", pb, budget)]
+
+
+@pytest.mark.parametrize(
+    "name, shape, budget", _coordinate_route_cases(), ids=[c[0] for c in _coordinate_route_cases()]
+)
+def test_coordinate_route_answers_as_the_zero_source_and_fibre_routes(name, shape, budget):
+    # On every window element, the least cone's coordinate route gives the
+    # verdict, witness, note and budget trail of the zero test, _source_route
+    # and _fibre_route composed.
+    cone = minimal_cone(shape, budget)
+    assert isinstance(cone, GeneratedCone) and cone._fibrewise
+    for x in cone.group.window_elements(budget.window):
+        v = cone.contains(x, budget)
+        w = reference_least_cone_route(cone, x, budget)
+        assert (v.state, v.witness, v.note, v.budget_used) == (
+            w.state, w.witness, w.note, w.budget_used
+        ), (name, x)
 
 
 @settings(max_examples=40, deadline=None)
