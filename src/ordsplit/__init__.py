@@ -18,8 +18,11 @@ from .homs import (
     FreeImagesHom,
     Homomorphism,
     IdentityHom,
+    KernelHom,
     LinearHom,
     PairHom,
+    ProjectionHom,
+    SectionHom,
     TableHom,
     check_homomorphism,
     enumerate_automorphisms,

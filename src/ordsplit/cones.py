@@ -2,13 +2,15 @@
 
 A cone is a submonoid closed under conjugation; it determines the preorder
 x <= y  iff  -x+y is in the cone.  Membership answers are three-valued:
-built-in cones are exact, generated cones search within a budget and certify
-exclusions on abelian carriers by separating functionals, the rays of their
-generators' dual cone, and on Z^k x| Z^n by the fibre lattice.  The least
-cone over (Z^n, N^n) with a Q^k kernel, or a Z^k kernel ordered by {0}, is
-decided exactly fibre by fibre, with no search, by one coordinate route:
-b outside N^n (no), x = 0 (yes), y in P_X (yes), b = 0 (no), then the fibre
-test of y over supp(b).
+built-in cones are exact, and a GeneratedCone searches within a budget.  It
+generates from one of two sources: a tuple of generators (generated_cone),
+or the componentwise cone of a compatible shape, whose closure is the least
+compatible cone (minimal_cone).  It certifies exclusions on abelian carriers
+by separating functionals, the rays of its generators' dual cone, and on
+Z^k x| Z^n by the fibre lattice.  The least cone over (Z^n, N^n) with a Q^k
+kernel, or a Z^k kernel ordered by {0}, is decided exactly fibre by fibre,
+with no search, by one coordinate route: b outside N^n (no), x = 0 (yes),
+y in P_X (yes), b = 0 (no), then the fibre test of y over supp(b).
 
 Membership follows the template of groups, actions and maps: the public
 contains checks the element once, _contains trusts it, and a composite cone
@@ -20,8 +22,8 @@ Generated cones memoize their saturation per budget, the reduced form of the
 conjugator system I - phi_b per base element and budget (the elimination on
 Q^k, the Hermite form on Z^k, so that each fibre element costs one
 substitution), the fibre test per support of the base part, the fibre
-lattice and that dual cone; the fill is idempotent and queries never mutate
-shared state in a way observable across queries.
+lattice and the generators' dual cone; the fill is idempotent and queries
+never mutate shared state in a way observable across queries.
 
 The "for all" checks (monotonicity, pointwise comparison, the cone axioms)
 get their "on generators", "window-verified" and "exhaustive" verdicts only
@@ -359,47 +361,23 @@ class LexCone(Cone):
 # --- generated cones ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExplicitGenerators:
-    elements: tuple
-
-    def sample(self, group: Group, window: Window, budget) -> list:
-        return list(self.elements)
-
-    def member(self, x, budget) -> Verdict:
-        if x in self.elements:
-            return yes()
-        return no(x)
-
-
-@dataclass(frozen=True)
-class ConeGenerators:
-    """Generate from every element of an existing cone (possibly infinite)."""
-
-    cone: Cone
-
-    def sample(self, group: Group, window: Window, budget) -> list:
-        return self.cone.positive_sample(window, budget)
-
-    def member(self, x, budget) -> Verdict:
-        return self.cone._contains(x, budget)
-
-
-# The yes of a source element on the coordinate route, built once: a frozen
-# Verdict is safe to share.
+# The yes of a source element, built once: a frozen Verdict is safe to share.
 _SOURCE_YES = yes("source element")
 _NUMERATOR = operator.attrgetter("numerator")
 
 
 @dataclass(frozen=True)
 class GeneratedCone(Cone):
-    """Additive closure of the conjugation closure of the source set.
+    """Additive closure of the conjugation closure of the source: a tuple of
+    generators, checked once here (generated_cone builds these), or the
+    componentwise ProductCone on this semidirect carrier of a shape that
+    minimal_cone found compatible; then it is the least compatible cone.
+    The source type is that certificate: any other source is a ShapeError.
 
-    Yes answers come from source membership, the fibres of a least cone over
+    Yes answers come from the source, the fibres of a least cone over
     (Z^n, N^n), solved conjugators, or budgeted breadth-first saturation; No
     answers need an exact argument (separating functional, the generators'
-    integer span, or the structure shortcuts unlocked by
-    certified_compatible).
+    integer span, the fibre lattice, or a least cone's component shortcuts).
 
     The least cone over (Z^n, N^n) whose kernel is Q^k with P_X an orthant
     or {0}, or Z^k with P_X = {0} (see _fibrewise), takes one coordinate
@@ -409,37 +387,37 @@ class GeneratedCone(Cone):
     and otherwise the fibre test of y over supp(b), exact either way.  It
     asks neither component cone.
 
-    Every other cone tries, in this order: the zero element (a bare yes); on
-    a certified semidirect carrier over a componentwise source, the base part
-    outside the base cone (no); the source element (yes); there again, at
-    b = 0, the kernel part (yes "kernel part positive", or no as the kernel
-    reflects the fibre order); then a solved conjugator (yes), the fibre
-    lattice (no), saturation (yes) and the abelian exclusions (no).  A
-    componentwise source's base and kernel cones are each asked at most once
-    per membership, and an undecided part falls through to the later routes.
+    Every other cone tries, in this order: the zero element (a bare yes);
+    the source, which is a generator of the tuple (yes) or, on a least cone,
+    the base part outside the base cone (no), an element of the
+    componentwise cone (yes "source element") and at b = 0 the kernel part
+    (yes "kernel part positive", or no as the kernel reflects the fibre
+    order); then on a semidirect carrier a solved conjugator (yes) and the
+    fibre lattice (no); saturation (yes) and the abelian exclusions (no).  A
+    least cone asks its base and kernel cones at most once per membership,
+    and an undecided part falls through to the later routes.
 
-    Whether the source is already closed is not asked here: minimal_cone
-    decides it once and returns a closed componentwise cone as it is.  A
-    GeneratedCone built by hand over a closed source stays sound, but may
-    answer Unknown where the source itself would decide.  Finite carriers
-    are closed exactly by generated_cone, so they are refused here.
+    Finite carriers are closed exactly by generated_cone, and minimal_cone
+    returns a closed componentwise cone as it is, so neither comes here; a
+    finite carrier is a StructureError.
     """
 
     group: Group
-    source: ExplicitGenerators | ConeGenerators
-    certified_compatible: bool = False
+    source: tuple | ProductCone
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         if self.group.is_finite:
             raise StructureError("finite carriers are closed by generated_cone")
-        # Saturation adds and conjugates without checks, so what it starts
-        # from is checked here, once.
-        if isinstance(self.source, ExplicitGenerators):
-            for g in self.source.elements:
+        src = self.source
+        if isinstance(src, tuple):
+            # Saturation adds and conjugates without checks, so the
+            # generators are checked here, once.
+            for g in src:
                 self.group.check(g)
-        elif self.source.cone.group != self.group:
-            raise ShapeError("source cone lives on another group")
+        elif not (isinstance(src, ProductCone) and isinstance(self.group, Semidirect)
+                  and src.group == self.group):
+            raise ShapeError("the source is generators or a componentwise cone on this carrier")
 
     contains = Cone.contains
 
@@ -449,7 +427,7 @@ class GeneratedCone(Cone):
         if x == self.group.zero():
             return yes()
         v = self._source_route(x, budget)
-        if v is None and self._on_semidirect:
+        if v is None and isinstance(self.group, Semidirect):
             v = self._semidirect_paths(x, budget)
         if v is not None:
             return v
@@ -464,11 +442,8 @@ class GeneratedCone(Cone):
         return True
 
     def finite_generators(self):
-        if isinstance(self.source, ExplicitGenerators):
-            return self.source.elements
-        if isinstance(self.source, ConeGenerators):
-            return self.source.cone.finite_generators()
-        return None
+        src = self.source
+        return src if isinstance(src, tuple) else src.finite_generators()
 
     def _budget_key(self, budget: SaturationBudget):
         w = budget.window
@@ -478,26 +453,29 @@ class GeneratedCone(Cone):
             ("window", (w.int_bound, w.num_bound, w.den_bound)),
         )
 
-    # source membership and structure shortcuts on semidirect carriers
+    # the source and the structure shortcuts of a least cone
+
+    def _in_source(self, x, budget) -> bool:
+        """x is a generator of the tuple, or in the componentwise cone."""
+        src = self.source
+        return x in src if isinstance(src, tuple) else src._contains(x, budget).is_yes
 
     def _source_route(self, x, budget) -> Verdict | None:
-        """Source membership, and on a certified semidirect carrier the
-        component shortcuts, asking each component cone at most once."""
-        parts = self._product_parts
-        if parts is None:
-            return yes("source element") if self.source.member(x, budget).is_yes else None
-        px, pb, base_zero = parts
+        """A generator of the tuple; on a least cone, the component
+        shortcuts, asking each component cone at most once."""
+        src = self.source
+        if isinstance(src, tuple):
+            return _SOURCE_YES if x in src else None
         xp, bp = x
-        fibred = base_zero is not None
-        vb = pb._contains(bp, budget)
+        vb = src.b_cone._contains(bp, budget)
         if vb.is_no:
-            return no(x, "base part outside the base cone") if fibred else None
-        at_zero = fibred and bp == base_zero
+            return no(x, "base part outside the base cone")
+        at_zero = bp == self.group.b_group.zero()
         if vb.is_unknown and not at_zero:
             return None
-        vx = px._contains(xp, budget)
+        vx = src.x_cone._contains(xp, budget)
         if vx.is_yes:
-            return yes("source element" if vb.is_yes else "kernel part positive")
+            return _SOURCE_YES if vb.is_yes else yes("kernel part positive")
         if vx.is_no and at_zero:
             return no(x, "kernel reflects the fibre order")
         return None
@@ -530,10 +508,10 @@ class GeneratedCone(Cone):
         Hermite form.  A full P_X is left to _source_route, which says yes to
         every (y, b) with b in N^n.
         """
-        parts = self._product_parts
-        if parts is None or parts[2] is None:
+        src = self.source
+        if isinstance(src, tuple):
             return False
-        px, pb, _ = parts
+        px, pb = src.x_cone, src.b_cone
         G = self.group
         X, B = G.x_group, G.b_group
         if not (isinstance(B, FreeAbelian) and isinstance(pb, OrthantCone)):
@@ -547,7 +525,7 @@ class GeneratedCone(Cone):
     @cached_property
     def _kernel_orthant(self) -> bool:
         """On a _fibrewise cone, True when P_X is the orthant (else it is {0})."""
-        return isinstance(self._product_parts[0], OrthantCone)
+        return isinstance(self.source.x_cone, OrthantCone)
 
     def _coordinate_route(self, x) -> Verdict:
         """Membership of x = (y, b) in a _fibrewise cone, from the coordinates
@@ -590,16 +568,16 @@ class GeneratedCone(Cone):
                          f"of P_X + L_S, S = {support}")
         return member
 
-    def _fibre_test(self, S: tuple) -> tuple:
-        """(the Hermite form or the dual cone of P_X + L_S, its yes, S named)."""
+    def _fibre_test(self, S: tuple) -> tuple | None:
+        """(the Hermite form or the dual cone of P_X + L_S, its yes, S named),
+        or None when some phi_{e_i}, i in S, has no matrix."""
         G = self.group
         X = G.x_group
         gens = G.b_group.generators()
-        cols = [
-            col
-            for i in S
-            for col in zip(*mat_sub(identity_matrix(X.rank), G.action.matrix_for(gens[i])))
-        ]
+        diffs = [self._one_minus_phi(gens[i]) for i in S]
+        if None in diffs:
+            return None
+        cols = [col for d in diffs for col in zip(*d)]
         support = "{" + ", ".join(f"e{i + 1}" for i in S) + "}"
         if isinstance(X, FreeAbelian):
             test = hermite(list(zip(*cols)), len(cols))
@@ -619,20 +597,10 @@ class GeneratedCone(Cone):
             return no(x, "fibre residue obstruction: fibre outside the lattice of I - phi_e")
         return None
 
-    @cached_property
-    def _on_semidirect(self) -> bool:
-        return isinstance(self.group, Semidirect)
-
-    @cached_property
-    def _product_parts(self) -> tuple[Cone, Cone, Element] | None:
-        """The kernel and base cones of a componentwise source, else None;
-        with the base zero when the shortcuts of a certified semidirect
-        carrier apply, else None in its place."""
-        src = self.source
-        if not (isinstance(src, ConeGenerators) and isinstance(src.cone, ProductCone)):
-            return None
-        fibred = self.certified_compatible and self._on_semidirect
-        return src.cone.x_cone, src.cone.b_cone, self.group.b_group.zero() if fibred else None
+    def _one_minus_phi(self, b):
+        """The matrix I - phi_b, or None when phi_b has none."""
+        m = self.group.action.matrix_for(b)
+        return None if m is None else mat_sub(identity_matrix(len(m)), m)
 
     def _conjugator_system(self, bp, budget) -> Elimination | Hermite | None:
         """The reduced form of I - phi_bp (the Hermite form on Z^k, the
@@ -648,11 +616,11 @@ class GeneratedCone(Cone):
             return self._cache[key]
         G = self.group
         X = G.x_group
-        a = None
-        m = G.action.matrix_for(bp)
-        if m is not None and self.source.member((X.zero(), bp), budget).is_yes:
-            a = mat_sub(identity_matrix(X.rank), m)
+        a = self._one_minus_phi(bp)
+        if a is not None and self._in_source((X.zero(), bp), budget):
             a = hermite(a, X.rank) if isinstance(X, FreeAbelian) else eliminate(a)
+        else:
+            a = None
         self._cache[key] = a
         return a
 
@@ -676,29 +644,24 @@ class GeneratedCone(Cone):
     @cached_property
     def _fibre_lattice(self) -> Hermite | None:
         """On Z^k x| Z^n with every generator (0, b) over the base axis, the
-        lattice L spanned by the columns of I - phi_e over the base generators
-        e, which holds the fibre of every cone element; else None.
+        lattice L_S of _fibre_test with S every base generator, which holds
+        the fibre of every cone element; else None.
 
         Every cone element is a sum of conjugates of generators, and the
-        conjugate of (0, b) by (r, c) is ((I - phi_b) r, b).  As
-        I - phi_{u+v} = (I - phi_u) + phi_u (I - phi_v), and phi_u commutes
-        with I - phi_v, L is phi-invariant and holds every Im(I - phi_b) (with
-        I - phi_{-e} = -phi_{-e} (I - phi_e)).  So a sum
-        (x1, b1) + (x2, b2) = (x1 + phi_b1 x2, b1 + b2) keeps its fibre in L.
+        conjugate of (0, b) by (r, c) is ((I - phi_b) r, b).  L is
+        phi-invariant and holds Im(I - phi_b) for every b in N^n, as
+        _fibrewise shows, and for -e as I - phi_{-e} = -phi_{-e} (I - phi_e),
+        so for every b.  So a sum (x1, b1) + (x2, b2) = (x1 + phi_b1 x2,
+        b1 + b2) keeps its fibre in L.
         """
         G, src = self.group, self.source
         X, B = G.x_group, G.b_group
-        parts = self._product_parts
-        over_axis = (parts is not None and isinstance(parts[0], TrivialCone)) or (
-            isinstance(src, ExplicitGenerators) and all(g[0] == X.zero() for g in src.elements)
-        )
+        over_axis = (all(g[0] == X.zero() for g in src) if isinstance(src, tuple)
+                     else isinstance(src.x_cone, TrivialCone))
         if not (over_axis and isinstance(X, FreeAbelian) and isinstance(B, FreeAbelian)):
             return None
-        mats = [G.action.matrix_for(e) for e in B.generators()]
-        if None in mats:
-            return None
-        diffs = [mat_sub(identity_matrix(X.rank), m) for m in mats]
-        return hermite([sum(rows, ()) for rows in zip(*diffs)], X.rank * B.rank)
+        built = self._fibre_test(tuple(range(B.rank)))
+        return None if built is None else built[0]
 
     # budgeted breadth-first saturation
 
@@ -737,11 +700,10 @@ class GeneratedCone(Cone):
 
     def _atoms(self, budget: SaturationBudget) -> frozenset:
         G = self.group
-        base = [
-            a
-            for a in self.source.sample(G, budget.window, budget)
-            if a != G.zero()
-        ]
+        src = self.source
+        if not isinstance(src, tuple):
+            src = src.positive_sample(budget.window, budget)
+        base = [a for a in src if a != G.zero()]
         words = word_ball(G, G.generators(), budget.max_conjugators)
         cap = self._cap(budget)
         atoms = set()
@@ -835,7 +797,7 @@ def generated_cone(G: Group, generators) -> Cone:
     if not gens:
         return TrivialCone(G)
     if not G.is_finite:
-        return GeneratedCone(G, ExplicitGenerators(gens))  # which checks gens
+        return GeneratedCone(G, gens)  # which checks gens
     for g in gens:
         G.check(g)
     return ExtensionalCone(G, _finite_closure(G, gens))

@@ -17,7 +17,6 @@ from functools import cached_property
 from .actions import Action, FiniteTableAction, ProductAction, TrivialAction, validate_action
 from .cones import (
     Cone,
-    ConeGenerators,
     ExtensionalCone,
     FullCone,
     GeneratedCone,
@@ -250,7 +249,7 @@ def minimal_cone(shape: ExtensionShape, budget: SaturationBudget = DEFAULT_BUDGE
     prod = product_cone(shape)
     if prod.known_cone() or shape.carrier.is_finite:
         return prod
-    return GeneratedCone(shape.carrier, ConeGenerators(prod), certified_compatible=True)
+    return GeneratedCone(shape.carrier, prod)
 
 
 def _closed_finite_shape(shape: ExtensionShape) -> None:

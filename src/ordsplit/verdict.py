@@ -10,7 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, cmp_to_key
+from math import gcd
 from typing import Any, Callable, Iterable
 
 
@@ -198,7 +199,11 @@ class Window:
     def _rationals(self) -> tuple[Fraction, ...]:
         dens = range(1, self.den_bound + 1)
         nums = range(-self.num_bound, self.num_bound + 1)
-        return tuple(sorted({Fraction(num, den) for den in dens for num in nums}))
+        # Reduced (num, den) pairs, ordered by cross-multiplication (den > 0),
+        # then one Fraction per distinct value.
+        pairs = {(num // (g := gcd(num, den)), den // g) for den in dens for num in nums}
+        ordered = sorted(pairs, key=cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1]))
+        return tuple(Fraction(num, den) for num, den in ordered)
 
     def scaled(self, factor: int) -> "Window":
         return Window(self.int_bound * factor, self.num_bound * factor, self.den_bound * factor)

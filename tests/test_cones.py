@@ -12,8 +12,6 @@ from ordsplit import cones as cones_module
 from ordsplit.actions import MatrixAction, SignAction, ScalingAction, TrivialAction
 from ordsplit.cones import (
     Cone,
-    ConeGenerators,
-    ExplicitGenerators,
     ExtensionalCone,
     FullCone,
     GeneratedCone,
@@ -105,13 +103,8 @@ def test_generated_cone_finite_matches_oracle():
 def test_generated_cone_refuses_a_finite_carrier():
     # generated_cone closes finite carriers exactly; GeneratedCone never sees one.
     Z4 = CyclicGroup(4)
-    sd = Semidirect(Z4, Z4, TrivialAction(Z4, Z4))
-    for G, source in (
-        (Z4, ExplicitGenerators((1,))),
-        (sd, ConeGenerators(ProductCone(sd, TrivialCone(Z4), FullCone(Z4)))),
-    ):
-        with pytest.raises(StructureError):
-            GeneratedCone(G, source)
+    with pytest.raises(StructureError):
+        GeneratedCone(Z4, (1,))
     assert generated_cone(Z4, [2]) == ExtensionalCone(Z4, frozenset({0, 2}))
 
 
@@ -120,9 +113,32 @@ def test_generated_cone_refuses_a_bad_generator_when_built():
     sd = Semidirect(Z, Z, SignAction(Z, Z))
     for bad in ((0, True), (Fraction(1), 0), 3):
         with pytest.raises(ShapeError):
-            GeneratedCone(sd, ExplicitGenerators(((0, 1), bad)))
-    with pytest.raises(ShapeError):
-        GeneratedCone(sd, ConeGenerators(OrthantCone(Z)))
+            GeneratedCone(sd, ((0, 1), bad))
+
+
+def test_generated_cone_takes_a_generator_tuple_or_its_own_componentwise_cone():
+    # The source is a tuple of checked generators, or the componentwise cone
+    # on the cone's own semidirect carrier; the source type is the
+    # certificate, so anything else is refused when built.
+    sd = Semidirect(Z, Z, SignAction(Z, Z))
+    prod = ProductCone(sd, TrivialCone(Z), OrthantCone(Z))
+    assert GeneratedCone(sd, ((0, 1),)).finite_generators() == ((0, 1),)
+    assert GeneratedCone(sd, prod).finite_generators() == ((0, 1),)
+    other = Semidirect(Z, Z, TrivialAction(Z, Z))
+    direct = DirectProduct((Z, Z))
+    for G, source in (
+        (sd, [(0, 1)]),
+        (sd, OrthantCone(Z)),
+        (sd, TrivialCone(sd)),
+        (direct, ProductCone(direct, TrivialCone(Z), OrthantCone(Z))),
+        (sd, ProductCone(other, TrivialCone(Z), OrthantCone(Z))),
+    ):
+        with pytest.raises(ShapeError):
+            GeneratedCone(G, source)
+    Z4 = CyclicGroup(4)
+    fin = Semidirect(Z4, Z4, TrivialAction(Z4, Z4))
+    with pytest.raises(StructureError):
+        GeneratedCone(fin, ProductCone(fin, TrivialCone(Z4), FullCone(Z4)))
 
 
 def test_generated_cone_s3_transposition_is_everything():
@@ -138,11 +154,7 @@ def test_generated_cone_sign_carrier_conjugates():
     # Conjugating (0,1) by (y,0) reaches (2y,1): membership of (2,1) is a Yes,
     # and the fibre over 1 is exactly 2Z, so (1,1) is an exact No.
     sd = Semidirect(Z, Z, SignAction(Z, Z))
-    cone = GeneratedCone(
-        sd,
-        ConeGenerators(ProductCone(sd, TrivialCone(Z), OrthantCone(Z))),
-        certified_compatible=True,
-    )
+    cone = GeneratedCone(sd, ProductCone(sd, TrivialCone(Z), OrthantCone(Z)))
     assert_state(cone.contains((2, 1), SMALL_BUDGET), "yes")
     assert_state(cone.contains((1, 1), SMALL_BUDGET), "no")
 
@@ -185,6 +197,41 @@ def test_z2_conjugators_and_fibre_lattice_match_sums_of_conjugates(matrix):
                     assert v.note.startswith("conjugator"), v
             if b in (1, 2) and xp not in fibres:
                 assert v.is_no and v.note.startswith("fibre residue obstruction"), (x, v)
+
+
+def test_fibre_lattice_over_z2_matches_sums_of_conjugates():
+    # Z^2 x| Z^2 under two commuting sign flips: the cone of (0, e1) and
+    # (0, e2) has its fibres in the lattice 2Z x 2Z of the I - phi_{e_i}.
+    # Over e1 (and e2) it holds exactly the conjugates ((I - phi_e) r, e),
+    # over e1 + e2 the sums of one of each; a brute-force oracle lists both.
+    flips = MatrixAction(Z2V, Z2V, (((-1, 0), (0, 1)), ((1, 0), (0, -1))))
+    G = Semidirect(Z2V, Z2V, flips)
+    gens = [((0, 0), (1, 0)), ((0, 0), (0, 1))]
+    cone = generated_cone(G, gens)
+    lattice_no = "fibre residue obstruction: fibre outside the lattice of I - phi_e"
+    budget = SaturationBudget(1, 2, Window(2, 2, 2))
+    v = cone.contains(((1, 0), (1, 0)), budget)
+    assert (v.state.value, v.witness, v.note) == ("no", ((1, 0), (1, 0)), lattice_no)
+    v = cone.contains(((2, 0), (1, 0)), budget)
+    assert v.is_yes and v.note.startswith("conjugator"), v
+    box = list(itertools.product(range(-2, 3), repeat=2))
+    shifts = list(itertools.product(range(-1, 2), repeat=2))
+    conjugates = {G.conjugate((r, c), g) for g in gens for r in box for c in shifts}
+    sums = {G.zero()} | conjugates | {G.add(a, b) for a in conjugates for b in conjugates}
+    decided = 0
+    for x in G.window_elements(budget.window):
+        v = cone.contains(x, budget)
+        decided += not v.is_unknown
+        if v.is_yes:
+            assert x in sums, x
+        if v.is_no:
+            assert x not in sums, x
+        xp, b = x
+        if b in ((1, 0), (0, 1)) and xp != (0, 0):
+            assert v.is_yes == (x in conjugates), (x, v)
+        if any(c % 2 for c in xp):
+            assert (v.state.value, v.note) == ("no", lattice_no), (x, v)
+    assert decided
 
 
 def test_leq_basics():
@@ -391,18 +438,10 @@ def test_generated_cone_cache_safe_under_concurrent_queries():
     from concurrent.futures import ThreadPoolExecutor
 
     sd = Semidirect(Z, Z, SignAction(Z, Z))
-    cone = GeneratedCone(
-        sd,
-        ConeGenerators(ProductCone(sd, TrivialCone(Z), OrthantCone(Z))),
-        certified_compatible=True,
-    )
+    cone = GeneratedCone(sd, ProductCone(sd, TrivialCone(Z), OrthantCone(Z)))
     queries = [(2 * k, b) for k in range(-3, 4) for b in range(0, 4)]
     expected = {q: cone.contains(q, SMALL_BUDGET).state for q in queries}
-    fresh = GeneratedCone(
-        sd,
-        ConeGenerators(ProductCone(sd, TrivialCone(Z), OrthantCone(Z))),
-        certified_compatible=True,
-    )
+    fresh = GeneratedCone(sd, ProductCone(sd, TrivialCone(Z), OrthantCone(Z)))
     with ThreadPoolExecutor(max_workers=8) as pool:
         results = list(pool.map(lambda q: fresh.contains(q, SMALL_BUDGET).state, queries * 3))
     for q, state in zip(queries * 3, results):
@@ -416,7 +455,7 @@ def test_generated_cone_builds_its_dual_cone_once(monkeypatch):
     built = []
     real = cones_module.dual_cone
     monkeypatch.setattr(cones_module, "dual_cone", lambda rows, n: built.append(rows) or real(rows, n))
-    cone = GeneratedCone(Z2V, ExplicitGenerators(((1, 0), (1, 1))))
+    cone = GeneratedCone(Z2V, ((1, 0), (1, 1)))
     excluded = [(0, 1), (-1, 0), (-2, 1), (0, -3), (3, 5)]
     assert all(cone.contains(x, SMALL_BUDGET).is_no for x in excluded)
     assert built == [[(1, 0), (1, 1)]]
@@ -587,7 +626,7 @@ def test_least_cone_membership_routes(name):
     # Zero, base part outside, source element, the kernel at b = 0, then
     # the fibre P_X + L_S over b >= 1, in that order.
     cone = {"scaling": _scaling_least_cone, "sign": _sign_least_cone}[name]()
-    assert isinstance(cone, GeneratedCone) and cone.certified_compatible
+    assert isinstance(cone, GeneratedCone) and isinstance(cone.source, ProductCone)
     for el, state, note, used in LEAST_CONE_ROUTES[name]:
         v = cone.contains(el, SMALL_BUDGET)
         assert (v.state.value, v.note, v.budget_used) == (state, note, used), el
@@ -606,8 +645,7 @@ def test_undecided_base_part_falls_through_as_before():
     # With the base part unknown, b = 0 still reads the kernel part, and
     # elsewhere the membership goes on to the later routes.
     sd = Semidirect(Q, Z, ScalingAction(Z, Q, Fraction(2)))
-    source = ConeGenerators(ProductCone(sd, OrthantCone(Q), _Undecided(Z)))
-    cone = GeneratedCone(sd, source, certified_compatible=True)
+    cone = GeneratedCone(sd, ProductCone(sd, OrthantCone(Q), _Undecided(Z)))
     expected = [
         ((Fraction(1, 2), 0), "yes", "kernel part positive", ()),
         ((Fraction(-1, 2), 0), "no", "kernel reflects the fibre order", ()),
@@ -635,8 +673,8 @@ def test_certified_membership_asks_each_component_cone_at_most_once(build, budge
     # coordinates and asks neither component cone; any other certified cone
     # asks each at most once.
     cone = build()
-    assert cone.certified_compatible and cone._fibrewise == (most == 0)
-    kernel, base = cone.source.cone.x_cone, cone.source.cone.b_cone
+    assert isinstance(cone.source, ProductCone) and cone._fibrewise == (most == 0)
+    kernel, base = cone.source.x_cone, cone.source.b_cone
     calls = Counter()
 
     def counting(cls):
@@ -721,12 +759,13 @@ def test_fibre_route_matches_sums_of_conjugates_and_the_old_routes(name, shape, 
     # The least cone over (Z^n, N^n) decides every window element through
     # the source, the structural shortcuts and the fibre test.  A fibre yes
     # is a brute-force sum of conjugates, a fibre no has none in the box, and
-    # the same cone without the certificate (so on the old routes, at a small
+    # the cone of the componentwise cone's window sample as generators (so
+    # on the old routes: conjugator, fibre lattice and saturation, at a small
     # budget) never contradicts either.
     budget = SaturationBudget(1, 2, window)
     cone = minimal_cone(shape, budget)
     assert isinstance(cone, GeneratedCone) and cone._fibrewise
-    old = GeneratedCone(cone.group, cone.source)
+    old = GeneratedCone(cone.group, tuple(cone.source.positive_sample(window, budget)))
     assert not old._fibrewise
     G, X, B = shape.carrier, shape.x.group, shape.b.group
     conjugates = [

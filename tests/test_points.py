@@ -11,7 +11,6 @@ from ordsplit import cones, extensions, linalg, points
 from ordsplit.actions import MatrixAction, ScalingAction, SignAction, TrivialAction
 from ordsplit.cones import (
     Cone,
-    ConeGenerators,
     FullCone,
     GeneratedCone,
     OrthantCone,
@@ -560,12 +559,12 @@ def test_conjugator_system_is_built_once_per_base_element(monkeypatch):
             images[el] += 1
         return hom_apply(self, el)
 
-    member = ConeGenerators.member
+    in_source = GeneratedCone._in_source
 
-    def counting_member(self, x, budget):
+    def counting_in_source(self, x, budget):
         if caller().f_code.co_name == "_conjugator_system":
             members[(id(self), x, budget)] += 1
-        return member(self, x, budget)
+        return in_source(self, x, budget)
 
     hermite = cones.hermite
 
@@ -599,7 +598,7 @@ def test_conjugator_system_is_built_once_per_base_element(monkeypatch):
         return v
 
     monkeypatch.setattr(LinearHom, "apply", counting_apply)
-    monkeypatch.setattr(ConeGenerators, "member", counting_member)
+    monkeypatch.setattr(GeneratedCone, "_in_source", counting_in_source)
     monkeypatch.setattr(cones, "hermite", counting_hermite)
     monkeypatch.setattr(cones, "integer_solve", counting_integer_solve)
     monkeypatch.setattr(Semidirect, "_conjugate", counting_conjugate)
