@@ -8,6 +8,7 @@ detection for twisted carriers and unit handling in compatibility checks.
 from __future__ import annotations
 
 import itertools
+import operator
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -201,6 +202,10 @@ class MatrixAction(Action):
     # The matrix of b per b, filled only after b passed acting.check, as
     # ScalingAction._powers is: each costs a mat_pow per generator.
     _matrices: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    # On Z^k, the int copy of each b's matrix that _apply multiplies with:
+    # the entries are integers (unimodular generators), and int products
+    # cost a fraction of Fraction ones.
+    _int_matrices: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not isinstance(self.acting, FreeAbelian):
@@ -242,7 +247,14 @@ class MatrixAction(Action):
         return self._matrix(b)
 
     def _apply(self, b, x):
-        return self.acted.from_coords(mat_vec(self._matrix(b), self.acted.coords(x)))
+        X = self.acted
+        if isinstance(X, RationalVector):
+            return X.from_coords(mat_vec(self._matrix(b), X.coords(x)))
+        m = self._int_matrices.get(b)
+        if m is None:
+            m = self._int_matrices[b] = tuple(tuple(map(int, row)) for row in self._matrix(b))
+        v = X.coords(x)
+        return X.from_coords([sum(map(operator.mul, row, v)) for row in m])
 
     def is_identity_for(self, b):
         return self.matrix_for(b) == scalar_matrix(1, self.acted.rank)

@@ -21,9 +21,10 @@ reads the orthant or {0} of each part off the coordinates itself.
 Generated cones memoize their saturation per budget, the reduced form of the
 conjugator system I - phi_b per base element and budget (the elimination on
 Q^k, the Hermite form on Z^k, so that each fibre element costs one
-substitution), the fibre test per support of the base part, the fibre
-lattice and the generators' dual cone; the fill is idempotent and queries
-never mutate shared state in a way observable across queries.
+substitution), the fibre test per support of the base part, the fibre of
+each base part met by the coordinate route, the fibre lattice and the
+generators' dual cone; the fill is idempotent and queries never mutate
+shared state in a way observable across queries.
 
 The "for all" checks (monotonicity, pointwise comparison, the cone axioms)
 get their "on generators", "window-verified" and "exhaustive" verdicts only
@@ -364,6 +365,9 @@ class LexCone(Cone):
 # The yes of a source element, built once: a frozen Verdict is safe to share.
 _SOURCE_YES = yes("source element")
 _NUMERATOR = operator.attrgetter("numerator")
+# The fibres of a _fibrewise cone over a base part outside N^n and over 0;
+# every other base part's fibre is the fibre test of its support.
+_OUTSIDE, _AT_ZERO = "outside N^n", "b = 0"
 
 
 @dataclass(frozen=True)
@@ -381,7 +385,8 @@ class GeneratedCone(Cone):
 
     The least cone over (Z^n, N^n) whose kernel is Q^k with P_X an orthant
     or {0}, or Z^k with P_X = {0} (see _fibrewise), takes one coordinate
-    route: it reads the coordinates of x = (y, b) once and answers, in this
+    route: it reads y's coordinates once and b's fibre from a per-cone table
+    (filled from b's coordinates when b is first met), and answers, in this
     order, b outside N^n (no), y = 0 at b = 0 (a bare yes), y in P_X (yes
     "source element"), b = 0 (no, as the kernel reflects the fibre order),
     and otherwise the fibre test of y over supp(b), exact either way.  It
@@ -527,40 +532,62 @@ class GeneratedCone(Cone):
         """On a _fibrewise cone, True when P_X is the orthant (else it is {0})."""
         return isinstance(self.source.x_cone, OrthantCone)
 
+    @cached_property
+    def _fibre_table(self) -> dict:
+        """On a _fibrewise cone: each base part b the coordinate route has
+        met -> its fibre, _OUTSIDE, _AT_ZERO or the fibre test of supp(b)."""
+        return {}
+
     def _coordinate_route(self, x) -> Verdict:
-        """Membership of x = (y, b) in a _fibrewise cone, from the coordinates
-        of b and y read once and asking no component cone.  It answers as the
-        zero test, _source_route and _fibre_route do in turn: b outside N^n,
-        then x = 0, y in P_X, b = 0, and the fibre test."""
-        G = self.group
+        """Membership of x = (y, b) in a _fibrewise cone, asking no component
+        cone.  It answers as the zero test, _source_route and _fibre_route do
+        in turn: b outside N^n, then x = 0, y in P_X, b = 0, and the fibre
+        test.  What depends on b alone, its fibre, is read from b's
+        coordinates once per cone and kept in _fibre_table, so a membership
+        reads only y's coordinates after b's first."""
         xp, bp = x
-        bc = G.b_group.coords(bp)
-        if min(bc) < 0:
+        fibre = self._fibre_table.get(bp)
+        if fibre is None:
+            fibre = self._fibre_table[bp] = self._fibre_of(bp)
+        if fibre is _OUTSIDE:
             return no(x, "base part outside the base cone")
-        yc = G.x_group.coords(xp)
-        base_zero = not any(bc)
+        yc = self.group.x_group.coords(xp)
         if not any(yc):
-            return yes() if base_zero else _SOURCE_YES
+            return yes() if fibre is _AT_ZERO else _SOURCE_YES
         # A Fraction's sign is its numerator's, as in OrthantCone.
         if self._kernel_orthant and min(map(_NUMERATOR, yc)) >= 0:
             return _SOURCE_YES
-        if base_zero:
+        if fibre is _AT_ZERO:
             return no(x, "kernel reflects the fibre order")
-        return self._fibre_route(x, bc, yc)
+        return self._fibre_route(x, fibre, yc)
 
-    def _fibre_route(self, x, bc, yc) -> Verdict:
-        """Exact membership of an x = (y, b), b in N^n nonzero and y outside
-        P_X, in a _fibrewise cone, from b's coordinates bc and y's yc: y in
-        P_X + L_S, S = supp(b).  The test and the yes that names S are built
-        once per S."""
+    def _fibre_of(self, bp):
+        """The fibre of a _fibrewise cone over bp: _OUTSIDE for bp outside
+        N^n, _AT_ZERO for bp = 0, else the fibre test of supp(bp)."""
+        bc = self.group.b_group.coords(bp)
+        if min(bc) < 0:
+            return _OUTSIDE
         S = tuple(i for i, c in enumerate(bc) if c)
+        return self._support_fibre(S) if S else _AT_ZERO
+
+    def _support_fibre(self, S: tuple) -> tuple:
+        """The fibre test of the nonempty support S, built once per S."""
         built = self._cache.get(("fibre", S))
         if built is None:
             built = self._cache[("fibre", S)] = self._fibre_test(S)
-        test, member, support = built
+        return built
+
+    def _fibre_route(self, x, fibre: tuple, yc) -> Verdict:
+        """Exact membership of an x = (y, b), b in N^n nonzero and y outside
+        P_X, in a _fibrewise cone, from the fibre test of S = supp(b) and y's
+        coordinates yc: y in P_X + L_S.  A dual cone with no rays is all of
+        Q^k, so its yes needs no dot product."""
+        test, member, support = fibre
         if isinstance(test, Hermite):
             if integer_solve(test, yc) is None:
                 return no(x, f"fibre residue obstruction: fibre outside L_S, S = {support}")
+            return member
+        if not test.rays:
             return member
         functional = feasible_strict(test, [yc])
         if functional is not None:
@@ -915,8 +942,16 @@ def _on_generators_of(P: Cone, Q: Cone, budget: SaturationBudget) -> Verdict | N
     return None if v.is_unknown else v
 
 
+def _one_carrier(P: Cone, Q: Cone) -> None:
+    """Refuse a comparison of cones on different carriers."""
+    if P.group != Q.group:
+        raise ShapeError("the compared cones live on different carriers")
+
+
 def cone_subset(P: Cone, Q: Cone, budget: SaturationBudget = DEFAULT_BUDGET) -> Verdict:
-    """P a subset of Q, window-checked with generator shortcuts."""
+    """P a subset of Q, window-checked with generator shortcuts.  P and Q
+    must share one carrier (else ShapeError)."""
+    _one_carrier(P, Q)
     if P == Q:
         return yes("identical cones")
     v = _on_generators_of(P, Q, budget)
@@ -930,8 +965,10 @@ def cones_equal(P: Cone, Q: Cone, budget: SaturationBudget = DEFAULT_BUDGET) -> 
     """vand(cone_subset(P, Q), cone_subset(Q, P)), in one window scan.
 
     The generator shortcut settles each inclusion it can; the scan decides
-    the inclusions left open.
+    the inclusions left open.  P and Q must share one carrier (else
+    ShapeError).
     """
+    _one_carrier(P, Q)
     if P == Q:
         return yes("identical cones")
     lower = _on_generators_of(P, Q, budget)

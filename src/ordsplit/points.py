@@ -11,6 +11,7 @@ certified relative to an explicit catalog of base morphisms.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .actions import PrecomposedAction
 from .cones import (
@@ -108,8 +109,11 @@ def is_strong(pt: SplitExtension, budget: SaturationBudget = DEFAULT_BUDGET) -> 
 class PullbackCone(Cone):
     """Positivity downstairs reads off the base cone and the upstairs cone.
 
-    The carrier's action is the PrecomposedAction built by pullback, whose
-    memo of along(c) is read here.
+    (x, c) is positive when c is, and (x, along(c)) is positive upstairs.
+    What depends on c alone, its base verdict and along(c) (read from the
+    memo of the carrier's PrecomposedAction, built by pullback), is kept per
+    c in _base_table once the base cone has decided c; an unknown may
+    depend on the budget and is asked again.
     """
 
     group: Group
@@ -118,12 +122,24 @@ class PullbackCone(Cone):
 
     contains = Cone.contains
 
+    @cached_property
+    def _base_table(self) -> dict:
+        """c -> (its decided base verdict, along(c), or None when c is not
+        positive)."""
+        return {}
+
     def _contains(self, el, budget):
         x, c = el
-        vb = self.base_cone._contains(c, budget)
+        known = self._base_table.get(c)
+        if known is None:
+            vb = self.base_cone._contains(c, budget)
+            known = (vb, None if vb.is_no else self.group.action._image(c))
+            if not vb.is_unknown:
+                self._base_table[c] = known
+        vb, image = known
         if vb.is_no:
             return no(el, "base part not positive")
-        vu = self.upstairs._contains((x, self.group.action._image(c)), budget)
+        vu = self.upstairs._contains((x, image), budget)
         if vb.is_yes:
             # vand(yes, vu), without its loop: the bare yes, or vu as it is.
             return yes() if vu.is_yes else vu

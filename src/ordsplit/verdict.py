@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property, cmp_to_key
+from functools import cached_property
 from math import gcd
 from typing import Any, Callable, Iterable
 
@@ -199,10 +199,18 @@ class Window:
     def _rationals(self) -> tuple[Fraction, ...]:
         dens = range(1, self.den_bound + 1)
         nums = range(-self.num_bound, self.num_bound + 1)
-        # Reduced (num, den) pairs, ordered by cross-multiplication (den > 0),
-        # then one Fraction per distinct value.
+        # Reduced (num, den) pairs, then one Fraction per distinct value.
         pairs = {(num // (g := gcd(num, den)), den // g) for den in dens for num in nums}
-        ordered = sorted(pairs, key=cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1]))
+        # Rounding num / den is monotone, so the float sort can only misplace
+        # values whose quotients round alike; one insertion pass ordering
+        # neighbours by cross-multiplication (den > 0) puts those right, and
+        # costs one comparison per pair when none is.
+        ordered = sorted(pairs, key=lambda p: p[0] / p[1])
+        for i in range(1, len(ordered)):
+            j = i
+            while j and ordered[j][0] * ordered[j - 1][1] < ordered[j - 1][0] * ordered[j][1]:
+                ordered[j - 1], ordered[j] = ordered[j], ordered[j - 1]
+                j -= 1
         return tuple(Fraction(num, den) for num, den in ordered)
 
     def scaled(self, factor: int) -> "Window":

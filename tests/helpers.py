@@ -253,14 +253,16 @@ def cone_to_family(
 def reference_least_cone_route(cone, x, budget: SaturationBudget) -> Verdict:
     """Membership of x in a _fibrewise GeneratedCone by the composition its
     coordinate route stands for: the zero test, then _source_route (which
-    asks the component cones), then the fibre test."""
+    asks the component cones), then the fibre test of supp(b), read from
+    b's coordinates here rather than from the cone's fibre table."""
     if x == cone.group.zero():
         return yes()
     v = cone._source_route(x, budget)
     if v is not None:
         return v
     y, b = x
-    return cone._fibre_route(x, cone.group.b_group.coords(b), cone.group.x_group.coords(y))
+    S = tuple(i for i, c in enumerate(cone.group.b_group.coords(b)) if c)
+    return cone._fibre_route(x, cone._support_fibre(S), cone.group.x_group.coords(y))
 
 
 # --- independent oracles --------------------------------------------------------

@@ -1,6 +1,7 @@
 """Memoised action data: a warm cache answers like a cold one and checks first.
 
-ScalingAction keeps q**b per b, MatrixAction the matrix of b per b,
+ScalingAction keeps q**b per b, MatrixAction the matrix of b per b (and on
+Z^k its int copy),
 PrecomposedAction keeps along(c) per c, and FiniteTableAction and TableHom
 build their tables once.  Fraction(2) == 2 and both hash
 alike, so each operand must pass Group.check before any lookup.
@@ -18,6 +19,8 @@ from ordsplit.catalog import catalog_dict
 from ordsplit.document import parse_document
 from ordsplit.groups import CyclicGroup, FreeAbelian, RationalVector, ShapeError
 from ordsplit.homs import Homomorphism, LinearHom, TableHom
+from ordsplit.linalg import mat_vec
+from ordsplit.verdict import Window
 
 Z = FreeAbelian(1)
 Q = RationalVector(1)
@@ -142,3 +145,30 @@ def test_building_the_catalog_table_action_applies_no_homomorphism(monkeypatch):
     monkeypatch.setattr(Homomorphism, "apply", lambda h, el: calls.append(el) or apply(h, el))
     assert isinstance(parse_document(doc).actions["invert_z3"], FiniteTableAction)
     assert len(calls) == 0
+
+
+Z2 = FreeAbelian(2)
+SWAP, SHEAR = ((0, 1), (1, 0)), ((1, 1), (0, 1))
+SIGN_FLIPS = (((-1, 0), (0, 1)), ((1, 0), (0, -1)))
+
+
+@pytest.mark.parametrize(
+    "action",
+    [
+        MatrixAction(Z, Z2, (SWAP,)),
+        MatrixAction(Z, Z2, (SHEAR,)),
+        MatrixAction(Z2, Z2, SIGN_FLIPS),
+        MatrixAction(Z, Z, (((-1,),),)),
+    ],
+    ids=["swap", "shear", "sign-flips", "sign-on-Z"],
+)
+def test_matrix_action_on_z_k_applies_as_the_fraction_product(action):
+    # On Z^k, _apply multiplies an int copy of b's matrix; it must give the
+    # exact int element that the Fraction matrix product gives.
+    X, window = action.acted, Window(2, 2, 2)
+    for b in action.acting.window_elements(window):
+        m = action.matrix_for(b)
+        for x in X.window_elements(window):
+            got = action.apply(b, x)
+            X.check(got)
+            assert got == X.from_coords(mat_vec(m, X.coords(x))), (b, x)

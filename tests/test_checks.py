@@ -202,7 +202,9 @@ def test_fixed_data_is_built_once():
         aut.neg((1, 2, 0))
 
 
-@pytest.mark.parametrize("bounds", [(1, 1, 1), (2, 3, 2), (8, 16, 8), (16, 32, 16), (1, 7, 300)])
+@pytest.mark.parametrize(
+    "bounds", [(1, 1, 1), (2, 3, 2), (8, 16, 8), (16, 32, 16), (1, 7, 300), (1, 300, 7), (1, 1, 60000)]
+)
 def test_window_rationals_are_the_sorted_distinct_fractions(bounds):
     w = Window(*bounds)
     _, num, den = bounds

@@ -800,15 +800,33 @@ def _coordinate_route_cases():
 def test_coordinate_route_answers_as_the_zero_source_and_fibre_routes(name, shape, budget):
     # On every window element, the least cone's coordinate route gives the
     # verdict, witness, note and budget trail of the zero test, _source_route
-    # and _fibre_route composed.
-    cone = minimal_cone(shape, budget)
+    # and _fibre_route composed, run on a second cone.  The window is asked
+    # backwards, so the fibre table of the fresh cone fills in another order
+    # than the window's.
+    cone, reference = minimal_cone(shape, budget), minimal_cone(shape, budget)
     assert isinstance(cone, GeneratedCone) and cone._fibrewise
-    for x in cone.group.window_elements(budget.window):
+    assert cone is not reference and not cone._fibre_table
+    for x in reversed(cone.group.window_elements(budget.window)):
         v = cone.contains(x, budget)
-        w = reference_least_cone_route(cone, x, budget)
+        w = reference_least_cone_route(reference, x, budget)
         assert (v.state, v.witness, v.note, v.budget_used) == (
             w.state, w.witness, w.note, w.budget_used
         ), (name, x)
+    assert set(cone._fibre_table) == set(cone.group.b_group.window_elements(budget.window))
+
+
+def test_a_fibre_of_all_of_q_asks_no_dual_ray(monkeypatch):
+    # Under scaling by 2 with P_X = {0}, L_S = Im(1 - 2) is all of Q: its
+    # dual cone has no rays, and every fibre yes skips feasible_strict.
+    shape = ExtensionShape(PreorderedGroup(Q, TrivialCone(Q)), ZN, ScalingAction(Z, Q, Fraction(2)))
+    budget = SaturationBudget(1, 2, Window(2, 2, 2))
+    cone = minimal_cone(shape, budget)
+    calls = []
+    feasible_strict = cones_module.feasible_strict
+    monkeypatch.setattr(cones_module, "feasible_strict", lambda *a: calls.append(a) or feasible_strict(*a))
+    fibre_yes = [x for x in cone.group.window_elements(budget.window)
+                 if "L_S" in cone.contains(x, budget).note]
+    assert fibre_yes and calls == []
 
 
 @settings(max_examples=40, deadline=None)

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from ordsplit import cones, extensions, linalg, points
-from ordsplit.actions import MatrixAction, ScalingAction, SignAction, TrivialAction
+from ordsplit.actions import MatrixAction, PrecomposedAction, ScalingAction, SignAction, TrivialAction
 from ordsplit.cones import (
     Cone,
     FullCone,
@@ -29,7 +29,14 @@ from ordsplit.extensions import (
     point,
     product_cone,
 )
-from ordsplit.groups import CyclicGroup, FreeAbelian, RationalVector, Semidirect, StructureError
+from ordsplit.groups import (
+    CyclicGroup,
+    FreeAbelian,
+    RationalVector,
+    Semidirect,
+    ShapeError,
+    StructureError,
+)
 from ordsplit.homs import (
     IdentityHom,
     LinearHom,
@@ -41,6 +48,7 @@ from ordsplit.homs import (
 )
 from ordsplit.points import (
     PointMorphism,
+    PullbackCone,
     check_point_morphism,
     default_base_catalog,
     equivariance_failure,
@@ -52,7 +60,7 @@ from ordsplit.points import (
     ssfl_check,
     stably_strong_over,
 )
-from ordsplit.verdict import DEFAULT_BUDGET, SaturationBudget, Window, for_all_members, vand, yes
+from ordsplit.verdict import SaturationBudget, Window, for_all_members, no, unknown, vand, yes
 
 from helpers import (
     SMALL_BUDGET,
@@ -498,7 +506,8 @@ def test_cones_equal_returns_the_lower_generator_no():
 
 @dataclass(frozen=True)
 class Counted(Cone):
-    """A cone that records the elements its public contains is asked about."""
+    """A cone that records the elements it is asked about, through its
+    public contains (inherited from Cone) or a caller's _contains."""
 
     base: Cone
     asked: list = field(default_factory=list, compare=False)
@@ -507,11 +516,8 @@ class Counted(Cone):
     def group(self):
         return self.base.group
 
-    def contains(self, x, budget=DEFAULT_BUDGET):
-        self.asked.append(x)
-        return self.base.contains(x, budget)
-
     def _contains(self, x, budget):
+        self.asked.append(x)
         return self.base._contains(x, budget)
 
     def finite_generators(self):
@@ -663,3 +669,58 @@ def test_pullback_cone_reads_along_from_the_action_memo(monkeypatch):
     monkeypatch.setattr(LinearHom, "apply", counting_apply)
     assert_state(is_strong(pb, budget), "yes")
     assert images and max(images.values()) == 1
+
+
+def test_pullback_cone_asks_its_base_cone_once_per_base_element(monkeypatch):
+    # PullbackCone keeps each decided base verdict, with along(c), per c: a
+    # window scan asks the base cone once per distinct base element.
+    budget = SaturationBudget(2, 6, Window(3, 6, 3))
+    pb = pullback(scaling_point(), LinearHom.scalar(Z, Z, Fraction(3)), ZN, budget)
+    asked = Counter()
+    orthant_contains = OrthantCone._contains
+
+    def counting_contains(self, x, budget):
+        if sys._getframe(1).f_locals.get("self") is pb.cone:
+            asked[x] += 1
+        return orthant_contains(self, x, budget)
+
+    monkeypatch.setattr(OrthantCone, "_contains", counting_contains)
+    assert_state(is_strong(pb, budget), "yes")
+    assert set(asked) == set(Z.window_elements(budget.window))
+    assert max(asked.values()) == 1
+
+
+@dataclass(frozen=True)
+class DecidedFromThreeSummands(Cone):
+    """N on Z, undecided under budgets of fewer than three summands."""
+
+    group = Z
+
+    def _contains(self, x, budget):
+        if budget.max_summands < 3:
+            return unknown("undecided by the stub")
+        return yes() if x >= 0 else no(x)
+
+
+def test_pullback_cone_asks_an_undecided_base_element_again():
+    # An unknown base verdict may depend on the budget, so it is not kept:
+    # the same cone answers unknown, then yes under a larger budget.
+    pt = scaling_point()
+    shape = ExtensionShape(pt.x, ZN, PrecomposedAction(pt.action, LinearHom.scalar(Z, Z, Fraction(3))))
+    cone = PullbackCone(shape.carrier, DecidedFromThreeSummands(), pt.cone)
+    el = (Fraction(1), 1)
+    assert_state(cone.contains(el, SaturationBudget(1, 2, Window(1, 1, 1))), "unknown")
+    assert_state(cone.contains(el, SaturationBudget(1, 3, Window(1, 1, 1))), "yes")
+    assert_state(cone.contains(el, SaturationBudget(1, 2, Window(1, 1, 1))), "yes")
+
+
+def test_cones_on_different_carriers_are_refused():
+    # Q x| Z under scaling by 2 and by 3 hold the same pairs, so only the
+    # carrier comparison tells the two cones apart.
+    by_2 = scaling_point()
+    by_3 = point(ExtensionShape(QP, ZN, ScalingAction(Z, Q, Fraction(3))), "minimal")
+    for compare in (cones_equal, cone_subset):
+        with pytest.raises(ShapeError):
+            compare(by_2.cone, by_3.cone, SMALL_BUDGET)
+        with pytest.raises(ShapeError):
+            compare(product_cone(by_2), OrthantCone(Q), SMALL_BUDGET)
