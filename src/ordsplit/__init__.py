@@ -41,6 +41,7 @@ from .actions import (
 from .cones import (
     Cone,
     ExtensionalCone,
+    FibreCone,
     FullCone,
     GeneratedCone,
     LexCone,

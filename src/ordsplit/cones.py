@@ -2,29 +2,22 @@
 
 A cone is a submonoid closed under conjugation; it determines the preorder
 x <= y  iff  -x+y is in the cone.  Membership answers are three-valued:
-built-in cones are exact, and a GeneratedCone searches within a budget.  It
-generates from one of two sources: a tuple of generators (generated_cone),
-or the componentwise cone of a compatible shape, whose closure is the least
-compatible cone (minimal_cone).  It certifies exclusions on abelian carriers
-by separating functionals, the rays of its generators' dual cone, and on
-Z^k x| Z^n by the fibre lattice.  The least cone over (Z^n, N^n) with a Q^k
-kernel, or a Z^k kernel ordered by {0}, is decided exactly fibre by fibre,
-with no search, by one coordinate route: b outside N^n (no), x = 0 (yes),
-y in P_X (yes), b = 0 (no), then the fibre test of y over supp(b).
+built-in cones are exact, a GeneratedCone closes generators or a
+componentwise cone within a budget, and a FibreCone decides the least cone
+over (Z^n, N^n) exactly, fibre by fibre.
 
 Membership follows the template of groups, actions and maps: the public
 contains checks the element once, _contains trusts it, and a composite cone
 (product, point product, lex, generated, pullback, family) asks its parts'
-_contains about the components.  The coordinate route is the exception: it
-reads the orthant or {0} of each part off the coordinates itself.
+_contains about the components; a FibreCone reads its parts' orthant or {0}
+off the coordinates instead.
 
 Generated cones memoize their saturation per budget, the reduced form of the
 conjugator system I - phi_b per base element and budget (the elimination on
 Q^k, the Hermite form on Z^k, so that each fibre element costs one
-substitution), the fibre test per support of the base part, the fibre of
-each base part met by the coordinate route, the fibre lattice and the
-generators' dual cone; the fill is idempotent and queries never mutate
-shared state in a way observable across queries.
+substitution), the fibre lattice and the generators' dual cone, and a
+FibreCone the fibre of each base part met; the fill is idempotent and
+queries never mutate shared state in a way observable across queries.
 
 The "for all" checks (monotonicity, pointwise comparison, the cone axioms)
 get their "on generators", "window-verified" and "exhaustive" verdicts only
@@ -364,10 +357,6 @@ class LexCone(Cone):
 
 # The yes of a source element, built once: a frozen Verdict is safe to share.
 _SOURCE_YES = yes("source element")
-_NUMERATOR = operator.attrgetter("numerator")
-# The fibres of a _fibrewise cone over a base part outside N^n and over 0;
-# every other base part's fibre is the fibre test of its support.
-_OUTSIDE, _AT_ZERO = "outside N^n", "b = 0"
 
 
 @dataclass(frozen=True)
@@ -377,28 +366,16 @@ class GeneratedCone(Cone):
     componentwise ProductCone on this semidirect carrier of a shape that
     minimal_cone found compatible; then it is the least compatible cone.
     The source type is that certificate: any other source is a ShapeError.
+    Where fibrewise holds, minimal_cone builds the exact FibreCone instead.
 
-    Yes answers come from the source, the fibres of a least cone over
-    (Z^n, N^n), solved conjugators, or budgeted breadth-first saturation; No
-    answers need an exact argument (separating functional, the generators'
-    integer span, the fibre lattice, or a least cone's component shortcuts).
-
-    The least cone over (Z^n, N^n) whose kernel is Q^k with P_X an orthant
-    or {0}, or Z^k with P_X = {0} (see _fibrewise), takes one coordinate
-    route: it reads y's coordinates once and b's fibre from a per-cone table
-    (filled from b's coordinates when b is first met), and answers, in this
-    order, b outside N^n (no), y = 0 at b = 0 (a bare yes), y in P_X (yes
-    "source element"), b = 0 (no, as the kernel reflects the fibre order),
-    and otherwise the fibre test of y over supp(b), exact either way.  It
-    asks neither component cone.
-
-    Every other cone tries, in this order: the zero element (a bare yes);
-    the source, which is a generator of the tuple (yes) or, on a least cone,
-    the base part outside the base cone (no), an element of the
-    componentwise cone (yes "source element") and at b = 0 the kernel part
-    (yes "kernel part positive", or no as the kernel reflects the fibre
-    order); then on a semidirect carrier a solved conjugator (yes) and the
-    fibre lattice (no); saturation (yes) and the abelian exclusions (no).  A
+    Membership tries, in this order: the zero element (a bare yes); the
+    source, which is a generator of the tuple (yes) or, on a least cone, the
+    base part outside the base cone (no), an element of the componentwise
+    cone (yes "source element") and at b = 0 the kernel part (yes "kernel
+    part positive", or no as the kernel reflects the fibre order); then on a
+    semidirect carrier a solved conjugator (yes) and the fibre lattice (no);
+    budgeted saturation (yes) and the abelian exclusions (no, by a separating
+    functional or the generators' integer span).  Every no is exact.  A
     least cone asks its base and kernel cones at most once per membership,
     and an undecided part falls through to the later routes.
 
@@ -427,8 +404,6 @@ class GeneratedCone(Cone):
     contains = Cone.contains
 
     def _contains(self, x, budget):
-        if self._fibrewise:
-            return self._coordinate_route(x)
         if x == self.group.zero():
             return yes()
         v = self._source_route(x, budget)
@@ -466,8 +441,6 @@ class GeneratedCone(Cone):
         return x in src if isinstance(src, tuple) else src._contains(x, budget).is_yes
 
     def _source_route(self, x, budget) -> Verdict | None:
-        """A generator of the tuple; on a least cone, the component
-        shortcuts, asking each component cone at most once."""
         src = self.source
         if isinstance(src, tuple):
             return _SOURCE_YES if x in src else None
@@ -485,134 +458,6 @@ class GeneratedCone(Cone):
             return no(x, "kernel reflects the fibre order")
         return None
 
-    @cached_property
-    def _fibrewise(self) -> bool:
-        """True when the cone is the least compatible cone over (Z^n, N^n) and
-        its kernel is Q^k with P_X an orthant or {0}, or Z^k with P_X = {0}.
-
-        Then its fibre over b is P_X at b = 0, empty for b outside N^n, and
-        P_X + L_S otherwise, where S = supp(b) and
-        L_S = sum over i in S of Im(I - phi_{e_i}).  The conjugate of (y, b) by
-        (r, c) is (phi_c y + (I - phi_b) r, b), and phi_c(P_X) = P_X because
-        the shape is compatible (conjugating by (0, c) maps the fibre over 0
-        into itself, for c and -c).  As phi_u commutes with I - phi_v and is
-        invertible, phi_u(Im(I - phi_v)) = Im(I - phi_v); with
-        I - phi_{u+v} = (I - phi_u) + phi_u (I - phi_v), Im(I - phi_b) lies in
-        L_supp(b) for b in N^n.  So this set F holds the componentwise cone,
-        and it is closed: (x1, b1) + (x2, b2) = (x1 + phi_b1 x2, b1 + b2) has
-        supp(b1 + b2) = supp(b1) | supp(b2) on N^n, and phi_b1 keeps
-        P_X + L_S2; a conjugate of (x, b) is phi_c x + (I - phi_b) r over b.
-        Conversely the cone holds F: the conjugates ((I - phi_{e_i}) r_i, e_i)
-        add up, over the e_i in S, to every element of L_S over e_S (phi_{e_1}
-        maps Im(I - phi_{e_2}) onto itself), and adding (phi_{-e_S} p, b - e_S)
-        from the componentwise cone gives (l + p, b) for every p in P_X.
-
-        On Q^k, P_X + L_S is the rational cone of P_X's rays and +- the
-        columns of the I - phi_{e_i}, decided by its dual cone; on Z^k with
-        P_X = {0} it is the integer span of those columns, decided by its
-        Hermite form.  A full P_X is left to _source_route, which says yes to
-        every (y, b) with b in N^n.
-        """
-        src = self.source
-        if isinstance(src, tuple):
-            return False
-        px, pb = src.x_cone, src.b_cone
-        G = self.group
-        X, B = G.x_group, G.b_group
-        if not (isinstance(B, FreeAbelian) and isinstance(pb, OrthantCone)):
-            return False
-        rational = isinstance(X, RationalVector) and isinstance(px, (OrthantCone, TrivialCone))
-        integral = isinstance(X, FreeAbelian) and isinstance(px, TrivialCone)
-        return (rational or integral) and all(
-            G.action.matrix_for(e) is not None for e in B.generators()
-        )
-
-    @cached_property
-    def _kernel_orthant(self) -> bool:
-        """On a _fibrewise cone, True when P_X is the orthant (else it is {0})."""
-        return isinstance(self.source.x_cone, OrthantCone)
-
-    @cached_property
-    def _fibre_table(self) -> dict:
-        """On a _fibrewise cone: each base part b the coordinate route has
-        met -> its fibre, _OUTSIDE, _AT_ZERO or the fibre test of supp(b)."""
-        return {}
-
-    def _coordinate_route(self, x) -> Verdict:
-        """Membership of x = (y, b) in a _fibrewise cone, asking no component
-        cone.  It answers as the zero test, _source_route and _fibre_route do
-        in turn: b outside N^n, then x = 0, y in P_X, b = 0, and the fibre
-        test.  What depends on b alone, its fibre, is read from b's
-        coordinates once per cone and kept in _fibre_table, so a membership
-        reads only y's coordinates after b's first."""
-        xp, bp = x
-        fibre = self._fibre_table.get(bp)
-        if fibre is None:
-            fibre = self._fibre_table[bp] = self._fibre_of(bp)
-        if fibre is _OUTSIDE:
-            return no(x, "base part outside the base cone")
-        yc = self.group.x_group.coords(xp)
-        if not any(yc):
-            return yes() if fibre is _AT_ZERO else _SOURCE_YES
-        # A Fraction's sign is its numerator's, as in OrthantCone.
-        if self._kernel_orthant and min(map(_NUMERATOR, yc)) >= 0:
-            return _SOURCE_YES
-        if fibre is _AT_ZERO:
-            return no(x, "kernel reflects the fibre order")
-        return self._fibre_route(x, fibre, yc)
-
-    def _fibre_of(self, bp):
-        """The fibre of a _fibrewise cone over bp: _OUTSIDE for bp outside
-        N^n, _AT_ZERO for bp = 0, else the fibre test of supp(bp)."""
-        bc = self.group.b_group.coords(bp)
-        if min(bc) < 0:
-            return _OUTSIDE
-        S = tuple(i for i, c in enumerate(bc) if c)
-        return self._support_fibre(S) if S else _AT_ZERO
-
-    def _support_fibre(self, S: tuple) -> tuple:
-        """The fibre test of the nonempty support S, built once per S."""
-        built = self._cache.get(("fibre", S))
-        if built is None:
-            built = self._cache[("fibre", S)] = self._fibre_test(S)
-        return built
-
-    def _fibre_route(self, x, fibre: tuple, yc) -> Verdict:
-        """Exact membership of an x = (y, b), b in N^n nonzero and y outside
-        P_X, in a _fibrewise cone, from the fibre test of S = supp(b) and y's
-        coordinates yc: y in P_X + L_S.  A dual cone with no rays is all of
-        Q^k, so its yes needs no dot product."""
-        test, member, support = fibre
-        if isinstance(test, Hermite):
-            if integer_solve(test, yc) is None:
-                return no(x, f"fibre residue obstruction: fibre outside L_S, S = {support}")
-            return member
-        if not test.rays:
-            return member
-        functional = feasible_strict(test, [yc])
-        if functional is not None:
-            return no(x, f"separating functional {format_element(functional)} "
-                         f"of P_X + L_S, S = {support}")
-        return member
-
-    def _fibre_test(self, S: tuple) -> tuple | None:
-        """(the Hermite form or the dual cone of P_X + L_S, its yes, S named),
-        or None when some phi_{e_i}, i in S, has no matrix."""
-        G = self.group
-        X = G.x_group
-        gens = G.b_group.generators()
-        diffs = [self._one_minus_phi(gens[i]) for i in S]
-        if None in diffs:
-            return None
-        cols = [col for d in diffs for col in zip(*d)]
-        support = "{" + ", ".join(f"e{i + 1}" for i in S) + "}"
-        if isinstance(X, FreeAbelian):
-            test = hermite(list(zip(*cols)), len(cols))
-        else:
-            rays = list(identity_matrix(X.rank)) if self._kernel_orthant else []
-            test = dual_cone(rays + cols + [tuple(-c for c in col) for col in cols], X.rank)
-        return test, yes(f"fibre in P_X + L_S, S = {support}"), support
-
     def _semidirect_paths(self, x, budget) -> Verdict | None:
         G = self.group
         xp, bp = x
@@ -623,11 +468,6 @@ class GeneratedCone(Cone):
         if lattice is not None and integer_solve(lattice, G.x_group.coords(xp)) is None:
             return no(x, "fibre residue obstruction: fibre outside the lattice of I - phi_e")
         return None
-
-    def _one_minus_phi(self, b):
-        """The matrix I - phi_b, or None when phi_b has none."""
-        m = self.group.action.matrix_for(b)
-        return None if m is None else mat_sub(identity_matrix(len(m)), m)
 
     def _conjugator_system(self, bp, budget) -> Elimination | Hermite | None:
         """The reduced form of I - phi_bp (the Hermite form on Z^k, the
@@ -643,7 +483,7 @@ class GeneratedCone(Cone):
             return self._cache[key]
         G = self.group
         X = G.x_group
-        a = self._one_minus_phi(bp)
+        a = _one_minus_phi(G.action, bp)
         if a is not None and self._in_source((X.zero(), bp), budget):
             a = hermite(a, X.rank) if isinstance(X, FreeAbelian) else eliminate(a)
         else:
@@ -677,7 +517,7 @@ class GeneratedCone(Cone):
         Every cone element is a sum of conjugates of generators, and the
         conjugate of (0, b) by (r, c) is ((I - phi_b) r, b).  L is
         phi-invariant and holds Im(I - phi_b) for every b in N^n, as
-        _fibrewise shows, and for -e as I - phi_{-e} = -phi_{-e} (I - phi_e),
+        fibrewise shows, and for -e as I - phi_{-e} = -phi_{-e} (I - phi_e),
         so for every b.  So a sum (x1, b1) + (x2, b2) = (x1 + phi_b1 x2,
         b1 + b2) keeps its fibre in L.
         """
@@ -687,7 +527,7 @@ class GeneratedCone(Cone):
                      else isinstance(src.x_cone, TrivialCone))
         if not (over_axis and isinstance(X, FreeAbelian) and isinstance(B, FreeAbelian)):
             return None
-        built = self._fibre_test(tuple(range(B.rank)))
+        built = _fibre_test(G, tuple(range(B.rank)), False)
         return None if built is None else built[0]
 
     # budgeted breadth-first saturation
@@ -816,6 +656,159 @@ def _flatten(G: Group, el) -> tuple | None:
             return None
         return p1 + p2
     return None
+
+
+def _one_minus_phi(action, b):
+    """The matrix I - phi_b, or None when phi_b has none."""
+    m = action.matrix_for(b)
+    return None if m is None else mat_sub(identity_matrix(len(m)), m)
+
+
+def _fibre_test(G: Semidirect, S: tuple, orthant: bool) -> tuple | None:
+    """(the Hermite form or dual cone of P_X + L_S on G, P_X the orthant if
+    orthant else {0}; its yes; S named), or None if a phi_{e_i} has no matrix."""
+    X = G.x_group
+    gens = G.b_group.generators()
+    diffs = [_one_minus_phi(G.action, gens[i]) for i in S]
+    if None in diffs:
+        return None
+    cols = [col for d in diffs for col in zip(*d)]
+    support = "{" + ", ".join(f"e{i + 1}" for i in S) + "}"
+    if isinstance(X, FreeAbelian):
+        test = hermite(list(zip(*cols)), len(cols))
+    else:
+        rays = list(identity_matrix(X.rank)) if orthant else []
+        test = dual_cone(rays + cols + [tuple(-c for c in col) for col in cols], X.rank)
+    return test, yes(f"fibre in P_X + L_S, S = {support}"), support
+
+
+# --- the least cone over (Z^n, N^n), fibre by fibre ---------------------------
+
+
+_NUMERATOR = operator.attrgetter("numerator")
+_OUTSIDE, _AT_ZERO = "outside N^n", "b = 0"
+
+
+def fibrewise(G: Group, source) -> bool:
+    """True when source is a componentwise ProductCone on G = X x| Z^n with
+    base cone N^n, X = Q^k with P_X an orthant or {0} or X = Z^k with
+    P_X = {0}, and each phi_{e_i} has a matrix.
+
+    For a compatible shape, the closure's fibre over b is P_X at b = 0,
+    empty for b outside N^n, and P_X + L_S otherwise, where S = supp(b) and
+    L_S = sum over i in S of Im(I - phi_{e_i}).  The conjugate of (y, b) by
+    (r, c) is (phi_c y + (I - phi_b) r, b), and phi_c(P_X) = P_X because
+    the shape is compatible (conjugating by (0, c) maps the fibre over 0
+    into itself, for c and -c).  As phi_u commutes with I - phi_v and is
+    invertible, phi_u(Im(I - phi_v)) = Im(I - phi_v); with
+    I - phi_{u+v} = (I - phi_u) + phi_u (I - phi_v), Im(I - phi_b) lies in
+    L_supp(b) for b in N^n.  So this set F holds the componentwise cone,
+    and it is closed: (x1, b1) + (x2, b2) = (x1 + phi_b1 x2, b1 + b2) has
+    supp(b1 + b2) = supp(b1) | supp(b2) on N^n, and phi_b1 keeps
+    P_X + L_S2; a conjugate of (x, b) is phi_c x + (I - phi_b) r over b.
+    Conversely the cone holds F: the conjugates ((I - phi_{e_i}) r_i, e_i)
+    add up, over the e_i in S, to every element of L_S over e_S (phi_{e_1}
+    maps Im(I - phi_{e_2}) onto itself), and adding (phi_{-e_S} p, b - e_S)
+    from the componentwise cone gives (l + p, b) for every p in P_X.
+
+    On Q^k, P_X + L_S is the rational cone of P_X's rays and +- the
+    columns of the I - phi_{e_i}, decided by its dual cone; on Z^k with
+    P_X = {0} it is the integer span of those columns, decided by its
+    Hermite form.  A full P_X is left to GeneratedCone, whose source
+    shortcut says yes to every (y, b) with b in N^n.
+    """
+    if not (isinstance(source, ProductCone) and isinstance(G, Semidirect)
+            and source.group == G):
+        return False
+    px, pb = source.x_cone, source.b_cone
+    X, B = G.x_group, G.b_group
+    if not (isinstance(B, FreeAbelian) and isinstance(pb, OrthantCone)):
+        return False
+    rational = isinstance(X, RationalVector) and isinstance(px, (OrthantCone, TrivialCone))
+    integral = isinstance(X, FreeAbelian) and isinstance(px, TrivialCone)
+    return (rational or integral) and all(
+        G.action.matrix_for(e) is not None for e in B.generators()
+    )
+
+
+@dataclass(frozen=True)
+class FibreCone(Cone):
+    """The least compatible cone of a shape whose componentwise cone source
+    fibrewise accepts (any other source is a ShapeError), decided exactly.
+
+    Membership of x = (y, b) reads b's fibre from a per-cone table, filled
+    from b's coordinates when b is first met, and y's coordinates once.  It
+    answers, in this order: b outside N^n (no), y = 0 at b = 0 (a bare yes),
+    y in P_X (yes "source element"), b = 0 (no, as the kernel reflects the
+    fibre order), then the fibre test of y over supp(b): GeneratedCone's
+    zero test and source shortcuts, then the fibre test for its later routes.
+    """
+
+    group: Group
+    source: ProductCone
+    # base part -> its fibre (_fibre_of); support -> its fibre test; P_X is
+    # the orthant (else it is {0})
+    _fibres: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _tests: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _kernel_orthant: bool = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        if not fibrewise(self.group, self.source):
+            raise ShapeError("the source is no componentwise cone that fibrewise accepts")
+        object.__setattr__(self, "_kernel_orthant", isinstance(self.source.x_cone, OrthantCone))
+
+    contains = Cone.contains
+
+    def _contains(self, x, budget):
+        xp, bp = x
+        fibre = self._fibres.get(bp)
+        if fibre is None:
+            fibre = self._fibres[bp] = self._fibre_of(bp)
+        if fibre is _OUTSIDE:
+            return no(x, "base part outside the base cone")
+        yc = self.group.x_group.coords(xp)
+        if not any(yc):
+            return yes() if fibre is _AT_ZERO else _SOURCE_YES
+        # A Fraction's sign is its numerator's, as in OrthantCone.
+        if self._kernel_orthant and min(map(_NUMERATOR, yc)) >= 0:
+            return _SOURCE_YES
+        if fibre is _AT_ZERO:
+            return no(x, "kernel reflects the fibre order")
+        return self._fibre_route(x, fibre, yc)
+
+    def known_cone(self):
+        return True
+
+    def finite_generators(self):
+        return self.source.finite_generators()
+
+    def _fibre_of(self, bp):
+        bc = self.group.b_group.coords(bp)
+        if min(bc) < 0:
+            return _OUTSIDE
+        S = tuple(i for i, c in enumerate(bc) if c)
+        if not S:
+            return _AT_ZERO
+        test = self._tests.get(S)
+        if test is None:
+            test = self._tests[S] = _fibre_test(self.group, S, self._kernel_orthant)
+        return test
+
+    def _fibre_route(self, x, fibre: tuple, yc) -> Verdict:
+        """y in P_X + L_S, from the fibre test of S = supp(b) and yc."""
+        test, member, support = fibre
+        if isinstance(test, Hermite):
+            if integer_solve(test, yc) is None:
+                return no(x, f"fibre residue obstruction: fibre outside L_S, S = {support}")
+            return member
+        # A dual cone with no rays is all of Q^k: no dot product is needed.
+        if not test.rays:
+            return member
+        functional = feasible_strict(test, [yc])
+        if functional is not None:
+            return no(x, f"separating functional {format_element(functional)} "
+                         f"of P_X + L_S, S = {support}")
+        return member
 
 
 def generated_cone(G: Group, generators) -> Cone:

@@ -18,6 +18,7 @@ from .actions import Action, FiniteTableAction, ProductAction, TrivialAction, va
 from .cones import (
     Cone,
     ExtensionalCone,
+    FibreCone,
     FullCone,
     GeneratedCone,
     LexCone,
@@ -28,6 +29,7 @@ from .cones import (
     TrivialCone,
     check_cone_axioms,
     cone_subset,
+    fibrewise,
     is_monotone,
     units_subgroup,
 )
@@ -186,7 +188,8 @@ def compatible_exists(
 
     Checks monotonicity of phi on +/- base generators (compositions of
     monotone maps stay monotone) and the pointwise condition on units of the
-    base; a Yes carries the lexicographic cone as certificate.
+    base (none to scan when the action is provably trivial); a Yes carries
+    the lexicographic cone as certificate.
     """
     for g in shape.b.group.generators():
         for b in (g, shape.b.group.neg(g)):
@@ -199,24 +202,25 @@ def compatible_exists(
                 )
             if v.is_unknown:
                 return unknown(f"monotonicity of phi_{format_element(b)} undecided")
-    units = units_subgroup(shape.b, budget)
-    pending = None
-    for u in units.generators:
-        for b in (u, shape.b.group.neg(u)):
-            if shape.action.is_identity_for(b):
-                continue
-            v = pointwise_sim_id(shape.action.as_hom(b), shape.x, budget)
-            if v.is_no:
-                return no(
-                    (b, v.witness),
-                    f"unit {format_element(b)} acts without being pointwise equivalent to id",
-                )
-            if v.is_unknown and pending is None:
-                pending = v
-    if pending is not None:
-        return pending
-    if not units.exact:
-        return unknown("units of the base are only window-known")
+    if not shape.action.provably_trivial():
+        units = units_subgroup(shape.b, budget)
+        pending = None
+        for u in units.generators:
+            for b in (u, shape.b.group.neg(u)):
+                if shape.action.is_identity_for(b):
+                    continue
+                v = pointwise_sim_id(shape.action.as_hom(b), shape.x, budget)
+                if v.is_no:
+                    return no(
+                        (b, v.witness),
+                        f"unit {format_element(b)} acts without being pointwise equivalent to id",
+                    )
+                if v.is_unknown and pending is None:
+                    pending = v
+        if pending is not None:
+            return pending
+        if not units.exact:
+            return unknown("units of the base are only window-known")
     return Verdict(
         yes().state,
         lex_cone(shape),
@@ -231,7 +235,7 @@ def minimal_cone(shape: ExtensionShape, budget: SaturationBudget = DEFAULT_BUDGE
     a cone (trivial twist, closed components) is its own closure and is
     returned as it is, and so is the componentwise cone on a finite carrier,
     the only compatible cone there (see _closed_finite_shape); otherwise the
-    closure is a GeneratedCone over it.
+    closure is a FibreCone over it where fibrewise holds, else a GeneratedCone.
     """
     if shape.carrier.is_finite:
         _closed_finite_shape(shape)
@@ -249,6 +253,8 @@ def minimal_cone(shape: ExtensionShape, budget: SaturationBudget = DEFAULT_BUDGE
     prod = product_cone(shape)
     if prod.known_cone() or shape.carrier.is_finite:
         return prod
+    if fibrewise(shape.carrier, prod):
+        return FibreCone(shape.carrier, prod)
     return GeneratedCone(shape.carrier, prod)
 
 

@@ -19,9 +19,11 @@ from ordsplit.cones import (
     Cone,
     ExtensionalCone,
     FullCone,
+    GeneratedCone,
     PointProductCone,
     PreorderedGroup,
     ProductCone,
+    _fibre_test,
     check_cone_axioms,
     is_monotone,
 )
@@ -251,18 +253,20 @@ def cone_to_family(
 
 
 def reference_least_cone_route(cone, x, budget: SaturationBudget) -> Verdict:
-    """Membership of x in a _fibrewise GeneratedCone by the composition its
-    coordinate route stands for: the zero test, then _source_route (which
-    asks the component cones), then the fibre test of supp(b), read from
-    b's coordinates here rather than from the cone's fibre table."""
+    """Membership of x in a FibreCone by the composition its route stands
+    for: the zero test, then the source shortcuts of a GeneratedCone over
+    the same source (which ask the component cones), then the fibre test
+    of supp(b), built from b's coordinates here rather than read from the
+    cone's tables."""
     if x == cone.group.zero():
         return yes()
-    v = cone._source_route(x, budget)
+    v = GeneratedCone(cone.group, cone.source)._source_route(x, budget)
     if v is not None:
         return v
     y, b = x
     S = tuple(i for i, c in enumerate(cone.group.b_group.coords(b)) if c)
-    return cone._fibre_route(x, cone._support_fibre(S), cone.group.x_group.coords(y))
+    test = _fibre_test(cone.group, S, cone._kernel_orthant)
+    return cone._fibre_route(x, test, cone.group.x_group.coords(y))
 
 
 # --- independent oracles --------------------------------------------------------

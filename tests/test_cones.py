@@ -13,6 +13,7 @@ from ordsplit.actions import MatrixAction, SignAction, ScalingAction, TrivialAct
 from ordsplit.cones import (
     Cone,
     ExtensionalCone,
+    FibreCone,
     FullCone,
     GeneratedCone,
     LexCone,
@@ -22,6 +23,7 @@ from ordsplit.cones import (
     TrivialCone,
     check_cone_axioms,
     cone_subset,
+    fibrewise,
     generated_cone,
     is_monotone,
     _finite_closure,
@@ -171,66 +173,55 @@ def test_generated_cone_explicit_sign_generator():
     assert sd.conjugate((1, 0), (0, 1)) == (2, 1)
 
 
-@pytest.mark.parametrize("matrix", [((0, 1), (1, 0)), ((1, 1), (0, 1))], ids=["swap", "shear"])
-def test_z2_conjugators_and_fibre_lattice_match_sums_of_conjugates(matrix):
-    # On Z^2 x| Z the swap and the shear make I - phi singular.  The cone of
-    # (0, 1) holds over b = 1 exactly the conjugates ((I - phi) r, 1), and
-    # over b = 2 the sums of two; a brute-force oracle lists both.
-    G = Semidirect(Z2V, Z, MatrixAction(Z, Z2V, (matrix,)))
-    gen = ((0, 0), 1)
-    cone = generated_cone(G, [gen])
-    box = list(itertools.product(range(-3, 4), repeat=2))
-    conjugates = {G.conjugate((r, c), gen) for r in box for c in (-1, 0, 1)}
+def _lattice_cases():
+    """(carrier, generators, box, bases, budget): cones of generators (0, e)
+    on Z^2 x| Z^n.  The box holds the fibre parts asked about and the r of
+    the brute-force conjugates; bases holds the base parts asked about."""
+    swap, shear = (MatrixAction(Z, Z2V, (m,)) for m in (((0, 1), (1, 0)), ((1, 1), (0, 1))))
+    flips = MatrixAction(Z2V, Z2V, (((-1, 0), (0, 1)), ((1, 0), (0, -1))))
+    box3, box2 = (list(itertools.product(range(-k, k + 1), repeat=2)) for k in (3, 2))
+    over_z = [((0, 0), 1)], box3, (-1, 0, 1, 2), SMALL_BUDGET
+    return [
+        (Semidirect(Z2V, Z, swap), *over_z),
+        (Semidirect(Z2V, Z, shear), *over_z),
+        (Semidirect(Z2V, Z2V, flips), [((0, 0), (1, 0)), ((0, 0), (0, 1))], box2, box2,
+         SaturationBudget(1, 2, Window(2, 2, 2))),
+    ]
+
+
+@pytest.mark.parametrize(
+    "G, generators, box, bases, budget", _lattice_cases(), ids=["swap", "shear", "sign-flips"]
+)
+def test_z2_conjugators_and_fibre_lattice_match_sums_of_conjugates(G, generators, box, bases, budget):
+    # On Z^2 x| Z the swap and the shear make I - phi singular; on Z^2 x| Z^2
+    # two commuting sign flips put the fibres in the lattice 2Z x 2Z of the
+    # I - phi_{e_i}.  Over each generator's base part e the cone holds
+    # exactly the conjugates ((I - phi_e) r, e), over a sum of two base parts
+    # the sums of two; a brute-force oracle lists both.  Each fibre part
+    # outside the oracle's fibres is outside the lattice: an exact no.
+    cone = generated_cone(G, generators)
+    X0 = G.x_group.zero()
+    shifts = G.b_group.window_elements(Window(1, 1, 1))
+    conjugates = {G.conjugate((r, c), g) for g in generators for r in box for c in shifts}
     sums = {G.zero()} | conjugates | {G.add(a, b) for a in conjugates for b in conjugates}
     fibres = {xp for xp, _ in sums}
-    for b in (-1, 0, 1, 2):
+    lattice_no = "fibre residue obstruction: fibre outside the lattice of I - phi_e"
+    decided = 0
+    for b in bases:
         for xp in box:
             x = (xp, b)
-            v = cone.contains(x, SMALL_BUDGET)
+            v = cone.contains(x, budget)
+            decided += not v.is_unknown
             if v.is_yes:
                 assert x in sums, x
             if v.is_no:
-                assert x not in sums, x
-            if b == 1 and xp != (0, 0):
+                assert x not in sums and v.witness == x, x
+            if (X0, b) in generators and xp != X0:
                 assert v.is_yes == (x in conjugates), (x, v)
                 if v.is_yes:
                     assert v.note.startswith("conjugator"), v
-            if b in (1, 2) and xp not in fibres:
-                assert v.is_no and v.note.startswith("fibre residue obstruction"), (x, v)
-
-
-def test_fibre_lattice_over_z2_matches_sums_of_conjugates():
-    # Z^2 x| Z^2 under two commuting sign flips: the cone of (0, e1) and
-    # (0, e2) has its fibres in the lattice 2Z x 2Z of the I - phi_{e_i}.
-    # Over e1 (and e2) it holds exactly the conjugates ((I - phi_e) r, e),
-    # over e1 + e2 the sums of one of each; a brute-force oracle lists both.
-    flips = MatrixAction(Z2V, Z2V, (((-1, 0), (0, 1)), ((1, 0), (0, -1))))
-    G = Semidirect(Z2V, Z2V, flips)
-    gens = [((0, 0), (1, 0)), ((0, 0), (0, 1))]
-    cone = generated_cone(G, gens)
-    lattice_no = "fibre residue obstruction: fibre outside the lattice of I - phi_e"
-    budget = SaturationBudget(1, 2, Window(2, 2, 2))
-    v = cone.contains(((1, 0), (1, 0)), budget)
-    assert (v.state.value, v.witness, v.note) == ("no", ((1, 0), (1, 0)), lattice_no)
-    v = cone.contains(((2, 0), (1, 0)), budget)
-    assert v.is_yes and v.note.startswith("conjugator"), v
-    box = list(itertools.product(range(-2, 3), repeat=2))
-    shifts = list(itertools.product(range(-1, 2), repeat=2))
-    conjugates = {G.conjugate((r, c), g) for g in gens for r in box for c in shifts}
-    sums = {G.zero()} | conjugates | {G.add(a, b) for a in conjugates for b in conjugates}
-    decided = 0
-    for x in G.window_elements(budget.window):
-        v = cone.contains(x, budget)
-        decided += not v.is_unknown
-        if v.is_yes:
-            assert x in sums, x
-        if v.is_no:
-            assert x not in sums, x
-        xp, b = x
-        if b in ((1, 0), (0, 1)) and xp != (0, 0):
-            assert v.is_yes == (x in conjugates), (x, v)
-        if any(c % 2 for c in xp):
-            assert (v.state.value, v.note) == ("no", lattice_no), (x, v)
+            if xp not in fibres:
+                assert (v.state.value, v.note) == ("no", lattice_no), (x, v)
     assert decided
 
 
@@ -531,12 +522,14 @@ def test_public_contains_refuses_malformed_elements():
         product,
         pullback(point(shape, "minimal"), LinearHom.scalar(Z, Z, Fraction(2)), ZN, SMALL_BUDGET).cone,
         minimal_cone(shape, SMALL_BUDGET),
+        GeneratedCone(sd, product),
         LexCone(sd, Z0, ZN),
         FamilyCone(shape, UpSetFibers((0, 1))),
         IntersectionCone(sd, (product, LexCone(sd, Z0, ZN))),
     ]
     assert [type(c).__name__ for c in composites] == [
-        "ProductCone", "PullbackCone", "GeneratedCone", "LexCone", "FamilyCone", "IntersectionCone",
+        "ProductCone", "PullbackCone", "FibreCone", "GeneratedCone", "LexCone", "FamilyCone",
+        "IntersectionCone",
     ]
     for cone in composites:
         for bad in ((1,), (1, 0, 0), [0, 1], (True, 0), (0, Fraction(1))):
@@ -586,7 +579,7 @@ _TINY_BUDGET = SaturationBudget(1, 2, Window(1, 2, 1))
 
 def _swap_least_cone():
     # Z^2 under the swap with N^2: a kernel cone neither {0} nor on Q^k, so
-    # not _fibrewise; its memberships take _source_route and the later routes.
+    # fibrewise refuses it; its memberships take _source_route and the later routes.
     Z2N = PreorderedGroup(Z2V, OrthantCone(Z2V))
     return minimal_cone(ExtensionShape(Z2N, ZN, MatrixAction(Z, Z2V, (SWAP,))), _TINY_BUDGET)
 
@@ -626,7 +619,7 @@ def test_least_cone_membership_routes(name):
     # Zero, base part outside, source element, the kernel at b = 0, then
     # the fibre P_X + L_S over b >= 1, in that order.
     cone = {"scaling": _scaling_least_cone, "sign": _sign_least_cone}[name]()
-    assert isinstance(cone, GeneratedCone) and isinstance(cone.source, ProductCone)
+    assert isinstance(cone, FibreCone) and isinstance(cone.source, ProductCone)
     for el, state, note, used in LEAST_CONE_ROUTES[name]:
         v = cone.contains(el, SMALL_BUDGET)
         assert (v.state.value, v.note, v.budget_used) == (state, note, used), el
@@ -669,11 +662,11 @@ def test_undecided_base_part_falls_through_as_before():
 def test_certified_membership_asks_each_component_cone_at_most_once(build, budget, most, monkeypatch):
     # The per-cone caches (the fibre tests, conjugator systems and the
     # saturation) are filled by a first pass over the window; the second
-    # counts what each membership asks by itself.  A _fibrewise cone reads
+    # counts what each membership asks by itself.  A FibreCone reads
     # coordinates and asks neither component cone; any other certified cone
     # asks each at most once.
     cone = build()
-    assert isinstance(cone.source, ProductCone) and cone._fibrewise == (most == 0)
+    assert isinstance(cone.source, ProductCone) and isinstance(cone, FibreCone) == (most == 0)
     kernel, base = cone.source.x_cone, cone.source.b_cone
     calls = Counter()
 
@@ -756,17 +749,18 @@ def _sum_of_conjugates(shape, x, conjugates):
     "name, shape, window, box", _fibre_shapes(), ids=[s[0] for s in _fibre_shapes()]
 )
 def test_fibre_route_matches_sums_of_conjugates_and_the_old_routes(name, shape, window, box):
-    # The least cone over (Z^n, N^n) decides every window element through
-    # the source, the structural shortcuts and the fibre test.  A fibre yes
-    # is a brute-force sum of conjugates, a fibre no has none in the box, and
-    # the cone of the componentwise cone's window sample as generators (so
-    # on the old routes: conjugator, fibre lattice and saturation, at a small
-    # budget) never contradicts either.
+    # The FibreCone decides every window element through the source, the
+    # structural shortcuts and the fibre test.  A fibre yes is a brute-force
+    # sum of conjugates, and a fibre no has none in the box.  At a small
+    # budget, two GeneratedCones never contradict it: the one over the same
+    # componentwise cone, and the one of that cone's window sample as
+    # generators (so on the old routes: conjugator, fibre lattice and
+    # saturation).
     budget = SaturationBudget(1, 2, window)
     cone = minimal_cone(shape, budget)
-    assert isinstance(cone, GeneratedCone) and cone._fibrewise
+    assert isinstance(cone, FibreCone)
+    general = GeneratedCone(cone.group, cone.source)
     old = GeneratedCone(cone.group, tuple(cone.source.positive_sample(window, budget)))
-    assert not old._fibrewise
     G, X, B = shape.carrier, shape.x.group, shape.b.group
     conjugates = [
         [G.conjugate((r, B.zero()), (X.zero(), e)) for r in X.window_elements(box)]
@@ -779,8 +773,9 @@ def test_fibre_route_matches_sums_of_conjugates_and_the_old_routes(name, shape, 
         if "L_S" in v.note:
             fibre_yes += v.is_yes
             assert _sum_of_conjugates(shape, x, conjugates) == v.is_yes, (name, x, v)
-        w = old.contains(x, budget)
-        assert w.is_unknown or w.state == v.state, (name, x, v, w)
+        for reference in (general, old):
+            w = reference.contains(x, budget)
+            assert w.is_unknown or w.state == v.state, (name, x, v, w)
     assert fibre_yes, name
 
 
@@ -798,21 +793,39 @@ def _coordinate_route_cases():
     "name, shape, budget", _coordinate_route_cases(), ids=[c[0] for c in _coordinate_route_cases()]
 )
 def test_coordinate_route_answers_as_the_zero_source_and_fibre_routes(name, shape, budget):
-    # On every window element, the least cone's coordinate route gives the
-    # verdict, witness, note and budget trail of the zero test, _source_route
-    # and _fibre_route composed, run on a second cone.  The window is asked
-    # backwards, so the fibre table of the fresh cone fills in another order
-    # than the window's.
+    # On every window element, the FibreCone gives the verdict, witness,
+    # note and budget trail of the zero test, _source_route and _fibre_route
+    # composed, run on a second cone.  The window is asked backwards, so the
+    # fibre table of the fresh cone fills in another order than the window's.
     cone, reference = minimal_cone(shape, budget), minimal_cone(shape, budget)
-    assert isinstance(cone, GeneratedCone) and cone._fibrewise
-    assert cone is not reference and not cone._fibre_table
+    assert isinstance(cone, FibreCone)
+    assert cone is not reference and not cone._fibres
     for x in reversed(cone.group.window_elements(budget.window)):
         v = cone.contains(x, budget)
         w = reference_least_cone_route(reference, x, budget)
         assert (v.state, v.witness, v.note, v.budget_used) == (
             w.state, w.witness, w.note, w.budget_used
         ), (name, x)
-    assert set(cone._fibre_table) == set(cone.group.b_group.window_elements(budget.window))
+    assert set(cone._fibres) == set(cone.group.b_group.window_elements(budget.window))
+
+
+def test_minimal_cone_is_a_fibre_cone_exactly_where_fibrewise_holds():
+    # minimal_cone checks fibrewise once: a FibreCone on every shape above
+    # and on the sweep's pullback, a GeneratedCone on the swap point, on the
+    # scaling point pulled back from (Z, {0}) and on a base cone that decides
+    # nothing (compatible under a trivial action, which scans no units).
+    scaling = point(ExtensionShape(QP, ZN, ScalingAction(Z, Q, Fraction(2))), "minimal")
+    from_trivial = pullback(scaling, LinearHom.scalar(Z, Z, Fraction(-1)), Z0, SMALL_BUDGET)
+    undecided = ExtensionShape(QP, PreorderedGroup(Z, _Undecided(Z)), TrivialAction(Z, Q))
+    general = [_swap_least_cone()] + [minimal_cone(s, SMALL_BUDGET) for s in (from_trivial, undecided)]
+    exact = [minimal_cone(shape, budget) for _, shape, budget in _coordinate_route_cases()]
+    for built, kind in ((general, GeneratedCone), (exact, FibreCone)):
+        for cone in built:
+            assert type(cone) is kind and isinstance(cone.source, ProductCone), cone
+            assert fibrewise(cone.group, cone.source) == (kind is FibreCone), cone
+    for source in (general[1].source, ((Fraction(0), 1),)):
+        with pytest.raises(ShapeError):
+            FibreCone(general[1].group, source)
 
 
 def test_a_fibre_of_all_of_q_asks_no_dual_ray(monkeypatch):

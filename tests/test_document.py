@@ -743,16 +743,19 @@ def test_cli_rejects_malformed_shapes(tmp_path, capsys, mutate, message):
 def _rank3_minimal_doc():
     doc = minimal_doc([])
     doc["groups"]["Q3"] = {"kind": "rational_vector", "rank": 3}
-    doc["cones"]["q3_gen"] = {"kind": "generated", "group": "Q3", "generators": [["1", "0", "0"]]}
-    doc["actions"]["t3"] = {"kind": "trivial", "acting": "Q3", "acted": "Z"}
-    doc["points"] = {"p": {"x_group": "Z", "x_cone": "nat", "b_group": "Q3",
-                           "b_cone": "q3_gen", "action": "t3", "cone": "minimal"}}
+    units = [[str(s * (i == j)) for j in range(3)] for i in range(3) for s in (1, -1)]
+    doc["cones"]["q3_all"] = {"kind": "generated", "group": "Q3", "generators": units}
+    doc["actions"]["sgn3"] = {"kind": "sign", "acting": "Z", "acted": "Q3"}
+    doc["points"] = {"p": {"x_group": "Q3", "x_cone": "q3_all", "b_group": "Z",
+                           "b_cone": "full", "action": "sgn3", "cone": "minimal"}}
     return doc
 
 
 def test_cli_rejects_window_over_the_cap_at_parse_time(tmp_path, capsys):
-    # Deciding the minimal point scans Q^3 for the units of its generated
-    # base cone, and Q^3's default window has 167^3 = 4,657,463 elements.
+    # Deciding the minimal point scans Q^3 to check that the unit 1 of the
+    # full base acts (by -I) pointwise equivalently to the identity under a
+    # generated kernel cone, and Q^3's default window has 167^3 = 4,657,463
+    # elements.
     started = time.monotonic()
     code, err = _validate_exit(tmp_path, capsys, _rank3_minimal_doc())
     assert time.monotonic() - started < 1

@@ -14,8 +14,8 @@ from ordsplit.actions import (
 )
 from ordsplit.cones import (
     ExtensionalCone,
+    FibreCone,
     FullCone,
-    GeneratedCone,
     OrthantCone,
     PreorderedGroup,
     TrivialCone,
@@ -143,14 +143,24 @@ def test_compatible_exists_three_examples():
     assert_state(compatible_exists(trivial_shape(), SMALL_BUDGET), "yes")
 
 
-def test_compatible_exists_with_window_known_base_units():
-    # The lex cone is compatible here, but the units of a generated base cone
-    # come from a window scan.  Exact units (ROADMAP item 2, step A) turn
-    # this answer into yes.
+def test_compatible_exists_with_window_known_base_units(monkeypatch):
+    # The units of a generated base cone come from a window scan.  Under a
+    # trivial action every unit acts as the identity, so none is scanned and
+    # the lex cone certifies the yes; the sign action still needs the units.
+    scanned = []
+    real = extensions.units_subgroup
+    monkeypatch.setattr(extensions, "units_subgroup", lambda *a: scanned.append(a) or real(*a))
     base = PreorderedGroup(Z2, generated_cone(Z2, [(1, 0), (0, 1)]))
-    v = compatible_exists(ExtensionShape(ZN, base, TrivialAction(Z2, Z)), SMALL_BUDGET)
+    shape = ExtensionShape(ZN, base, TrivialAction(Z2, Z))
+    v = compatible_exists(shape, SMALL_BUDGET)
+    assert_state(v, "yes")
+    assert (v.witness, v.note) == (lex_cone(shape), "lexicographic cone is compatible")
+    assert scanned == []
+    base = PreorderedGroup(Z, generated_cone(Z, [1]))
+    v = compatible_exists(ExtensionShape(Z0, base, SignAction(Z, Z)), SMALL_BUDGET)
     assert_state(v, "unknown")
     assert v.note == "units of the base are only window-known"
+    assert len(scanned) == 1
 
 
 def test_compatible_exists_returns_lex_certificate():
@@ -446,7 +456,7 @@ def test_minimal_cone_of_a_trivial_action_is_the_product_cone():
     # Closedness of the componentwise cone is decided once, in minimal_cone.
     shape = trivial_shape()
     assert minimal_cone(shape, SMALL_BUDGET) == product_cone(shape)
-    assert isinstance(minimal_cone(scaling_shape(), SMALL_BUDGET), GeneratedCone)
+    assert isinstance(minimal_cone(scaling_shape(), SMALL_BUDGET), FibreCone)
 
 
 def test_validate_family_asks_each_cone_once_per_window_element(monkeypatch):
