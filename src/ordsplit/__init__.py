@@ -91,9 +91,7 @@ from .points import (
 )
 from .classifiers import (
     AutGroup,
-    MinusCone,
-    PlusCone,
-    TildeCone,
+    AutOrderCone,
     admissible_check,
     aut_cone,
     build_classifier,

@@ -3,7 +3,9 @@
 The automorphisms of a preordered group that fix its cone setwise form a
 group under composition; orders on it whose units act pointwise equivalent
 to the identity ("admissible") produce terminal points for suitable classes.
-Symbolic carriers are a closed catalog; anything else is rejected.
+The three standard orders (pointwise equivalence to the identity, P+ and P-)
+are one cone class, `AutOrderCone`.  Symbolic carriers are a closed catalog;
+anything else is rejected.
 """
 
 from __future__ import annotations
@@ -310,54 +312,41 @@ def monotone_aut(X: PreorderedGroup) -> AutGroup:
 
 
 @dataclass(frozen=True)
-class TildeCone(Cone):
-    """Automorphisms pointwise equivalent to the identity."""
+class AutOrderCone(Cone):
+    """One of the three standard orders on Aut_P(X): ``"tilde"`` holds the
+    automorphisms pointwise equivalent to the identity, ``"plus"`` those that
+    raise every positive element and ``"minus"`` those that raise every
+    negative one."""
 
     group: AutGroup
+    order: str
+
+    def __post_init__(self):
+        if self.order not in ("tilde", "plus", "minus"):
+            raise StructureError(f"unknown automorphism order {self.order!r}")
 
     def _contains(self, el, budget):
-        v = pointwise_sim_id(self.group.realize(el), self.group.base, budget)
-        if v.is_no:
-            return no(el, f"moves {format_element(v.witness)}")
-        return v
+        base, h = self.group.base, self.group.realize(el)
+        if self.order == "tilde":
+            v = pointwise_sim_id(h, base, budget)
+            return no(el, f"moves {format_element(v.witness)}") if v.is_no else v
+        v = _orthant_matrix_leq(self.group, el, h, 1 if self.order == "plus" else -1)
+        if v is not None:
+            return v
+        if isinstance(base.cone, (FullCone, TrivialCone)):
+            return yes("degenerate base order")
+        if self.order == "plus":
+            return hom_leq(IdentityHom(base.group), h, base, base, budget)
+        # h raises the negative -p iff p - h(p) is positive, and hom_leq asks
+        # for -h(p) + p: the two are equal on an abelian base and conjugate
+        # (so both in the cone or both out) on any base.
+        return hom_leq(h, IdentityHom(base.group), base, base, budget)
 
     def known_cone(self):
         return True
 
     def __str__(self):
-        return "P~"
-
-
-@dataclass(frozen=True)
-class PlusCone(Cone):
-    """Automorphisms dominating the identity on positive elements."""
-
-    group: AutGroup
-
-    def _contains(self, el, budget):
-        return _dominates_id(self.group, el, budget)
-
-    def known_cone(self):
-        return True
-
-    def __str__(self):
-        return "P+"
-
-
-@dataclass(frozen=True)
-class MinusCone(Cone):
-    """Automorphisms dominating the identity on negative elements."""
-
-    group: AutGroup
-
-    def _contains(self, el, budget):
-        return _dominated_by_id_on_negatives(self.group, el, budget)
-
-    def known_cone(self):
-        return True
-
-    def __str__(self):
-        return "P-"
+        return {"tilde": "P~", "plus": "P+", "minus": "P-"}[self.order]
 
 
 def _orthant_matrix_leq(aut: AutGroup, el, h: Homomorphism, sign: int) -> Verdict | None:
@@ -376,61 +365,9 @@ def _orthant_matrix_leq(aut: AutGroup, el, h: Homomorphism, sign: int) -> Verdic
     return yes(f"matrix raises every {side}")
 
 
-def _dominates_id(aut: AutGroup, el, budget) -> Verdict:
-    base = aut.base
-    h = aut.realize(el)
-    v = _orthant_matrix_leq(aut, el, h, 1)
-    if v is not None:
-        return v
-    if isinstance(base.cone, (FullCone, TrivialCone)):
-        return yes("degenerate base order")
-    return hom_leq(IdentityHom(base.group), h, base, base, budget)
-
-
-def _dominated_by_id_on_negatives(aut: AutGroup, el, budget) -> Verdict:
-    base = aut.base
-    h = aut.realize(el)
-    v = _orthant_matrix_leq(aut, el, h, -1)
-    if v is not None:
-        return v
-    if isinstance(base.cone, (FullCone, TrivialCone)):
-        return yes("degenerate base order")
-    if base.group.is_finite:
-        for x in base.group.elements():
-            if base.leq(x, base.group.zero(), budget).is_yes:
-                v = base.leq(x, h.apply(x), budget)
-                if v.is_no:
-                    return no((el, x), "negative element not raised")
-                if v.is_unknown:
-                    return v
-        return yes("exhaustive")
-    # On an abelian carrier, alpha(x) >= x on -P is alpha(p) <= p on P.
-    return hom_leq(h, IdentityHom(base.group), base, base, budget)
-
-
-def aut_cone(aut: AutGroup, which: str, budget: SaturationBudget = DEFAULT_BUDGET) -> PreorderedGroup:
+def aut_cone(aut: AutGroup, which: str) -> PreorderedGroup:
     """The automorphism group ordered by one of the three standard cones."""
-    cone = {"tilde": TildeCone, "plus": PlusCone, "minus": MinusCone}.get(which)
-    if cone is None:
-        raise StructureError(f"unknown automorphism order {which!r}")
-    return PreorderedGroup(aut, cone(aut))
-
-
-def _order_units(O: PreorderedGroup, budget) -> tuple[list | str, bool]:
-    """Units of an order on an automorphism group: (elements | 'all', exact)."""
-    A = O.group
-    if isinstance(O.cone, TildeCone):
-        return "tilde", True
-    if not A.is_finite and isinstance(O.cone, (PlusCone, MinusCone)):
-        # alpha and alpha^{-1} both dominating (or dominated by) the identity
-        # pinch to the identity on the symbolic carriers.
-        return [A.zero()], True
-    units = units_subgroup(O, budget)
-    if units.elements is None:
-        return "all", units.exact
-    # Sorted is the element order on the finite carriers and the window order
-    # on Q_{>0}, so the first unit that moves an element is the same witness.
-    return sorted(units.elements), units.exact
+    return PreorderedGroup(aut, AutOrderCone(aut, which))
 
 
 def admissible_check(O: PreorderedGroup, budget: SaturationBudget = DEFAULT_BUDGET) -> Verdict:
@@ -438,12 +375,22 @@ def admissible_check(O: PreorderedGroup, budget: SaturationBudget = DEFAULT_BUDG
     A = O.group
     if not isinstance(A, AutGroup):
         raise StructureError("admissibility concerns orders on automorphism groups")
-    units, exact = _order_units(O, budget)
-    if units == "tilde":
-        return yes("units of the pointwise order fix everything by definition")
-    if units == "all":
-        units = A.window_elements(budget.window)
-        exact = False if not A.is_finite else exact
+    if isinstance(O.cone, AutOrderCone):
+        if O.cone.order == "tilde":
+            return yes("units of the pointwise order fix everything by definition")
+        if not A.is_finite:
+            # alpha and alpha^{-1} both dominating (or dominated by) the
+            # identity pinch to the identity on the symbolic carriers.
+            return yes()
+    found = units_subgroup(O, budget)
+    units, exact = found.elements, found.exact
+    if units is None:
+        units, exact = A.window_elements(budget.window), exact and A.is_finite
+    else:
+        # Sorted is the element order on the finite carriers and the window
+        # order on Q_{>0}, so the first unit that moves an element is the same
+        # witness.
+        units = sorted(units)
     v = vall(
         ((a, pointwise_sim_id(A.realize(a), A.base, budget)) for a in units),
         "unit automorphism moves an element",
@@ -497,7 +444,7 @@ def build_classifier(X: PreorderedGroup, O: PreorderedGroup, budget: SaturationB
     if not adm.is_yes:
         raise StructureError(f"order is not admissible: {adm}")
     shape = ExtensionShape(X, O, AutEvalAction(O.group))
-    if isinstance(O.cone, TildeCone):
+    if isinstance(O.cone, AutOrderCone) and O.cone.order == "tilde":
         return point(shape, product_cone(shape))
     return point(shape, lex_cone(shape))
 
@@ -633,7 +580,7 @@ def no_classifier_witness(
         if not (fwd.is_yes or bwd.is_yes):
             raise StructureError(f"order is not total: {format_element(x)} has no sign")
     aut = monotone_aut(X)
-    plus = PlusCone(aut)
+    plus = AutOrderCone(aut, "plus")
     if isinstance(aut, RatScalingAutGroup):
         candidates = [Fraction(n) for n in range(2, budget.window.int_bound + 2)]
     elif aut.is_finite:

@@ -618,7 +618,7 @@ class GeneratedCone(Cone):
         dual, d, span = built
         functional = feasible_strict(dual, [vx])
         if functional is not None:
-            return no(x, f"separating functional {functional}")
+            return no(x, f"separating functional {format_element(functional)}")
         if integer_solve(span, [d * c for c in vx]) is None:
             return no(x, "outside the integer span of the generators")
         return None

@@ -588,7 +588,7 @@ def _ssfl(src, dst, a, c, b):
 
 
 def _classify_into(pt, order, b):
-    cls = build_classifier(pt.x, aut_cone(monotone_aut(pt.x), order, b), b)
+    cls = build_classifier(pt.x, aut_cone(monotone_aut(pt.x), order), b)
     rep = classify_into(pt, cls, b)
     parts = {
         "base_monotone": rep.base_monotone,
@@ -627,7 +627,7 @@ QUERY_OPS: dict[str, QueryOp] = {
     "sclass_membership": QueryOp(
         "classify",
         ("point", "order"),
-        lambda pt, order, b: sclass_membership(pt, aut_cone(monotone_aut(pt.x), order, b), b),
+        lambda pt, order, b: sclass_membership(pt, aut_cone(monotone_aut(pt.x), order), b),
     ),
     "ssfl": QueryOp("classify", ("src", "dst", "a", "c"), _ssfl),
     "pullback_strong": QueryOp(
@@ -638,13 +638,13 @@ QUERY_OPS: dict[str, QueryOp] = {
     "admissible": QueryOp(
         "classifier",
         ("x", "order"),
-        lambda x, order, b: admissible_check(aut_cone(monotone_aut(x), order, b), b),
+        lambda x, order, b: admissible_check(aut_cone(monotone_aut(x), order), b),
     ),
     "classifier_rali": QueryOp(
         "classifier",
         ("x", "order"),
         lambda x, order, b: is_rali(
-            build_classifier(x, aut_cone(monotone_aut(x), order, b), b), b
+            build_classifier(x, aut_cone(monotone_aut(x), order), b), b
         ),
     ),
     "no_classifier_witness": QueryOp("classifier", ("x",), _no_classifier_witness),

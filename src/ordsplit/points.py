@@ -3,7 +3,8 @@
 A point is rali exactly when its cone is the componentwise cone, and strong
 exactly when its cone is the one generated from it.  Each query answers by
 one route: `is_rali` by cone equality, not by the equivalent s∘f <= id of
-`hom_leq`, which stays here so that the tests can compare the two.
+`hom_leq`; the tests compare the two, and `hom_leq` decides the P+ and P-
+orders on an automorphism group beyond their orthant and degenerate routes.
 Strongness is not stable under pullback, so "stably strong" is only ever
 certified relative to an explicit catalog of base morphisms.
 """
@@ -85,12 +86,17 @@ def hom_leq(
             gens, lambda x: dst.leq(g.apply(x), h.apply(x), budget),
             "comparison fails on a cone generator", "on cone generators",
         )
+    clean = (
+        yes("exhaustive")
+        if src.group.is_finite
+        else yes("window-verified", budget_used=(("window", budget.window.int_bound),))
+    )
     return for_all_members(
         src.group.window_elements(budget.window),
         lambda x: src.cone.contains(x, budget),
         lambda x: dst.leq(g.apply(x), h.apply(x), budget),
         "comparison fails on a positive element", "pointwise comparison hit undecided memberships",
-        yes("window-verified"),
+        clean,
     )
 
 

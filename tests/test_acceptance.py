@@ -12,7 +12,7 @@ from fractions import Fraction
 from ordsplit.actions import ScalingAction, SignAction, TrivialAction
 from ordsplit.catalog import SCENARIO_COUNT, builtin_catalog
 from ordsplit.classifiers import (
-    PlusCone,
+    AutOrderCone,
     admissible_check,
     aut_cone,
     build_classifier,
@@ -323,7 +323,7 @@ def test_acceptance_8_classifier_terminality():
         pt = doc.points[name]
         assert is_rali(pt, SMALL_BUDGET).is_yes, name
         aut = monotone_aut(pt.x)
-        cls = build_classifier(pt.x, aut_cone(aut, "tilde", SMALL_BUDGET), SMALL_BUDGET)
+        cls = build_classifier(pt.x, aut_cone(aut, "tilde"), SMALL_BUDGET)
         rep = classify_into(pt, cls, SMALL_BUDGET)
         assert rep.base_monotone.is_yes, name
         assert rep.middle_monotone.is_yes, name
@@ -340,10 +340,10 @@ def test_acceptance_9_no_classifier_witness():
     alpha, moved = w
     assert isinstance(alpha, Fraction) and alpha >= 2
     aut = monotone_aut(QP)
-    assert PlusCone(aut).contains(alpha).is_yes
+    assert AutOrderCone(aut, "plus").contains(alpha).is_yes
     assert QP.sim(aut.realize(alpha).apply(moved), moved).is_no
-    assert admissible_check(aut_cone(aut, "plus", SMALL_BUDGET), SMALL_BUDGET).is_yes
-    assert admissible_check(aut_cone(aut, "minus", SMALL_BUDGET), SMALL_BUDGET).is_yes
+    assert admissible_check(aut_cone(aut, "plus"), SMALL_BUDGET).is_yes
+    assert admissible_check(aut_cone(aut, "minus"), SMALL_BUDGET).is_yes
     print(f"\nACCEPTANCE 9: PASS - witness scaling {alpha} moves {moved}; plus/minus admissible")
 
 

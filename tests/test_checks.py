@@ -338,3 +338,14 @@ def test_one_linear_map_class_and_identities_decided_on_generators():
         ordsplit.classifiers._uniqueness_check,
     ):
         assert "window_elements" not in inspect.getsource(fn), fn.__name__
+
+
+def test_one_cone_class_for_the_three_automorphism_orders():
+    # P~, P+ and P- are AutOrderCone(group, order); P+ and P- share one
+    # domination route, and aut_cone reads no budget.
+    for name in (
+        "TildeCone", "PlusCone", "MinusCone",
+        "_dominates_id", "_dominated_by_id_on_negatives", "_order_units",
+    ):
+        assert not hasattr(ordsplit.classifiers, name), name
+    assert "budget" not in inspect.signature(ordsplit.classifiers.aut_cone).parameters

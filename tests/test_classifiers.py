@@ -12,12 +12,10 @@ from ordsplit.actions import (
 from ordsplit.classifiers import (
     AutEvalAction,
     CorestrictionHom,
+    AutOrderCone,
     FiniteAutGroup,
-    MinusCone,
     OrthantPermAutGroup,
-    PlusCone,
     RatScalingAutGroup,
-    TildeCone,
     admissible_check,
     aut_cone,
     build_classifier,
@@ -84,37 +82,41 @@ def test_finite_aut_group_is_a_group():
 
 def test_aut_cone_membership_scalings():
     aut = monotone_aut(QP)
-    plus, minus, tilde = PlusCone(aut), MinusCone(aut), TildeCone(aut)
+    plus, minus, tilde = (AutOrderCone(aut, order) for order in ("plus", "minus", "tilde"))
     assert_state(plus.contains(Fraction(2)), "yes")
     assert_state(tilde.contains(Fraction(2)), "no")
     assert_state(tilde.contains(Fraction(1)), "yes")
     assert_state(minus.contains(Fraction(1, 2)), "yes")
     assert_state(minus.contains(Fraction(2)), "no")
     assert_state(plus.contains(Fraction(1, 2)), "no")
+    with pytest.raises(StructureError):
+        aut_cone(aut, "all")
 
 
 def test_plus_and_minus_read_the_matrix_on_an_orthant_base():
     # alpha >= id on positives iff M - I >= 0 and on negatives iff I - M >= 0;
     # the witness pairs alpha with e_j (or -e_j) for the first failing column.
     aut = monotone_aut(QP)
-    assert PlusCone(aut).contains(Fraction(1, 2)).witness == (Fraction(1, 2), Fraction(1))
-    assert MinusCone(aut).contains(Fraction(2)).witness == (Fraction(2), Fraction(-1))
+    plus, minus = AutOrderCone(aut, "plus"), AutOrderCone(aut, "minus")
+    assert plus.contains(Fraction(1, 2)).witness == (Fraction(1, 2), Fraction(1))
+    assert minus.contains(Fraction(2)).witness == (Fraction(2), Fraction(-1))
     Z3 = FreeAbelian(3)
     aut = monotone_aut(PreorderedGroup(Z3, OrthantCone(Z3)))
+    plus, minus = AutOrderCone(aut, "plus"), AutOrderCone(aut, "minus")
     swap = (0, 2, 1)  # e_1 <-> e_2
-    v = PlusCone(aut).contains(swap)
+    v = plus.contains(swap)
     assert_state(v, "no")
     assert v.witness == (swap, (0, 1, 0))
-    v = MinusCone(aut).contains(swap)
+    v = minus.contains(swap)
     assert_state(v, "no")
     assert v.witness == (swap, (0, -1, 0))
-    for cone in (PlusCone(aut), MinusCone(aut)):
+    for cone in (plus, minus):
         assert_state(cone.contains((0, 1, 2)), "yes")
 
 
 def test_plus_minus_inverse_duality():
     aut = monotone_aut(QP)
-    plus, minus = PlusCone(aut), MinusCone(aut)
+    plus, minus = AutOrderCone(aut, "plus"), AutOrderCone(aut, "minus")
     for q in (Fraction(1), Fraction(2), Fraction(5, 2), Fraction(1, 3), Fraction(7, 4)):
         assert plus.contains(q).is_yes == minus.contains(1 / q).is_yes
 
@@ -123,7 +125,7 @@ def test_aut_cone_axioms_on_finite_instance():
     z3full = PreorderedGroup(CyclicGroup(3), FullCone(CyclicGroup(3)))
     aut = monotone_aut(z3full)
     for which in ("tilde", "plus", "minus"):
-        order = aut_cone(aut, which, SMALL_BUDGET)
+        order = aut_cone(aut, which)
         assert_state(check_cone_axioms(order.cone, SMALL_BUDGET), "yes", which)
 
 
@@ -136,37 +138,45 @@ def test_admissibility():
     assert_state(v, "no")
 
 
-@pytest.mark.parametrize("n, positives", [
-    (4, {0, 2}),
+S3 = symmetric_cayley(3)
+A3 = frozenset(S3.add(y, y) for y in S3.elements())  # the squares of S3
+
+
+@pytest.mark.parametrize("order", ["plus", "minus"])
+@pytest.mark.parametrize("G, positives, closed, aut_order, unit_count", [
+    pytest.param(CyclicGroup(4), {0, 2}, True, 2, 2, id="Z4"),
     # Not closed, but kept by negation, which the minus order then refuses.
-    (5, {0, 1, 4}),
+    pytest.param(CyclicGroup(5), {0, 1, 4}, False, 2, 1, id="Z5-not-closed"),
+    pytest.param(S3, A3, True, 6, 6, id="S3-A3"),
 ])
-def test_minus_cone_on_a_finite_base_matches_the_table(n, positives):
-    G = CyclicGroup(n)
+def test_plus_and_minus_cones_on_a_finite_base_match_the_table(
+    G, positives, closed, aut_order, unit_count, order
+):
     aut = monotone_aut(PreorderedGroup(G, ExtensionalCone(G, frozenset(positives))))
     assert isinstance(aut, FiniteAutGroup)
+    els = G.elements()
 
-    def inverse(alpha):
-        inv = [None] * n
-        for x, y in enumerate(alpha):
-            inv[y] = x
-        return tuple(inv)
+    def leq(x, y):
+        return G.add(G.neg(x), y) in positives
 
-    def minus(alpha):  # alpha(x) >= x whenever x <= 0
-        return all((alpha[x] - x) % n in positives for x in range(n) if (-x) % n in positives)
+    def table(alpha):  # alpha(x) >= x whenever x >= 0 (plus) or x <= 0 (minus)
+        image = dict(zip(els, alpha))
+        signed = positives if order == "plus" else [x for x in els if G.neg(x) in positives]
+        return all(leq(x, image[x]) for x in signed)
 
     def fixes_up_to_units(alpha):
-        return all(
-            (alpha[x] - x) % n in positives and (x - alpha[x]) % n in positives for x in range(n)
-        )
+        return all(leq(x, y) and leq(y, x) for x, y in zip(els, alpha))
 
-    order = aut_cone(aut, "minus", SMALL_BUDGET)
+    cone = AutOrderCone(aut, order)
+    other = AutOrderCone(aut, "minus" if order == "plus" else "plus")
     for alpha in aut.elements():
-        assert MinusCone(aut).contains(alpha, SMALL_BUDGET).is_yes == minus(alpha)
-    units = [a for a in aut.elements() if minus(a) and minus(inverse(a))]
+        assert cone.contains(alpha, SMALL_BUDGET).is_yes == table(alpha)
+        if closed:
+            assert other.contains(alpha, SMALL_BUDGET).is_yes == table(alpha)
+    units = [a for a in aut.elements() if table(a) and table(aut.neg(a))]
     expected = "yes" if all(fixes_up_to_units(u) for u in units) else "no"
-    assert_state(admissible_check(order, SMALL_BUDGET), expected)
-    assert aut.order() == 2 and len(units) == (2 if n == 4 else 1)
+    assert_state(admissible_check(aut_cone(aut, order), SMALL_BUDGET), expected)
+    assert aut.order() == aut_order and len(units) == unit_count
 
 
 def test_tilde_admissible_for_all_supported_kernels():
@@ -265,20 +275,20 @@ def test_classify_into_finite_classifier():
 
 
 def test_sclass_membership_examples():
-    plus = aut_cone(monotone_aut(QP), "plus", SMALL_BUDGET)
+    plus = aut_cone(monotone_aut(QP), "plus")
     scaling_pt = point(ExtensionShape(QP, ZN, ScalingAction(Z, Q, Fraction(2))), "minimal")
     assert_state(sclass_membership(scaling_pt, plus, SMALL_BUDGET), "yes")
     lex_pt = point(ExtensionShape(QP, ZN, TrivialAction(Z, Q)), "lex")
     v = sclass_membership(lex_pt, plus, SMALL_BUDGET)
     assert_state(v, "no")
     rali_pt = point(ExtensionShape(QP, ZN, TrivialAction(Z, Q)), "product")
-    tilde = aut_cone(monotone_aut(QP), "tilde", SMALL_BUDGET)
+    tilde = aut_cone(monotone_aut(QP), "tilde")
     assert_state(sclass_membership(rali_pt, tilde, SMALL_BUDGET), "yes")
 
 
 def test_sclass_membership_condition_1_no():
     # phi_1 halves, a monotone automorphism that P+ leaves out: x/2 < x for x > 0.
-    plus = aut_cone(monotone_aut(QP), "plus", SMALL_BUDGET)
+    plus = aut_cone(monotone_aut(QP), "plus")
     halving = point(ExtensionShape(QP, ZN, ScalingAction(Z, Q, Fraction(1, 2))), "minimal")
     v = sclass_membership(halving, plus, SMALL_BUDGET)
     assert_state(v, "no")
@@ -287,7 +297,7 @@ def test_sclass_membership_condition_1_no():
     )
     # phi_1 = -id is not monotone on (Z, N), so it is no element of the group.
     sign = point(ExtensionShape(ZN, ZN, SignAction(Z, Z)), "product")
-    v = sclass_membership(sign, aut_cone(monotone_aut(ZN), "plus", SMALL_BUDGET), SMALL_BUDGET)
+    v = sclass_membership(sign, aut_cone(monotone_aut(ZN), "plus"), SMALL_BUDGET)
     assert_state(v, "no")
     assert (v.witness, v.note) == (1, "positive base element acts outside the automorphism group")
 
@@ -298,7 +308,7 @@ def test_no_classifier_witness_rationals():
     alpha, moved = w
     assert alpha >= 2
     aut = monotone_aut(QP)
-    assert PlusCone(aut).contains(alpha).is_yes
+    assert AutOrderCone(aut, "plus").contains(alpha).is_yes
     assert QP.sim(aut.realize(alpha).apply(moved), moved).is_no
 
 
@@ -333,9 +343,9 @@ def test_orthant_perm_aut_group():
     swap = (1, 0)
     h = aut.realize(swap)
     assert h.apply((3, 5)) == (5, 3)
-    assert_state(PlusCone(aut).contains(swap), "no")
-    assert_state(TildeCone(aut).contains(aut.zero()), "yes")
-    assert_state(TildeCone(aut).contains(swap), "no")
+    assert_state(AutOrderCone(aut, "plus").contains(swap), "no")
+    assert_state(AutOrderCone(aut, "tilde").contains(aut.zero()), "yes")
+    assert_state(AutOrderCone(aut, "tilde").contains(swap), "no")
 
 Z2V = FreeAbelian(2)
 Z2N = PreorderedGroup(Z2V, OrthantCone(Z2V))
@@ -384,7 +394,7 @@ def test_orthant_perm_aut_from_action():
 @pytest.mark.parametrize("order", ["tilde", "plus", "minus"])
 def test_orthant_perm_aut_orders_admissible(order):
     aut = monotone_aut(Z2N)
-    assert_state(admissible_check(aut_cone(aut, order, SMALL_BUDGET), SMALL_BUDGET), "yes")
+    assert_state(admissible_check(aut_cone(aut, order), SMALL_BUDGET), "yes")
 
 
 def test_aut_eval_action_checks_the_automorphism_it_tests():

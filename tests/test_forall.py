@@ -196,7 +196,7 @@ def test_sclass_membership_undecided_unit():
     # n acts on Q by 2^n; whether 2 is a unit of the order asks about 1/2.
     qp = pre(OrthantCone(Q))
     pt = point(ExtensionShape(qp, pre(NAT), ScalingAction(Z, Q, Fraction(2))), "minimal")
-    plus = aut_cone(monotone_aut(qp), "plus", SMALL_BUDGET)
+    plus = aut_cone(monotone_aut(qp), "plus")
     order = PreorderedGroup(plus.group, Undecided(plus.cone, frozenset({Fraction(1, 2)})))
     v = sclass_membership(pt, order, SMALL_BUDGET)
     assert_state(v, "unknown")
