@@ -33,7 +33,6 @@ from .actions import (
     FiniteTableAction,
     MatrixAction,
     PrecomposedAction,
-    ScalingAction,
     SignAction,
     TrivialAction,
     validate_action,

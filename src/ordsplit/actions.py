@@ -3,6 +3,8 @@
 Each variant evaluates exactly and can say, per element b, whether the
 automorphism it induces is the identity; that powers both abelianness
 detection for twisted carriers and unit handling in compatibility checks.
+Every linear action of Z^k on a vector group is one `MatrixAction`; the
+scaling action of Z on Q^k (n acting by q^n) is `MatrixAction.scaling`.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ import itertools
 import operator
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from typing import Optional
 
@@ -110,6 +111,7 @@ class TrivialAction(Action):
         return x
 
     def is_identity_for(self, b):
+        self.acting.check(b)
         return True
 
     def matrix_for(self, b):
@@ -138,6 +140,7 @@ class SignAction(Action):
         return x if b % 2 == 0 else self.acted._neg(x)
 
     def is_identity_for(self, b):
+        self.acting.check(b)
         return b % 2 == 0
 
     def matrix_for(self, b):
@@ -148,59 +151,15 @@ class SignAction(Action):
 
 
 @dataclass(frozen=True)
-class ScalingAction(Action):
-    """n in Z acts on Q^k by multiplication with q^n (q a positive rational)."""
-
-    acting: Group
-    acted: Group
-    q: Fraction
-    # q**b per b, filled only after b passed acting.check: Fraction(2) == 2
-    # and both hash alike, so a lookup before the check would accept either.
-    _powers: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        if not (isinstance(self.acting, FreeAbelian) and self.acting.rank == 1):
-            raise StructureError("scaling action needs acting group Z")
-        if not isinstance(self.acted, RationalVector):
-            raise StructureError("scaling action needs acted group Q^k")
-        if self.q <= 0:
-            raise StructureError("scaling ratio must be positive")
-        # An int ratio would give float powers q**b for negative b.
-        object.__setattr__(self, "q", Fraction(self.q))
-
-    def _power(self, b):
-        """q**b for a b that already passed acting.check."""
-        f = self._powers.get(b)
-        if f is None:
-            f = self._powers[b] = self.q**b
-        return f
-
-    def _apply(self, b, x):
-        f = self._power(b)
-        if self.acted.rank == 1:
-            return f * x
-        return tuple(f * c for c in x)
-
-    def is_identity_for(self, b):
-        return self.q == 1 or b == 0
-
-    def matrix_for(self, b):
-        self.acting.check(b)
-        return scalar_matrix(self._power(b), self.acted.rank)
-
-    def __str__(self):
-        return f"scaling({self.q})"
-
-
-@dataclass(frozen=True)
 class MatrixAction(Action):
     """Generators of Z^k act by commuting invertible matrices."""
 
     acting: Group
     acted: Group
     images: tuple[Matrix, ...]
-    # The matrix of b per b, filled only after b passed acting.check, as
-    # ScalingAction._powers is: each costs a mat_pow per generator.
+    # The matrix of b per b, filled only after b passed acting.check:
+    # Fraction(2) == 2 and both hash alike, and each costs a mat_pow per
+    # generator.
     _matrices: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     # On Z^k, the int copy of each b's matrix that _apply multiplies with:
     # the entries are integers (unimodular generators), and int products
@@ -231,6 +190,17 @@ class MatrixAction(Action):
         for m1, m2 in itertools.combinations(mats, 2):
             if mat_mul(m1, m2) != mat_mul(m2, m1):
                 raise StructureError("generator matrices must commute")
+
+    @classmethod
+    def scaling(cls, acting: Group, acted: Group, q) -> "MatrixAction":
+        """n in Z acts on Q^k by multiplication with q^n (q a positive rational)."""
+        if not (isinstance(acting, FreeAbelian) and acting.rank == 1):
+            raise StructureError("scaling action needs acting group Z")
+        if not isinstance(acted, RationalVector):
+            raise StructureError("scaling action needs acted group Q^k")
+        if q <= 0:
+            raise StructureError("scaling ratio must be positive")
+        return cls(acting, acted, (scalar_matrix(q, acted.rank),))
 
     def _matrix(self, b):
         """The matrix of b, for a b that already passed acting.check."""
@@ -372,6 +342,7 @@ class ProductAction(Action):
         return (self.first._apply(b[0], x[0]), self.second._apply(b[1], x[1]))
 
     def is_identity_for(self, b):
+        self.acting.check(b)
         return self.first.is_identity_for(b[0]) and self.second.is_identity_for(b[1])
 
     def __str__(self):
@@ -416,9 +387,7 @@ def validate_action(action: Action) -> Verdict:
                     return no((b1, b2, x), "composition law fails")
     if exhaustive:
         return yes("exhaustive")
-    if isinstance(
-        action, (TrivialAction, SignAction, ScalingAction, MatrixAction, PrecomposedAction)
-    ):
+    if isinstance(action, (TrivialAction, SignAction, MatrixAction, PrecomposedAction)):
         # Additivity and the composition law follow from linearity and the
         # commuting-generator checks done at construction time.
         return yes("by construction")

@@ -69,6 +69,7 @@ from .verdict import (
     SaturationBudget,
     Verdict,
     Window,
+    clean_scan,
     for_all_members,
     no,
     on_generators,
@@ -1044,7 +1045,7 @@ def is_monotone(
         lambda x: src.cone.contains(x, budget),
         lambda x: dst.cone.contains(h.apply(x), budget),
         "positive element with non-positive image", "monotonicity hit undecided memberships",
-        yes("window-verified", budget_used=(("window", budget.window.int_bound),)),
+        clean_scan(src.group, budget.window),
     )
 
 

@@ -20,7 +20,6 @@ from .actions import (
     FiniteTableAction,
     MatrixAction,
     PrecomposedAction,
-    ScalingAction,
     SignAction,
     TrivialAction,
 )
@@ -382,7 +381,7 @@ def _parse_action(name, spec, groups, actions, homs) -> Action:
             return SignAction(acting, acted)
         if kind == "scaling":
             ratio = _number(_need(spec, "ratio", where), f"{where}.ratio", Fraction)
-            return ScalingAction(acting, acted, ratio)
+            return MatrixAction.scaling(acting, acted, ratio)
         if kind == "matrix":
             images = _list(spec, "images", where)
             matrices = tuple(

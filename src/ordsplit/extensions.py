@@ -56,6 +56,7 @@ from .verdict import (
     SaturationBudget,
     Verdict,
     Window,
+    clean_scan,
     for_all_members,
     no,
     on_generators,
@@ -151,33 +152,31 @@ def pointwise_sim_id(
     on linear maps under the full, orthant and trivial cones."""
     G = x_pre.group
     if G.is_finite:
-        for x in G.elements():
-            v = x_pre.sim(h.apply(x), x, budget)
-            if not v.is_yes:
-                return no(x, "automorphism moves an element") if v.is_no else v
-        return yes("exhaustive")
-    # A linear map under the full cone, and the identity, need no membership call.
-    m = h.as_matrix()
-    if m is not None and (m == identity_matrix(len(m)) or isinstance(x_pre.cone, FullCone)):
-        return yes("full order or identity map")
-    # d(x) = h(x)-x is additive and units form a subgroup, so generators
-    # decide every x of an abelian carrier they generate.  The orthant and
-    # trivial cones have units {0}, so generators decide a linear map under
-    # them over Q^k too; elsewhere a moved generator is a No.
-    decided = (G.is_abelian() and _generated_by_generators(G)) or (
-        m is not None and isinstance(x_pre.cone, (OrthantCone, TrivialCone))
-    )
-    if decided or m is not None:
-        v = on_generators(
-            G.generators(), lambda g: x_pre.sim(h.apply(g), g, budget),
-            "automorphism moves a generator", "on group generators",
+        els = G.elements()
+    else:
+        # A linear map under the full cone, and the identity, need no membership call.
+        m = h.as_matrix()
+        if m is not None and (m == identity_matrix(len(m)) or isinstance(x_pre.cone, FullCone)):
+            return yes("full order or identity map")
+        # d(x) = h(x)-x is additive and units form a subgroup, so generators
+        # decide every x of an abelian carrier they generate.  The orthant and
+        # trivial cones have units {0}, so generators decide a linear map under
+        # them over Q^k too; elsewhere a moved generator is a No.
+        decided = (G.is_abelian() and _generated_by_generators(G)) or (
+            m is not None and isinstance(x_pre.cone, (OrthantCone, TrivialCone))
         )
-        if decided or v.is_no:
-            return v
+        if decided or m is not None:
+            v = on_generators(
+                G.generators(), lambda g: x_pre.sim(h.apply(g), g, budget),
+                "automorphism moves a generator", "on group generators",
+            )
+            if decided or v.is_no:
+                return v
+        els = G.window_elements(budget.window)
     return for_all_members(
-        G.window_elements(budget.window), None, lambda x: x_pre.sim(h.apply(x), x, budget),
+        els, None, lambda x: x_pre.sim(h.apply(x), x, budget),
         "automorphism moves an element", "pointwise comparison hit undecided memberships",
-        yes("window-verified", budget_used=(("window", budget.window.int_bound),)),
+        clean_scan(G, budget.window),
     )
 
 

@@ -48,6 +48,7 @@ from .verdict import (
     DEFAULT_BUDGET,
     SaturationBudget,
     Verdict,
+    clean_scan,
     for_all_members,
     no,
     on_generators,
@@ -86,17 +87,12 @@ def hom_leq(
             gens, lambda x: dst.leq(g.apply(x), h.apply(x), budget),
             "comparison fails on a cone generator", "on cone generators",
         )
-    clean = (
-        yes("exhaustive")
-        if src.group.is_finite
-        else yes("window-verified", budget_used=(("window", budget.window.int_bound),))
-    )
     return for_all_members(
         src.group.window_elements(budget.window),
         lambda x: src.cone.contains(x, budget),
         lambda x: dst.leq(g.apply(x), h.apply(x), budget),
         "comparison fails on a positive element", "pointwise comparison hit undecided memberships",
-        clean,
+        clean_scan(src.group, budget.window),
     )
 
 

@@ -116,6 +116,14 @@ def on_generators(
     return pending if pending is not None else yes(yes_note)
 
 
+def clean_scan(G: Any, window: Window) -> Verdict:
+    """The Yes of a scan of G that found no failure: exhaustive when G is
+    finite (its window is all of it), else window-verified."""
+    if G.is_finite:
+        return yes("exhaustive")
+    return yes("window-verified", budget_used=(("window", window.int_bound),))
+
+
 def for_all_members(
     els: Iterable[Any],
     member: Callable[[Any], Verdict] | None,

@@ -9,7 +9,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from ordsplit.actions import ScalingAction, SignAction, TrivialAction
+from ordsplit.actions import MatrixAction, SignAction, TrivialAction
 from ordsplit.catalog import SCENARIO_COUNT, builtin_catalog
 from ordsplit.classifiers import (
     AutOrderCone,
@@ -92,7 +92,7 @@ def sign_strong_point():
 
 
 def scaling_point():
-    return point(ExtensionShape(QP, ZN, ScalingAction(Z, Q, Fraction(2))), "minimal")
+    return point(ExtensionShape(QP, ZN, MatrixAction.scaling(Z, Q, Fraction(2))), "minimal")
 
 
 def test_acceptance_1_interval_oracle_equivalence():
@@ -160,7 +160,7 @@ def test_acceptance_2_lexicographic_equivalence():
     assert is_compatible(lex_cone(sign_bad), sign_bad, SMALL_BUDGET).is_no
     assert definitional_compatible(lex_cone(sign_bad), sign_bad, SMALL_BUDGET).is_no
     for shape in (
-        ExtensionShape(QP, ZN, ScalingAction(Z, Q, Fraction(2))),
+        ExtensionShape(QP, ZN, MatrixAction.scaling(Z, Q, Fraction(2))),
         ExtensionShape(ZN, ZN, TrivialAction(Z, Z)),
         ExtensionShape(Z0, ZN, SignAction(Z, Z)),
     ):

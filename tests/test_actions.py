@@ -1,10 +1,9 @@
 """Memoised action data: a warm cache answers like a cold one and checks first.
 
-ScalingAction keeps q**b per b, MatrixAction the matrix of b per b (and on
-Z^k its int copy),
-PrecomposedAction keeps along(c) per c, and FiniteTableAction and TableHom
-build their tables once.  Fraction(2) == 2 and both hash
-alike, so each operand must pass Group.check before any lookup.
+MatrixAction (the scaling action included) keeps the matrix of b per b (and
+on Z^k its int copy), PrecomposedAction keeps along(c) per c, and
+FiniteTableAction and TableHom build their tables once.  Fraction(2) == 2 and
+both hash alike, so each operand must pass Group.check before any lookup.
 """
 
 from fractions import Fraction
@@ -14,7 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ordsplit import actions
-from ordsplit.actions import FiniteTableAction, MatrixAction, PrecomposedAction, ScalingAction
+from ordsplit.actions import (
+    FiniteTableAction,
+    MatrixAction,
+    PrecomposedAction,
+    ProductAction,
+    SignAction,
+    TrivialAction,
+)
 from ordsplit.catalog import catalog_dict
 from ordsplit.document import parse_document
 from ordsplit.groups import CyclicGroup, FreeAbelian, RationalVector, ShapeError
@@ -27,7 +33,29 @@ Q = RationalVector(1)
 
 
 def scaling():
-    return ScalingAction(Z, Q, Fraction(2))
+    return MatrixAction.scaling(Z, Q, Fraction(2))
+
+
+SIGN_TIMES_TRIVIAL = ProductAction(SignAction(Z, Z), TrivialAction(Z, Q))
+
+
+@pytest.mark.parametrize(
+    "action, b, identity, bad",
+    [
+        (SignAction(Z, Z), 2, True, Fraction(2)),
+        (SignAction(Z, Z), 1, False, True),
+        (TrivialAction(Z, Q), 5, True, Fraction(2)),
+        (SIGN_TIMES_TRIVIAL, (0, 3), True, (0, Fraction(3))),
+        (SIGN_TIMES_TRIVIAL, (1, 0), False, (1, Fraction(0))),
+        (SIGN_TIMES_TRIVIAL, (2, 0), True, 2),
+    ],
+)
+def test_is_identity_for_checks_the_acting_element(action, b, identity, bad):
+    # Fraction(2) == 2 and True == 1, so an unchecked parity test answers
+    # for an element of another group.
+    assert action.is_identity_for(b) is identity
+    with pytest.raises(ShapeError):
+        action.is_identity_for(bad)
 
 
 def scaling_along_triple():
@@ -45,6 +73,18 @@ def test_scaling_cache_hit_still_checks_the_acting_element():
         act.apply(True, x)
     with pytest.raises(ShapeError):
         act.apply(2, 3)  # an int is not an element of Q
+
+
+def test_scaling_is_one_matrix_image_with_exact_powers():
+    # An int ratio still gives Fraction powers, so a negative b stays exact.
+    Q2 = RationalVector(2)
+    act = MatrixAction.scaling(Z, Q2, 2)
+    assert act == MatrixAction(Z, Q2, (((2, 0), (0, 2)),))
+    got = act.apply(-3, (Fraction(1), Fraction(-4)))
+    Q2.check(got)
+    assert got == (Fraction(1, 8), Fraction(-1, 2))
+    assert act.is_identity_for(0) and not act.is_identity_for(1)
+    assert MatrixAction.scaling(Z, Q, 1).is_identity_for(5)
 
 
 def test_matrix_action_builds_each_matrix_once_and_checks_first(monkeypatch):

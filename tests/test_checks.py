@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 import ordsplit
-from ordsplit.actions import Action, ActionHom, ProductAction, ScalingAction, SignAction, TrivialAction
+from ordsplit.actions import Action, ActionHom, MatrixAction, ProductAction, SignAction, TrivialAction
 from ordsplit.classifiers import FiniteAutGroup, OrthantPermAutGroup
 from ordsplit.cones import FullCone, GeneratedCone, OrthantCone, PreorderedGroup
 from ordsplit.groups import (
@@ -45,7 +45,7 @@ SRC = Path(ordsplit.__file__).resolve().parent
 
 
 def scaling_carrier():
-    return Semidirect(Q, Z, ScalingAction(Z, Q, 2))
+    return Semidirect(Q, Z, MatrixAction.scaling(Z, Q, 2))
 
 
 def test_semidirect_add_checks_each_component_once(monkeypatch):
@@ -84,7 +84,7 @@ def test_composite_group_operations_refuse_a_malformed_operand(G, good, bad):
 
 
 def test_product_action_apply_refuses_a_malformed_operand():
-    act = ProductAction(SignAction(Z, Z), ScalingAction(Z, Q, Fraction(2)))
+    act = ProductAction(SignAction(Z, Z), MatrixAction.scaling(Z, Q, Fraction(2)))
     assert act.apply((1, -1), (3, Fraction(1))) == (-3, Fraction(1, 2))
     for b, x in (((1, Fraction(1)), (3, Fraction(1))), ((1, -1), (3, 1)), ((1,), (3, Fraction(1)))):
         with pytest.raises(ShapeError):
@@ -101,7 +101,7 @@ def test_composed_hom_apply_refuses_a_malformed_operand():
 
 def test_semidirect_refuses_an_action_on_other_groups():
     with pytest.raises(StructureError, match="does not act on the given groups"):
-        Semidirect(Q, Z2, ScalingAction(Z, Q, Fraction(2)))
+        Semidirect(Q, Z2, MatrixAction.scaling(Z, Q, Fraction(2)))
     with pytest.raises(StructureError, match="does not act on the given groups"):
         Semidirect(Q, Z, TrivialAction(Z, Z))
 
@@ -313,7 +313,10 @@ def test_every_module_level_definition_is_used_or_exported():
 def test_one_linear_form_of_an_action_and_one_determinant():
     # matrix_for is the one linear representation of an action and as_matrix
     # of a map; the dual cone's normals come from integer kernels, not a
-    # cofactor expansion, and an elimination keeps no null-space basis.
+    # cofactor expansion, and an elimination keeps no null-space basis. The
+    # scaling action is MatrixAction.scaling, not a class of its own.
+    assert not hasattr(ordsplit.actions, "ScalingAction")
+    assert "ScalingAction" not in ordsplit.__all__
     found = set()
     for info in pkgutil.iter_modules(ordsplit.__path__):
         module = importlib.import_module(f"ordsplit.{info.name}")

@@ -5,7 +5,6 @@ from ordsplit import classifiers, cones, document
 from ordsplit.actions import (
     FiniteTableAction,
     MatrixAction,
-    ScalingAction,
     SignAction,
     TrivialAction,
 )
@@ -229,7 +228,7 @@ def test_classify_rali_point_into_tilde_classifier():
 
 
 def test_classify_scaling_point_into_tilde_fails_monotonicity():
-    pt = point(ExtensionShape(QP, ZN, ScalingAction(Z, Q, Fraction(2))), "minimal")
+    pt = point(ExtensionShape(QP, ZN, MatrixAction.scaling(Z, Q, Fraction(2))), "minimal")
     cls = build_classifier(QP, aut_cone(monotone_aut(QP), "tilde"), SMALL_BUDGET)
     rep = classify_into(pt, cls, SMALL_BUDGET)
     assert rep.base_monotone.is_no
@@ -276,7 +275,7 @@ def test_classify_into_finite_classifier():
 
 def test_sclass_membership_examples():
     plus = aut_cone(monotone_aut(QP), "plus")
-    scaling_pt = point(ExtensionShape(QP, ZN, ScalingAction(Z, Q, Fraction(2))), "minimal")
+    scaling_pt = point(ExtensionShape(QP, ZN, MatrixAction.scaling(Z, Q, Fraction(2))), "minimal")
     assert_state(sclass_membership(scaling_pt, plus, SMALL_BUDGET), "yes")
     lex_pt = point(ExtensionShape(QP, ZN, TrivialAction(Z, Q)), "lex")
     v = sclass_membership(lex_pt, plus, SMALL_BUDGET)
@@ -289,7 +288,7 @@ def test_sclass_membership_examples():
 def test_sclass_membership_condition_1_no():
     # phi_1 halves, a monotone automorphism that P+ leaves out: x/2 < x for x > 0.
     plus = aut_cone(monotone_aut(QP), "plus")
-    halving = point(ExtensionShape(QP, ZN, ScalingAction(Z, Q, Fraction(1, 2))), "minimal")
+    halving = point(ExtensionShape(QP, ZN, MatrixAction.scaling(Z, Q, Fraction(1, 2))), "minimal")
     v = sclass_membership(halving, plus, SMALL_BUDGET)
     assert_state(v, "no")
     assert (v.witness, v.note) == (
@@ -427,8 +426,8 @@ def test_each_automorphism_group_realizes_phi_b_from_its_own_element():
     cases = [
         (z3full, z2full, inv, FiniteAutGroup),
         (Z2N, ZN, SWAP, OrthantPermAutGroup),
-        (QP, ZN, ScalingAction(Z, Q, Fraction(2)), RatScalingAutGroup),
-        (QP, ZN, ScalingAction(Z, Q, Fraction(1, 3)), RatScalingAutGroup),
+        (QP, ZN, MatrixAction.scaling(Z, Q, Fraction(2)), RatScalingAutGroup),
+        (QP, ZN, MatrixAction.scaling(Z, Q, Fraction(1, 3)), RatScalingAutGroup),
     ]
     for x_pre, b_pre, action, kind in cases:
         aut = monotone_aut(x_pre)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ordsplit import cones as cones_module
-from ordsplit.actions import MatrixAction, SignAction, ScalingAction, TrivialAction
+from ordsplit.actions import MatrixAction, SignAction, TrivialAction
 from ordsplit.cones import (
     Cone,
     ExtensionalCone,
@@ -275,6 +275,12 @@ def test_is_monotone_examples():
     assert_state(v, "no")
     assert v.witness == 1
     assert_state(is_monotone(LinearHom.scalar(Q, Q, Fraction(2)), QP, QP), "yes")
+    # A clean scan of a finite carrier saw all of it, not a window.
+    Z5 = CyclicGroup(5)
+    X = PreorderedGroup(Z5, ExtensionalCone(Z5, frozenset({0, 1, 4})))
+    v = is_monotone(IdentityHom(Z5), X, X)
+    assert_state(v, "yes")
+    assert (v.note, v.budget_used) == ("exhaustive", ())
 
 
 def test_matrix_maps_out_of_an_orthant_decide_by_their_columns():
@@ -410,7 +416,7 @@ def test_minus_plus_membership_symmetric():
 def test_cone_yes_closed_under_window_ops():
     # The lex cone on the scaling carrier is a genuine cone; membership Yes
     # must be stable under window sums and conjugations.
-    sd = Semidirect(Q, Z, ScalingAction(Z, Q, Fraction(2)))
+    sd = Semidirect(Q, Z, MatrixAction.scaling(Z, Q, Fraction(2)))
     cone = LexCone(sd, QP, PreorderedGroup(Z, OrthantCone(Z)))
     w = Window(2, 2, 2)
     members = [x for x in sd.window_elements(w) if cone.contains(x).is_yes]
@@ -566,7 +572,7 @@ def test_lex_membership_asks_each_base_sign_once(monkeypatch):
 
 
 def _scaling_least_cone():
-    return minimal_cone(ExtensionShape(QP, ZN, ScalingAction(Z, Q, Fraction(2))), SMALL_BUDGET)
+    return minimal_cone(ExtensionShape(QP, ZN, MatrixAction.scaling(Z, Q, Fraction(2))), SMALL_BUDGET)
 
 
 def _sign_least_cone():
@@ -637,7 +643,7 @@ class _Undecided(Cone):
 def test_undecided_base_part_falls_through_as_before():
     # With the base part unknown, b = 0 still reads the kernel part, and
     # elsewhere the membership goes on to the later routes.
-    sd = Semidirect(Q, Z, ScalingAction(Z, Q, Fraction(2)))
+    sd = Semidirect(Q, Z, MatrixAction.scaling(Z, Q, Fraction(2)))
     cone = GeneratedCone(sd, ProductCone(sd, OrthantCone(Q), _Undecided(Z)))
     expected = [
         ((Fraction(1, 2), 0), "yes", "kernel part positive", ()),
@@ -707,9 +713,9 @@ def _fibre_shapes():
     by_2_and_1 = MatrixAction(Z2V, Q, (((2,),), ((1,),)))
     flips = MatrixAction(Z2V, Z2V, (((-1, 0), (0, 1)), ((1, 0), (0, -1))))
     return [
-        ("Q-scaling-2", ExtensionShape(QP, ZN, ScalingAction(Z, Q, Fraction(2))), wide, rational_box),
-        ("Q-scaling-1_3", ExtensionShape(QP, ZN, ScalingAction(Z, Q, Fraction(1, 3))), wide, rational_box),
-        ("Q-trivial-scaling-2", ExtensionShape(QT, ZN, ScalingAction(Z, Q, Fraction(2))), wide, rational_box),
+        ("Q-scaling-2", ExtensionShape(QP, ZN, MatrixAction.scaling(Z, Q, Fraction(2))), wide, rational_box),
+        ("Q-scaling-1_3", ExtensionShape(QP, ZN, MatrixAction.scaling(Z, Q, Fraction(1, 3))), wide, rational_box),
+        ("Q-trivial-scaling-2", ExtensionShape(QT, ZN, MatrixAction.scaling(Z, Q, Fraction(2))), wide, rational_box),
         ("Q-trivial-sign", ExtensionShape(QT, ZN, MatrixAction(Z, Q, (((-1,),),))), wide, rational_box),
         ("Q2-swap", ExtensionShape(Q2P, ZN, MatrixAction(Z, Q2V, (SWAP,))), narrow, narrow),
         ("Q2-trivial-shear", ExtensionShape(Q2T, ZN, MatrixAction(Z, Q2V, (SHEAR,))), narrow, narrow),
@@ -784,7 +790,7 @@ def _coordinate_route_cases():
     point's pullback along n -> 3n."""
     cases = [(name, shape, SaturationBudget(1, 2, window)) for name, shape, window, _ in _fibre_shapes()]
     budget = SaturationBudget(2, 6, Window(3, 6, 3))
-    scaling = point(ExtensionShape(QP, ZN, ScalingAction(Z, Q, Fraction(2))), "minimal")
+    scaling = point(ExtensionShape(QP, ZN, MatrixAction.scaling(Z, Q, Fraction(2))), "minimal")
     pb = pullback(scaling, LinearHom.scalar(Z, Z, Fraction(3)), ZN, budget)
     return cases + [("scaling-pullback-3n", pb, budget)]
 
@@ -814,7 +820,7 @@ def test_minimal_cone_is_a_fibre_cone_exactly_where_fibrewise_holds():
     # and on the sweep's pullback, a GeneratedCone on the swap point, on the
     # scaling point pulled back from (Z, {0}) and on a base cone that decides
     # nothing (compatible under a trivial action, which scans no units).
-    scaling = point(ExtensionShape(QP, ZN, ScalingAction(Z, Q, Fraction(2))), "minimal")
+    scaling = point(ExtensionShape(QP, ZN, MatrixAction.scaling(Z, Q, Fraction(2))), "minimal")
     from_trivial = pullback(scaling, LinearHom.scalar(Z, Z, Fraction(-1)), Z0, SMALL_BUDGET)
     undecided = ExtensionShape(QP, PreorderedGroup(Z, _Undecided(Z)), TrivialAction(Z, Q))
     general = [_swap_least_cone()] + [minimal_cone(s, SMALL_BUDGET) for s in (from_trivial, undecided)]
@@ -831,7 +837,7 @@ def test_minimal_cone_is_a_fibre_cone_exactly_where_fibrewise_holds():
 def test_a_fibre_of_all_of_q_asks_no_dual_ray(monkeypatch):
     # Under scaling by 2 with P_X = {0}, L_S = Im(1 - 2) is all of Q: its
     # dual cone has no rays, and every fibre yes skips feasible_strict.
-    shape = ExtensionShape(PreorderedGroup(Q, TrivialCone(Q)), ZN, ScalingAction(Z, Q, Fraction(2)))
+    shape = ExtensionShape(PreorderedGroup(Q, TrivialCone(Q)), ZN, MatrixAction.scaling(Z, Q, Fraction(2)))
     budget = SaturationBudget(1, 2, Window(2, 2, 2))
     cone = minimal_cone(shape, budget)
     calls = []

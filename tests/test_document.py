@@ -1079,9 +1079,30 @@ def test_cli_accepts_exact_floats(tmp_path, capsys):
     doc["groups"]["Z2"] = {"kind": "free_abelian", "rank": 2.0}
     assert _validate_exit(tmp_path, capsys, doc)[0] == 0
     parsed = parse_document(doc)
-    assert parsed.actions["sc"].q == Fraction(1, 2)
+    assert parsed.actions["sc"].images == (((Fraction(1, 2),),),)
     assert parsed.homs["m"].matrix == ((Fraction(-1, 4),),)
     assert parsed.groups["Z2"].rank == 2
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"acting": "Z2"}, "scaling action needs acting group Z"),
+        ({"acted": "Z"}, "scaling action needs acted group Q^k"),
+        ({"ratio": "0"}, "scaling ratio must be positive"),
+        ({"ratio": "-1"}, "scaling ratio must be positive"),
+    ],
+    ids=["acting-Z2", "acted-Z", "ratio-0", "ratio-minus-1"],
+)
+def test_cli_rejects_bad_scaling_actions(tmp_path, capsys, fields, message):
+    doc = minimal_doc()
+    doc["groups"]["Z2"] = {"kind": "free_abelian", "rank": 2}
+    spec = {"kind": "scaling", "acting": "Z", "acted": "Q", "ratio": "2"}
+    doc["actions"]["sc"] = {**spec, **fields}
+    code, err = _validate_exit(tmp_path, capsys, doc)
+    assert code == 2
+    assert f"actions.sc: {message}" in err
+    assert "Traceback" not in err
 
 
 def _finite_carriers_over_the_cap():

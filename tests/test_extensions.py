@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from ordsplit import extensions
 from ordsplit.actions import (
     FiniteTableAction,
-    ScalingAction,
+    MatrixAction,
     SignAction,
     TrivialAction,
 )
@@ -97,7 +97,7 @@ def sign_strong_shape():
 
 
 def scaling_shape():
-    return ExtensionShape(QP, ZN, ScalingAction(Z, Q, Fraction(2)))
+    return ExtensionShape(QP, ZN, MatrixAction.scaling(Z, Q, Fraction(2)))
 
 
 def test_a_point_is_a_shape_with_a_cone():

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from ordsplit.actions import ScalingAction, TrivialAction
+from ordsplit.actions import MatrixAction, TrivialAction
 from ordsplit.classifiers import aut_cone, monotone_aut, sclass_membership
 from ordsplit.cones import (
     Cone,
@@ -195,7 +195,7 @@ def test_family_conditions_unknown_note():
 def test_sclass_membership_undecided_unit():
     # n acts on Q by 2^n; whether 2 is a unit of the order asks about 1/2.
     qp = pre(OrthantCone(Q))
-    pt = point(ExtensionShape(qp, pre(NAT), ScalingAction(Z, Q, Fraction(2))), "minimal")
+    pt = point(ExtensionShape(qp, pre(NAT), MatrixAction.scaling(Z, Q, Fraction(2))), "minimal")
     plus = aut_cone(monotone_aut(qp), "plus")
     order = PreorderedGroup(plus.group, Undecided(plus.cone, frozenset({Fraction(1, 2)})))
     v = sclass_membership(pt, order, SMALL_BUDGET)

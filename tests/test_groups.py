@@ -6,7 +6,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ordsplit.actions import MatrixAction, ScalingAction, SignAction, TrivialAction
+from ordsplit.actions import MatrixAction, SignAction, TrivialAction
 from ordsplit.groups import (
     CayleyGroup,
     CyclicGroup,
@@ -61,7 +61,7 @@ def test_semidirect_neg_closed_form_matches_add():
 
 @pytest.mark.parametrize("sd", [
     sign_carrier(),
-    Semidirect(Q, Z, ScalingAction(Z, Q, Fraction(2))),
+    Semidirect(Q, Z, MatrixAction.scaling(Z, Q, Fraction(2))),
     Semidirect(Z2V, Z, MatrixAction(Z, Z2V, (((1, 1), (0, 1)),))),
 ], ids=str)
 def test_semidirect_conjugate_closed_form_matches_add(sd):
@@ -89,7 +89,7 @@ def test_semidirect_neg_example():
 
 
 def test_scaling_semidirect():
-    sd = Semidirect(Q, Z, ScalingAction(Z, Q, Fraction(2)))
+    sd = Semidirect(Q, Z, MatrixAction.scaling(Z, Q, Fraction(2)))
     assert sd.add((Fraction(1), 1), (Fraction(1), 0)) == (Fraction(3), 1)
 
 
@@ -279,7 +279,7 @@ def test_from_coords_makes_exact_elements():
 @pytest.mark.parametrize("G", [
     Z,
     Z2V,
-    Semidirect(Q, Z, ScalingAction(Z, Q, Fraction(2))),
+    Semidirect(Q, Z, MatrixAction.scaling(Z, Q, Fraction(2))),
     Semidirect(Z, Z, SignAction(Z, Z)),
 ], ids=str)
 @pytest.mark.parametrize("radius", [1, 2, 3])

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from ordsplit import cones, extensions, linalg, points
-from ordsplit.actions import MatrixAction, PrecomposedAction, ScalingAction, SignAction, TrivialAction
+from ordsplit.actions import MatrixAction, PrecomposedAction, SignAction, TrivialAction
 from ordsplit.cones import (
     Cone,
     FullCone,
@@ -89,7 +89,7 @@ def sign_point():
 
 
 def scaling_point():
-    return point(ExtensionShape(QP, ZN, ScalingAction(Z, Q, Fraction(2))), "minimal")
+    return point(ExtensionShape(QP, ZN, MatrixAction.scaling(Z, Q, Fraction(2))), "minimal")
 
 
 def swap_point():
@@ -718,7 +718,7 @@ def test_cones_on_different_carriers_are_refused():
     # Q x| Z under scaling by 2 and by 3 hold the same pairs, so only the
     # carrier comparison tells the two cones apart.
     by_2 = scaling_point()
-    by_3 = point(ExtensionShape(QP, ZN, ScalingAction(Z, Q, Fraction(3))), "minimal")
+    by_3 = point(ExtensionShape(QP, ZN, MatrixAction.scaling(Z, Q, Fraction(3))), "minimal")
     for compare in (cones_equal, cone_subset):
         with pytest.raises(ShapeError):
             compare(by_2.cone, by_3.cone, SMALL_BUDGET)
