@@ -45,7 +45,6 @@ from .cones import (
     GeneratedCone,
     LexCone,
     OrthantCone,
-    PreorderedGroup,
     ProductCone,
     TrivialCone,
     UnitsReport,

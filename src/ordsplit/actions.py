@@ -230,7 +230,7 @@ class MatrixAction(Action):
         return self.matrix_for(b) == scalar_matrix(1, self.acted.rank)
 
     def __str__(self):
-        return f"matrix{self.images}"
+        return f"matrix{format_element(self.images)}"
 
 
 @dataclass(frozen=True)

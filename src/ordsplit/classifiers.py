@@ -21,8 +21,8 @@ from .cones import (
     Cone,
     FullCone,
     OrthantCone,
-    PreorderedGroup,
     TrivialCone,
+    format_preordered,
     is_monotone,
     units_subgroup,
 )
@@ -68,7 +68,7 @@ from .verdict import (
 class AutGroup(Group):
     """A group of monotone automorphisms of a fixed preordered group."""
 
-    base: PreorderedGroup
+    base: Cone
 
     def realize(self, el) -> Homomorphism:
         raise NotImplementedError
@@ -88,7 +88,7 @@ class _PermutationAutGroup(AutGroup):
     one image and a membership test.
     """
 
-    base: PreorderedGroup
+    base: Cone
 
     @cached_property
     def _index(self) -> dict:
@@ -158,7 +158,7 @@ class FiniteAutGroup(_PermutationAutGroup):
 
     @cached_property
     def _members(self) -> tuple:
-        pos = frozenset(x for x in self._points if self.base.cone.contains(x).is_yes)
+        pos = frozenset(x for x in self._points if self.base.contains(x).is_yes)
         out = []
         for h in enumerate_automorphisms(self.base.group):
             mapping = h.mapping()
@@ -251,7 +251,7 @@ class OrthantPermAutGroup(_PermutationAutGroup):
 class RatScalingAutGroup(AutGroup):
     """Monotone automorphisms of (Q, >=0): multiplication by positive rationals."""
 
-    base: PreorderedGroup
+    base: Cone
 
     def __post_init__(self):
         G = self.base.group
@@ -296,16 +296,16 @@ class RatScalingAutGroup(AutGroup):
         return "Aut(Q,>=0)=Q_{>0}"
 
 
-def monotone_aut(X: PreorderedGroup) -> AutGroup:
+def monotone_aut(X: Cone) -> AutGroup:
     """The automorphisms of X preserving its cone setwise."""
     G = X.group
     if G.is_finite:
         return FiniteAutGroup(X)
-    if isinstance(G, FreeAbelian) and isinstance(X.cone, OrthantCone):
+    if isinstance(G, FreeAbelian) and isinstance(X, OrthantCone):
         return OrthantPermAutGroup(X)
-    if isinstance(G, RationalVector) and G.rank == 1 and isinstance(X.cone, OrthantCone):
+    if isinstance(G, RationalVector) and G.rank == 1 and isinstance(X, OrthantCone):
         return RatScalingAutGroup(X)
-    raise StructureError(f"no symbolic automorphism group for {X}")
+    raise StructureError(f"no symbolic automorphism group for {format_preordered(X)}")
 
 
 # --- orders on automorphism groups --------------------------------------------
@@ -333,7 +333,7 @@ class AutOrderCone(Cone):
         v = _orthant_matrix_leq(self.group, el, h, 1 if self.order == "plus" else -1)
         if v is not None:
             return v
-        if isinstance(base.cone, (FullCone, TrivialCone)):
+        if isinstance(base, (FullCone, TrivialCone)):
             return yes("degenerate base order")
         if self.order == "plus":
             return hom_leq(IdentityHom(base.group), h, base, base, budget)
@@ -353,7 +353,7 @@ def _orthant_matrix_leq(aut: AutGroup, el, h: Homomorphism, sign: int) -> Verdic
     """On an orthant base, h(x) >= x for every x in sign * P iff every entry of
     sign * (M - I) is >= 0; the witness is sign * e_j for the first failing
     column j.  None when the base is no orthant or h has no matrix."""
-    m = h.as_matrix() if isinstance(aut.base.cone, OrthantCone) else None
+    m = h.as_matrix() if isinstance(aut.base, OrthantCone) else None
     if m is None:
         return None
     side = "positive" if sign > 0 else "negative"
@@ -365,18 +365,18 @@ def _orthant_matrix_leq(aut: AutGroup, el, h: Homomorphism, sign: int) -> Verdic
     return yes(f"matrix raises every {side}")
 
 
-def aut_cone(aut: AutGroup, which: str) -> PreorderedGroup:
+def aut_cone(aut: AutGroup, which: str) -> AutOrderCone:
     """The automorphism group ordered by one of the three standard cones."""
-    return PreorderedGroup(aut, AutOrderCone(aut, which))
+    return AutOrderCone(aut, which)
 
 
-def admissible_check(O: PreorderedGroup, budget: SaturationBudget = DEFAULT_BUDGET) -> Verdict:
+def admissible_check(O: Cone, budget: SaturationBudget = DEFAULT_BUDGET) -> Verdict:
     """Units of the order must act pointwise equivalent to the identity."""
     A = O.group
     if not isinstance(A, AutGroup):
         raise StructureError("admissibility concerns orders on automorphism groups")
-    if isinstance(O.cone, AutOrderCone):
-        if O.cone.order == "tilde":
+    if isinstance(O, AutOrderCone):
+        if O.order == "tilde":
             return yes("units of the pointwise order fix everything by definition")
         if not A.is_finite:
             # alpha and alpha^{-1} both dominating (or dominated by) the
@@ -431,7 +431,7 @@ class AutEvalAction(Action):
         return "eval"
 
 
-def build_classifier(X: PreorderedGroup, O: PreorderedGroup, budget: SaturationBudget = DEFAULT_BUDGET) -> SplitExtension:
+def build_classifier(X: Cone, O: Cone, budget: SaturationBudget = DEFAULT_BUDGET) -> SplitExtension:
     """The point X -> X x| Aut_P(X) <-> Aut_P(X) for an admissible order P.
 
     The pointwise order gets the componentwise cone (it agrees with the
@@ -444,7 +444,7 @@ def build_classifier(X: PreorderedGroup, O: PreorderedGroup, budget: SaturationB
     if not adm.is_yes:
         raise StructureError(f"order is not admissible: {adm}")
     shape = ExtensionShape(X, O, AutEvalAction(O.group))
-    if isinstance(O.cone, AutOrderCone) and O.cone.order == "tilde":
+    if isinstance(O, AutOrderCone) and O.order == "tilde":
         return point(shape, product_cone(shape))
     return point(shape, lex_cone(shape))
 
@@ -496,7 +496,7 @@ def classify_into(
     mid = PairHom(pt.carrier, cls.carrier, IdentityHom(pt.x.group), cbar)
     base_mono = is_monotone(cbar, pt.b, cls.b, budget)
     # The middle map's base part is cbar again: hand its verdict over.
-    mid_mono = is_monotone(mid, pt.pre, cls.pre, budget, (((cbar, pt.b, cls.b), base_mono),))
+    mid_mono = is_monotone(mid, pt.cone, cls.cone, budget, (((cbar, pt.b, cls.b), base_mono),))
     return ClassifyReport(
         morphism=PointMorphism(IdentityHom(pt.x.group), mid, cbar),
         base_monotone=base_mono,
@@ -519,7 +519,7 @@ def _uniqueness_check(pt, aut: AutGroup, cbar) -> Verdict:
 
 
 def sclass_membership(
-    pt: SplitExtension, O: PreorderedGroup, budget: SaturationBudget = DEFAULT_BUDGET
+    pt: SplitExtension, O: Cone, budget: SaturationBudget = DEFAULT_BUDGET
 ) -> Verdict:
     """Membership in the class classified by the maximal point over Aut_P(X).
 
@@ -529,15 +529,15 @@ def sclass_membership(
     aut = O.group
     if not isinstance(aut, AutGroup) or aut.base != pt.x:
         raise StructureError("order must live on the automorphism group of the kernel")
-    gens, note = pt.b.cone.finite_generators(), "on positive generators"
+    gens, note = pt.b.finite_generators(), "on positive generators"
     if gens is None:
-        gens, note = pt.b.cone.positive_sample(budget.window, budget), "window-verified"
+        gens, note = pt.b.positive_sample(budget.window, budget), "window-verified"
     pend = None
     for b in gens:
         a = aut.from_action(pt.action, b)
         if a is None:
             return no(b, "positive base element acts outside the automorphism group")
-        v = O.cone.contains(a, budget)
+        v = O.contains(a, budget)
         if v.is_no:
             return no((b, a), "positive base element acts outside the order (condition 1)")
         if v.is_unknown and pend is None:
@@ -545,18 +545,18 @@ def sclass_membership(
     cond1 = pend if pend is not None else yes(note)
     undecided = "condition 2 hit undecided memberships"
     cond2 = yes()
-    for b in pt.b.cone.positive_sample(budget.window, budget):
+    for b in pt.b.positive_sample(budget.window, budget):
         a = aut.from_action(pt.action, b)
         if a is None:
             return no(b, "positive base element acts outside the automorphism group")
-        unit = vand(O.cone.contains(a, budget), O.cone.contains(aut.neg(a), budget))
+        unit = vand(O.contains(a, budget), O.contains(aut.neg(a), budget))
         if unit.is_unknown:
             cond2 = unknown(undecided)
         elif unit.is_yes:
             cond2 = for_all_members(
                 [(x, b) for x in pt.x.group.window_elements(budget.window)],
                 lambda xb: pt.cone.contains(xb, budget),
-                lambda xb: pt.x.cone.contains(xb[0], budget),
+                lambda xb: pt.x.contains(xb[0], budget),
                 "unit-acting positive pair with negative fibre (condition 2)",
                 undecided,
                 cond2,
@@ -567,7 +567,7 @@ def sclass_membership(
 
 
 def no_classifier_witness(
-    X: PreorderedGroup, budget: SaturationBudget = DEFAULT_BUDGET
+    X: Cone, budget: SaturationBudget = DEFAULT_BUDGET
 ) -> Optional[tuple]:
     """An automorphism in P+ not pointwise equivalent to id, if one exists.
 

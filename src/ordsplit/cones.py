@@ -1,7 +1,9 @@
 """Positive cones, the preorders they induce, and the closure engine.
 
 A cone is a submonoid closed under conjugation; it determines the preorder
-x <= y  iff  -x+y is in the cone.  Membership answers are three-valued:
+x <= y  iff  -x+y is in the cone.  A preordered group (G, P) is represented
+by its cone P, which knows G; format_preordered prints it as "(G, P)".
+Membership answers are three-valued:
 built-in cones are exact, a GeneratedCone closes generators or a
 componentwise cone within a budget, and a FibreCone decides the least cone
 over (Z^n, N^n) exactly, fibre by fibre.
@@ -113,6 +115,21 @@ class Cone(ABC):
             for x in self.group.window_elements(window)
             if self._contains(x, budget).is_yes
         ]
+
+    def leq(self, x, y, budget: SaturationBudget = DEFAULT_BUDGET) -> Verdict:
+        """x <= y, i.e. -x+y in the cone."""
+        v = self.contains(self.group.add(self.group.neg(x), y), budget)
+        if v.is_no:
+            return no((x, y), f"{format_element(x)} !<= {format_element(y)}")
+        return v
+
+    def sim(self, x, y, budget: SaturationBudget = DEFAULT_BUDGET) -> Verdict:
+        return vand(self.leq(x, y, budget), self.leq(y, x, budget))
+
+
+def format_preordered(cone: Cone) -> str:
+    """The preordered group (G, P) that a cone P on G is, as "(G, P)"."""
+    return f"({cone.group}, {cone})"
 
 
 @dataclass(frozen=True)
@@ -294,40 +311,17 @@ class PointProductCone(Cone):
 
 
 @dataclass(frozen=True)
-class PreorderedGroup:
-    group: Group
-    cone: Cone
-
-    def __post_init__(self):
-        if self.cone.group != self.group:
-            raise ShapeError("cone carrier differs from the group")
-
-    def leq(self, x, y, budget: SaturationBudget = DEFAULT_BUDGET) -> Verdict:
-        """x <= y, i.e. -x+y in the cone."""
-        v = self.cone.contains(self.group.add(self.group.neg(x), y), budget)
-        if v.is_no:
-            return no((x, y), f"{format_element(x)} !<= {format_element(y)}")
-        return v
-
-    def sim(self, x, y, budget: SaturationBudget = DEFAULT_BUDGET) -> Verdict:
-        return vand(self.leq(x, y, budget), self.leq(y, x, budget))
-
-    def __str__(self):
-        return f"({self.group}, {self.cone})"
-
-
-@dataclass(frozen=True)
 class LexCone(Cone):
     """b strictly positive, or b a unit and x positive."""
 
     group: Group
-    x_pre: PreorderedGroup
-    b_pre: PreorderedGroup
+    x_cone: Cone
+    b_cone: Cone
 
     def __post_init__(self):
         if not isinstance(self.group, (Semidirect, DirectProduct)):
             raise ShapeError("lex cone needs a pair carrier")
-        if (self.x_pre.group, self.b_pre.group) != _pair_parts(self.group):
+        if (self.x_cone.group, self.b_cone.group) != _pair_parts(self.group):
             raise ShapeError("lex cone components live on other carriers")
 
     contains = Cone.contains
@@ -335,13 +329,13 @@ class LexCone(Cone):
     def _contains(self, x, budget):
         # 0 <= b, b <= 0 and 0 <= x are b, -b and x in their cones.
         xp, bp = x
-        B, b_cone = self.b_pre.group, self.b_pre.cone
+        b_cone = self.b_cone
         pos = b_cone._contains(bp, budget)
-        back = b_cone._contains(B._neg(bp), budget)
+        back = b_cone._contains(b_cone.group._neg(bp), budget)
         strict = vand(pos, vnot(back, bp))
         if strict.is_yes:
             return yes()
-        xpos = self.x_pre.cone._contains(xp, budget)
+        xpos = self.x_cone._contains(xp, budget)
         tail = vand(back, pos, xpos)
         if tail.is_yes:
             return yes()
@@ -844,8 +838,8 @@ class UnitsReport:
     note: str = ""
 
 
-def units_subgroup(P: PreorderedGroup, budget: SaturationBudget = DEFAULT_BUDGET) -> UnitsReport:
-    G, cone = P.group, P.cone
+def units_subgroup(cone: Cone, budget: SaturationBudget = DEFAULT_BUDGET) -> UnitsReport:
+    G = cone.group
     if isinstance(cone, TrivialCone):
         return UnitsReport(True, frozenset([G.zero()]), (), "trivial cone")
     if isinstance(cone, FullCone):
@@ -854,10 +848,9 @@ def units_subgroup(P: PreorderedGroup, budget: SaturationBudget = DEFAULT_BUDGET
         return UnitsReport(True, frozenset([G.zero()]), (), "antisymmetric orthant")
     pair = isinstance(G, (Semidirect, DirectProduct))
     if isinstance(cone, ProductCone) and pair and not G.is_finite:
-        X, B = _pair_parts(G)
-        ux = units_subgroup(PreorderedGroup(X, cone.x_cone), budget)
-        ub = units_subgroup(PreorderedGroup(B, cone.b_cone), budget)
-        xz, bz = X.zero(), B.zero()
+        ux = units_subgroup(cone.x_cone, budget)
+        ub = units_subgroup(cone.b_cone, budget)
+        xz, bz = cone.x_cone.group.zero(), cone.b_cone.group.zero()
         gens = tuple((g, bz) for g in ux.generators) + tuple((xz, g) for g in ub.generators)
         els = None
         if ux.elements is not None and ub.elements is not None:
@@ -901,8 +894,7 @@ def check_cone_axioms(cone: Cone, budget: SaturationBudget = DEFAULT_BUDGET) -> 
         # deterministic so reports stay reproducible
         members = _spread(members, 250)
     undecided = "closure checks hit undecided memberships"
-    note = "exhaustive" if G.is_finite else "window-verified"
-    clean = yes(note, budget_used=(("window", budget.window.int_bound),))
+    clean = clean_scan(G, budget.window)
     if any(v.is_unknown for _, v in memberships):
         clean = unknown(undecided)
     sums = for_all_members(
@@ -951,8 +943,7 @@ def cone_subset(P: Cone, Q: Cone, budget: SaturationBudget = DEFAULT_BUDGET) -> 
     v = _on_generators_of(P, Q, budget)
     if v is not None:
         return v
-    clean = yes("exhaustive" if P.group.is_finite else "window-verified")
-    return _scan_inclusions(P, Q, True, False, budget, clean)
+    return _scan_inclusions(P, Q, True, False, budget, clean_scan(P.group, budget.window))
 
 
 def cones_equal(P: Cone, Q: Cone, budget: SaturationBudget = DEFAULT_BUDGET) -> Verdict:
@@ -1010,8 +1001,8 @@ def _scan_inclusions(P: Cone, Q: Cone, lower_open, upper_open, budget, clean) ->
 
 def is_monotone(
     h: Homomorphism,
-    src: PreorderedGroup,
-    dst: PreorderedGroup,
+    src: Cone,
+    dst: Cone,
     budget: SaturationBudget = DEFAULT_BUDGET,
     known: tuple = (),
 ) -> Verdict:
@@ -1022,28 +1013,28 @@ def is_monotone(
     """
     if h.source != src.group or h.target != dst.group:
         raise ShapeError("homomorphism does not match the preordered carriers")
-    if isinstance(dst.cone, FullCone):
+    if isinstance(dst, FullCone):
         return yes("full target order")
-    if isinstance(src.cone, TrivialCone):
+    if isinstance(src, TrivialCone):
         return yes("trivial source order")
     v = _structural_monotone(h, src, dst, budget, known)
     if v is not None:
         return v
-    gens = src.cone.finite_generators()
-    if gens is not None and dst.cone.known_cone():
+    gens = src.finite_generators()
+    if gens is not None and dst.known_cone():
         # h additive maps sums to sums and conjugates to conjugates, so
         # generator images decide the whole cone image (the target must be a
         # genuine cone for that closure argument).
         v = on_generators(
-            gens, lambda g: dst.cone.contains(h.apply(g), budget),
+            gens, lambda g: dst.contains(h.apply(g), budget),
             "generator image not positive", "on generators",
         )
         if not v.is_unknown:
             return v
     return for_all_members(
         src.group.window_elements(budget.window),
-        lambda x: src.cone.contains(x, budget),
-        lambda x: dst.cone.contains(h.apply(x), budget),
+        lambda x: src.contains(x, budget),
+        lambda x: dst.contains(h.apply(x), budget),
         "positive element with non-positive image", "monotonicity hit undecided memberships",
         clean_scan(src.group, budget.window),
     )
@@ -1052,9 +1043,9 @@ def is_monotone(
 def _structural_monotone(h, src, dst, budget, known) -> Verdict | None:
     # A matrix map out of an orthant is monotone into an orthant iff every
     # column is >= 0, and into the trivial order iff every column is 0.
-    m = h.as_matrix() if isinstance(src.cone, OrthantCone) else None
-    if m is not None and isinstance(dst.cone, (OrthantCone, TrivialCone)):
-        into_orthant = isinstance(dst.cone, OrthantCone)
+    m = h.as_matrix() if isinstance(src, OrthantCone) else None
+    if m is not None and isinstance(dst, (OrthantCone, TrivialCone)):
+        into_orthant = isinstance(dst, OrthantCone)
         for j, gen in enumerate(src.group.generators()):
             if any(row[j] < 0 if into_orthant else row[j] != 0 for row in m):
                 return no(gen, "matrix column leaves the orthant" if into_orthant
@@ -1063,14 +1054,10 @@ def _structural_monotone(h, src, dst, budget, known) -> Verdict | None:
     # (hx, hb) maps P_X x P_B onto hx(P_X) x hb(P_B), so monotone parts give
     # an exact yes; anything else goes to the scan, whose no names the first
     # failing element of the window.
-    if isinstance(h, PairHom) and isinstance(src.cone, ProductCone) and isinstance(
-        dst.cone, ProductCone
-    ):
-        s, d = src.cone, dst.cone
-        parts = ((h.hx, s.x_cone, d.x_cone), (h.hb, s.b_cone, d.b_cone))
+    if isinstance(h, PairHom) and isinstance(src, ProductCone) and isinstance(dst, ProductCone):
+        parts = ((h.hx, src.x_cone, dst.x_cone), (h.hb, src.b_cone, dst.b_cone))
         used = ()
-        for f, p, q in parts:
-            asked = (f, PreorderedGroup(p.group, p), PreorderedGroup(q.group, q))
+        for asked in parts:
             v = next((v for question, v in known if question == asked), None)
             if v is None:
                 v = is_monotone(*asked, budget)

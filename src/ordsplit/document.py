@@ -37,7 +37,6 @@ from .cones import (
     ExtensionalCone,
     FullCone,
     OrthantCone,
-    PreorderedGroup,
     TrivialCone,
     generated_cone,
 )
@@ -404,13 +403,13 @@ def _parse_action(name, spec, groups, actions, homs) -> Action:
     raise DocumentError(where, f"unknown action kind {kind!r}")
 
 
-def _pre(groups, cones, spec, gkey, ckey, where) -> PreorderedGroup:
+def _pre(groups, cones, spec, gkey, ckey, where) -> Cone:
     gname, cname = _need(spec, gkey, where), _need(spec, ckey, where)
     G = _ref(groups, gname, where, "group")
     C = _ref(cones, cname, where, "cone")
     if C.group != G:
         raise DocumentError(where, f"cone {cname!r} lives on {C.group}, not {G}")
-    return PreorderedGroup(G, C)
+    return C
 
 
 def _shape(spec, groups, cones, actions, where) -> ExtensionShape:

@@ -24,12 +24,12 @@ from .cones import (
     LexCone,
     OrthantCone,
     PointProductCone,
-    PreorderedGroup,
     ProductCone,
     TrivialCone,
     check_cone_axioms,
     cone_subset,
     fibrewise,
+    format_preordered,
     is_monotone,
     units_subgroup,
 )
@@ -82,8 +82,8 @@ def semidirect(X: Group, B: Group, action: Action) -> Semidirect:
 class ExtensionShape:
     """A split extension before any order is chosen upstairs."""
 
-    x: PreorderedGroup
-    b: PreorderedGroup
+    x: Cone
+    b: Cone
     action: Action
 
     def __post_init__(self):
@@ -95,7 +95,7 @@ class ExtensionShape:
         return Semidirect(self.x.group, self.b.group, self.action)
 
     def __str__(self):
-        return f"{self.x} x|_{self.action} {self.b}"
+        return f"{format_preordered(self.x)} x|_{self.action} {format_preordered(self.b)}"
 
 
 @dataclass(frozen=True)
@@ -109,16 +109,13 @@ class SplitExtension(ExtensionShape):
         if self.cone.group != self.carrier:
             raise ShapeError("cone does not live on the twisted carrier")
 
-    @property
-    def pre(self) -> PreorderedGroup:
-        return PreorderedGroup(self.carrier, self.cone)
-
     def __str__(self):
-        return f"({self.x} -> {self.carrier}, {self.cone}) <-> {self.b}"
+        x, b = format_preordered(self.x), format_preordered(self.b)
+        return f"({x} -> {self.carrier}, {self.cone}) <-> {b}"
 
 
 def product_cone(shape: ExtensionShape) -> ProductCone:
-    return ProductCone(shape.carrier, shape.x.cone, shape.b.cone)
+    return ProductCone(shape.carrier, shape.x, shape.b)
 
 
 def lex_cone(shape: ExtensionShape) -> LexCone:
@@ -146,35 +143,35 @@ def _generated_by_generators(G: Group) -> bool:
 
 
 def pointwise_sim_id(
-    h: Homomorphism, x_pre: PreorderedGroup, budget: SaturationBudget = DEFAULT_BUDGET
+    h: Homomorphism, x_cone: Cone, budget: SaturationBudget = DEFAULT_BUDGET
 ) -> Verdict:
     """Is h(x) ~ x for every x?  Exact on finite and f.g. abelian carriers, and
     on linear maps under the full, orthant and trivial cones."""
-    G = x_pre.group
+    G = x_cone.group
     if G.is_finite:
         els = G.elements()
     else:
         # A linear map under the full cone, and the identity, need no membership call.
         m = h.as_matrix()
-        if m is not None and (m == identity_matrix(len(m)) or isinstance(x_pre.cone, FullCone)):
+        if m is not None and (m == identity_matrix(len(m)) or isinstance(x_cone, FullCone)):
             return yes("full order or identity map")
         # d(x) = h(x)-x is additive and units form a subgroup, so generators
         # decide every x of an abelian carrier they generate.  The orthant and
         # trivial cones have units {0}, so generators decide a linear map under
         # them over Q^k too; elsewhere a moved generator is a No.
         decided = (G.is_abelian() and _generated_by_generators(G)) or (
-            m is not None and isinstance(x_pre.cone, (OrthantCone, TrivialCone))
+            m is not None and isinstance(x_cone, (OrthantCone, TrivialCone))
         )
         if decided or m is not None:
             v = on_generators(
-                G.generators(), lambda g: x_pre.sim(h.apply(g), g, budget),
+                G.generators(), lambda g: x_cone.sim(h.apply(g), g, budget),
                 "automorphism moves a generator", "on group generators",
             )
             if decided or v.is_no:
                 return v
         els = G.window_elements(budget.window)
     return for_all_members(
-        els, None, lambda x: x_pre.sim(h.apply(x), x, budget),
+        els, None, lambda x: x_cone.sim(h.apply(x), x, budget),
         "automorphism moves an element", "pointwise comparison hit undecided memberships",
         clean_scan(G, budget.window),
     )
@@ -265,22 +262,20 @@ def _closed_finite_shape(shape: ExtensionShape) -> None:
     cone is the componentwise set, and the compatible interval holds that
     one set.  On a set that is not a cone the interval means nothing.
     """
-    for what, pre in (("kernel", shape.x), ("base", shape.b)):
-        if not pre.cone.known_cone():
-            raise StructureError(f"the {what} cone {pre.cone} of a finite carrier is not closed")
+    for what, cone in (("kernel", shape.x), ("base", shape.b)):
+        if not cone.known_cone():
+            raise StructureError(f"the {what} cone {cone} of a finite carrier is not closed")
 
 
 def _product_shape_components(shape: ExtensionShape):
     act = shape.action
     if not isinstance(act, ProductAction):
         return None
-    if not (isinstance(shape.x.cone, ProductCone) and isinstance(shape.b.cone, ProductCone)):
+    x, b = shape.x, shape.b
+    if not (isinstance(x, ProductCone) and isinstance(b, ProductCone)):
         return None
-    x1 = PreorderedGroup(act.first.acted, shape.x.cone.x_cone)
-    x2 = PreorderedGroup(act.second.acted, shape.x.cone.b_cone)
-    b1 = PreorderedGroup(act.first.acting, shape.b.cone.x_cone)
-    b2 = PreorderedGroup(act.second.acting, shape.b.cone.b_cone)
-    return ExtensionShape(x1, b1, act.first), ExtensionShape(x2, b2, act.second)
+    return (ExtensionShape(x.x_cone, b.x_cone, act.first),
+            ExtensionShape(x.b_cone, b.b_cone, act.second))
 
 
 def is_compatible(
@@ -500,7 +495,7 @@ def validate_family(fam: FamilyCone, budget: SaturationBudget = DEFAULT_BUDGET) 
     window = budget.window
     # Each base element is asked about once; every condition reads the answers.
     B = fam.shape.b
-    base_in = {b: B.cone.contains(b, budget) for b in B.group.window_elements(window)}
+    base_in = {b: B.contains(b, budget) for b in B.group.window_elements(window)}
     positives = [b for b, v in base_in.items() if v.is_yes]
     cond = _family_conditions(fam, base_in, positives, window, budget)
     remark = _family_orbit_remark(fam, base_in, positives, window)
@@ -521,7 +516,7 @@ def _family_conditions(fam, base_in, positives, window, budget) -> Verdict:
         return yes() if nonempty == vb.is_yes == has_zero else no(b)
 
     def zero_fibre_matches(x):
-        vx = X.cone.contains(x, budget)
+        vx = X.contains(x, budget)
         if vx.is_unknown:
             return vx
         return yes() if vx.is_yes == sets.contains(bz, x) else no(x)
@@ -713,8 +708,8 @@ def _enumerate_superadditive(shape: ExtensionShape, scope: SuperadditiveWindow) 
     if not (
         _over_z(shape)
         and shape.action.provably_trivial()
-        and isinstance(shape.x.cone, OrthantCone)
-        and isinstance(shape.b.cone, OrthantCone)
+        and isinstance(shape.x, OrthantCone)
+        and isinstance(shape.b, OrthantCone)
     ):
         raise StructureError(
             "superadditive scope needs the trivially-acted (Z,N) over (Z,N) extension"

@@ -25,6 +25,7 @@ from .groups import (
     Semidirect,
     StructureError,
     element_order,
+    format_element,
     minimal_generating_sequence,
 )
 from .linalg import identity_matrix, mat, mat_vec, matrix_inverse, scalar_matrix
@@ -129,7 +130,7 @@ class LinearHom(Homomorphism):
     def __str__(self):
         if len(self.matrix) == 1 and len(self.matrix[0]) == 1:
             return f"(*{self.matrix[0][0]})"
-        return f"linear{self.matrix}"
+        return f"linear{format_element(self.matrix)}"
 
 
 @dataclass(frozen=True)
@@ -207,7 +208,7 @@ class FreeImagesHom(Homomorphism):
         return True
 
     def __str__(self):
-        return f"gen-images{self.images}"
+        return f"gen-images{format_element(self.images)}"
 
 
 @dataclass(frozen=True)

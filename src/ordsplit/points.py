@@ -18,9 +18,9 @@ from .actions import PrecomposedAction
 from .cones import (
     Cone,
     FullCone,
-    PreorderedGroup,
     TrivialCone,
     cones_equal,
+    format_preordered,
     is_monotone,
 )
 from .extensions import ExtensionShape, SplitExtension, minimal_cone, point, product_cone
@@ -70,8 +70,8 @@ class PointMorphism:
 def hom_leq(
     g: Homomorphism,
     h: Homomorphism,
-    src: PreorderedGroup,
-    dst: PreorderedGroup,
+    src: Cone,
+    dst: Cone,
     budget: SaturationBudget = DEFAULT_BUDGET,
 ) -> Verdict:
     """g <= h pointwise on the positive elements of the source."""
@@ -79,8 +79,8 @@ def hom_leq(
         raise ShapeError("maps are not a parallel pair")
     if g.source != src.group or g.target != dst.group:
         raise ShapeError("parallel pair does not match the given preorders")
-    gens = src.cone.finite_generators()
-    if gens is not None and dst.group.is_abelian() and dst.cone.known_cone():
+    gens = src.finite_generators()
+    if gens is not None and dst.group.is_abelian() and dst.known_cone():
         # The comparison x -> -g(x)+h(x) is additive into an abelian target,
         # so positivity on cone generators decides every positive element.
         return on_generators(
@@ -89,7 +89,7 @@ def hom_leq(
         )
     return for_all_members(
         src.group.window_elements(budget.window),
-        lambda x: src.cone.contains(x, budget),
+        lambda x: src.contains(x, budget),
         lambda x: dst.leq(g.apply(x), h.apply(x), budget),
         "comparison fails on a positive element", "pointwise comparison hit undecided memberships",
         clean_scan(src.group, budget.window),
@@ -154,7 +154,7 @@ class PullbackCone(Cone):
 def pullback(
     pt: SplitExtension,
     g: Homomorphism,
-    base: PreorderedGroup,
+    base: Cone,
     budget: SaturationBudget = DEFAULT_BUDGET,
 ) -> SplitExtension:
     """Base change of a point along a monotone map into its base."""
@@ -166,7 +166,7 @@ def pullback(
             f"pullback map not monotone: {mono.note} at {format_element(mono.witness)}"
         )
     shape = ExtensionShape(pt.x, base, PrecomposedAction(pt.action, g))
-    return point(shape, PullbackCone(shape.carrier, base.cone, pt.cone))
+    return point(shape, PullbackCone(shape.carrier, base, pt.cone))
 
 
 @dataclass(frozen=True)
@@ -184,12 +184,12 @@ class StablyStrongReport:
 
 def stably_strong_over(
     pt: SplitExtension,
-    catalog: list[tuple[PreorderedGroup, Homomorphism]],
+    catalog: list[tuple[Cone, Homomorphism]],
     budget: SaturationBudget = DEFAULT_BUDGET,
 ) -> StablyStrongReport:
     entries = []
     for base, g in catalog:
-        label = f"{g} : {base} -> {pt.b}"
+        label = f"{g} : {format_preordered(base)} -> {format_preordered(pt.b)}"
         entries.append((label, is_strong(pullback(pt, g, base, budget), budget)))
     agg = vand(*(v for _, v in entries)) if entries else yes("empty catalog")
     return StablyStrongReport(
@@ -199,16 +199,13 @@ def stably_strong_over(
     )
 
 
-def default_base_catalog(base: PreorderedGroup) -> list[tuple[PreorderedGroup, Homomorphism]]:
+def default_base_catalog(base: Cone) -> list[tuple[Cone, Homomorphism]]:
     """Scalar maps n -> c n for |c| <= 4, plus a finite cyclic source."""
     if not (isinstance(base.group, FreeAbelian) and base.group.rank == 1):
         raise StructureError("default catalog is defined over base Z")
     Z = base.group
-    out: list[tuple[PreorderedGroup, Homomorphism]] = []
-    candidates = [
-        PreorderedGroup(Z, base.cone),
-        PreorderedGroup(Z, TrivialCone(Z)),
-    ]
+    out: list[tuple[Cone, Homomorphism]] = []
+    candidates = [base, TrivialCone(Z)]
     for c in range(-4, 5):
         h = LinearHom.scalar(Z, Z, c)
         for cand in candidates:
@@ -217,7 +214,7 @@ def default_base_catalog(base: PreorderedGroup) -> list[tuple[PreorderedGroup, H
                 break
     z2 = CyclicGroup(2)
     zero = TableHom.from_dict(z2, Z, {0: 0, 1: 0})
-    out.append((PreorderedGroup(z2, FullCone(z2)), zero))
+    out.append((FullCone(z2), zero))
     return out
 
 
@@ -273,15 +270,15 @@ def check_point_morphism(
             return v
     return vand(
         is_monotone(m.a, src.x, dst.x, budget),
-        is_monotone(m.b, src.pre, dst.pre, budget),
+        is_monotone(m.b, src.cone, dst.cone, budget),
         is_monotone(m.c, src.b, dst.b, budget),
     )
 
 
 def order_iso_check(
     h: Homomorphism,
-    src: PreorderedGroup,
-    dst: PreorderedGroup,
+    src: Cone,
+    dst: Cone,
     budget: SaturationBudget = DEFAULT_BUDGET,
 ) -> Verdict:
     """Group isomorphism (via an exact inverse) monotone in both directions."""
@@ -316,11 +313,11 @@ def ssfl_check(
     comm = check_point_morphism(m, src, dst, budget)
     if comm.is_no:
         raise StructureError(f"not a point morphism: {comm.note} at {comm.witness}")
-    for label, hom, s_pre, d_pre in (
+    for label, hom, s_cone, d_cone in (
         ("kernel", m.a, src.x, dst.x),
         ("base", m.c, src.b, dst.b),
     ):
-        v = order_iso_check(hom, s_pre, d_pre, budget)
+        v = order_iso_check(hom, s_cone, d_cone, budget)
         if not v.is_yes:
             raise StructureError(f"{label} component is not an order isomorphism: {v}")
-    return order_iso_check(m.b, src.pre, dst.pre, budget)
+    return order_iso_check(m.b, src.cone, dst.cone, budget)

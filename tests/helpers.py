@@ -21,7 +21,6 @@ from ordsplit.cones import (
     FullCone,
     GeneratedCone,
     PointProductCone,
-    PreorderedGroup,
     ProductCone,
     _fibre_test,
     check_cone_axioms,
@@ -147,7 +146,7 @@ def compose(outer: Homomorphism, inner: Homomorphism) -> Homomorphism:
     return ComposedHom(outer, inner)
 
 
-def strictly_positive(P: PreorderedGroup, b, budget: SaturationBudget = DEFAULT_BUDGET) -> Verdict:
+def strictly_positive(P: Cone, b, budget: SaturationBudget = DEFAULT_BUDGET) -> Verdict:
     """0 <= b and not b <= 0 in P; the No side must be exact for a Yes."""
     pos = P.leq(P.group.zero(), b, budget)
     back = P.leq(b, P.group.zero(), budget)
@@ -181,8 +180,8 @@ def point_product(pt1: SplitExtension, pt2: SplitExtension) -> SplitExtension:
     """Componentwise product of two points in the category of points."""
     x_group = DirectProduct((pt1.x.group, pt2.x.group))
     b_group = DirectProduct((pt1.b.group, pt2.b.group))
-    x = PreorderedGroup(x_group, ProductCone(x_group, pt1.x.cone, pt2.x.cone))
-    b = PreorderedGroup(b_group, ProductCone(b_group, pt1.b.cone, pt2.b.cone))
+    x = ProductCone(x_group, pt1.x, pt2.x)
+    b = ProductCone(b_group, pt1.b, pt2.b)
     shape = ExtensionShape(x, b, ProductAction(pt1.action, pt2.action))
     return point(shape, PointProductCone(shape.carrier, pt1.cone, pt2.cone))
 
@@ -196,7 +195,7 @@ class PointClassification:
 
 def classify_point(
     pt: SplitExtension,
-    catalog: list[tuple[PreorderedGroup, Homomorphism]] | None = None,
+    catalog: list[tuple[Cone, Homomorphism]] | None = None,
     budget: SaturationBudget = DEFAULT_BUDGET,
 ) -> PointClassification:
     if catalog is None:
@@ -215,9 +214,9 @@ def is_minimal_equal_product(
     v = compatible_exists(shape, budget)
     if not v.is_yes:
         raise StructureError(f"no compatible order known: {v}")
-    gens, note = shape.b.cone.finite_generators(), "on positive generators"
+    gens, note = shape.b.finite_generators(), "on positive generators"
     if gens is None:
-        gens, note = shape.b.cone.positive_sample(budget.window, budget), "window-verified"
+        gens, note = shape.b.positive_sample(budget.window, budget), "window-verified"
     v = vall(
         (b, pointwise_sim_id(shape.action.as_hom(b), shape.x, budget))
         for b in gens
@@ -361,12 +360,11 @@ def definitional_compatible(
     """
     if P.group != shape.carrier:
         raise ShapeError("cone does not live on the extension's carrier")
-    carrier_pre = PreorderedGroup(shape.carrier, P)
     return vand(
         check_cone_axioms(P, budget),
-        is_monotone(KernelHom(shape.carrier), shape.x, carrier_pre, budget),
-        is_monotone(SectionHom(shape.carrier), shape.b, carrier_pre, budget),
-        is_monotone(ProjectionHom(shape.carrier), carrier_pre, shape.b, budget),
+        is_monotone(KernelHom(shape.carrier), shape.x, P, budget),
+        is_monotone(SectionHom(shape.carrier), shape.b, P, budget),
+        is_monotone(ProjectionHom(shape.carrier), P, shape.b, budget),
         kernel_reflects(P, shape, budget),
     )
 
@@ -377,7 +375,7 @@ def kernel_reflects(P: Cone, shape: ExtensionShape, budget: SaturationBudget) ->
     v = for_all_members(
         shape.x.group.window_elements(budget.window),
         lambda x: P.contains((x, bz), budget),
-        lambda x: shape.x.cone.contains(x, budget),
+        lambda x: shape.x.contains(x, budget),
         "fibre order not reflected", "reflection check hit undecided memberships",
         yes("window-verified" if not shape.x.group.is_finite else "exhaustive"),
     )
@@ -560,15 +558,13 @@ def random_finite_extension(rng: random.Random, max_carrier: int = 64):
     action = FiniteTableAction.from_homs(B, X, table)
     px = oracle_cone_closure(X, _random_seed_elements(rng, X))
     pb = oracle_cone_closure(B, _random_seed_elements(rng, B))
-    x_pre = PreorderedGroup(X, ExtensionalCone(X, px))
-    b_pre = PreorderedGroup(B, ExtensionalCone(B, pb))
-    return x_pre, b_pre, action
+    return ExtensionalCone(X, px), ExtensionalCone(B, pb), action
 
 
 def _full_aut_group(X: Group):
     from ordsplit.classifiers import FiniteAutGroup
 
-    return FiniteAutGroup(PreorderedGroup(X, FullCone(X)))
+    return FiniteAutGroup(FullCone(X))
 
 
 def _random_seed_elements(rng: random.Random, G: Group):

@@ -24,7 +24,6 @@ from ordsplit.cones import (
     ExtensionalCone,
     FullCone,
     OrthantCone,
-    PreorderedGroup,
     TrivialCone,
     check_cone_axioms,
     cones_equal,
@@ -67,9 +66,9 @@ from helpers import (
 
 Z = FreeAbelian(1)
 Q = RationalVector(1)
-ZN = PreorderedGroup(Z, OrthantCone(Z))
-Z0 = PreorderedGroup(Z, TrivialCone(Z))
-QP = PreorderedGroup(Q, OrthantCone(Q))
+ZN = OrthantCone(Z)
+Z0 = TrivialCone(Z)
+QP = OrthantCone(Q)
 
 CORPUS_SEED = 20260809
 CORPUS_SIZE = 22
@@ -83,8 +82,8 @@ def _corpus():
     return out
 
 
-def _positive_set(pre):
-    return frozenset(x for x in pre.group.elements() if pre.cone.contains(x).is_yes)
+def _positive_set(cone):
+    return frozenset(x for x in cone.group.elements() if cone.contains(x).is_yes)
 
 
 def sign_strong_point():
@@ -98,10 +97,10 @@ def scaling_point():
 def test_acceptance_1_interval_oracle_equivalence():
     """Definitional brute force equals the interval description exactly."""
     checked = 0
-    for x_pre, b_pre, action in _corpus():
-        shape = ExtensionShape(x_pre, b_pre, action)
+    for x_cone, b_cone, action in _corpus():
+        shape = ExtensionShape(x_cone, b_cone, action)
         carrier = shape.carrier
-        px, pb = _positive_set(x_pre), _positive_set(b_pre)
+        px, pb = _positive_set(x_cone), _positive_set(b_cone)
         oracle = oracle_all_compatible_cones(carrier, px, pb)
         # Implementation side: subsets between the componentwise and lex cones
         # that satisfy the cone axioms.
@@ -143,8 +142,8 @@ def test_acceptance_1_interval_oracle_equivalence():
 def test_acceptance_2_lexicographic_equivalence():
     """Existence, lex compatibility, and nonempty enumeration coincide."""
     mismatches = []
-    for x_pre, b_pre, action in _corpus():
-        shape = ExtensionShape(x_pre, b_pre, action)
+    for x_cone, b_cone, action in _corpus():
+        shape = ExtensionShape(x_cone, b_cone, action)
         exists = compatible_exists(shape, SMALL_BUDGET)
         lex_ok = is_compatible(lex_cone(shape), shape, SMALL_BUDGET)
         lex_def = definitional_compatible(lex_cone(shape), shape, SMALL_BUDGET)
@@ -154,7 +153,7 @@ def test_acceptance_2_lexicographic_equivalence():
             mismatches.append((shape, exists, lex_ok, lex_def, count))
     assert not mismatches, mismatches
     # symbolic catalog instances
-    sign_bad = ExtensionShape(ZN, PreorderedGroup(Z, FullCone(Z)), SignAction(Z, Z))
+    sign_bad = ExtensionShape(ZN, FullCone(Z), SignAction(Z, Z))
     v = compatible_exists(sign_bad, SMALL_BUDGET)
     assert v.is_no and "monotone" in v.note
     assert is_compatible(lex_cone(sign_bad), sign_bad, SMALL_BUDGET).is_no
@@ -218,7 +217,7 @@ def test_acceptance_4_rali_two_routes_agree():
     for name, pt in _catalog_points():
         by_cone = cones_equal(pt.cone, product_cone(pt), SMALL_BUDGET)
         sf = compose(SectionHom(pt.carrier), ProjectionHom(pt.carrier))
-        by_adjoint = hom_leq(sf, IdentityHom(pt.carrier), pt.pre, pt.pre, SMALL_BUDGET)
+        by_adjoint = hom_leq(sf, IdentityHom(pt.carrier), pt.cone, pt.cone, SMALL_BUDGET)
         if (by_cone.is_yes and by_adjoint.is_no) or (by_cone.is_no and by_adjoint.is_yes):
             disagreements.append((name, by_cone, by_adjoint))
         # the packaged op answers by the cone route alone, without raising

@@ -22,7 +22,7 @@ import pytest
 import ordsplit
 from ordsplit.actions import Action, ActionHom, MatrixAction, ProductAction, SignAction, TrivialAction
 from ordsplit.classifiers import FiniteAutGroup, OrthantPermAutGroup
-from ordsplit.cones import FullCone, GeneratedCone, OrthantCone, PreorderedGroup
+from ordsplit.cones import FullCone, GeneratedCone, OrthantCone
 from ordsplit.groups import (
     CyclicGroup,
     DirectProduct,
@@ -144,8 +144,8 @@ def test_subclasses_of_int_and_fraction_are_refused():
     with pytest.raises(ShapeError):
         Z.add(True, 1)
     Z2V = FreeAbelian(2)
-    perms = OrthantPermAutGroup(PreorderedGroup(Z2V, OrthantCone(Z2V)))
-    trivial = OrthantPermAutGroup(PreorderedGroup(Z, OrthantCone(Z)))
+    perms = OrthantPermAutGroup(OrthantCone(Z2V))
+    trivial = OrthantPermAutGroup(OrthantCone(Z))
     for G, el in ((perms, (True, False)), (perms, (1, Int(0))), (trivial, False), (trivial, Fraction(0))):
         with pytest.raises(ShapeError):
             G.neg(el)
@@ -154,7 +154,7 @@ def test_subclasses_of_int_and_fraction_are_refused():
 def test_finite_aut_group_refuses_images_outside_the_base_group():
     # True == 1 and both hash alike, so a bare membership test would take a
     # bool image for an int one; each image is checked against Z_3 first.
-    aut = FiniteAutGroup(PreorderedGroup(CyclicGroup(3), FullCone(CyclicGroup(3))))
+    aut = FiniteAutGroup(FullCone(CyclicGroup(3)))
     for el in ((False, 2, True), (0, Fraction(2), 1), (0, 2), (0, 2, 1, 0), [0, 2, 1]):
         with pytest.raises(ShapeError):
             aut.check(el)
@@ -196,7 +196,7 @@ def test_fixed_data_is_built_once():
     first = w.rationals()
     first.append(Fraction(99))
     assert w.rationals() == sorted({Fraction(n, d) for d in (1, 2) for n in range(-3, 4)})
-    aut = FiniteAutGroup(PreorderedGroup(CyclicGroup(3), FullCone(CyclicGroup(3))))
+    aut = FiniteAutGroup(FullCone(CyclicGroup(3)))
     assert aut.order() == 2 and aut.add((0, 2, 1), (0, 2, 1)) == (0, 1, 2)
     with pytest.raises(ShapeError):
         aut.neg((1, 2, 0))
@@ -352,3 +352,15 @@ def test_one_cone_class_for_the_three_automorphism_orders():
     ):
         assert not hasattr(ordsplit.classifiers, name), name
     assert "budget" not in inspect.signature(ordsplit.classifiers.aut_cone).parameters
+
+
+def test_a_preordered_group_is_its_cone():
+    # A cone knows its group, so (G, P) is the cone P: no wrapper stores G a
+    # second time, a point's order is its cone, and the lex cone takes the
+    # component cones as the componentwise cone does.
+    assert not hasattr(ordsplit.cones, "PreorderedGroup")
+    assert "PreorderedGroup" not in ordsplit.__all__
+    assert not hasattr(ordsplit.extensions.SplitExtension, "pre")
+    names = [[f.name for f in dataclasses.fields(cls)]
+             for cls in (ordsplit.cones.LexCone, ordsplit.cones.ProductCone)]
+    assert names[0] == names[1]

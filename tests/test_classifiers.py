@@ -28,7 +28,6 @@ from ordsplit.cones import (
     ExtensionalCone,
     FullCone,
     OrthantCone,
-    PreorderedGroup,
     TrivialCone,
     check_cone_axioms,
 )
@@ -43,32 +42,32 @@ from helpers import SMALL_BUDGET, assert_state, klein_four, symmetric_cayley
 
 Z = FreeAbelian(1)
 Q = RationalVector(1)
-ZN = PreorderedGroup(Z, OrthantCone(Z))
-QP = PreorderedGroup(Q, OrthantCone(Q))
+ZN = OrthantCone(Z)
+QP = OrthantCone(Q)
 
 
 def test_monotone_aut_symbolic_dispatch():
     assert isinstance(monotone_aut(ZN), OrthantPermAutGroup)
     assert isinstance(monotone_aut(QP), RatScalingAutGroup)
-    z2n = PreorderedGroup(FreeAbelian(2), OrthantCone(FreeAbelian(2)))
+    z2n = OrthantCone(FreeAbelian(2))
     assert isinstance(monotone_aut(z2n), OrthantPermAutGroup)
     with pytest.raises(StructureError):
-        monotone_aut(PreorderedGroup(Q, FullCone(Q)))
+        monotone_aut(FullCone(Q))
 
 
 def test_monotone_aut_finite_counts():
-    k4 = PreorderedGroup(klein_four(), TrivialCone(klein_four()))
+    k4 = TrivialCone(klein_four())
     assert monotone_aut(k4).order() == 6
-    z3full = PreorderedGroup(CyclicGroup(3), FullCone(CyclicGroup(3)))
+    z3full = FullCone(CyclicGroup(3))
     assert monotone_aut(z3full).order() == 2
     # a nontrivial cone cuts the automorphism group down
     z4 = CyclicGroup(4)
-    half = PreorderedGroup(z4, ExtensionalCone(z4, frozenset({0, 1, 2})))
+    half = ExtensionalCone(z4, frozenset({0, 1, 2}))
     assert monotone_aut(half).order() == 1
 
 
 def test_finite_aut_group_is_a_group():
-    k4 = PreorderedGroup(klein_four(), TrivialCone(klein_four()))
+    k4 = TrivialCone(klein_four())
     aut = monotone_aut(k4)
     els = aut.elements()
     assert len(els) == 6
@@ -100,7 +99,7 @@ def test_plus_and_minus_read_the_matrix_on_an_orthant_base():
     assert plus.contains(Fraction(1, 2)).witness == (Fraction(1, 2), Fraction(1))
     assert minus.contains(Fraction(2)).witness == (Fraction(2), Fraction(-1))
     Z3 = FreeAbelian(3)
-    aut = monotone_aut(PreorderedGroup(Z3, OrthantCone(Z3)))
+    aut = monotone_aut(OrthantCone(Z3))
     plus, minus = AutOrderCone(aut, "plus"), AutOrderCone(aut, "minus")
     swap = (0, 2, 1)  # e_1 <-> e_2
     v = plus.contains(swap)
@@ -121,11 +120,11 @@ def test_plus_minus_inverse_duality():
 
 
 def test_aut_cone_axioms_on_finite_instance():
-    z3full = PreorderedGroup(CyclicGroup(3), FullCone(CyclicGroup(3)))
+    z3full = FullCone(CyclicGroup(3))
     aut = monotone_aut(z3full)
     for which in ("tilde", "plus", "minus"):
         order = aut_cone(aut, which)
-        assert_state(check_cone_axioms(order.cone, SMALL_BUDGET), "yes", which)
+        assert_state(check_cone_axioms(order, SMALL_BUDGET), "yes", which)
 
 
 def test_admissibility():
@@ -133,7 +132,7 @@ def test_admissibility():
     assert_state(admissible_check(aut_cone(aut, "tilde"), SMALL_BUDGET), "yes")
     assert_state(admissible_check(aut_cone(aut, "plus"), SMALL_BUDGET), "yes")
     assert_state(admissible_check(aut_cone(aut, "minus"), SMALL_BUDGET), "yes")
-    v = admissible_check(PreorderedGroup(aut, FullCone(aut)), SMALL_BUDGET)
+    v = admissible_check(FullCone(aut), SMALL_BUDGET)
     assert_state(v, "no")
 
 
@@ -151,7 +150,7 @@ A3 = frozenset(S3.add(y, y) for y in S3.elements())  # the squares of S3
 def test_plus_and_minus_cones_on_a_finite_base_match_the_table(
     G, positives, closed, aut_order, unit_count, order
 ):
-    aut = monotone_aut(PreorderedGroup(G, ExtensionalCone(G, frozenset(positives))))
+    aut = monotone_aut(ExtensionalCone(G, frozenset(positives)))
     assert isinstance(aut, FiniteAutGroup)
     els = G.elements()
 
@@ -182,8 +181,8 @@ def test_tilde_admissible_for_all_supported_kernels():
     kernels = [
         ZN,
         QP,
-        PreorderedGroup(CyclicGroup(3), FullCone(CyclicGroup(3))),
-        PreorderedGroup(klein_four(), TrivialCone(klein_four())),
+        FullCone(CyclicGroup(3)),
+        TrivialCone(klein_four()),
     ]
     for x in kernels:
         aut = monotone_aut(x)
@@ -191,7 +190,7 @@ def test_tilde_admissible_for_all_supported_kernels():
 
 
 def test_build_classifier_carrier_and_rali():
-    k4 = PreorderedGroup(klein_four(), TrivialCone(klein_four()))
+    k4 = TrivialCone(klein_four())
     cls = build_classifier(k4, aut_cone(monotone_aut(k4), "tilde"), SMALL_BUDGET)
     assert cls.carrier.order() == 24
     assert_state(is_rali(cls, SMALL_BUDGET), "yes")
@@ -215,7 +214,7 @@ def test_tilde_product_order_coincides_with_lex():
 def test_build_classifier_rejects_inadmissible():
     aut = monotone_aut(QP)
     with pytest.raises(StructureError):
-        build_classifier(QP, PreorderedGroup(aut, FullCone(aut)), SMALL_BUDGET)
+        build_classifier(QP, FullCone(aut), SMALL_BUDGET)
 
 
 def test_classify_rali_point_into_tilde_classifier():
@@ -259,8 +258,8 @@ def test_classify_into_asks_base_monotonicity_once(monkeypatch):
 
 
 def test_classify_into_finite_classifier():
-    z3full = PreorderedGroup(CyclicGroup(3), FullCone(CyclicGroup(3)))
-    z2full = PreorderedGroup(CyclicGroup(2), FullCone(CyclicGroup(2)))
+    z3full = FullCone(CyclicGroup(3))
+    z2full = FullCone(CyclicGroup(2))
     inv = FiniteTableAction.from_homs(
         CyclicGroup(2), CyclicGroup(3),
         {0: TableHom.from_dict(CyclicGroup(3), CyclicGroup(3), {0: 0, 1: 1, 2: 2}),
@@ -313,18 +312,18 @@ def test_no_classifier_witness_rationals():
 
 def test_no_classifier_witness_none_cases():
     assert no_classifier_witness(ZN, SMALL_BUDGET) is None
-    z3full = PreorderedGroup(CyclicGroup(3), FullCone(CyclicGroup(3)))
+    z3full = FullCone(CyclicGroup(3))
     assert no_classifier_witness(z3full, SMALL_BUDGET) is None
 
 
 def test_no_classifier_requires_total_order():
-    z3triv = PreorderedGroup(CyclicGroup(3), TrivialCone(CyclicGroup(3)))
+    z3triv = TrivialCone(CyclicGroup(3))
     with pytest.raises(StructureError):
         no_classifier_witness(z3triv, SMALL_BUDGET)
 
 
 def test_aut_eval_action_semidirect_law():
-    k4 = PreorderedGroup(klein_four(), TrivialCone(klein_four()))
+    k4 = TrivialCone(klein_four())
     aut = monotone_aut(k4)
     act = AutEvalAction(aut)
     carrier = build_classifier(k4, aut_cone(aut, "tilde"), SMALL_BUDGET).carrier
@@ -336,7 +335,7 @@ def test_aut_eval_action_semidirect_law():
 
 
 def test_orthant_perm_aut_group():
-    z2n = PreorderedGroup(FreeAbelian(2), OrthantCone(FreeAbelian(2)))
+    z2n = OrthantCone(FreeAbelian(2))
     aut = monotone_aut(z2n)
     assert aut.order() == 2
     swap = (1, 0)
@@ -347,7 +346,7 @@ def test_orthant_perm_aut_group():
     assert_state(AutOrderCone(aut, "tilde").contains(swap), "no")
 
 Z2V = FreeAbelian(2)
-Z2N = PreorderedGroup(Z2V, OrthantCone(Z2V))
+Z2N = OrthantCone(Z2V)
 SHEAR = MatrixAction(FreeAbelian(1), Z2V, (((1, 1), (0, 1)),))
 SWAP = MatrixAction(FreeAbelian(1), Z2V, (((0, 1), (1, 0)),))
 
@@ -370,7 +369,7 @@ def test_orthant_perm_aut_elements():
 def test_orthant_perm_aut_arithmetic_matches_realize(G, cone):
     # add is composition and neg is inversion of the realized maps, on the
     # coordinate permutations of Z^k and the automorphisms of finite groups.
-    aut = monotone_aut(PreorderedGroup(G, cone(G)))
+    aut = monotone_aut(cone(G))
     window = G.window_elements(Window(1, 1, 1))
     for a in aut.elements():
         inv = aut.realize(aut.neg(a))
@@ -416,27 +415,27 @@ def test_each_automorphism_group_realizes_phi_b_from_its_own_element():
     # from_action reads phi_b, and realize turns that element back into phi_b:
     # the canonical map's uniqueness rests on this, so it is not re-checked
     # per query.
-    z3full = PreorderedGroup(CyclicGroup(3), FullCone(CyclicGroup(3)))
+    z3full = FullCone(CyclicGroup(3))
     inv = FiniteTableAction.from_homs(
         CyclicGroup(2), CyclicGroup(3),
         {0: TableHom.from_dict(CyclicGroup(3), CyclicGroup(3), {0: 0, 1: 1, 2: 2}),
          1: TableHom.from_dict(CyclicGroup(3), CyclicGroup(3), {0: 0, 1: 2, 2: 1})},
     )
-    z2full = PreorderedGroup(CyclicGroup(2), FullCone(CyclicGroup(2)))
+    z2full = FullCone(CyclicGroup(2))
     cases = [
         (z3full, z2full, inv, FiniteAutGroup),
         (Z2N, ZN, SWAP, OrthantPermAutGroup),
         (QP, ZN, MatrixAction.scaling(Z, Q, Fraction(2)), RatScalingAutGroup),
         (QP, ZN, MatrixAction.scaling(Z, Q, Fraction(1, 3)), RatScalingAutGroup),
     ]
-    for x_pre, b_pre, action, kind in cases:
-        aut = monotone_aut(x_pre)
+    for x_cone, b_cone, action, kind in cases:
+        aut = monotone_aut(x_cone)
         assert type(aut) is kind
-        for b in b_pre.group.window_elements(Window(3, 6, 3)):
+        for b in b_cone.group.window_elements(Window(3, 6, 3)):
             h = aut.realize(aut.from_action(action, b))
-            for g in x_pre.group.generators():
+            for g in x_cone.group.generators():
                 assert h.apply(g) == action.apply(b, g), (kind, b, g)
-        pt = point(ExtensionShape(x_pre, b_pre, action), "product")
+        pt = point(ExtensionShape(x_cone, b_cone, action), "product")
         cbar = CorestrictionHom(pt.b.group, aut, pt.action)
         assert_state(_uniqueness_check(pt, aut, cbar), "yes")
     # phi_b outside the automorphism group is refused, not answered.

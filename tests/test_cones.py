@@ -18,7 +18,6 @@ from ordsplit.cones import (
     GeneratedCone,
     LexCone,
     OrthantCone,
-    PreorderedGroup,
     ProductCone,
     TrivialCone,
     check_cone_axioms,
@@ -43,7 +42,7 @@ from ordsplit.groups import (
 )
 from ordsplit.homs import IdentityHom, LinearHom, PairHom
 from ordsplit.points import pullback
-from ordsplit.verdict import SaturationBudget, Window, unknown
+from ordsplit.verdict import DEFAULT_BUDGET, SaturationBudget, Window, unknown
 
 from helpers import (
     SMALL_BUDGET,
@@ -61,10 +60,11 @@ Z = FreeAbelian(1)
 Q = RationalVector(1)
 Z2V = FreeAbelian(2)
 Q2V = RationalVector(2)
-ZN = PreorderedGroup(Z, OrthantCone(Z))
-ZF = PreorderedGroup(Z, FullCone(Z))
-Z0 = PreorderedGroup(Z, TrivialCone(Z))
-QP = PreorderedGroup(Q, OrthantCone(Q))
+ZN = OrthantCone(Z)
+ZF = FullCone(Z)
+Z0 = TrivialCone(Z)
+QP = OrthantCone(Q)
+Z2N = OrthantCone(Z2V)
 
 
 def test_orthant_membership():
@@ -236,14 +236,14 @@ def test_sim_and_strictly_positive():
     assert_state(strictly_positive(ZN, 1), "yes")
     assert_state(strictly_positive(ZN, 0), "no")
     Z6 = CyclicGroup(6)
-    evens = PreorderedGroup(Z6, ExtensionalCone(Z6, frozenset({0, 2, 4})))
+    evens = ExtensionalCone(Z6, frozenset({0, 2, 4}))
     assert_state(evens.sim(2, 0), "yes")
 
 
 def test_no_strictly_positive_on_finite_groups():
     # Finite positives are units, so nothing is strictly positive.
     Z6 = CyclicGroup(6)
-    evens = PreorderedGroup(Z6, ExtensionalCone(Z6, frozenset({0, 2, 4})))
+    evens = ExtensionalCone(Z6, frozenset({0, 2, 4}))
     for b in Z6.elements():
         assert not strictly_positive(evens, b).is_yes
 
@@ -253,7 +253,7 @@ def test_units_subgroup():
     full = units_subgroup(ZF)
     assert full.exact and full.elements is None and full.generators == (1,)
     Z6 = CyclicGroup(6)
-    evens = PreorderedGroup(Z6, ExtensionalCone(Z6, frozenset({0, 2, 4})))
+    evens = ExtensionalCone(Z6, frozenset({0, 2, 4}))
     assert units_subgroup(evens).elements == frozenset({0, 2, 4})
     assert units_subgroup(QP).elements == frozenset({Fraction(0)})
 
@@ -263,7 +263,7 @@ def test_units_of_an_infinite_carrier_come_from_the_window_scan():
     # window and so not exact.
     window = Window(3, 6, 3)
     cone = generated_cone(Z2V, [(1, 0), (-1, 0), (0, 1)])
-    units = units_subgroup(PreorderedGroup(Z2V, cone), SaturationBudget(2, 6, window))
+    units = units_subgroup(cone, SaturationBudget(2, 6, window))
     assert not units.exact
     assert units.elements == frozenset((a, 0) for a in Z.window_elements(window))
     assert units.note == "window search"
@@ -277,7 +277,7 @@ def test_is_monotone_examples():
     assert_state(is_monotone(LinearHom.scalar(Q, Q, Fraction(2)), QP, QP), "yes")
     # A clean scan of a finite carrier saw all of it, not a window.
     Z5 = CyclicGroup(5)
-    X = PreorderedGroup(Z5, ExtensionalCone(Z5, frozenset({0, 1, 4})))
+    X = ExtensionalCone(Z5, frozenset({0, 1, 4}))
     v = is_monotone(IdentityHom(Z5), X, X)
     assert_state(v, "yes")
     assert (v.note, v.budget_used) == ("exhaustive", ())
@@ -286,8 +286,7 @@ def test_is_monotone_examples():
 def test_matrix_maps_out_of_an_orthant_decide_by_their_columns():
     # Into an orthant every column must be >= 0, into the trivial order 0;
     # the witness is the basis vector of the first failing column.
-    Z2N = PreorderedGroup(Z2V, OrthantCone(Z2V))
-    Z20 = PreorderedGroup(Z2V, TrivialCone(Z2V))
+    Z20 = TrivialCone(Z2V)
     assert_state(is_monotone(IdentityHom(Z2V), Z2N, Z2N), "yes")
     h = LinearHom(Z2V, Z2V, ((1, 0), (-1, 2)))
     v = is_monotone(h, Z2N, Z2N)
@@ -306,14 +305,14 @@ def test_pair_maps_between_componentwise_cones_decide_by_their_parts(monkeypatch
     # Over the sign action the componentwise cone is not a known cone, so the
     # generator route is closed: only the parts or the window scan decide.
     sizes = count_window_items(monkeypatch)
-    for x_pre in (ZN, Z0):
-        pt = point(ExtensionShape(x_pre, ZN, SignAction(Z, Z)), "product")
+    for x_cone in (ZN, Z0):
+        pt = point(ExtensionShape(x_cone, ZN, SignAction(Z, Z)), "product")
         for hx, hb in (
             (IdentityHom(Z), IdentityHom(Z)),
             (LinearHom.scalar(Z, Z, 2), IdentityHom(Z)),
             (IdentityHom(Z), LinearHom.scalar(Z, Z, 3)),
         ):
-            v = is_monotone(PairHom(pt.carrier, pt.carrier, hx, hb), pt.pre, pt.pre, SMALL_BUDGET)
+            v = is_monotone(PairHom(pt.carrier, pt.carrier, hx, hb), pt.cone, pt.cone, SMALL_BUDGET)
             assert (v.state.value, v.note) == ("yes", "monotone on both components")
     assert sizes == []
     # A non-monotone part falls through to the scan, whose no names the
@@ -321,14 +320,14 @@ def test_pair_maps_between_componentwise_cones_decide_by_their_parts(monkeypatch
     pt = point(ExtensionShape(ZN, ZN, SignAction(Z, Z)), "product")
     minus = LinearHom.scalar(Z, Z, -1)
     for hx, hb, witness in ((minus, IdentityHom(Z), (1, 0)), (IdentityHom(Z), minus, (0, 1))):
-        v = is_monotone(PairHom(pt.carrier, pt.carrier, hx, hb), pt.pre, pt.pre, SMALL_BUDGET)
+        v = is_monotone(PairHom(pt.carrier, pt.carrier, hx, hb), pt.cone, pt.cone, SMALL_BUDGET)
         assert (v.state.value, v.witness, v.note) == (
             "no", witness, "positive element with non-positive image"
         )
     assert sizes == [49, 49]
     # Over a trivial action the generator route names the generator.
     pt = point(ExtensionShape(ZN, ZN, TrivialAction(Z, Z)), "product")
-    v = is_monotone(PairHom(pt.carrier, pt.carrier, minus, IdentityHom(Z)), pt.pre, pt.pre)
+    v = is_monotone(PairHom(pt.carrier, pt.carrier, minus, IdentityHom(Z)), pt.cone, pt.cone)
     assert (v.state.value, v.witness, v.note) == ("no", (1, 0), "generator image not positive")
 
 
@@ -337,11 +336,11 @@ def test_pair_maps_out_of_or_into_other_cones_keep_their_routes(monkeypatch):
     prod, lex = point(shape, "product"), point(shape, "lex")
     ident = PairHom(prod.carrier, prod.carrier, IdentityHom(Z), IdentityHom(Z))
     sizes = count_window_items(monkeypatch)
-    v = is_monotone(ident, lex.pre, prod.pre, SMALL_BUDGET)
+    v = is_monotone(ident, lex.cone, prod.cone, SMALL_BUDGET)
     assert (v.state.value, v.witness, v.note) == (
         "no", (-3, 1), "positive element with non-positive image"
     )
-    v = is_monotone(ident, prod.pre, lex.pre, SMALL_BUDGET)
+    v = is_monotone(ident, prod.cone, lex.cone, SMALL_BUDGET)
     assert (v.state.value, v.note) == ("yes", "window-verified")
     assert sizes == [49, 49]
 
@@ -349,7 +348,7 @@ def test_pair_maps_out_of_or_into_other_cones_keep_their_routes(monkeypatch):
 def test_is_monotone_generator_reduction_matches_bruteforce():
     S3 = symmetric_cayley(3)
     cone_elems = oracle_cone_closure(S3, [3])
-    src = PreorderedGroup(S3, ExtensionalCone(S3, cone_elems))
+    src = ExtensionalCone(S3, cone_elems)
     from ordsplit.homs import enumerate_automorphisms
 
     for h in enumerate_automorphisms(S3):
@@ -365,6 +364,15 @@ def test_cone_axioms_checker():
     assert_state(v, "no")
 
 
+def test_clean_scans_read_exhaustive_or_record_their_window():
+    # A finite carrier is scanned whole; elsewhere the Yes names its window.
+    v = check_cone_axioms(ExtensionalCone(CyclicGroup(5), frozenset({0})))
+    assert (v.state.value, v.note, v.budget_used) == ("yes", "exhaustive", ())
+    v = cone_subset(OrthantCone(Q), FullCone(Q))
+    window = (("window", DEFAULT_BUDGET.window.int_bound),)
+    assert (v.state.value, v.note, v.budget_used) == ("yes", "window-verified", window)
+
+
 def test_cone_subset_and_intersection():
     nat = OrthantCone(Z)
     assert_state(cone_subset(TrivialCone(Z), nat, SMALL_BUDGET), "yes")
@@ -375,8 +383,8 @@ def test_cone_subset_and_intersection():
 
 
 def test_cone_carrier_mismatch_raises():
-    with pytest.raises(ShapeError):
-        PreorderedGroup(Z, OrthantCone(Q))
+    with pytest.raises(ShapeError, match="lex cone components live on other carriers"):
+        LexCone(Semidirect(Z, Z, TrivialAction(Z, Z)), QP, ZN)
     with pytest.raises(ShapeError):
         OrthantCone(Z).contains(Fraction(1, 2))
 
@@ -417,7 +425,7 @@ def test_cone_yes_closed_under_window_ops():
     # The lex cone on the scaling carrier is a genuine cone; membership Yes
     # must be stable under window sums and conjugations.
     sd = Semidirect(Q, Z, MatrixAction.scaling(Z, Q, Fraction(2)))
-    cone = LexCone(sd, QP, PreorderedGroup(Z, OrthantCone(Z)))
+    cone = LexCone(sd, QP, OrthantCone(Z))
     w = Window(2, 2, 2)
     members = [x for x in sd.window_elements(w) if cone.contains(x).is_yes]
     assert_state(cone.contains(sd.zero()), "yes")
@@ -586,7 +594,6 @@ _TINY_BUDGET = SaturationBudget(1, 2, Window(1, 2, 1))
 def _swap_least_cone():
     # Z^2 under the swap with N^2: a kernel cone neither {0} nor on Q^k, so
     # fibrewise refuses it; its memberships take _source_route and the later routes.
-    Z2N = PreorderedGroup(Z2V, OrthantCone(Z2V))
     return minimal_cone(ExtensionShape(Z2N, ZN, MatrixAction(Z, Z2V, (SWAP,))), _TINY_BUDGET)
 
 
@@ -704,10 +711,9 @@ def _fibre_shapes():
     """(name, shape, window, conjugator box): compatible shapes over (Z^n, N^n)
     whose least cone the fibre route decides; the box holds the r of the
     brute-force decompositions below."""
-    QT = PreorderedGroup(Q, TrivialCone(Q))
-    Q2P, Q2T = PreorderedGroup(Q2V, OrthantCone(Q2V)), PreorderedGroup(Q2V, TrivialCone(Q2V))
-    Z2T = PreorderedGroup(Z2V, TrivialCone(Z2V))
-    Z2N = PreorderedGroup(Z2V, OrthantCone(Z2V))
+    QT = TrivialCone(Q)
+    Q2P, Q2T = OrthantCone(Q2V), TrivialCone(Q2V)
+    Z2T = TrivialCone(Z2V)
     wide, narrow, rational_box = Window(3, 6, 3), Window(2, 2, 2), Window(6, 12, 6)
     by_2_and_3 = MatrixAction(Z2V, Q, (((2,),), ((3,),)))
     by_2_and_1 = MatrixAction(Z2V, Q, (((2,),), ((1,),)))
@@ -746,7 +752,7 @@ def _sum_of_conjugates(shape, x, conjugates):
             total = G.add(c, total)
         p, base = G.add(x, G.neg(total))
         assert base == B.zero()
-        if shape.x.cone.contains(p).is_yes:
+        if shape.x.contains(p).is_yes:
             return True
     return False
 
@@ -822,7 +828,7 @@ def test_minimal_cone_is_a_fibre_cone_exactly_where_fibrewise_holds():
     # nothing (compatible under a trivial action, which scans no units).
     scaling = point(ExtensionShape(QP, ZN, MatrixAction.scaling(Z, Q, Fraction(2))), "minimal")
     from_trivial = pullback(scaling, LinearHom.scalar(Z, Z, Fraction(-1)), Z0, SMALL_BUDGET)
-    undecided = ExtensionShape(QP, PreorderedGroup(Z, _Undecided(Z)), TrivialAction(Z, Q))
+    undecided = ExtensionShape(QP, _Undecided(Z), TrivialAction(Z, Q))
     general = [_swap_least_cone()] + [minimal_cone(s, SMALL_BUDGET) for s in (from_trivial, undecided)]
     exact = [minimal_cone(shape, budget) for _, shape, budget in _coordinate_route_cases()]
     for built, kind in ((general, GeneratedCone), (exact, FibreCone)):
@@ -837,7 +843,7 @@ def test_minimal_cone_is_a_fibre_cone_exactly_where_fibrewise_holds():
 def test_a_fibre_of_all_of_q_asks_no_dual_ray(monkeypatch):
     # Under scaling by 2 with P_X = {0}, L_S = Im(1 - 2) is all of Q: its
     # dual cone has no rays, and every fibre yes skips feasible_strict.
-    shape = ExtensionShape(PreorderedGroup(Q, TrivialCone(Q)), ZN, MatrixAction.scaling(Z, Q, Fraction(2)))
+    shape = ExtensionShape(TrivialCone(Q), ZN, MatrixAction.scaling(Z, Q, Fraction(2)))
     budget = SaturationBudget(1, 2, Window(2, 2, 2))
     cone = minimal_cone(shape, budget)
     calls = []
@@ -852,7 +858,7 @@ def test_a_fibre_of_all_of_q_asks_no_dual_ray(monkeypatch):
 @given(st.integers(0, 2**32 - 1), st.integers(0, 3))
 def test_finite_closure_matches_the_fixpoint_oracle(seed, k):
     rng = random.Random(seed)
-    x_pre, b_pre, action = random_finite_extension(rng)
-    carrier = Semidirect(x_pre.group, b_pre.group, action)
+    x_cone, b_cone, action = random_finite_extension(rng)
+    carrier = Semidirect(x_cone.group, b_cone.group, action)
     S = rng.sample(carrier.elements(), k)
     assert _finite_closure(carrier, S) == oracle_cone_closure(carrier, S)

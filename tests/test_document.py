@@ -537,6 +537,19 @@ def test_cli_rejects_action_between_other_groups(tmp_path, capsys, section, loca
     assert f"{location}: action does not match the kernel/base groups" in err
 
 
+@pytest.mark.parametrize("section, location", [("queries", "queries[0]"), ("points", "points.p")])
+def test_cli_rejects_a_cone_on_another_group(tmp_path, capsys, section, location):
+    # The document is the one place where a group name meets a cone name.
+    doc = minimal_doc()
+    if section == "queries":
+        doc["queries"] = [{"op": "leq", "group": "Z", "cone": "qnat", "left": 0, "right": 1}]
+    else:
+        doc["points"] = {"p": dict(SHAPE_SPEC, x_cone="qnat", action="sgn")}
+    code, err = _validate_exit(tmp_path, capsys, doc)
+    assert code == 2
+    assert f"{location}: cone 'qnat' lives on Q, not Z" in err
+
+
 @pytest.mark.parametrize("command", ["validate", "lattice"])
 def test_cli_rejects_non_object_scope(tmp_path, capsys, command):
     doc = minimal_doc([dict(SHAPE_SPEC, op="lattice", action="sgn", scope=["exhaustive"])])

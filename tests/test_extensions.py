@@ -17,7 +17,6 @@ from ordsplit.cones import (
     FibreCone,
     FullCone,
     OrthantCone,
-    PreorderedGroup,
     TrivialCone,
     generated_cone,
 )
@@ -78,10 +77,10 @@ from helpers import (
 Z = FreeAbelian(1)
 Q = RationalVector(1)
 Z2 = FreeAbelian(2)
-ZN = PreorderedGroup(Z, OrthantCone(Z))
-ZF = PreorderedGroup(Z, FullCone(Z))
-Z0 = PreorderedGroup(Z, TrivialCone(Z))
-QP = PreorderedGroup(Q, OrthantCone(Q))
+ZN = OrthantCone(Z)
+ZF = FullCone(Z)
+Z0 = TrivialCone(Z)
+QP = OrthantCone(Q)
 
 
 def trivial_shape():
@@ -150,13 +149,13 @@ def test_compatible_exists_with_window_known_base_units(monkeypatch):
     scanned = []
     real = extensions.units_subgroup
     monkeypatch.setattr(extensions, "units_subgroup", lambda *a: scanned.append(a) or real(*a))
-    base = PreorderedGroup(Z2, generated_cone(Z2, [(1, 0), (0, 1)]))
+    base = generated_cone(Z2, [(1, 0), (0, 1)])
     shape = ExtensionShape(ZN, base, TrivialAction(Z2, Z))
     v = compatible_exists(shape, SMALL_BUDGET)
     assert_state(v, "yes")
     assert (v.witness, v.note) == (lex_cone(shape), "lexicographic cone is compatible")
     assert scanned == []
-    base = PreorderedGroup(Z, generated_cone(Z, [1]))
+    base = generated_cone(Z, [1])
     v = compatible_exists(ExtensionShape(Z0, base, SignAction(Z, Z)), SMALL_BUDGET)
     assert_state(v, "unknown")
     assert v.note == "units of the base are only window-known"
@@ -393,13 +392,13 @@ def test_enumerate_finite_unique_or_empty():
                  1: TableHom.from_dict(Z3, Z3, {0: 0, 1: 2, 2: 1})}
     )
     ok_shape = ExtensionShape(
-        PreorderedGroup(Z3, FullCone(Z3)), PreorderedGroup(Z2, FullCone(Z2)), inv
+        FullCone(Z3), FullCone(Z2), inv
     )
     rep = enumerate_compatible_cones(ok_shape, ExhaustiveFinite())
     assert rep.count == 1
     assert rep.meets_closed and rep.joins_closed_in_window
     bad_shape = ExtensionShape(
-        PreorderedGroup(Z3, TrivialCone(Z3)), PreorderedGroup(Z2, FullCone(Z2)), inv
+        TrivialCone(Z3), FullCone(Z2), inv
     )
     rep2 = enumerate_compatible_cones(bad_shape, ExhaustiveFinite())
     assert rep2.count == 0
@@ -411,10 +410,10 @@ def test_enumerate_finite_unique_or_empty():
 def test_finite_carrier_has_the_componentwise_set_as_its_only_candidate(seed):
     # No base element of a finite closed cone is strictly positive, so the
     # compatible interval holds the componentwise set or nothing.
-    x_pre, b_pre, action = random_finite_extension(random.Random(seed))
-    shape = ExtensionShape(x_pre, b_pre, action)
+    x_cone, b_cone, action = random_finite_extension(random.Random(seed))
+    shape = ExtensionShape(x_cone, b_cone, action)
     oracle = oracle_all_compatible_cones(
-        shape.carrier, x_pre.cone.elements, b_pre.cone.elements
+        shape.carrier, x_cone.elements, b_cone.elements
     )
     rep = enumerate_compatible_cones(shape, ExhaustiveFinite())
     assert rep.count == len(oracle) <= 1
@@ -493,8 +492,8 @@ def _random_finite_family(rng):
     px = oracle_cone_closure(X, rng.sample(nonzero, rng.randint(0, 1)))
     pb = oracle_cone_closure(B, rng.sample([g for g in B.elements() if g != B.zero()], 1))
     shape = ExtensionShape(
-        PreorderedGroup(X, ExtensionalCone(X, px)),
-        PreorderedGroup(B, ExtensionalCone(B, pb)),
+        ExtensionalCone(X, px),
+        ExtensionalCone(B, pb),
         TrivialAction(B, X),
     )
     fibers = []
@@ -518,7 +517,7 @@ def test_untwisted_families_match_the_window_loops(monkeypatch):
     for make in [_random_threshold_family] * 40 + [_random_finite_family] * 40:
         fam = make(rng)
         B = fam.shape.b
-        base_in = {b: B.cone.contains(b) for b in B.group.window_elements(budget.window)}
+        base_in = {b: B.contains(b) for b in B.group.window_elements(budget.window)}
         positives = [b for b, v in base_in.items() if v.is_yes]
         assert_state(oracle_family_conjugation(fam, base_in, positives, budget.window), "yes")
         assert_state(oracle_family_orbit_remark(fam, base_in, positives, budget.window), "yes")

@@ -17,7 +17,6 @@ from ordsplit.cones import (
     ExtensionalCone,
     FullCone,
     OrthantCone,
-    PreorderedGroup,
     TrivialCone,
     check_cone_axioms,
     cone_subset,
@@ -71,10 +70,6 @@ class Undecided(Cone):
         return self.closed
 
 
-def pre(cone):
-    return PreorderedGroup(cone.group, cone)
-
-
 NAT = OrthantCone(Z)
 # The orthant on Z, exposing its generator 1.
 NAT_GEN = Undecided(NAT, gens=(1,))
@@ -88,10 +83,10 @@ def test_verdict_unknown_note_per_scan():
     v = cone_subset(half, NAT, b)
     assert_state(v, "unknown")
     assert v.note == "subset check hit undecided memberships"
-    v = is_monotone(IdentityHom(Z), pre(half), pre(NAT), b)
+    v = is_monotone(IdentityHom(Z), half, NAT, b)
     assert_state(v, "unknown")
     assert v.note == "monotonicity hit undecided memberships"
-    v = hom_leq(IdentityHom(Z), LinearHom.scalar(Z, Z, Fraction(2)), pre(half), pre(NAT), b)
+    v = hom_leq(IdentityHom(Z), LinearHom.scalar(Z, Z, Fraction(2)), half, NAT, b)
     assert_state(v, "unknown")
     assert v.note == "pointwise comparison hit undecided memberships"
     v = check_cone_axioms(half, b)
@@ -110,10 +105,10 @@ def test_verdict_later_no_wins_over_earlier_unknown():
     v = cone_subset(full, NAT, b)
     assert_state(v, "no")
     assert (v.witness, v.note) == (-2, "element of the first cone only")
-    v = is_monotone(IdentityHom(Z), pre(full), pre(NAT), b)
+    v = is_monotone(IdentityHom(Z), full, NAT, b)
     assert_state(v, "no")
     assert (v.witness, v.note) == (-2, "positive element with non-positive image")
-    v = hom_leq(IdentityHom(Z), LinearHom.scalar(Z, Z, Fraction(2)), pre(full), pre(NAT), b)
+    v = hom_leq(IdentityHom(Z), LinearHom.scalar(Z, Z, Fraction(2)), full, NAT, b)
     assert_state(v, "no")
     assert (v.witness, v.note) == (-2, "comparison fails on a positive element")
     pair = Undecided(ExtensionalCone(Z, frozenset({0, 1})), frozenset({-3}))
@@ -127,7 +122,7 @@ def test_generator_unknown_falls_through_to_the_window_scan():
     v = cone_subset(NAT_GEN, TRIV_UNDECIDED_AT_1, b)
     assert_state(v, "no")
     assert (v.witness, v.note) == (2, "element of the first cone only")
-    v = is_monotone(IdentityHom(Z), pre(NAT_GEN), pre(TRIV_UNDECIDED_AT_1), b)
+    v = is_monotone(IdentityHom(Z), NAT_GEN, TRIV_UNDECIDED_AT_1, b)
     assert_state(v, "no")
     assert (v.witness, v.note) == (2, "positive element with non-positive image")
 
@@ -136,13 +131,13 @@ def test_generator_unknown_is_returned_as_is():
     b = SMALL_BUDGET
     # -x + 2x = x, so the comparison on the generator 1 asks the stub about 1.
     v = hom_leq(
-        IdentityHom(Z), LinearHom.scalar(Z, Z, Fraction(2)), pre(NAT_GEN), pre(TRIV_UNDECIDED_AT_1), b
+        IdentityHom(Z), LinearHom.scalar(Z, Z, Fraction(2)), NAT_GEN, TRIV_UNDECIDED_AT_1, b
     )
     assert_state(v, "unknown")
     assert v.note == STUB_NOTE
     # diag(1, 2) moves the generator (0, 1) by (0, 1), which the stub leaves open.
     h = LinearHom(Z2, Z2, ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(2))))
-    v = pointwise_sim_id(h, pre(Undecided(FullCone(Z2), frozenset({(0, 1)}))), b)
+    v = pointwise_sim_id(h, Undecided(FullCone(Z2), frozenset({(0, 1)})), b)
     assert_state(v, "unknown")
     assert v.note == STUB_NOTE
 
@@ -152,12 +147,12 @@ def test_pointwise_sim_id_window_scan():
     h = LinearHom.scalar(Q, Q, Fraction(2))
     # h(x) ~ x asks about x and -x; the generator check asks about +-1.
     ones = frozenset({Fraction(1), Fraction(-1)})
-    v = pointwise_sim_id(h, pre(Undecided(FullCone(Q), ones)), b)
+    v = pointwise_sim_id(h, Undecided(FullCone(Q), ones), b)
     assert_state(v, "unknown")
     assert v.note == "pointwise comparison hit undecided memberships"
     first, second = Q.window_elements(b.window)[:2]
     cone = Undecided(TrivialCone(Q), ones | {first, -first})
-    v = pointwise_sim_id(h, pre(cone), b)
+    v = pointwise_sim_id(h, cone, b)
     assert_state(v, "no")
     assert (v.witness, v.note) == (second, "automorphism moves an element")
 
@@ -166,17 +161,17 @@ def test_units_scan_with_an_undecided_membership_is_not_exact():
     # The window is all of Z_4, but 2 ~ 0 is left open by the stub.
     Z4 = CyclicGroup(4)
     cone = Undecided(ExtensionalCone(Z4, frozenset({0, 2})), frozenset({2}))
-    units = units_subgroup(pre(cone), SMALL_BUDGET)
+    units = units_subgroup(cone, SMALL_BUDGET)
     assert not units.exact
     assert units.elements == frozenset({0})
     assert units.note == "finite intersection (some memberships unknown)"
-    units = units_subgroup(pre(cone.base), SMALL_BUDGET)
+    units = units_subgroup(cone.base, SMALL_BUDGET)
     assert units.exact and units.elements == frozenset({0, 2})
 
 
 def test_kernel_reflects_scan():
     b = SMALL_BUDGET
-    shape = ExtensionShape(pre(NAT), pre(NAT), TrivialAction(Z, Z))
+    shape = ExtensionShape(NAT, NAT, TrivialAction(Z, Z))
     v = kernel_reflects(Undecided(product_cone(shape), frozenset({(2, 0)})), shape, b)
     assert_state(v, "unknown")
     assert v.note == "reflection check hit undecided memberships"
@@ -186,7 +181,7 @@ def test_kernel_reflects_scan():
 
 
 def test_family_conditions_unknown_note():
-    shape = ExtensionShape(pre(NAT), pre(Undecided(NAT, frozenset({2}))), TrivialAction(Z, Z))
+    shape = ExtensionShape(NAT, Undecided(NAT, frozenset({2})), TrivialAction(Z, Z))
     v = validate_family(FamilyCone(shape, UpSetFibers((0, 1, 2, 4))), SMALL_BUDGET).conditions
     assert_state(v, "unknown")
     assert v.note == "family conditions hit undecided memberships"
@@ -194,10 +189,10 @@ def test_family_conditions_unknown_note():
 
 def test_sclass_membership_undecided_unit():
     # n acts on Q by 2^n; whether 2 is a unit of the order asks about 1/2.
-    qp = pre(OrthantCone(Q))
-    pt = point(ExtensionShape(qp, pre(NAT), MatrixAction.scaling(Z, Q, Fraction(2))), "minimal")
+    qp = OrthantCone(Q)
+    pt = point(ExtensionShape(qp, NAT, MatrixAction.scaling(Z, Q, Fraction(2))), "minimal")
     plus = aut_cone(monotone_aut(qp), "plus")
-    order = PreorderedGroup(plus.group, Undecided(plus.cone, frozenset({Fraction(1, 2)})))
+    order = Undecided(plus, frozenset({Fraction(1, 2)}))
     v = sclass_membership(pt, order, SMALL_BUDGET)
     assert_state(v, "unknown")
     assert v.note == "condition 2 hit undecided memberships"

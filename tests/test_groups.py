@@ -75,8 +75,8 @@ def test_semidirect_conjugate_closed_form_matches_add(sd):
 @given(st.integers(0, 2**32 - 1))
 def test_semidirect_conjugate_closed_form_matches_add_on_finite_carriers(seed):
     rng = random.Random(seed)
-    x_pre, b_pre, action = random_finite_extension(rng)
-    sd = Semidirect(x_pre.group, b_pre.group, action)
+    x_cone, b_cone, action = random_finite_extension(rng)
+    sd = Semidirect(x_cone.group, b_cone.group, action)
     els = sd.elements()
     for g in rng.sample(els, min(6, len(els))):
         for x in els:

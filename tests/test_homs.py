@@ -4,7 +4,7 @@ import pytest
 from fractions import Fraction
 
 from ordsplit.classifiers import monotone_aut
-from ordsplit.cones import OrthantCone, PreorderedGroup
+from ordsplit.cones import OrthantCone
 from ordsplit.groups import (
     CyclicGroup,
     DirectProduct,
@@ -13,7 +13,7 @@ from ordsplit.groups import (
     Semidirect,
     StructureError,
 )
-from ordsplit.actions import SignAction
+from ordsplit.actions import MatrixAction, SignAction
 from ordsplit.homs import (
     FreeImagesHom,
     IdentityHom,
@@ -254,6 +254,17 @@ def test_first_difference_matches_a_full_scan(seed):
 
 
 def test_first_difference_refuses_a_carrier_its_generators_do_not_decide():
-    aut = monotone_aut(PreorderedGroup(Q, OrthantCone(Q)))
+    aut = monotone_aut(OrthantCone(Q))
     with pytest.raises(StructureError, match="do not decide"):
         first_difference(aut, lambda a: a, lambda a: a)
+
+
+def test_matrix_strings_print_exact_entries():
+    Z, Q, Q2 = FreeAbelian(1), RationalVector(1), RationalVector(2)
+    strings = [
+        str(MatrixAction.scaling(Z, Q, Fraction(2))),
+        str(LinearHom(Q2, Q2, ((Fraction(1), Fraction(1, 2)), (Fraction(0), Fraction(1))))),
+        str(FreeImagesHom(Z, Q, (Fraction(1, 2),))),
+    ]
+    assert strings == ["matrix(((2)))", "linear((1, 1/2), (0, 1))", "gen-images(1/2)"]
+    assert not any("Fraction(" in s for s in strings)

@@ -14,7 +14,6 @@ from ordsplit.cones import (
     FullCone,
     GeneratedCone,
     OrthantCone,
-    PreorderedGroup,
     ProductCone,
     TrivialCone,
     cone_subset,
@@ -75,9 +74,9 @@ from helpers import (
 
 Z = FreeAbelian(1)
 Q = RationalVector(1)
-ZN = PreorderedGroup(Z, OrthantCone(Z))
-Z0 = PreorderedGroup(Z, TrivialCone(Z))
-QP = PreorderedGroup(Q, OrthantCone(Q))
+ZN = OrthantCone(Z)
+Z0 = TrivialCone(Z)
+QP = OrthantCone(Q)
 
 
 def trivial_point(cone="product"):
@@ -97,7 +96,7 @@ def swap_point():
     the conjugator and saturation, as its kernel cone is neither {0} nor on Q^k."""
     Z2 = FreeAbelian(2)
     swap = MatrixAction(Z, Z2, (((0, 1), (1, 0)),))
-    return point(ExtensionShape(PreorderedGroup(Z2, OrthantCone(Z2)), ZN, swap), "minimal")
+    return point(ExtensionShape(OrthantCone(Z2), ZN, swap), "minimal")
 
 
 def test_hom_leq_examples():
@@ -166,7 +165,7 @@ def test_routes_never_contradict_on_random_finite_extensions():
             pt = point(shape, P)
             by_cone = is_rali(pt, SMALL_BUDGET)
             sf = compose(SectionHom(pt.carrier), ProjectionHom(pt.carrier))
-            by_adjoint = hom_leq(sf, IdentityHom(pt.carrier), pt.pre, pt.pre, SMALL_BUDGET)
+            by_adjoint = hom_leq(sf, IdentityHom(pt.carrier), pt.cone, pt.cone, SMALL_BUDGET)
             assert not _contradict(by_cone, by_adjoint), (shape, P)
             if by_cone.is_yes:
                 assert_state(is_strong(pt, SMALL_BUDGET), "yes", str(shape))
@@ -289,7 +288,7 @@ def test_point_product_with_terminal_point():
     one = CyclicGroup(1)
     terminal = point(
         ExtensionShape(
-            PreorderedGroup(one, FullCone(one)), ZN,
+            FullCone(one), ZN,
             TrivialAction(Z, one),
         ),
         "product",
@@ -321,7 +320,7 @@ def test_check_point_morphism_catches_broken_kernel_and_section_squares():
     # On Z_2 x Z_2, (x, b) -> (x, b + x) moves the kernel off its axis (the
     # first square checked), and (x, b) -> (x + b, b) breaks only the section.
     Z2 = CyclicGroup(2)
-    full = PreorderedGroup(Z2, FullCone(Z2))
+    full = FullCone(Z2)
     pt = point(ExtensionShape(full, full, TrivialAction(Z2, Z2)), "product")
     ident = IdentityHom(Z2)
     els = pt.carrier.elements()
