@@ -381,7 +381,7 @@ class GeneratedCone(Cone):
 
     group: Group
     source: tuple | ProductCone
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
+    _cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.group.is_finite:
@@ -419,6 +419,12 @@ class GeneratedCone(Cone):
     def finite_generators(self):
         src = self.source
         return src if isinstance(src, tuple) else src.finite_generators()
+
+    def __str__(self):
+        src = self.source
+        if isinstance(src, tuple):
+            return f"generated({len(src)})"
+        return f"least({src.x_cone} x {src.b_cone})"
 
     def _budget_key(self, budget: SaturationBudget):
         w = budget.window
@@ -776,6 +782,8 @@ class FibreCone(Cone):
 
     def finite_generators(self):
         return self.source.finite_generators()
+
+    __str__ = GeneratedCone.__str__
 
     def _fibre_of(self, bp):
         bc = self.group.b_group.coords(bp)

@@ -122,7 +122,9 @@ class ProblemDocument:
 
 def parse_element(G: Group, lit, where: str):
     try:
-        return G.make(_element_value(G, lit, where))
+        el = _element_value(G, lit, where)
+        G.check(el)
+        return el
     except (StructureError, ValueError) as exc:
         raise DocumentError(where, f"malformed element literal {lit!r}: {exc}") from exc
 

@@ -524,7 +524,7 @@ def _family_conditions(fam, base_in, positives, window, budget) -> Verdict:
     v = for_all_members(
         base_in, None, support_matches,
         "fibre support must match the base positives (condition 1)", undecided,
-        yes("window-verified" if not B.group.is_finite else "exhaustive"),
+        clean_scan(fam.group, window),
     )
     if v.is_no:
         return v
@@ -616,7 +616,7 @@ def _family_orbit_remark(fam, base_in, positives, window) -> Verdict:
                 back = action.apply(B.group.neg(a), z)
                 if not sets.contains(b, back):
                     return no((a, b, z), "conjugate fibre not covered by the orbit image")
-    return yes("window-verified" if not B.group.is_finite else "exhaustive")
+    return clean_scan(fam.group, window)
 
 
 # --- enumeration of compatible cones ------------------------------------------

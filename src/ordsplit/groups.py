@@ -107,15 +107,6 @@ class Group(ABC):
         """True only when commutativity is provable from the description."""
         return False
 
-    def make(self, el) -> Element:
-        """Coerce convenient input (lists, ints for rationals) and validate."""
-        out = self._coerce(el)
-        self.check(out)
-        return out
-
-    def _coerce(self, el):
-        return el
-
 
 class _VectorGroup(Group):
     """Shared arithmetic and coordinate format for Z^k and Q^k; rank 1 uses bare scalars."""
@@ -166,13 +157,6 @@ class _VectorGroup(Group):
         check_window_size(self, len(line) ** self.rank)
         return [tuple(c) for c in itertools.product(line, repeat=self.rank)]
 
-    def _coerce(self, el):
-        if self.rank == 1:
-            return self._coerce_scalar(el)
-        if isinstance(el, (list, tuple)):
-            return tuple(self._coerce_scalar(c) for c in el)
-        return el
-
     def coords(self, el) -> tuple:
         """The coordinates of el; a 1-tuple at rank 1."""
         return (el,) if self.rank == 1 else el
@@ -188,8 +172,6 @@ class _VectorGroup(Group):
     def _scalar_one(self): ...
 
     def _scalar_window(self, window: Window) -> list: ...
-
-    def _coerce_scalar(self, c): ...
 
     def _exact_scalar(self, c): ...
 
@@ -220,9 +202,6 @@ class FreeAbelian(_VectorGroup):
 
     def _scalar_window(self, window: Window):
         return window.ints()
-
-    def _coerce_scalar(self, c):
-        return c
 
     def _exact_scalar(self, c):
         if type(c) is int:
@@ -269,11 +248,6 @@ class RationalVector(_VectorGroup):
 
     def _scalar_window(self, window: Window):
         return window.rationals()
-
-    def _coerce_scalar(self, c):
-        if type(c) is int or isinstance(c, str):
-            return Fraction(c)
-        return c
 
     def _exact_scalar(self, c):
         return c if type(c) is Fraction else Fraction(c)
@@ -339,7 +313,6 @@ class CayleyGroup(Group):
 
     table: tuple[tuple[int, ...], ...]
     identity: int = 0
-    gens: tuple[int, ...] = ()
 
     def __post_init__(self):
         n = len(self.table)
@@ -367,9 +340,6 @@ class CayleyGroup(Group):
                 for c in range(n):
                     if self.table[self.table[a][b]][c] != self.table[a][self.table[b][c]]:
                         raise StructureError(f"table is not associative at {(a, b, c)}")
-        if self.gens:
-            if generated_subgroup(self, self.gens) != set(range(n)):
-                raise StructureError("declared generators do not generate the group")
 
     @property
     def is_finite(self) -> bool:
@@ -392,8 +362,6 @@ class CayleyGroup(Group):
             raise ShapeError(f"expected index 0..{len(self.table) - 1}, got {el!r}")
 
     def generators(self):
-        if self.gens:
-            return self.gens
         return tuple(i for i in range(len(self.table)) if i != self.identity)
 
     def elements(self):
@@ -466,11 +434,6 @@ class DirectProduct(Group):
 
     def is_abelian(self) -> bool:
         return all(f.is_abelian() for f in self.factors)
-
-    def _coerce(self, el):
-        if isinstance(el, (list, tuple)) and len(el) == len(self.factors):
-            return tuple(f._coerce(x) for f, x in zip(self.factors, el))
-        return el
 
     def __str__(self):
         return " x ".join(str(f) for f in self.factors)
@@ -554,11 +517,6 @@ class Semidirect(Group):
             and self.b_group.is_abelian()
             and self.action.provably_trivial()
         )
-
-    def _coerce(self, el):
-        if isinstance(el, (list, tuple)) and len(el) == 2:
-            return (self.x_group._coerce(el[0]), self.b_group._coerce(el[1]))
-        return el
 
     def __str__(self):
         return f"({self.x_group} x| {self.b_group})"

@@ -414,44 +414,29 @@ def extend_generator_images(
     return table if len(table) == G.order() else None
 
 
-def enumerate_homomorphisms(
-    G: Group, H: Group, window: Window | None = None
-) -> list[Homomorphism]:
-    """All homomorphisms G -> H (images from a window when H is infinite)."""
-    window = window or Window()
-    if G.is_finite:
-        gens = minimal_generating_sequence(G)
-        if not gens:
-            return [TableHom.from_dict(G, H, {G.zero(): H.zero()})]
-        if H.is_finite:
-            pool = H.elements()
-        else:
-            pool = H.window_elements(window)
-        candidates = []
-        for g in gens:
-            k = element_order(G, g)
-            candidates.append([h for h in pool if H.scalar_mul(k, h) == H.zero()])
-        out = []
-        seen = set()
-        for images in itertools.product(*candidates):
-            table = extend_generator_images(G, H, gens, list(images))
-            if table is None:
-                continue
-            key = tuple(sorted(table.items()))
-            if key not in seen:
-                seen.add(key)
-                out.append(TableHom(G, H, key))
-        return out
-    if isinstance(G, FreeAbelian):
-        pool = H.window_elements(window)
-        if G.rank == 1:
-            return [FreeImagesHom(G, H, (img,)) for img in pool]
-        out = []
-        for images in itertools.product(pool, repeat=G.rank):
-            if all(H.commutes(a, b) for a, b in itertools.combinations(images, 2)):
-                out.append(FreeImagesHom(G, H, tuple(images)))
-        return out
-    raise StructureError(f"cannot enumerate maps out of {G}")
+def enumerate_homomorphisms(G: Group, H: Group) -> list[Homomorphism]:
+    """All homomorphisms G -> H between finite groups."""
+    if not (G.is_finite and H.is_finite):
+        raise StructureError(f"cannot enumerate maps {G} -> {H}: both groups must be finite")
+    gens = minimal_generating_sequence(G)
+    if not gens:
+        return [TableHom.from_dict(G, H, {G.zero(): H.zero()})]
+    pool = H.elements()
+    candidates = []
+    for g in gens:
+        k = element_order(G, g)
+        candidates.append([h for h in pool if H.scalar_mul(k, h) == H.zero()])
+    out = []
+    seen = set()
+    for images in itertools.product(*candidates):
+        table = extend_generator_images(G, H, gens, list(images))
+        if table is None:
+            continue
+        key = tuple(sorted(table.items()))
+        if key not in seen:
+            seen.add(key)
+            out.append(TableHom(G, H, key))
+    return out
 
 
 def enumerate_automorphisms(G: Group) -> list[Homomorphism]:

@@ -364,3 +364,20 @@ def test_a_preordered_group_is_its_cone():
     names = [[f.name for f in dataclasses.fields(cls)]
              for cls in (ordsplit.cones.LexCone, ordsplit.cones.ProductCone)]
     assert names[0] == names[1]
+
+
+def test_only_the_routes_the_library_takes():
+    # An element literal is built exact and checked, never coerced; the
+    # automorphism enumeration is between finite groups; a Cayley table's
+    # generators are its non-identity indices; and a least cone's cache is
+    # its own.
+    for info in pkgutil.iter_modules(ordsplit.__path__):
+        module = importlib.import_module(f"ordsplit.{info.name}")
+        for _, cls in inspect.getmembers(module, inspect.isclass):
+            if issubclass(cls, Group) and cls.__module__ == module.__name__:
+                assert not {"make", "_coerce", "_coerce_scalar"} & set(vars(cls)), cls
+    cayley = [f.name for f in dataclasses.fields(ordsplit.groups.CayleyGroup)]
+    assert cayley == ["table", "identity"]
+    assert list(inspect.signature(ordsplit.homs.enumerate_homomorphisms).parameters) == ["G", "H"]
+    with pytest.raises(TypeError, match="_cache"):
+        GeneratedCone(scaling_carrier(), ((Fraction(1), 1),), _cache={})

@@ -597,6 +597,17 @@ def _swap_least_cone():
     return minimal_cone(ExtensionShape(Z2N, ZN, MatrixAction(Z, Z2V, (SWAP,))), _TINY_BUDGET)
 
 
+def test_least_cones_print_their_source():
+    # A point carrying a least cone prints a short tag, not the dataclass
+    # repr of the cone's carrier and action.
+    pt = point(ExtensionShape(QP, ZN, MatrixAction.scaling(Z, Q, Fraction(2))), "minimal")
+    assert str(pt) == "((Q, >=0) -> (Q x| Z), least(>=0 x >=0)) <-> (Z, >=0)"
+    swap = _swap_least_cone()
+    assert isinstance(swap, GeneratedCone) and str(swap) == "least(>=0 x >=0)"
+    sd = Semidirect(Q, Z, MatrixAction.scaling(Z, Q, Fraction(2)))
+    assert str(GeneratedCone(sd, ((Fraction(1), 1), (Fraction(0), 1)))) == "generated(2)"
+
+
 _SATURATED = (("conjugators", 2), ("summands", 5), ("window", (3, 6, 3)))
 
 # (element, state, note, budget_used) on the least cones of the scaling point

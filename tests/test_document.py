@@ -460,8 +460,8 @@ def test_cli_subcommand_runs_exactly_its_ops(tmp_path):
 
 
 @pytest.mark.parametrize("doubled, digest", [
-    (False, "e148dd76fe9d253db92842f917862d425309b717ec919a175ae7884f26f6a439"),
-    (True, "b5e4cc6322faca4ddb8466f71187568cba6167ba124845f95d5b46636e6e707e"),
+    (False, "55177396310b229583853849490212c9b8befc70b45c5059e63d1b920a8cca66"),
+    (True, "8e2be43f0f84d1a78376d1906e7c0232939fd9879c402c424e1e6544e7b940fa"),
 ])
 def test_catalog_report_bytes_pinned(doubled, digest):
     text = render_report_json(run(builtin_catalog(), doubled=doubled))
@@ -1068,6 +1068,17 @@ def test_cli_rejects_bad_family_thresholds_at_parse(tmp_path, capsys, thresholds
     code, err = _validate_exit(tmp_path, capsys, doc)
     assert code == 2
     assert f"points.p: {message}" in err
+
+
+def test_cli_rejects_a_residue_outside_its_modulus(tmp_path, capsys):
+    # A literal is built exact and checked once: r3 is no residue mod 3.
+    doc = minimal_doc([{"op": "cone_contains", "cone": "z3", "element": ["r3"]}])
+    doc["groups"]["Z3"] = {"kind": "finite_cyclic", "n": 3}
+    doc["cones"]["z3"] = {"kind": "full", "group": "Z3"}
+    code, err = _validate_exit(tmp_path, capsys, doc)
+    assert code == 2
+    assert "queries[0]: malformed element literal ['r3']: expected residue mod 3, got 3" in err
+    assert "Traceback" not in err
 
 
 def test_cli_rejects_rational_literals_with_an_exponent(tmp_path, capsys):

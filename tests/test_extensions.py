@@ -319,6 +319,16 @@ def test_validate_family_wrong_zero_fiber():
     assert res.conditions.witness == 2
 
 
+def test_a_finite_base_over_an_infinite_kernel_records_the_window():
+    # Z_2 is scanned whole, but condition 2 scans only Z's window: the clean
+    # Yes is window-verified on the carrier Z x| Z_2, with its window.
+    Z_2 = CyclicGroup(2)
+    fibers = ExplicitFibers(((0, frozenset({0})), (1, frozenset({0}))))
+    fam = FamilyCone(ExtensionShape(Z0, FullCone(Z_2), TrivialAction(Z_2, Z)), fibers)
+    v = validate_family(fam, SMALL_BUDGET).conditions
+    assert (v.state.value, v.note, v.budget_used) == ("yes", "window-verified", (("window", 3),))
+
+
 def test_family_cone_membership_threshold():
     cone = FamilyCone(trivial_shape(), UpSetFibers((0, 1, 2, 3)))
     assert_state(cone.contains((-1, 1)), "yes")

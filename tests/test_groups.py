@@ -217,13 +217,6 @@ def test_generated_subgroup_orbit():
     assert len(generated_subgroup(S3, [t, c])) == 6
 
 
-def test_make_coerces_literals():
-    assert Q.make(2) == Fraction(2)
-    assert Z2V.make([1, 2]) == (1, 2)
-    K4 = klein_four()
-    assert K4.make([1, 0]) == (1, 0)
-
-
 def test_window_elements_deterministic():
     w = Window(2, 4, 2)
     assert Z.window_elements(w) == list(range(-2, 3))

@@ -109,28 +109,15 @@ def test_automorphisms_closed_under_composition_and_inverse():
             assert compose(h1, h2).pairs in tables
 
 
-def test_enumerate_homomorphisms_z_to_z_window():
-    homs = enumerate_homomorphisms(Z, Z, Window(3, 3, 1))
-    images = sorted(h.apply(1) for h in homs)
-    assert images == list(range(-3, 4))
-
-
-def test_enumerate_homomorphisms_torsion_to_free():
-    homs = enumerate_homomorphisms(CyclicGroup(2), Z)
-    assert len(homs) == 1
-    assert homs[0].apply(1) == 0
+def test_enumerate_homomorphisms_refuses_an_infinite_source_or_target():
+    for G, H in ((Z, Z), (CyclicGroup(2), Z), (FreeAbelian(2), CyclicGroup(2))):
+        with pytest.raises(StructureError, match="both groups must be finite"):
+            enumerate_homomorphisms(G, H)
 
 
 def test_enumerate_homomorphisms_z2_to_k4():
     homs = enumerate_homomorphisms(CyclicGroup(2), klein_four())
     assert len(homs) == 4
-
-
-def test_enumerate_homomorphisms_z2_source():
-    homs = enumerate_homomorphisms(FreeAbelian(2), CyclicGroup(2), Window(1, 1, 1))
-    assert len(homs) == 4
-    images = {(h.apply((1, 0)), h.apply((0, 1))) for h in homs}
-    assert images == {(0, 0), (0, 1), (1, 0), (1, 1)}
 
 
 def test_structure_maps_of_semidirect():
