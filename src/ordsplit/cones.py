@@ -51,6 +51,7 @@ from .groups import (
     ShapeError,
     StructureError,
     format_element,
+    greedy_generators,
     word_ball,
 )
 from .homs import Homomorphism, PairHom, _pair_parts
@@ -208,6 +209,12 @@ class OrthantCone(Cone):
 
 @dataclass(frozen=True)
 class ExtensionalCone(Cone):
+    """A finite set.  On a finite carrier it is a cone iff the generators
+    greedy_generators picks from it keep their word ball inside it (a finite
+    monoid in a group is a subgroup) and each carrier generator conjugates
+    each of them into it (a normal subgroup; skipped when abelian).  On an
+    infinite carrier: every sum, and no known cone unless abelian."""
+
     group: Group
     elements: frozenset
 
@@ -222,21 +229,14 @@ class ExtensionalCone(Cone):
 
     @cached_property
     def _closure_holds(self) -> bool:
-        if self.group.zero() not in self.elements:
+        G, S = self.group, self.elements
+        if G.zero() not in S:
             return False
-        els = sorted(self.elements, key=repr)
-        for a in els:
-            for b in els:
-                if self.group.add(a, b) not in self.elements:
-                    return False
-        if not self.group.is_abelian():
-            if not self.group.is_finite:
-                return False  # conjugation closure is not checkable here
-            for g in self.group.elements():
-                for a in els:
-                    if self.group.conjugate(g, a) not in self.elements:
-                        return False
-        return True
+        if not G.is_finite:  # conjugation closure is checkable on an abelian carrier only
+            return G.is_abelian() and all(G._add(a, b) in S for a in S for b in S)
+        gens = greedy_generators(G, sorted(S, key=repr))
+        return gens is not None and (G.is_abelian() or all(
+            G._conjugate(g, a) in S for g in G.generators() for a in gens))
 
     def known_cone(self):
         return self._closure_holds
@@ -564,6 +564,7 @@ class GeneratedCone(Cone):
             state["level"] += 1
             if x in state["reached"]:
                 return True
+        state["frontier"] = ()  # saturation at this budget is over: drop the frontier
         return x in state["reached"]
 
     def _atoms(self, budget: SaturationBudget) -> frozenset:
@@ -864,6 +865,10 @@ def units_subgroup(cone: Cone, budget: SaturationBudget = DEFAULT_BUDGET) -> Uni
         if ux.elements is not None and ub.elements is not None:
             els = frozenset((a, b) for a in ux.elements for b in ub.elements)
         return UnitsReport(ux.exact and ub.exact, els, gens, "componentwise")
+    if isinstance(cone, ExtensionalCone) and G.is_finite and cone.known_cone():
+        # A closed cone on a finite carrier is a subgroup, so P meet -P is P.
+        units = tuple(x for x in G.window_elements(budget.window) if x in cone.elements)
+        return UnitsReport(True, cone.elements, units, "finite intersection")
     # The window is the whole carrier of a finite group.
     found = []
     undecided = False
@@ -874,13 +879,10 @@ def units_subgroup(cone: Cone, budget: SaturationBudget = DEFAULT_BUDGET) -> Uni
             found.append(x)
         elif not bwd.is_no:
             undecided = True
-    return UnitsReport(
-        G.is_finite and not undecided,
-        frozenset(found),
-        tuple(found),
-        ("finite intersection" if G.is_finite else "window search")
-        + (" (some memberships unknown)" if undecided else ""),
-    )
+    note = "finite intersection" if G.is_finite else "window search"
+    if undecided:
+        note += " (some memberships unknown)"
+    return UnitsReport(G.is_finite and not undecided, frozenset(found), tuple(found), note)
 
 
 def check_cone_axioms(cone: Cone, budget: SaturationBudget = DEFAULT_BUDGET) -> Verdict:

@@ -709,7 +709,7 @@ def _budget_fields(spec: dict, where: str) -> dict:
 
 
 def _query_budget(q: dict, default: SaturationBudget, doubled: bool = False) -> SaturationBudget:
-    out = replace(default, **q["_budget"])
+    out = replace(default, **q["_budget"]) if q["_budget"] else default
     return out.doubled() if doubled else out
 
 

@@ -335,7 +335,7 @@ class CayleyGroup(Group):
         # under the operation, and in a finite Latin square with an identity
         # that closure holds the identity and right inverses; so the b of a
         # set whose word ball is the whole table decide associativity.
-        for b in minimal_generating_sequence(self):
+        for b in greedy_generators(self, self.elements()):
             for a in range(n):
                 for c in range(n):
                     if self.table[self.table[a][b]][c] != self.table[a][self.table[b][c]]:
@@ -546,23 +546,21 @@ def word_ball(G: Group, gens, radius: int | None = None) -> list:
     return ball
 
 
-def generated_subgroup(G: Group, gens) -> set:
-    """The subgroup of a finite group generated by gens."""
-    return set(word_ball(G, gens))
-
-
-def minimal_generating_sequence(G: Group) -> list[Element]:
-    """Greedy small generating set of a finite group, in canonical order:
-    each element that the word ball of the ones before does not reach."""
-    els = G.elements()
+def greedy_generators(G: Group, pool: list) -> list[Element] | None:
+    """Generators picked from pool (checked elements of a finite G), each the
+    first one the word ball of those before misses; None once a ball leaves
+    pool.  So the ball of the result is pool, a subgroup if it holds 0."""
+    inside = set(pool)
     gens: list[Element] = []
     reached = {G.zero()}
-    for a in els:
+    for a in pool:
         if a in reached:
             continue
         gens.append(a)
-        reached = generated_subgroup(G, gens)
-        if len(reached) == len(els):
+        reached = set(word_ball(G, gens))
+        if not reached <= inside:
+            return None
+        if len(reached) == len(inside):
             break
     return gens
 

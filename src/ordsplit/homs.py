@@ -26,7 +26,7 @@ from .groups import (
     StructureError,
     element_order,
     format_element,
-    minimal_generating_sequence,
+    greedy_generators,
 )
 from .linalg import identity_matrix, mat, mat_vec, matrix_inverse, scalar_matrix
 from .verdict import Verdict, Window, no, unknown, yes
@@ -418,7 +418,7 @@ def enumerate_homomorphisms(G: Group, H: Group) -> list[Homomorphism]:
     """All homomorphisms G -> H between finite groups."""
     if not (G.is_finite and H.is_finite):
         raise StructureError(f"cannot enumerate maps {G} -> {H}: both groups must be finite")
-    gens = minimal_generating_sequence(G)
+    gens = greedy_generators(G, G.elements())
     if not gens:
         return [TableHom.from_dict(G, H, {G.zero(): H.zero()})]
     pool = H.elements()

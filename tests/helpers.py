@@ -22,6 +22,7 @@ from ordsplit.cones import (
     GeneratedCone,
     PointProductCone,
     ProductCone,
+    UnitsReport,
     _fibre_test,
     check_cone_axioms,
     is_monotone,
@@ -326,6 +327,23 @@ def oracle_is_closed(G: Group, S: frozenset) -> bool:
             if G.conjugate(g, a) not in S:
                 return False
     return True
+
+
+def oracle_units_scan(cone: Cone, budget: SaturationBudget = DEFAULT_BUDGET) -> UnitsReport:
+    """units_subgroup's report on a finite carrier by its membership scan:
+    each element x with x and -x in the cone, in window order."""
+    G = cone.group
+    found = []
+    undecided = False
+    for x in G.window_elements(budget.window):
+        fwd = cone.contains(x, budget)
+        bwd = fwd if fwd.is_no else cone.contains(G.neg(x), budget)
+        if fwd.is_yes and bwd.is_yes:
+            found.append(x)
+        elif not bwd.is_no:
+            undecided = True
+    note = "finite intersection" + (" (some memberships unknown)" if undecided else "")
+    return UnitsReport(not undecided, frozenset(found), tuple(found), note)
 
 
 def oracle_is_compatible_set(carrier, S: frozenset, px: frozenset, pb: frozenset) -> bool:

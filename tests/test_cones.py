@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ordsplit import cones as cones_module
-from ordsplit.actions import MatrixAction, SignAction, TrivialAction
+from ordsplit.actions import FiniteTableAction, MatrixAction, SignAction, TrivialAction
 from ordsplit.cones import (
     Cone,
     ExtensionalCone,
@@ -39,8 +39,9 @@ from ordsplit.groups import (
     Semidirect,
     ShapeError,
     StructureError,
+    word_ball,
 )
-from ordsplit.homs import IdentityHom, LinearHom, PairHom
+from ordsplit.homs import IdentityHom, LinearHom, PairHom, TableHom
 from ordsplit.points import pullback
 from ordsplit.verdict import DEFAULT_BUDGET, SaturationBudget, Window, unknown
 
@@ -50,6 +51,8 @@ from helpers import (
     assert_state,
     count_window_items,
     oracle_cone_closure,
+    oracle_is_closed,
+    oracle_units_scan,
     random_finite_extension,
     reference_least_cone_route,
     strictly_positive,
@@ -873,3 +876,77 @@ def test_finite_closure_matches_the_fixpoint_oracle(seed, k):
     carrier = Semidirect(x_cone.group, b_cone.group, action)
     S = rng.sample(carrier.elements(), k)
     assert _finite_closure(carrier, S) == oracle_cone_closure(carrier, S)
+
+
+def _random_finite_set(rng: random.Random, G: Group, kind: str) -> frozenset:
+    """A closed cone, a subgroup (often not normal) or a set holding 0."""
+    els = G.elements()
+    seed = rng.sample(els, rng.randint(0, 2))
+    if kind == "closure":
+        return _finite_closure(G, seed)
+    if kind == "subgroup":
+        return frozenset(word_ball(G, seed))
+    return frozenset(rng.sample(els, rng.randint(0, len(els)))) | {G.zero()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["closure", "subgroup", "subset"]))
+def test_finite_closure_test_matches_the_pairwise_oracle(seed, kind):
+    rng = random.Random(seed)
+    x_cone, b_cone, action = random_finite_extension(rng)
+    carrier = Semidirect(x_cone.group, b_cone.group, action)
+    S = _random_finite_set(rng, carrier, kind)
+    assert ExtensionalCone(carrier, S).known_cone() == oracle_is_closed(carrier, S)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["closure", "subgroup", "subset"]))
+def test_units_of_a_finite_set_match_the_membership_scan(seed, kind):
+    # A closed cone returns itself; the report must be the scan's, field
+    # for field.  Any other set is scanned.
+    rng = random.Random(seed)
+    x_cone, b_cone, action = random_finite_extension(rng)
+    carrier = Semidirect(x_cone.group, b_cone.group, action)
+    cone = ExtensionalCone(carrier, _random_finite_set(rng, carrier, kind))
+    for budget in (DEFAULT_BUDGET, SMALL_BUDGET):
+        assert units_subgroup(cone, budget) == oracle_units_scan(cone, budget)
+    for part in (x_cone, b_cone):
+        assert units_subgroup(part) == oracle_units_scan(part)
+
+
+def _z8_by_sign_of_s3() -> Semidirect:
+    """Z_8 x| S_3, an odd permutation acting by negation: 48 elements."""
+    X, B = CyclicGroup(8), symmetric_cayley(3)
+    perms = sorted(itertools.permutations(range(3)))
+    odd = {i for i, p in enumerate(perms)
+           if sum(p[a] > p[b] for a, b in itertools.combinations(range(3), 2)) % 2}
+    ident = TableHom.from_dict(X, X, {x: x for x in X.elements()})
+    neg = TableHom.from_dict(X, X, {x: X.neg(x) for x in X.elements()})
+    table = {b: neg if b in odd else ident for b in B.elements()}
+    return Semidirect(X, B, FiniteTableAction.from_homs(B, X, table))
+
+
+def test_finite_closure_is_decided_from_generators(monkeypatch):
+    # The pairwise test spends |S|^2 additions and |G||S| conjugations; the
+    # generator walk must stay far below that on every closed cone here.
+    G = _z8_by_sign_of_s3()
+    calls = Counter()
+
+    def counting(name):
+        real = getattr(Semidirect, name)
+
+        def op(self, *args):
+            if self is G:
+                calls[name] += 1
+            return real(self, *args)
+
+        return op
+
+    for name in ("_add", "_conjugate"):
+        monkeypatch.setattr(Semidirect, name, counting(name))
+    kernel = frozenset((x, 0) for x in G.x_group.elements())
+    for S in (frozenset(G.elements()), kernel, _finite_closure(G, [(0, 1)])):
+        calls.clear()
+        assert ExtensionalCone(G, S).known_cone()
+        pairwise = len(S) ** 2 + len(G.elements()) * len(S)
+        assert 0 < 8 * sum(calls.values()) <= pairwise, (len(S), calls)

@@ -425,6 +425,17 @@ def test_unknown_budget_key_is_named():
         parse_document(doc)
 
 
+def test_a_query_without_budget_fields_runs_at_the_run_budget():
+    run_budget = SaturationBudget(2, 6, Window(8, 16, 8))
+    doc = minimal_doc()
+    del doc["queries"][0]["budget"]
+    plain = parse_document(doc).queries[0]
+    doc["queries"][0]["budget"] = {"summands": 3}
+    own = parse_document(doc).queries[0]
+    assert document._query_budget(plain, run_budget) is run_budget
+    assert document._query_budget(own, run_budget) == SaturationBudget(2, 3, Window(8, 16, 8))
+
+
 def test_cli_bad_query_budget_exits_2(tmp_path):
     # A fractional window bound used to pass validate and crash the run.
     for budget in ({"conjugators": 0}, {"window": [2.5, 4, 2]}):
@@ -462,7 +473,7 @@ def test_cli_subcommand_runs_exactly_its_ops(tmp_path):
 @pytest.mark.parametrize("doubled, digest", [
     (False, "55177396310b229583853849490212c9b8befc70b45c5059e63d1b920a8cca66"),
     (True, "8e2be43f0f84d1a78376d1906e7c0232939fd9879c402c424e1e6544e7b940fa"),
-])
+], ids=["default", "doubled"])
 def test_catalog_report_bytes_pinned(doubled, digest):
     text = render_report_json(run(builtin_catalog(), doubled=doubled))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
