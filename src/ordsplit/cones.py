@@ -12,7 +12,9 @@ Membership follows the template of groups, actions and maps: the public
 contains checks the element once, _contains trusts it, and a composite cone
 (product, point product, lex, generated, pullback, family) asks its parts'
 _contains about the components; a FibreCone reads its parts' orthant or {0}
-off the coordinates instead.
+off the coordinates instead.  On a finite carrier the trivial, full,
+extensional, product and lex cones also give their member set
+(finite_members), and the scans look elements up there (membership).
 
 Generated cones memoize their saturation per budget, the reduced form of the
 conjugator system I - phi_b per base element and budget (the elimination on
@@ -38,7 +40,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional
+from typing import Callable, Optional
 
 from .actions import _spread
 from .groups import (
@@ -109,6 +111,14 @@ class Cone(ABC):
         """A finite generating set of the cone, when one is part of the data."""
         return None
 
+    def finite_members(self) -> Optional[frozenset]:
+        """The member set on a finite carrier, built once from the parts, else None."""
+        return self._members if self.group.is_finite else None
+
+    @cached_property
+    def _members(self) -> Optional[frozenset]:
+        return None
+
     def positive_sample(self, window: Window, budget: SaturationBudget = DEFAULT_BUDGET) -> list:
         """Window elements with membership Yes, canonically ordered."""
         return [
@@ -126,6 +136,18 @@ class Cone(ABC):
 
     def sim(self, x, y, budget: SaturationBudget = DEFAULT_BUDGET) -> Verdict:
         return vand(self.leq(x, y, budget), self.leq(y, x, budget))
+
+
+# The verdicts a member-set lookup answers with; only their state is read.
+_IN, _OUT = yes(), no(None)
+
+
+def membership(cone: Cone) -> Callable[[Element, SaturationBudget], Verdict]:
+    """cone.contains, or a lookup in the cone's finite_members where it has them."""
+    members = cone.finite_members()
+    if members is None:
+        return cone.contains
+    return lambda x, budget: _IN if x in members else _OUT
 
 
 def format_preordered(cone: Cone) -> str:
@@ -148,6 +170,10 @@ class TrivialCone(Cone):
     def finite_generators(self):
         return ()
 
+    @cached_property
+    def _members(self):
+        return frozenset([self.group.zero()])
+
     def __str__(self):
         return "{0}"
 
@@ -164,12 +190,16 @@ class FullCone(Cone):
 
     def finite_generators(self):
         G = self.group
-        if G.is_finite:
-            return tuple(G.elements())
+        if G.is_finite:  # a finite monoid in a group is a subgroup
+            return G.generators()
         if isinstance(G, FreeAbelian):
             gens = G.generators()
             return gens + tuple(G.neg(g) for g in gens)
         return None
+
+    @cached_property
+    def _members(self):
+        return frozenset(self.group.elements())
 
     def __str__(self):
         return "all"
@@ -234,15 +264,22 @@ class ExtensionalCone(Cone):
             return False
         if not G.is_finite:  # conjugation closure is checkable on an abelian carrier only
             return G.is_abelian() and all(G._add(a, b) in S for a in S for b in S)
-        gens = greedy_generators(G, sorted(S, key=repr))
-        return gens is not None and (G.is_abelian() or all(
-            G._conjugate(g, a) in S for g in G.generators() for a in gens))
+        return self._greedy is not None and (G.is_abelian() or all(
+            G._conjugate(g, a) in S for g in G.generators() for a in self._greedy))
+
+    @cached_property
+    def _greedy(self) -> list | None:
+        return greedy_generators(self.group, sorted(self.elements, key=repr))
 
     def known_cone(self):
         return self._closure_holds
 
     def finite_generators(self):
+        if self.group.is_finite and self._closure_holds:
+            return tuple(self._greedy)
         return tuple(sorted(self.elements, key=repr))
+
+    _members = property(operator.attrgetter("elements"))
 
     def __str__(self):
         return f"set({len(self.elements)})"
@@ -289,6 +326,11 @@ class ProductCone(Cone):
         X, B = _pair_parts(self.group)
         xz, bz = X.zero(), B.zero()
         return tuple((g, bz) for g in gx) + tuple((xz, g) for g in gb)
+
+    @cached_property
+    def _members(self):
+        mx, mb = self.x_cone.finite_members(), self.b_cone.finite_members()
+        return None if mx is None or mb is None else frozenset(itertools.product(mx, mb))
 
     def __str__(self):
         return f"({self.x_cone} x {self.b_cone})"
@@ -342,6 +384,16 @@ class LexCone(Cone):
         if strict.is_no and tail.is_no:
             return no(x)
         return unknown("lex membership undecided at this budget")
+
+    @cached_property
+    def _members(self):
+        # All of X over a strictly positive b, P_X over a unit.
+        mx, mb = self.x_cone.finite_members(), self.b_cone.finite_members()
+        if mx is None or mb is None:
+            return None
+        units = {b for b in mb if self.b_cone.group._neg(b) in mb}
+        return frozenset(itertools.product(self.x_cone.group.elements(), mb - units)).union(
+            itertools.product(mx, units))
 
     def __str__(self):
         return "lex"
@@ -865,16 +917,14 @@ def units_subgroup(cone: Cone, budget: SaturationBudget = DEFAULT_BUDGET) -> Uni
         if ux.elements is not None and ub.elements is not None:
             els = frozenset((a, b) for a in ux.elements for b in ub.elements)
         return UnitsReport(ux.exact and ub.exact, els, gens, "componentwise")
-    if isinstance(cone, ExtensionalCone) and G.is_finite and cone.known_cone():
-        # A closed cone on a finite carrier is a subgroup, so P meet -P is P.
-        units = tuple(x for x in G.window_elements(budget.window) if x in cone.elements)
-        return UnitsReport(True, cone.elements, units, "finite intersection")
-    # The window is the whole carrier of a finite group.
+    # The window is the whole carrier of a finite group, and a cone there
+    # with a member set is read off it.
     found = []
     undecided = False
+    inside = membership(cone)
     for x in G.window_elements(budget.window):
-        fwd = cone.contains(x, budget)
-        bwd = fwd if fwd.is_no else cone.contains(G.neg(x), budget)
+        fwd = inside(x, budget)
+        bwd = fwd if fwd.is_no else inside(G.neg(x), budget)
         if fwd.is_yes and bwd.is_yes:
             found.append(x)
         elif not bwd.is_no:
@@ -931,8 +981,9 @@ def _on_generators_of(P: Cone, Q: Cone, budget: SaturationBudget) -> Verdict | N
     if gens is None or not Q.known_cone():
         return None
     # Additive and conjugation closure of Q reduce the check to generators.
+    in_q = membership(Q)
     v = on_generators(
-        gens, lambda g: Q.contains(g, budget),
+        gens, lambda g: in_q(g, budget),
         "generator escapes the larger cone", "on generators",
     )
     return None if v.is_unknown else v
@@ -983,22 +1034,23 @@ def _scan_inclusions(P: Cone, Q: Cone, lower_open, upper_open, budget, clean) ->
     Q turns up later."""
     if not (lower_open or upper_open):
         return clean
+    in_p, in_q = membership(P), membership(Q)
     upper = None
     saw_unknown = False
     for x in P.group.window_elements(budget.window):
         p = q = None
         if lower_open:
-            p = P.contains(x, budget)
+            p = in_p(x, budget)
             if p.is_yes:
-                q = Q.contains(x, budget)
+                q = in_q(x, budget)
                 if q.is_no:
                     return no(x, _SUBSET_NO)
         if upper_open:
             if q is None:
-                q = Q.contains(x, budget)
+                q = in_q(x, budget)
             if q.is_yes:
                 if p is None:
-                    p = P.contains(x, budget)
+                    p = in_p(x, budget)
                 if p.is_no:
                     upper, upper_open = no(x, _SUBSET_NO), False
                     if not lower_open:
@@ -1031,20 +1083,21 @@ def is_monotone(
     if v is not None:
         return v
     gens = src.finite_generators()
+    in_src, in_dst = membership(src), membership(dst)
     if gens is not None and dst.known_cone():
         # h additive maps sums to sums and conjugates to conjugates, so
         # generator images decide the whole cone image (the target must be a
         # genuine cone for that closure argument).
         v = on_generators(
-            gens, lambda g: dst.contains(h.apply(g), budget),
+            gens, lambda g: in_dst(h.apply(g), budget),
             "generator image not positive", "on generators",
         )
         if not v.is_unknown:
             return v
     return for_all_members(
         src.group.window_elements(budget.window),
-        lambda x: src.contains(x, budget),
-        lambda x: dst.contains(h.apply(x), budget),
+        lambda x: in_src(x, budget),
+        lambda x: in_dst(h.apply(x), budget),
         "positive element with non-positive image", "monotonicity hit undecided memberships",
         clean_scan(src.group, budget.window),
     )

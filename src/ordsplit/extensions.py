@@ -31,6 +31,7 @@ from .cones import (
     fibrewise,
     format_preordered,
     is_monotone,
+    membership,
     units_subgroup,
 )
 from .groups import (
@@ -42,6 +43,7 @@ from .groups import (
     ShapeError,
     StructureError,
     format_element,
+    greedy_generators,
 )
 from .homs import (
     Homomorphism,
@@ -148,6 +150,13 @@ def pointwise_sim_id(
     """Is h(x) ~ x for every x?  Exact on finite and f.g. abelian carriers, and
     on linear maps under the full, orthant and trivial cones."""
     G = x_cone.group
+    inside = membership(x_cone)
+
+    def sim(x):
+        # h(x) ~ x: -h(x)+x and -x+h(x) in the cone, as x_cone.sim asks.
+        hx = h.apply(x)
+        return vand(inside(G.add(G.neg(hx), x), budget), inside(G.add(G.neg(x), hx), budget))
+
     if G.is_finite:
         els = G.elements()
     else:
@@ -164,14 +173,14 @@ def pointwise_sim_id(
         )
         if decided or m is not None:
             v = on_generators(
-                G.generators(), lambda g: x_cone.sim(h.apply(g), g, budget),
+                G.generators(), sim,
                 "automorphism moves a generator", "on group generators",
             )
             if decided or v.is_no:
                 return v
         els = G.window_elements(budget.window)
     return for_all_members(
-        els, None, lambda x: x_cone.sim(h.apply(x), x, budget),
+        els, None, sim,
         "automorphism moves an element", "pointwise comparison hit undecided memberships",
         clean_scan(G, budget.window),
     )
@@ -200,8 +209,16 @@ def compatible_exists(
                 return unknown(f"monotonicity of phi_{format_element(b)} undecided")
     if not shape.action.provably_trivial():
         units = units_subgroup(shape.b, budget)
+        walk = units.generators
+        if units.exact and shape.b.group.is_finite and shape.x.known_cone():
+            # Every phi_b is monotone now, so the b with phi_b ~ id form a
+            # subgroup: generators picked from the units in their order decide
+            # it, and the first unit outside it is picked.  A full cone lists
+            # group generators, from which no pick succeeds: they are walked.
+            picked = greedy_generators(shape.b.group, list(units.generators))
+            walk = walk if picked is None else picked
         pending = None
-        for u in units.generators:
+        for u in walk:
             for b in (u, shape.b.group.neg(u)):
                 if shape.action.is_identity_for(b):
                     continue
@@ -664,9 +681,9 @@ def _enumerate_finite(shape: ExtensionShape) -> LatticeReport:
         raise StructureError("exhaustive scope needs a finite carrier")
     _closed_finite_shape(shape)
     prod = product_cone(shape)
-    only = ExtensionalCone(
-        carrier, frozenset(x for x in carrier.elements() if prod.contains(x).is_yes)
-    )
+    inside = membership(prod)
+    members = frozenset(x for x in carrier.elements() if inside(x, DEFAULT_BUDGET).is_yes)
+    only = ExtensionalCone(carrier, members)
     cones = (only,) if only.known_cone() else ()
     return LatticeReport(
         scope=str(ExhaustiveFinite()),

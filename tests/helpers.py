@@ -23,6 +23,8 @@ from ordsplit.cones import (
     PointProductCone,
     ProductCone,
     UnitsReport,
+    _SUBSET_NO,
+    _SUBSET_UNDECIDED,
     _fibre_test,
     check_cone_axioms,
     is_monotone,
@@ -69,6 +71,7 @@ from ordsplit.verdict import (
     Window,
     for_all_members,
     no,
+    unknown,
     vall,
     vand,
     vnot,
@@ -344,6 +347,38 @@ def oracle_units_scan(cone: Cone, budget: SaturationBudget = DEFAULT_BUDGET) -> 
             undecided = True
     note = "finite intersection" + (" (some memberships unknown)" if undecided else "")
     return UnitsReport(not undecided, frozenset(found), tuple(found), note)
+
+
+def oracle_scan_inclusions(P: Cone, Q: Cone, lower_open, upper_open, budget, clean) -> Verdict:
+    """cones._scan_inclusions by membership calls alone: P inside Q (lower)
+    and Q inside P (upper) in one window walk, the first P-only element
+    returning at once and the first Q-only one after the walk."""
+    if not (lower_open or upper_open):
+        return clean
+    upper = None
+    saw_unknown = False
+    for x in P.group.window_elements(budget.window):
+        p = q = None
+        if lower_open:
+            p = P.contains(x, budget)
+            if p.is_yes:
+                q = Q.contains(x, budget)
+                if q.is_no:
+                    return no(x, _SUBSET_NO)
+        if upper_open:
+            if q is None:
+                q = Q.contains(x, budget)
+            if q.is_yes:
+                if p is None:
+                    p = P.contains(x, budget)
+                if p.is_no:
+                    upper, upper_open = no(x, _SUBSET_NO), False
+                    if not lower_open:
+                        break
+        saw_unknown |= (p is not None and p.is_unknown) or (q is not None and q.is_unknown)
+    if upper is not None:
+        return upper
+    return unknown(_SUBSET_UNDECIDED) if saw_unknown else clean
 
 
 def oracle_is_compatible_set(carrier, S: frozenset, px: frozenset, pb: frozenset) -> bool:

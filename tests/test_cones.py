@@ -2,6 +2,7 @@ import itertools
 import random
 from collections import Counter
 from dataclasses import dataclass
+from unittest import mock
 
 import pytest
 from fractions import Fraction
@@ -20,8 +21,10 @@ from ordsplit.cones import (
     OrthantCone,
     ProductCone,
     TrivialCone,
+    _scan_inclusions,
     check_cone_axioms,
     cone_subset,
+    cones_equal,
     fibrewise,
     generated_cone,
     is_monotone,
@@ -29,7 +32,18 @@ from ordsplit.cones import (
     units_subgroup,
 )
 from ordsplit.document import parse_document, run
-from ordsplit.extensions import ExtensionShape, FamilyCone, UpSetFibers, minimal_cone, point
+from ordsplit import extensions as extensions_module
+from ordsplit.extensions import (
+    ExhaustiveFinite,
+    ExtensionShape,
+    FamilyCone,
+    UpSetFibers,
+    compatible_exists,
+    enumerate_compatible_cones,
+    minimal_cone,
+    point,
+    pointwise_sim_id,
+)
 from ordsplit.groups import (
     CyclicGroup,
     DirectProduct,
@@ -42,8 +56,15 @@ from ordsplit.groups import (
     word_ball,
 )
 from ordsplit.homs import IdentityHom, LinearHom, PairHom, TableHom
-from ordsplit.points import pullback
-from ordsplit.verdict import DEFAULT_BUDGET, SaturationBudget, Window, unknown
+from ordsplit.points import is_rali, is_strong, pullback
+from ordsplit.verdict import (
+    DEFAULT_BUDGET,
+    SaturationBudget,
+    Window,
+    clean_scan,
+    for_all_members,
+    unknown,
+)
 
 from helpers import (
     SMALL_BUDGET,
@@ -52,6 +73,7 @@ from helpers import (
     count_window_items,
     oracle_cone_closure,
     oracle_is_closed,
+    oracle_scan_inclusions,
     oracle_units_scan,
     random_finite_extension,
     reference_least_cone_route,
@@ -950,3 +972,95 @@ def test_finite_closure_is_decided_from_generators(monkeypatch):
         assert ExtensionalCone(G, S).known_cone()
         pairwise = len(S) ** 2 + len(G.elements()) * len(S)
         assert 0 < 8 * sum(calls.values()) <= pairwise, (len(S), calls)
+
+
+def _cones_on(rng: random.Random, carrier: Semidirect, x_cone: Cone, b_cone: Cone) -> list:
+    """The product and lex cones of the shape and a lex cone over a random
+    base set (a closed base cone on a finite group is all units), a
+    closure, a random subset, the trivial and the full cone of the carrier."""
+    B = b_cone.group
+    return [
+        ProductCone(carrier, x_cone, b_cone),
+        LexCone(carrier, x_cone, b_cone),
+        LexCone(carrier, x_cone, ExtensionalCone(B, _random_finite_set(rng, B, "subset"))),
+        ExtensionalCone(carrier, _random_finite_set(rng, carrier, "closure")),
+        ExtensionalCone(carrier, _random_finite_set(rng, carrier, "subset")),
+        TrivialCone(carrier),
+        FullCone(carrier),
+    ]
+
+
+def _scan_members(C: Cone) -> frozenset:
+    return frozenset(x for x in C.group.elements() if C.contains(x).is_yes)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_member_set_routes_match_the_membership_scans(seed):
+    rng = random.Random(seed)
+    x_cone, b_cone, action = random_finite_extension(rng)
+    carrier = Semidirect(x_cone.group, b_cone.group, action)
+    cones = _cones_on(rng, carrier, x_cone, b_cone)
+    for C in cones:
+        assert C.finite_members() == _scan_members(C), C
+    budget = DEFAULT_BUDGET
+    clean = clean_scan(carrier, budget.window)
+    for P, Q in itertools.product(cones, repeat=2):
+        for lower, upper in ((True, False), (False, True), (True, True)):
+            assert (_scan_inclusions(P, Q, lower, upper, budget, clean)
+                    == oracle_scan_inclusions(P, Q, lower, upper, budget, clean)), (P, Q)
+        fast = cone_subset(P, Q), cones_equal(P, Q)
+        with mock.patch.object(cones_module, "_scan_inclusions", oracle_scan_inclusions):
+            assert fast == (cone_subset(P, Q), cones_equal(P, Q)), (P, Q)
+    # pointwise_sim_id against its scan of x_cone.sim, for every phi_b, on
+    # cones of the kernel with and without a member set.
+    X = x_cone.group
+    kernel_cones = [x_cone, TrivialCone(X), FullCone(X),
+                    ExtensionalCone(X, _random_finite_set(rng, X, "subset")),
+                    IntersectionCone(X, (x_cone, FullCone(X)))]
+    for b in b_cone.group.elements():
+        h = action.as_hom(b)
+        for C in kernel_cones:
+            scan = for_all_members(
+                X.elements(), None, lambda x: C.sim(h.apply(x), x, budget),
+                "automorphism moves an element", "pointwise comparison hit undecided memberships",
+                clean_scan(X, budget.window),
+            )
+            assert pointwise_sim_id(h, C, budget) == scan, (b, C)
+    # compatible_exists walks the picked unit generators; walking every
+    # unit gives the same verdict.
+    for px, pb in itertools.product(kernel_cones[:4], (b_cone, FullCone(b_cone.group))):
+        shape = ExtensionShape(px, pb, action)
+        with mock.patch.object(extensions_module, "greedy_generators", lambda G, pool: None):
+            every_unit = compatible_exists(shape)
+        assert compatible_exists(shape) == every_unit, shape
+
+
+def test_finite_split_queries_read_member_sets(monkeypatch):
+    # On the 48-element carrier, the point queries, the lattice and
+    # compatible_exists ask the product and lex cones no membership.
+    G = _z8_by_sign_of_s3()
+    X, B = G.x_group, G.b_group
+    calls = Counter()
+    for cls in (ProductCone, LexCone):
+        def counting(self, x, budget, _real=cls._contains, _name=cls.__name__):
+            calls[_name] += 1
+            return _real(self, x, budget)
+
+        monkeypatch.setattr(cls, "_contains", counting)
+    x_cones = (TrivialCone(X), generated_cone(X, [4]), generated_cone(X, [2]), FullCone(X))
+    b_cones = (TrivialCone(B), generated_cone(B, [3]), FullCone(B))  # 3 is a 3-cycle: A_3
+    seen = Counter()
+    for px, pb in itertools.product(x_cones, b_cones):
+        shape = ExtensionShape(px, pb, G.action)
+        exists = compatible_exists(shape)
+        seen[exists.state.value] += 1
+        assert enumerate_compatible_cones(shape, ExhaustiveFinite()).count <= 1
+        if not exists.is_yes:
+            continue
+        for tag in ("product", "lex", "minimal"):
+            pt = point(shape, tag)
+            for v in (is_rali(pt), is_strong(pt)):
+                seen[v.state.value] += 1
+    assert calls == Counter(), calls
+    assert seen["yes"] and seen["no"], seen

@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -518,6 +519,28 @@ def test_sweep_report_bytes_pinned():
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
         "3585f207c846220a301133864aa19ad581c5233a651701172e07d345d0936cc7"
     )
+
+
+def _perfbench_randomdocs():
+    """perfbench/randomdocs.py, loaded from its file (it is no package)."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "randomdocs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_randomdocs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("seed, digest", [
+    (1, "71fb58a711eb4a9e8771356ccb769139ef56203bf995fe81c83d05d45286566f"),
+    (5, "14a5c49d2f913317cb8e315f5aa611a446ac264c8d938c5082094789a161578e"),
+])
+def test_random_finite_document_report_bytes_pinned(seed, digest):
+    # The finite split-extension document of the random-documents benchmark:
+    # compatible_exists, lattice, is_rali and is_strong on carriers of at most
+    # 48 elements, at the CLI's default budget.
+    text = dict(_perfbench_randomdocs().documents(seed))["finite"]
+    report = render_report_json(run(parse_document(text), SaturationBudget(2, 6, Window(8, 16, 8))))
+    assert hashlib.sha256(report.encode("utf-8")).hexdigest() == digest
 
 
 # --- malformed documents exit 2 with a location, never a traceback ----------------
