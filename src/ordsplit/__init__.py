@@ -71,7 +71,6 @@ from .extensions import (
     normalize,
     point,
     product_cone,
-    semidirect,
     validate_family,
 )
 from .points import (

@@ -42,7 +42,6 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Optional
 
-from .actions import _spread
 from .groups import (
     DirectProduct,
     Element,
@@ -58,10 +57,9 @@ from .groups import (
 )
 from .homs import Homomorphism, PairHom, _pair_parts
 from .linalg import (
-    Elimination,
     Hermite,
+    Matrix,
     dual_cone,
-    eliminate,
     feasible_strict,
     hermite,
     identity_matrix,
@@ -522,11 +520,10 @@ class GeneratedCone(Cone):
             return no(x, "fibre residue obstruction: fibre outside the lattice of I - phi_e")
         return None
 
-    def _conjugator_system(self, bp, budget) -> Elimination | Hermite | None:
-        """The reduced form of I - phi_bp (the Hermite form on Z^k, the
-        elimination on Q^k) when (0, bp) is a source element, else None; once
-        per (bp, budget).  An action has a matrix only on a vector kernel, so
-        every other kernel gets None.
+    def _conjugator_system(self, bp, budget) -> Matrix | Hermite | None:
+        """I - phi_bp (its Hermite form on Z^k) when (0, bp) is a source
+        element, else None; once per (bp, budget).  An action has a matrix
+        only on a vector kernel, so every other kernel gets None.
 
         bp has passed group.check in contains, so an int and an equal
         Fraction never share a key.
@@ -537,10 +534,10 @@ class GeneratedCone(Cone):
         G = self.group
         X = G.x_group
         a = _one_minus_phi(G.action, bp)
-        if a is not None and self._in_source((X.zero(), bp), budget):
-            a = hermite(a, X.rank) if isinstance(X, FreeAbelian) else eliminate(a)
-        else:
+        if a is None or not self._in_source((X.zero(), bp), budget):
             a = None
+        elif isinstance(X, FreeAbelian):
+            a = hermite(a, X.rank)
         self._cache[key] = a
         return a
 
@@ -939,15 +936,17 @@ def check_cone_axioms(cone: Cone, budget: SaturationBudget = DEFAULT_BUDGET) -> 
     """Identity, closure under addition, closure under conjugation.
 
     Exhaustive on finite carriers, window-checked otherwise (a clean window
-    gives Yes with the window recorded in the budget trail).
+    gives Yes with the window recorded in the budget trail).  A cone with a
+    member set is read off it.
     """
     G = cone.group
     els = G.window_elements(budget.window)
     z = G.zero()
-    vz = cone.contains(z, budget)
+    inside = membership(cone)
+    vz = inside(z, budget)
     if not vz.is_yes:
         return no(z, "cone must contain the identity") if vz.is_no else vz
-    memberships = [(x, cone.contains(x, budget)) for x in els]
+    memberships = [(x, inside(x, budget)) for x in els]
     members = [x for x, v in memberships if v.is_yes]
     if not G.is_finite and len(members) > 250:
         # keep the pair scan tractable on wide rational windows; the slice is
@@ -958,7 +957,7 @@ def check_cone_axioms(cone: Cone, budget: SaturationBudget = DEFAULT_BUDGET) -> 
     if any(v.is_unknown for _, v in memberships):
         clean = unknown(undecided)
     sums = for_all_members(
-        itertools.product(members, members), None, lambda ab: cone.contains(G.add(*ab), budget),
+        itertools.product(members, members), None, lambda ab: inside(G.add(*ab), budget),
         "not closed under addition", undecided, clean,
     )
     if sums.is_no:
@@ -966,9 +965,17 @@ def check_cone_axioms(cone: Cone, budget: SaturationBudget = DEFAULT_BUDGET) -> 
     conjugators = els if G.is_finite else _spread(els, 120)
     return for_all_members(
         itertools.product(conjugators, members), None,
-        lambda ga: cone.contains(G.conjugate(*ga), budget),
+        lambda ga: inside(G.conjugate(*ga), budget),
         "not closed under conjugation", undecided, sums,
     )
+
+
+def _spread(seq: list, k: int) -> list:
+    """Deterministic slice of about k elements spread across seq."""
+    if len(seq) <= k:
+        return list(seq)
+    step = max(1, len(seq) // k)
+    return list(seq[::step][:k])
 
 
 _SUBSET_NO = "element of the first cone only"

@@ -2,7 +2,7 @@
 
 Everything here works on tuples of tuples of Fraction; sizes are desk-scale
 (rank <= ~6), so plain elimination is fine.  One Gauss-Jordan routine,
-_reduce, serves eliminate (and so solve), matrix_inverse and determinant; one
+_reduce, serves solve, matrix_inverse and determinant; one
 Hermite form, hermite, serves integer_solve and integer_kernel on Z^k.
 dual_cone builds the integer rays of a finitely generated cone's dual once,
 and feasible_strict separates a vector from the cone by the first ray that
@@ -114,39 +114,17 @@ def matrix_inverse(a: Matrix) -> Matrix | None:
     return tuple(tuple(row[n:]) for row in aug)
 
 
-@dataclass(frozen=True)
-class Elimination:
-    """The Gauss-Jordan form of a matrix a, kept to solve a x = b for many b.
-
-    Pivots and row operations depend only on a, so reducing [a | I] once
-    records them in transform: transform b is, exactly, the right-hand
-    column that reducing [a | b] would leave.
-    """
-
-    ncols: int
-    pivots: tuple[int, ...]
-    transform: Matrix
-
-
-def eliminate(a: Matrix) -> Elimination:
+def solve(a: Matrix, b) -> Vector | None:
+    """One solution of a x = b, or None: reduce [a | b] and read x off the
+    pivots, with 0 on every free column."""
     n = len(a[0]) if a else 0
-    aug = [list(row) + list(e) for row, e in zip(mat(a), identity_matrix(len(a)))]
+    aug = [[*row, c] for row, c in zip(mat(a), b)]
     pivots = _reduce(aug, n)[0]
-    return Elimination(n, tuple(pivots), tuple(tuple(row[n:]) for row in aug))
-
-
-def solve(a: Matrix | Elimination, b) -> Vector | None:
-    """One solution of a x = b, or None.
-
-    Given eliminate(a) in place of a, one elimination serves many b.
-    """
-    e = a if isinstance(a, Elimination) else eliminate(a)
-    y = mat_vec(e.transform, b)
-    if any(y[len(e.pivots):]):
+    if any(row[n] for row in aug[len(pivots):]):
         return None
-    x = [_ZERO] * e.ncols
-    for yi, col in zip(y, e.pivots):
-        x[col] = yi
+    x = [_ZERO] * n
+    for row, col in zip(aug, pivots):
+        x[col] = row[n]
     return tuple(x)
 
 

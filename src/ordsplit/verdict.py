@@ -63,8 +63,8 @@ def yes(note: str = "", budget_used: tuple = ()) -> Verdict:
     return Verdict(State.YES, None, note, budget_used)
 
 
-def no(witness: Any, note: str = "", budget_used: tuple = ()) -> Verdict:
-    return Verdict(State.NO, witness, note, budget_used)
+def no(witness: Any, note: str = "") -> Verdict:
+    return Verdict(State.NO, witness, note)
 
 
 def unknown(note: str = "", budget_used: tuple = ()) -> Verdict:

@@ -26,6 +26,7 @@ from ordsplit.cones import (
     _SUBSET_NO,
     _SUBSET_UNDECIDED,
     _fibre_test,
+    _spread,
     check_cone_axioms,
     is_monotone,
 )
@@ -69,6 +70,7 @@ from ordsplit.verdict import (
     SaturationBudget,
     Verdict,
     Window,
+    clean_scan,
     for_all_members,
     no,
     unknown,
@@ -347,6 +349,37 @@ def oracle_units_scan(cone: Cone, budget: SaturationBudget = DEFAULT_BUDGET) -> 
             undecided = True
     note = "finite intersection" + (" (some memberships unknown)" if undecided else "")
     return UnitsReport(not undecided, frozenset(found), tuple(found), note)
+
+
+def oracle_check_cone_axioms(cone: Cone, budget: SaturationBudget = DEFAULT_BUDGET) -> Verdict:
+    """cones.check_cone_axioms by membership calls alone: the identity, then
+    every pair of window members under addition and conjugation."""
+    G = cone.group
+    els = G.window_elements(budget.window)
+    z = G.zero()
+    vz = cone.contains(z, budget)
+    if not vz.is_yes:
+        return no(z, "cone must contain the identity") if vz.is_no else vz
+    memberships = [(x, cone.contains(x, budget)) for x in els]
+    members = [x for x, v in memberships if v.is_yes]
+    if not G.is_finite and len(members) > 250:
+        members = _spread(members, 250)
+    undecided = "closure checks hit undecided memberships"
+    clean = clean_scan(G, budget.window)
+    if any(v.is_unknown for _, v in memberships):
+        clean = unknown(undecided)
+    sums = for_all_members(
+        itertools.product(members, members), None, lambda ab: cone.contains(G.add(*ab), budget),
+        "not closed under addition", undecided, clean,
+    )
+    if sums.is_no:
+        return sums
+    conjugators = els if G.is_finite else _spread(els, 120)
+    return for_all_members(
+        itertools.product(conjugators, members), None,
+        lambda ga: cone.contains(G.conjugate(*ga), budget),
+        "not closed under conjugation", undecided, sums,
+    )
 
 
 def oracle_scan_inclusions(P: Cone, Q: Cone, lower_open, upper_open, budget, clean) -> Verdict:

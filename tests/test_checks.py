@@ -313,8 +313,8 @@ def test_every_module_level_definition_is_used_or_exported():
 def test_one_linear_form_of_an_action_and_one_determinant():
     # matrix_for is the one linear representation of an action and as_matrix
     # of a map; the dual cone's normals come from integer kernels, not a
-    # cofactor expansion, and an elimination keeps no null-space basis. The
-    # scaling action is MatrixAction.scaling, not a class of its own.
+    # cofactor expansion. The scaling action is MatrixAction.scaling, not a
+    # class of its own.
     assert not hasattr(ordsplit.actions, "ScalingAction")
     assert "ScalingAction" not in ordsplit.__all__
     found = set()
@@ -328,7 +328,6 @@ def test_one_linear_form_of_an_action_and_one_determinant():
     assert found == set()
     linalg = importlib.import_module("ordsplit.linalg")
     assert not hasattr(linalg, "_cofactors")
-    assert "basis" not in {f.name for f in dataclasses.fields(linalg.Elimination)}
 
 
 def test_one_linear_map_class_and_identities_decided_on_generators():
@@ -381,3 +380,23 @@ def test_only_the_routes_the_library_takes():
     assert list(inspect.signature(ordsplit.homs.enumerate_homomorphisms).parameters) == ["G", "H"]
     with pytest.raises(TypeError, match="_cache"):
         GeneratedCone(scaling_carrier(), ((Fraction(1), 1),), _cache={})
+
+
+def test_law_checks_are_finite_and_no_path_only_tests_reach():
+    # The action and additivity laws are checked on finite groups only (a
+    # window could not decide them); solve reduces [a | b] per call, with no
+    # kept elimination; the twisted carrier is Semidirect itself; a matrix
+    # action has one apply path; and a No records no budget.
+    linalg = importlib.import_module("ordsplit.linalg")
+    assert not {"Elimination", "eliminate"} & set(vars(linalg))
+    assert "semidirect" not in ordsplit.__all__
+    assert not hasattr(ordsplit.extensions, "semidirect")
+    assert "_int_matrices" not in {f.name for f in dataclasses.fields(MatrixAction)}
+    assert list(inspect.signature(ordsplit.homs.check_homomorphism).parameters) == ["h"]
+    assert list(inspect.signature(ordsplit.verdict.no).parameters) == ["witness", "note"]
+    with pytest.raises(StructureError, match="finite groups only"):
+        ordsplit.actions.validate_action(SignAction(Z, Z))
+    with pytest.raises(StructureError, match="finite groups only"):
+        ordsplit.actions.validate_action(TrivialAction(Z2, Z))
+    with pytest.raises(StructureError, match="finite sources only"):
+        ordsplit.homs.check_homomorphism(IdentityHom(Z))

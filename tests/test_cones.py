@@ -40,9 +40,11 @@ from ordsplit.extensions import (
     UpSetFibers,
     compatible_exists,
     enumerate_compatible_cones,
+    is_compatible,
     minimal_cone,
     point,
     pointwise_sim_id,
+    product_cone,
 )
 from ordsplit.groups import (
     CyclicGroup,
@@ -71,6 +73,7 @@ from helpers import (
     IntersectionCone,
     assert_state,
     count_window_items,
+    oracle_check_cone_axioms,
     oracle_cone_closure,
     oracle_is_closed,
     oracle_scan_inclusions,
@@ -1036,6 +1039,23 @@ def test_member_set_routes_match_the_membership_scans(seed):
         assert compatible_exists(shape) == every_unit, shape
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_cone_axioms_read_member_sets_as_the_membership_scan(seed):
+    # check_cone_axioms asks through membership(cone); its verdict must be
+    # the contains scan's, field for field, with and without a member set.
+    rng = random.Random(seed)
+    x_cone, b_cone, action = random_finite_extension(rng)
+    carrier = Semidirect(x_cone.group, b_cone.group, action)
+    X = x_cone.group
+    for C in _cones_on(rng, carrier, x_cone, b_cone) + [
+        x_cone, IntersectionCone(X, (x_cone, FullCone(X))),
+        ExtensionalCone(X, _random_finite_set(rng, X, "subset")),
+    ]:
+        for budget in (DEFAULT_BUDGET, SMALL_BUDGET):
+            assert check_cone_axioms(C, budget) == oracle_check_cone_axioms(C, budget), C
+
+
 def test_finite_split_queries_read_member_sets(monkeypatch):
     # On the 48-element carrier, the point queries, the lattice and
     # compatible_exists ask the product and lex cones no membership.
@@ -1064,3 +1084,21 @@ def test_finite_split_queries_read_member_sets(monkeypatch):
                 seen[v.state.value] += 1
     assert calls == Counter(), calls
     assert seen["yes"] and seen["no"], seen
+
+
+def test_is_compatible_reads_member_sets(monkeypatch):
+    # The product cone of ({0,2,4,6}, A_3) on the 48-element carrier: the
+    # cone axioms and both comparisons ask it no membership (769 when the
+    # axioms asked contains).
+    G = _z8_by_sign_of_s3()
+    calls = Counter()
+    real = ProductCone._contains
+
+    def counting(self, x, budget):
+        calls["ProductCone"] += 1
+        return real(self, x, budget)
+
+    monkeypatch.setattr(ProductCone, "_contains", counting)
+    shape = ExtensionShape(generated_cone(G.x_group, [2]), generated_cone(G.b_group, [3]), G.action)
+    assert_state(is_compatible(product_cone(shape), shape), "yes")
+    assert calls == Counter(), calls

@@ -144,9 +144,10 @@ def test_structurally_decided_catalog_queries_walk_few_window_elements(monkeypat
     # each query, at the CLI default and the doubled budgets.  Condition 4
     # and the orbit remark of trivially acted families, and pair maps
     # between componentwise cones, no longer scan (before: 168/168, 21/39
-    # and 189/1209).
+    # and 189/1209), and the superadditive lattice no longer re-validates
+    # its families (before: 112/112).
     bounds = {
-        "lattice_window_2_2": (112, 112),
+        "lattice_window_2_2": (0, 0),
         "family_doubling": (14, 26),
         "classify_rali_qz": (0, 0),
     }
@@ -354,26 +355,26 @@ def test_classify_into_undecided_part_is_unknown_not_no(monkeypatch):
     assert entry["verdict"] == {"state": "no", "witness": "(1, 0)", "note": "moved"}
 
 
-def test_lattice_undecided_family_is_unknown_and_a_no_names_the_family(monkeypatch):
-    from ordsplit import extensions
-    from ordsplit.verdict import no, unknown
+def test_every_superadditive_lattice_family_validates():
+    # The superadditive lattice answers compatible=yes without re-running
+    # validate_family on each sequence; the re-check it dropped, at its old
+    # budget, says yes on every enumerated family.
+    from ordsplit.actions import TrivialAction
+    from ordsplit.cones import OrthantCone
+    from ordsplit.extensions import (
+        ExtensionShape, SuperadditiveWindow, enumerate_compatible_cones, validate_family,
+    )
+    from ordsplit.groups import FreeAbelian
 
-    real = extensions.validate_family
-    verdicts = {(0, 1, 2): unknown("family conditions hit undecided memberships")}
-
-    def fake(fam, budget):
-        v = verdicts.get(fam.sets.thresholds)
-        if v is None:
-            return real(fam, budget)
-        return extensions.FamilyValidation(v, v)
-
-    monkeypatch.setattr(extensions, "validate_family", fake)
-    _, entry = _catalog_entry("lattice")
-    assert entry["verdict"]["state"] == "unknown"
-    assert entry["details"]["all_compatible"] is False
-    verdicts[(0, 0, 2)] = no(3, "condition 3")
-    _, entry = _catalog_entry("lattice")
-    assert entry["verdict"] == {"state": "no", "witness": "((0,2), 3)"}
+    Z = FreeAbelian(1)
+    shape = ExtensionShape(OrthantCone(Z), OrthantCone(Z), TrivialAction(Z, Z))
+    budget = SaturationBudget(2, 4, Window(3, 8, 4))
+    for length in (1, 2, 3):
+        for max_value in range(4):
+            rep = enumerate_compatible_cones(shape, SuperadditiveWindow(length, max_value))
+            assert rep.compatible.is_yes and rep.count == len(rep.cones) > 0
+            for label, fam in zip(rep.labels, rep.cones):
+                assert validate_family(fam, budget).conditions.is_yes, (length, max_value, label)
 
 
 def test_no_classifier_witness_not_found_is_unknown(monkeypatch):

@@ -37,7 +37,6 @@ from ordsplit.extensions import (
     normalize,
     point,
     product_cone,
-    semidirect,
     superadditive_sequences,
     validate_family,
 )
@@ -111,11 +110,11 @@ def test_a_point_is_a_shape_with_a_cone():
         SplitExtension(QP, ZN, shape.action, pt.cone)
 
 
-def test_semidirect_validates_action():
-    sd = semidirect(Z, Z, SignAction(Z, Z))
-    assert isinstance(sd, Semidirect)
-    with pytest.raises(StructureError):
-        semidirect(Q, Z, SignAction(Z, Z))
+def test_semidirect_refuses_a_mismatched_action():
+    sd = Semidirect(Z, Z, SignAction(Z, Z))
+    assert sd.action == SignAction(Z, Z)
+    with pytest.raises(StructureError, match="does not act on the given groups"):
+        Semidirect(Q, Z, SignAction(Z, Z))
 
 
 def test_product_and_lex_cone_examples():
